@@ -38,7 +38,7 @@ B = Atom("b")
 
 
 def named_fixtures() -> dict[str, ProofNet]:
-    """Hand-built nets exercising每 rule; keys are stable names."""
+    """Hand-built nets exercising each rule; keys are stable names."""
     fx: dict[str, ProofTerm] = {}
     fx["axiom"] = Ax(A)
     for n in (1, 2, 3):

@@ -62,9 +62,6 @@ class TArrow(SType):
 
 def parse_type(text: str) -> SType:
     toks = re.findall(r"->|\(|\)|[A-Za-z_][A-Za-z0-9_]*", text)
-    if "".join(toks).replace("->", "").replace("(", "").replace(")", "") != \
-            re.sub(r"[\s()>-]|->", "", text).replace(">", ""):
-        pass  # tokenizer covers the grammar; junk shows up as parse failure below
     pos = [0]
 
     def peek():

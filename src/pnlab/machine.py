@@ -263,20 +263,15 @@ def step(net: N.ProofNet, c: Context,
                 go("inner", "+", us + (top,), st[:-1])
             elif is_sig(top) and len(st) == 1 and config.jumps_enabled \
                     and label == N.LBANG:
-                box_pid = _door_box(net, vid)
+                box_pid = net.door_box(vid)
+                if box_pid is None:
+                    raise MachineError(f"door {vid} not attached to a box")
                 pedge = net.rho(box_pid)
                 out.append(Context(pedge, us, st, "+"))
         elif port == "inner" and pol == "-" and us:
             go("outer", "-", us[:-1], st + (us[-1],))
     # prem / concl / weak induce no transitions
     return out
-
-
-def _door_box(net: N.ProofNet, door: str) -> str:
-    for pid, b in net.boxes.items():
-        if door in b.doors:
-            return pid
-    raise MachineError(f"door {door} not attached to a box")
 
 
 # --- runs -----------------------------------------------------------------
@@ -385,24 +380,6 @@ def reach_final(net: N.ProofNet, start: Context,
 
     ok, _ = go(start, set())
     return ok
-
-
-def reachable_contexts(net: N.ProofNet, start: Context,
-                       config: MachineConfig | None = None,
-                       limit: int = 10**5) -> set[Context]:
-    """All contexts reachable from start (bounded)."""
-    config = config or MachineConfig()
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        c = frontier.pop()
-        for d in step(net, c, config):
-            if d not in seen:
-                if len(seen) >= limit:
-                    raise BudgetExhausted("reachable context limit", d)
-                seen.add(d)
-                frontier.append(d)
-    return seen
 
 
 def format_context(c: Context) -> str:

@@ -6,13 +6,21 @@ C, a box's principal edge leaves its R! vertex.  Port order is explicit and
 fixed per vertex label, since the token machine distinguishes left and right
 premises.
 
-Nets are treated as immutable values after construction; rewriting always
-builds a new net.
+Nets are immutable values: rewriting always builds a new net, and a net's
+vertex, edge and box dicts must never change after construction.  Every
+structural lookup goes through one set of indexes per net, each built once,
+on its first query, in O(|G| + sum of box contents): port -> edge; vertex ->
+the boxes around it, which gives depth and the box tree; principal or door
+vertex -> its box; the principal edges; the conclusion vertices; and the
+largest numbered ids.
+`retag` (`dataclasses.replace`) shares the index with its source net; that
+is safe because no index depends on the system tag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .formulas import (
     Atom,
@@ -156,13 +164,122 @@ def is_in_port(v: Vertex, port: str) -> bool:
     return port in IN_PORTS[v.label]
 
 
+class _Index:
+    """The lookup tables of one net, each built on its first query.
+
+    It holds the net's dicts, never the net itself, so the two form no
+    reference cycle.  Box lists are box keys in the order of `boxes`.
+    """
+
+    def __init__(self, vertices, edges, boxes):
+        self.vertices = vertices
+        self.edges = edges
+        self.boxes = boxes
+        self.edge_boxes: dict[str, list[str]] = {}  # filled per queried edge
+
+    @cached_property
+    def ports(self) -> dict[tuple[str, str], Edge]:
+        """(vertex, port) -> the first edge, in edge order, with that end."""
+        out: dict[tuple[str, str], Edge] = {}
+        for e in self.edges.values():
+            out.setdefault(e.src, e)
+            out.setdefault(e.tgt, e)
+        return out
+
+    @cached_property
+    def enclosing(self) -> dict[str, list[str]]:
+        """Identifier -> the boxes listing it among their contents."""
+        out: dict[str, list[str]] = {}
+        for pid, b in self.boxes.items():
+            for c in b.contents:
+                if c in out:
+                    out[c].append(pid)
+                else:
+                    out[c] = [pid]
+        return out
+
+    @cached_property
+    def inner_boxes(self) -> dict[str, list[str]]:
+        """Vertex -> the boxes whose principal or door it is."""
+        out: dict[str, list[str]] = {}
+        for pid, b in self.boxes.items():
+            for vid in (b.principal, *b.doors):
+                boxes = out.get(vid)
+                if boxes is None:
+                    out[vid] = [pid]
+                elif boxes[-1] != pid:  # a vertex listed twice in one box
+                    boxes.append(pid)
+        return out
+
+    @cached_property
+    def box_rank(self) -> dict[str, int]:
+        return {pid: i for i, pid in enumerate(self.boxes)}
+
+    @cached_property
+    def principal_edges(self) -> dict[str, str]:
+        """Principal edge id -> label of its source, in edge id order."""
+        out = []
+        for e in self.edges.values():
+            vid, port = e.src
+            v = self.vertices.get(vid)
+            if port == "principal" and v is not None and v.label in BOX_PRINCIPALS:
+                out.append((e.id, v.label))
+        out.sort(key=lambda item: _numkey(item[0]))
+        return dict(out)
+
+    @cached_property
+    def conclusions(self) -> list[str]:
+        return [v.id for v in self.vertices.values() if v.label == CONCL]
+
+    @cached_property
+    def max_vertex_id(self) -> int:
+        return _max_numbered(self.vertices, "v")
+
+    @cached_property
+    def max_edge_id(self) -> int:
+        return _max_numbered(self.edges, "e")
+
+    def end_boxes(self, end: tuple[str, str]) -> set[str]:
+        """The boxes an edge end lies inside: those holding its vertex, and
+        for an `inner` port also the box of that principal or door."""
+        vid, port = end
+        out = set(self.enclosing.get(vid, ()))
+        if port == "inner":
+            out.update(self.inner_boxes.get(vid, ()))
+        return out
+
+    def around_edge(self, eid: str) -> list[str]:
+        """The boxes holding both ends of an edge, in box order."""
+        out = self.edge_boxes.get(eid)
+        if out is None:
+            e = self.edges[eid]
+            out = sorted(self.end_boxes(e.src) & self.end_boxes(e.tgt),
+                         key=self.box_rank.__getitem__)
+            self.edge_boxes[eid] = out
+        return out
+
+
+def _max_numbered(ids, prefix: str) -> int:
+    """Largest n with prefix+n among ids (0 when there is none)."""
+    best = 0
+    for k in ids:
+        if k.startswith(prefix) and k[len(prefix):].isdigit():
+            best = max(best, int(k[len(prefix):]))
+    return best
+
+
 @dataclass(frozen=True)
 class ProofNet:
     vertices: dict[str, Vertex]
     edges: dict[str, Edge]
     boxes: dict[str, Box]  # keyed by principal vertex id
     system: str = "MELL"
-    _depth_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _index: _Index | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self._index is None:
+            object.__setattr__(self, "_index",
+                               _Index(self.vertices, self.edges, self.boxes))
 
     # --- structural accessors (section-2 notation) ---
 
@@ -177,48 +294,28 @@ class ProofNet:
         return len(self.vertices)
 
     def edge_at(self, vid: str, port: str) -> Edge:
-        for e in self.edges.values():
-            if e.src == (vid, port) or e.tgt == (vid, port):
-                return e
-        raise NetError(f"no edge at {vid}.{port}")
+        e = self._index.ports.get((vid, port))
+        if e is None:
+            raise NetError(f"no edge at {vid}.{port}")
+        return e
 
-    def _incidence(self) -> dict[tuple[str, str], str]:
-        inc: dict[tuple[str, str], str] = {}
-        for e in self.edges.values():
-            for end in (e.src, e.tgt):
-                inc[end] = e.id
-        return inc
-
-    def vertex_in_box(self, vid: str, b: Box) -> bool:
-        return vid in b.contents
-
-    def _edge_end_inside(self, end: tuple[str, str], b: Box) -> bool:
-        vid, port = end
-        if vid in b.contents:
-            return True
-        if vid == b.principal and port == "inner":
-            return True
-        if vid in b.doors and port == "inner":
-            return True
-        return False
-
-    def edge_in_box(self, eid: str, b: Box) -> bool:
-        e = self.edges[eid]
-        return self._edge_end_inside(e.src, b) and self._edge_end_inside(e.tgt, b)
+    def door_box(self, vid: str):
+        """Principal vertex of the box listing vid as a door, or None."""
+        for pid in self._index.inner_boxes.get(vid, ()):
+            if vid in self.boxes[pid].doors:
+                return pid
+        return None
 
     def depth(self, item: str) -> int:
-        """Box-depth of a vertex or edge id: number of enclosing boxes."""
-        cache = self._depth_cache
-        if item in cache:
-            return cache[item]
+        """Box-depth of a vertex or edge id: number of enclosing boxes.
+
+        An edge lies in a box when both of its ends do.
+        """
         if item in self.vertices:
-            d = sum(1 for b in self.boxes.values() if item in b.contents)
-        elif item in self.edges:
-            d = sum(1 for b in self.boxes.values() if self.edge_in_box(item, b))
-        else:
-            raise NetError(f"unknown identifier {item}")
-        cache[item] = d
-        return d
+            return len(self._index.enclosing.get(item, ()))
+        if item in self.edges:
+            return len(self._index.around_edge(item))
+        raise NetError(f"unknown identifier {item}")
 
     def net_depth(self) -> int:
         items = list(self.vertices) + list(self.edges)
@@ -226,15 +323,18 @@ class ProofNet:
 
     def theta(self, item: str):
         """Principal vertex of the innermost box containing item, or None."""
+        if item in self.vertices:
+            around = self._index.enclosing.get(item, ())
+        elif item in self.edges:
+            around = self._index.around_edge(item)
+        else:
+            return None
         best = None
         best_depth = -1
-        for pid, b in self.boxes.items():
-            inside = (item in b.contents) if item in self.vertices else (
-                item in self.edges and self.edge_in_box(item, b))
-            if inside:
-                d = self.depth(pid)
-                if d > best_depth:
-                    best, best_depth = pid, d
+        for pid in around:
+            d = self.depth(pid)
+            if d > best_depth:
+                best, best_depth = pid, d
         return best
 
     def rho(self, vid: str) -> str:
@@ -254,21 +354,12 @@ class ProofNet:
         Sec-box principal edges are not box-edges: sec boxes are never
         duplicated and carry no weight.
         """
-        out = []
-        for e in self.edges_sorted():
-            v = self.vertices[e.src[0]]
-            if v.label == RBANG and e.src[1] == "principal":
-                out.append(e.id)
-        return out
+        return [e for e, label in self._index.principal_edges.items()
+                if label == RBANG]
 
-    def principal_edges(self) -> list[str]:
-        """Principal edges of both box kinds."""
-        out = []
-        for e in self.edges_sorted():
-            v = self.vertices[e.src[0]]
-            if v.label in BOX_PRINCIPALS and e.src[1] == "principal":
-                out.append(e.id)
-        return out
+    def principal_edges(self):
+        """Principal edges of both box kinds, as a set-like view in id order."""
+        return self._index.principal_edges.keys()
 
     def interior_vertices(self) -> list[str]:
         """I_G: vertices not labelled with a box principal or door."""
@@ -285,21 +376,14 @@ class ProofNet:
             raise NetError(f"{eid} is not a box-edge")
         return len(self.boxes[v.id].doors)
 
-    def box_of_edge(self, eid: str) -> Box:
-        e = self.edges[eid]
-        return self.boxes[e.src[0]]
-
     def conclusion_vertex(self) -> str:
-        cs = [v.id for v in self.vertices.values() if v.label == CONCL]
+        cs = self._index.conclusions
         if len(cs) != 1:
             raise NetError(f"expected exactly one conclusion vertex, found {len(cs)}")
         return cs[0]
 
     def conclusion_edge(self) -> str:
         return self.edge_at(self.conclusion_vertex(), "edge").id
-
-    def premise_vertices(self) -> list[str]:
-        return [v.id for v in self.vertices_sorted() if v.label == PREM]
 
 
 def _numkey(ident: str):
@@ -431,6 +515,17 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
 
 
 def _check_boxes(net: ProofNet, say):
+    idx = net._index
+    # box -> edges with exactly one end inside it, in edge order
+    crossing: dict[str, list[str]] = {}
+    for e in net.edges.values():
+        for pid in idx.end_boxes(e.src) ^ idx.end_boxes(e.tgt):
+            crossing.setdefault(pid, []).append(e.id)
+    # box -> boxes whose principal it lists among its contents
+    inside: dict[str, list[str]] = {}
+    for qid in net.boxes:
+        for pid in idx.enclosing.get(qid, ()):
+            inside.setdefault(pid, []).append(qid)
     all_doors: set[str] = set()
     for pid, b in net.boxes.items():
         v = net.vertices.get(pid)
@@ -450,11 +545,8 @@ def _check_boxes(net: ProofNet, say):
         if pid in b.contents or set(b.doors) & b.contents:
             say(f"box {pid}: principal or door listed in contents")
         # boundary crossings only through the principal and the doors
-        for e in net.edges.values():
-            srcin = net._edge_end_inside(e.src, b)
-            tgtin = net._edge_end_inside(e.tgt, b)
-            if srcin != tgtin:
-                say(f"box {pid}: edge {e.id} crosses the box boundary")
+        for eid in crossing.get(pid, ()):
+            say(f"box {pid}: edge {eid} crosses the box boundary")
     for v in net.vertices.values():
         if v.label in BOX_PRINCIPALS and v.id not in net.boxes:
             say(f"vertex {v.id}: box principal without a box record")
@@ -475,11 +567,11 @@ def _check_boxes(net: ProofNet, say):
                 )
     # nesting closure: a nested box brings its doors and contents along
     for pid, b in net.boxes.items():
-        for qid, q in net.boxes.items():
-            if qid in b.contents:
-                missing = ({qid, *q.doors} | q.contents) - (b.contents | {qid})
-                if missing:
-                    say(f"box {pid}: nested box {qid} leaks {sorted(missing)}")
+        for qid in inside.get(pid, ()):
+            q = net.boxes[qid]
+            missing = ({qid, *q.doors} | q.contents) - (b.contents | {qid})
+            if missing:
+                say(f"box {pid}: nested box {qid} leaks {sorted(missing)}")
     # depth consistency: direct contents sit one level below the principal edge
     for pid, b in net.boxes.items():
         try:
@@ -488,9 +580,9 @@ def _check_boxes(net: ProofNet, say):
             continue
         want = net.depth(pe) + 1
         nested: set[str] = set()
-        for qid, q in net.boxes.items():
-            if qid in b.contents:
-                nested |= {qid, *q.doors} | q.contents
+        for qid in inside.get(pid, ()):
+            q = net.boxes[qid]
+            nested |= {qid, *q.doors} | q.contents
         for cid in b.contents - nested:
             if net.depth(cid) != want:
                 say(f"box {pid}: content {cid} has inconsistent depth")

@@ -4,11 +4,9 @@ Rule kinds use the names -o, *, forall, !, X, D, N, W.  Strategies:
 
   * arrow:    unrestricted reduction
   * double:   a W-cut fires only when every cut in the net is a W-cut
-  * triangle: additionally level-by-level; a cut at level n fires only when
-    all
-
-    cuts at smaller levels are W-cuts, and a !-cut at level n only when every
-    level-n cut is a W-cut or a !-cut
+  * triangle: additionally level by level; a cut at level n fires only when
+    all cuts at smaller levels are W-cuts, and a !-cut at level n only when
+    every level-n cut is a W-cut or a !-cut
 
 Firing is pure: net in, net out.  Deterministic tie-break picks the lowest
 level, then the lowest edge id.
@@ -129,14 +127,22 @@ class ReductionTrace:
 
 
 class _Surgeon:
+    """Mutable copy of a net under one rewrite step.
+
+    It keeps a port index in step with its edges, and hands it to the
+    reduct together with the largest ids when they are still exact.
+    """
+
     def __init__(self, net: ProofNet):
         self.system = net.system
+        self.index = net._index  # of the source net, for its box lookups
         self.vertices = dict(net.vertices)
         self.edges = dict(net.edges)
+        self.ports = dict(self.index.ports)
         self.boxes = {pid: (list(b.doors), set(b.contents))
                       for pid, b in net.boxes.items()}
-        self.vn = _max_id(net.vertices, "v")
-        self.en = _max_id(net.edges, "e")
+        self.vn = self.index.max_vertex_id
+        self.en = self.index.max_edge_id
         self.provenance: dict[str, tuple[str, str]] = {}
 
     def fresh_v(self) -> str:
@@ -148,21 +154,43 @@ class _Surgeon:
         return f"e{self.en}"
 
     def edge_at(self, vid: str, port: str) -> Edge:
-        for e in self.edges.values():
-            if e.src == (vid, port) or e.tgt == (vid, port):
-                return e
-        raise RewriteError(f"no edge at {vid}.{port}")
+        e = self.ports.get((vid, port))
+        if e is None:
+            raise RewriteError(f"no edge at {vid}.{port}")
+        return e
+
+    def put_edge(self, e: Edge):
+        """Insert an edge, or replace the one with its id in place."""
+        old = self.edges.get(e.id)
+        if old is not None:
+            self._unport(old)
+        self.edges[e.id] = e
+        self.ports[e.src] = e
+        self.ports[e.tgt] = e
+
+    def del_edge(self, eid: str):
+        self._unport(self.edges.pop(eid))
+
+    def _unport(self, e: Edge):
+        for end in (e.src, e.tgt):
+            if self.ports.get(end) is e:
+                del self.ports[end]
 
     def reend(self, eid: str, src=None, tgt=None):
         e = self.edges[eid]
-        self.edges[eid] = Edge(e.id, src or e.src, tgt or e.tgt, e.formula)
+        self.put_edge(Edge(e.id, src or e.src, tgt or e.tgt, e.formula))
 
     def drop_vertex(self, vid: str):
+        """Remove a vertex of the source net from the vertices and boxes."""
         del self.vertices[vid]
-        for pid, (doors, contents) in list(self.boxes.items()):
-            contents.discard(vid)
-            if vid in doors:
-                doors.remove(vid)
+        for pid in self.index.enclosing.get(vid, ()):
+            if pid in self.boxes:
+                self.boxes[pid][1].discard(vid)
+        for pid in self.index.inner_boxes.get(vid, ()):
+            if pid in self.boxes:
+                doors = self.boxes[pid][0]
+                if vid in doors:
+                    doors.remove(vid)
 
     def splice(self, pairs: list[tuple[tuple[str, str], tuple[str, str]]]):
         """Glue dangling edge ends pairwise and merge the resulting chains.
@@ -171,7 +199,7 @@ class _Surgeon:
         the edges incident there are joined into one edge running from the
         chain's surviving source to its surviving target.
         """
-        # map: edge whose tgt end дangles -> edge whose src end dangles
+        # map: edge whose tgt end dangles -> edge whose src end dangles
         glue: dict[str, str] = {}
         involved: set[str] = set()
         for end_a, end_b in pairs:
@@ -200,8 +228,8 @@ class _Surgeon:
             first, last = self.edges[chain[0]], self.edges[chain[-1]]
             merged = Edge(keep, first.src, last.tgt, first.formula)
             for eid in chain:
-                del self.edges[eid]
-            self.edges[keep] = merged
+                self.del_edge(eid)
+            self.put_edge(merged)
         leftovers = involved - done
         if leftovers:
             raise RewriteError(f"splice produced a closed loop through {sorted(leftovers)}")
@@ -209,15 +237,16 @@ class _Surgeon:
     def freeze(self) -> ProofNet:
         boxes = {pid: Box(pid, tuple(doors), frozenset(contents))
                  for pid, (doors, contents) in self.boxes.items()}
-        return ProofNet(self.vertices, self.edges, boxes, self.system)
-
-
-def _max_id(d, prefix: str) -> int:
-    best = 0
-    for k in d:
-        if k.startswith(prefix) and k[len(prefix):].isdigit():
-            best = max(best, int(k[len(prefix):]))
-    return best
+        net = ProofNet(self.vertices, self.edges, boxes, self.system)
+        index = net._index
+        index.ports = self.ports
+        # every live id is at most the last one handed out, so that one is
+        # the maximum exactly when it is still alive
+        if f"v{self.vn}" in self.vertices:
+            index.max_vertex_id = self.vn
+        if f"e{self.en}" in self.edges:
+            index.max_edge_id = self.en
+        return net
 
 
 # --- the eight rules ------------------------------------------------------
@@ -234,12 +263,12 @@ def fire(net: ProofNet, cut: Cut) -> tuple[ProofNet, dict[str, tuple[str, str]]]
     kind = cut.kind
 
     if kind == "-o":
-        del s.edges[e.id]
+        s.del_edge(e.id)
         s.drop_vertex(v)
         s.drop_vertex(w)
         s.splice([((v, "bound"), (w, "arg")), ((v, "body"), (w, "res"))])
     elif kind == "*":
-        del s.edges[e.id]
+        s.del_edge(e.id)
         s.drop_vertex(v)
         s.drop_vertex(w)
         s.splice([((v, "left"), (w, "left")), ((v, "right"), (w, "right"))])
@@ -252,14 +281,14 @@ def fire(net: ProofNet, cut: Cut) -> tuple[ProofNet, dict[str, tuple[str, str]]]
         if m is None:
             raise RewriteError("forall instance does not match the quantified body")
         witness = m[1]
-        del s.edges[e.id]
+        s.del_edge(e.id)
         s.drop_vertex(v)
         s.drop_vertex(w)
         s.splice([((v, "prem"), (w, "inst"))])
         if witness is not None:
-            for eid, ed in list(s.edges.items()):
-                s.edges[eid] = Edge(ed.id, ed.src, ed.tgt,
-                                    substitute(ed.formula, fa.binder, witness))
+            for ed in list(s.edges.values()):
+                s.put_edge(Edge(ed.id, ed.src, ed.tgt,
+                                substitute(ed.formula, fa.binder, witness)))
     elif kind == "!":
         _fire_bang(s, net, v, w, e)
     elif kind == "D":
@@ -278,15 +307,11 @@ def fire(net: ProofNet, cut: Cut) -> tuple[ProofNet, dict[str, tuple[str, str]]]
 def _fire_bang(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
     # box v merges into the box owning door w
     inner_box = net.boxes[v]
-    host_pid = None
-    for pid, b in net.boxes.items():
-        if w in b.doors:
-            host_pid = pid
-            break
+    host_pid = net.door_box(w)
     if host_pid is None:
         raise RewriteError(f"door {w} not attached to a box")
     at = net.boxes[host_pid].doors.index(w)
-    del s.edges[e.id]
+    s.del_edge(e.id)
     s.drop_vertex(v)
     s.drop_vertex(w)
     s.splice([((v, "inner"), (w, "inner"))])
@@ -299,7 +324,7 @@ def _fire_bang(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
 
 def _fire_der(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
     box = net.boxes[v]
-    del s.edges[e.id]
+    s.del_edge(e.id)
     s.drop_vertex(v)
     s.drop_vertex(w)
     s.splice([((v, "inner"), (w, "plain"))])
@@ -317,7 +342,7 @@ def _fire_weak(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
     dead_vertices = {v, w} | set(box.contents)
     for eid, ed in list(s.edges.items()):
         if ed.src[0] in dead_vertices or ed.tgt[0] in dead_vertices:
-            del s.edges[eid]
+            s.del_edge(eid)
     for vid in dead_vertices:
         s.drop_vertex(vid)
     for pid in list(s.boxes):
@@ -329,18 +354,17 @@ def _fire_weak(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
         s.reend(outer.id, tgt=(d, "edge"))
 
 
-def _has_edge(s: _Surgeon, vid: str, port: str) -> bool:
-    return any(e.src == (vid, port) or e.tgt == (vid, port)
-               for e in s.edges.values())
-
-
 def _copyset(net: ProofNet, pid: str) -> tuple[set[str], set[str]]:
     """Vertices of the box (principal, doors, contents) and its internal edges."""
     b = net.boxes[pid]
     vs = {pid} | set(b.doors) | set(b.contents)
+    ports = net._index.ports
     es = set()
-    for e in net.edges.values():
-        if e.src[0] in vs and e.tgt[0] in vs:
+    for vid in vs:
+        for port in N.vertex_ports(net.vertices[vid]):
+            e = ports.get((vid, port))
+            if e is None or e.src[0] not in vs or e.tgt[0] not in vs:
+                continue
             if e.src == (pid, "principal"):
                 continue  # principal edge is outside the box
             es.add(e.id)
@@ -362,8 +386,8 @@ def _fire_contr(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
         for eid in sorted(es, key=N._numkey):
             ne = s.fresh_e()
             old = s.edges[eid]
-            s.edges[ne] = Edge(ne, (vmap[old.src[0]], old.src[1]),
-                               (vmap[old.tgt[0]], old.tgt[1]), old.formula)
+            s.put_edge(Edge(ne, (vmap[old.src[0]], old.src[1]),
+                            (vmap[old.tgt[0]], old.tgt[1]), old.formula))
             emap[eid] = ne
             s.provenance[ne] = (eid, side)
         # box records inside the copied region (including the box itself)
@@ -388,18 +412,18 @@ def _fire_contr(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
         s.reend(outer.id, tgt=(x, "merged"))
         for side, port in (("l", "left"), ("r", "right")):
             ne = s.fresh_e()
-            s.edges[ne] = Edge(ne, (x, port), (copies[side][d], "outer"),
-                               outer.formula)
+            s.put_edge(Edge(ne, (x, port), (copies[side][d], "outer"),
+                            outer.formula))
     # enclosing boxes pick up the copies and the new contractions
-    for pid, (doors, contents) in s.boxes.items():
-        if v in contents:
-            for side in ("l", "r"):
-                contents.update(copies[side][x] for x in vs)
-            contents.update(new_contr)
+    for pid in net._index.enclosing.get(v, ()):
+        contents = s.boxes[pid][1]
+        for side in ("l", "r"):
+            contents.update(copies[side][x] for x in vs)
+        contents.update(new_contr)
     # drop the originals and the cut
-    del s.edges[e.id]
+    s.del_edge(e.id)
     for eid in es:
-        del s.edges[eid]
+        s.del_edge(eid)
     for vid in vs:
         s.drop_vertex(vid)
     s.drop_vertex(w)
@@ -430,15 +454,15 @@ def _fire_dig(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
         new_doors.append(d0)
         s.reend(outer.id, tgt=(nk, "bang"))
         e1 = s.fresh_e()
-        s.edges[e1] = Edge(e1, (nk, "dbang"), (d0, "outer"), Bang(outer.formula))
+        s.put_edge(Edge(e1, (nk, "dbang"), (d0, "outer"), Bang(outer.formula)))
         e2 = s.fresh_e()
-        s.edges[e2] = Edge(e2, (d0, "inner"), (d, "outer"), outer.formula)
+        s.put_edge(Edge(e2, (d0, "inner"), (d, "outer"), outer.formula))
     s.boxes[r0] = (new_doors, {v} | set(box.doors) | set(box.contents))
-    for pid, (doors, contents) in s.boxes.items():
-        if pid != r0 and v in contents:
-            contents.add(r0)
-            contents.update(new_doors)
-            contents.update(new_digs)
+    for pid in net._index.enclosing.get(v, ()):
+        contents = s.boxes[pid][1]
+        contents.add(r0)
+        contents.update(new_doors)
+        contents.update(new_digs)
 
 
 # --- normalization --------------------------------------------------------

@@ -1,0 +1,88 @@
+"""Byte-level pins on outputs that depend on fresh-id order and tie-breaks.
+
+The answer checks elsewhere compare counts and weights; these hashes also
+catch a reduct whose vertices or edges got different ids, a trace that
+picked a different cut among equals, or a report whose key order drifted.
+The pinned values were computed before the net indexes were introduced.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
+import pytest
+
+from pnlab import cli, corpus, lam
+from pnlab.net import print_net
+from pnlab.rewrite import TRIANGLE, normalize
+from pnlab.weights import WeightComputer
+
+
+def _church(k: int, ty: str) -> str:
+    body = "x"
+    for _ in range(k):
+        body = f"f ({body})"
+    return f"(\\f:{ty} -> {ty}. \\x:{ty}. {body})"
+
+
+def _applied(text: str):
+    sig = {"g": lam.parse_type("t -> t"), "z": lam.parse_type("t")}
+    return lam.from_lambda(lam.parse_lambda(f"{text} g z"), sig)
+
+
+def composed(j: int, k: int):
+    """church j (church k) g z, church j at type (t -> t) -> t -> t."""
+    body = "y"
+    for _ in range(j):
+        body = f"h ({body})"
+    outer = f"(\\h:(t -> t) -> (t -> t). \\y:(t -> t). {body})"
+    return _applied(f"{outer} {_church(k, 't')}")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def normalize_output(j: int, k: int) -> str:
+    nf, trace = normalize(composed(j, k), TRIANGLE)
+    return trace.render() + print_net(nf)
+
+
+def weight_output() -> str:
+    rep = WeightComputer(_applied(_church(12, "t"))).report()
+    return json.dumps(rep.to_dict(), indent=2, sort_keys=True)
+
+
+def verify_output(tmp_path) -> str:
+    path = tmp_path / "jump.pnet"
+    path.write_text(print_net(corpus.named_fixtures()["jump"]))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(["verify", str(path)])
+    return f"{code}\n{buf.getvalue()}"
+
+
+NORMALIZE_SHA = {
+    (2, 2):
+        "807f54150352056a0b0273d4900a91ac85e32e10930991e87b607ea3c76d34d9",
+    (2, 3):
+        "ffa298e0ac2ba6ce49ccd8d991f5c2735ec093b3159e1162a779d434073b4182",
+    (3, 2):
+        "1a6a2df2ecd6ebf3cf32c1a7a27e9d1a0cfd25a6590476c550823abb49dfce39",
+}
+WEIGHT_SHA = "164a7f5424d5d3802983d4ce3d6d9aef984a4f17c97e3a8ecef381e1b51951d2"
+VERIFY_SHA = "fae97bea09e3b2a5c2b3b580a471e3139b8d038e4d7822f9c2322f5a846e03df"
+
+
+@pytest.mark.parametrize("jk", sorted(NORMALIZE_SHA))
+def test_triangle_normal_form_and_trace_are_pinned(jk):
+    assert _sha(normalize_output(*jk)) == NORMALIZE_SHA[jk]
+
+
+def test_weight_report_is_pinned():
+    assert _sha(weight_output()) == WEIGHT_SHA
+
+
+def test_verify_report_is_pinned(tmp_path):
+    assert _sha(verify_output(tmp_path)) == VERIFY_SHA

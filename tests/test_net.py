@@ -22,18 +22,17 @@ def test_axiom_net_is_valid():
     assert net.interior_vertices() == ["v1", "v2"]
 
 
-def test_axiom_with_type_mismatch_gets_typing_diagnostic():
+def type_mismatch_net():
+    """The axiom net with a badly typed application spliced in."""
     bad = AXIOM.replace("edge e1 v1 edge v2 edge a",
                         "edge e1 v1 edge v3 fun a\nvertex v3 llolli\n"
                         "edge e2 v3 res v2 edge b\nedge e3 v1b edge v3 arg b\n"
                         "vertex v1b prem")
-    net = parse_net(bad)
-    diags = validate(net)
-    assert any("formula mismatch" in d for d in diags)
-    assert len([d for d in diags if "mismatch" in d]) == 1
+    return parse_net(bad)
 
 
-def test_overlapping_boxes_get_nesting_diagnostic():
+def overlapping_boxes_net():
+    """Two nested boxes hand-edited so their contents overlap without nesting."""
     from pnlab.formulas import Atom
 
     nested = elaborate(Promote(Promote(Ax(Atom("a")))))
@@ -41,11 +40,19 @@ def test_overlapping_boxes_get_nesting_diagnostic():
     box_lines = [ln for ln in text.splitlines() if ln.startswith("box")]
     assert len(box_lines) == 2
     (ip, idoor, _), (op, odoor, ocont) = (ln.split()[1:] for ln in box_lines)
-    # hand-edit the boxes so their contents overlap without nesting
     edited = text.replace(box_lines[0], f"box {ip} {idoor} {odoor}")
     edited = edited.replace(box_lines[1], f"box {op} {odoor} {ip},{odoor}")
-    net = parse_net(edited)
-    diags = validate(net)
+    return parse_net(edited)
+
+
+def test_axiom_with_type_mismatch_gets_typing_diagnostic():
+    diags = validate(type_mismatch_net())
+    assert any("formula mismatch" in d for d in diags)
+    assert len([d for d in diags if "mismatch" in d]) == 1
+
+
+def test_overlapping_boxes_get_nesting_diagnostic():
+    diags = validate(overlapping_boxes_net())
     assert any("overlap" in d for d in diags), diags
 
 
