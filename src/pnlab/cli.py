@@ -91,6 +91,14 @@ def _stats(net: N.ProofNet) -> dict:
     }
 
 
+def _report_invalid(net: N.ProofNet) -> bool:
+    """Print the net's validation diagnostics; True when there are any."""
+    diags = N.validate(net)
+    for d in diags:
+        print(d, file=sys.stderr)
+    return bool(diags)
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
@@ -132,10 +140,7 @@ def cmd_check(args) -> int:
 def cmd_normalize(args) -> int:
     text = _read_input(args.input)
     net = _load_net(text)
-    diags = N.validate(net)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
+    if _report_invalid(net):
         return EXIT_FAIL
     strategy = STRATEGIES[args.strategy]
     budget = args.budget or _env_int("PNLAB_REWRITE_BUDGET", 10**5)
@@ -168,10 +173,7 @@ def cmd_normalize(args) -> int:
 def cmd_weight(args) -> int:
     text = _read_input(args.input)
     net = _load_net(text)
-    diags = N.validate(net)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
+    if _report_invalid(net):
         return EXIT_FAIL
     config = MachineConfig(
         jumps_enabled=not args.no_jumps,
@@ -194,6 +196,8 @@ def cmd_weight(args) -> int:
 def cmd_machine(args) -> int:
     text = _read_input(args.input)
     net = _load_net(text)
+    if _report_invalid(net):
+        return EXIT_FAIL
     config = MachineConfig(step_budget=args.budget
                            or _env_int("PNLAB_STEP_BUDGET", 10**7))
     start = parse_context(net, args.start)
@@ -218,10 +222,7 @@ def cmd_verify(args) -> int:
         raise CliError("verify needs an input net or --suite")
     text = _read_input(args.input)
     net = _load_net(text)
-    diags = N.validate(net)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
+    if _report_invalid(net):
         return EXIT_FAIL
     system = args.system or net.system
     config = MachineConfig(

@@ -61,7 +61,8 @@ class TArrow(SType):
 
 
 def parse_type(text: str) -> SType:
-    toks = re.findall(r"->|\(|\)|[A-Za-z_][A-Za-z0-9_]*", text)
+    # \S takes any other character as a token of its own, which no rule accepts
+    toks = re.findall(r"->|\(|\)|[A-Za-z_][A-Za-z0-9_]*|\S", text)
     pos = [0]
 
     def peek():

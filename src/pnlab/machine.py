@@ -10,6 +10,19 @@ with their duals.
 The machine is deterministic except at a box's principal edge with negative
 polarity and a single-signature stack, where it jumps to every box premise
 at once.
+
+Every walk of the transition relation (run, reach_final, the copy search
+and the suite's checks) is one call of explore: a depth-first walk on an
+explicit stack that keeps the current path as a set for cycle detection
+and a stack entry only for a node with successors left, so the length of a
+path costs no Python frames.  One budget rule holds for all of them: it is
+checked when a node with successors is expanded, and each transition
+taken costs one unit.  run reports an exhausted budget as an outcome; the
+other walks raise BudgetExhausted.
+
+A final context is defined once, by final_bindings.  The copy search's
+holes ('h', k), signatures not yet chosen, may stand where a final context
+needs e; final_bindings then binds them to e.
 """
 
 from __future__ import annotations
@@ -87,36 +100,9 @@ class Recorder:
 # --- final contexts -------------------------------------------------------
 
 
-def pos_final_stack(v: tuple[StackEl, ...]) -> bool:
-    if not v:
-        return False
-    top, rest = v[-1], v[:-1]
-    if not rest:
-        if top == E:
-            return True
-        return top in SYMBOLS  # degenerate one-element stacks close a path
-    if top == "a":
-        return neg_final_stack(rest)
-    if top in ("o", "f", "x", "s"):
-        return pos_final_stack(rest)
-    if top == E:
-        return pos_final_stack(rest)
-    return False
-
-
-def neg_final_stack(v: tuple[StackEl, ...]) -> bool:
-    if not v:
-        return False
-    top, rest = v[-1], v[:-1]
-    if not rest:
-        return top in SYMBOLS
-    if top == "a":
-        return pos_final_stack(rest)
-    if top in ("o", "f", "x", "s"):
-        return neg_final_stack(rest)
-    if is_sig(top):
-        return neg_final_stack(rest)
-    return False
+def is_hole(x) -> bool:
+    """A copy-search hole ('h', k): a standard signature not yet chosen."""
+    return isinstance(x, tuple) and x and x[0] == "h"
 
 
 def _endpoint(net: N.ProofNet, c: Context) -> tuple[str, str]:
@@ -124,16 +110,51 @@ def _endpoint(net: N.ProofNet, c: Context) -> tuple[str, str]:
     return e.tgt if c.pol == "+" else e.src
 
 
-def is_final(net: N.ProofNet, c: Context) -> bool:
+def final_bindings(net: N.ProofNet, c: Context, binds: dict):
+    """The bindings under which c is final, or None when it cannot be.
+
+    The stack is read from its top, with a polarity that starts '+' at a
+    conclusion or weakening and '-' at a premise and flips at each 'a'.
+    A signature must be e where the polarity is '+'; where it is '-' any
+    signature will do, except at the bottom, which must then be a symbol.
+    A hole where e is needed is bound to e in the result, a copy of binds;
+    other holes stay open.
+    """
     vid, port = _endpoint(net, c)
     label = net.vertices[vid].label
-    if c.pol == "+":
-        if label in (N.CONCL, N.WEAK):
-            return pos_final_stack(c.stack)
-        if label == N.DER and port == "bang":
-            return c.stack == (E,)
-        return False
-    return label == N.PREM and neg_final_stack(c.stack)
+    st = c.stack
+    if c.pol == "+" and label == N.DER and port == "bang":
+        if len(st) != 1:
+            return None
+        if is_hole(st[0]):
+            return {**binds, st[0][1]: E}
+        return binds if st[0] == E else None
+    if c.pol == "+" and label in (N.CONCL, N.WEAK):
+        pos = True
+    elif c.pol == "-" and label == N.PREM:
+        pos = False
+    else:
+        return None
+    if not st:
+        return None
+    out = binds
+    for k in range(len(st) - 1, -1, -1):
+        x = st[k]
+        if x in SYMBOLS:  # at the bottom too: degenerate stacks close a path
+            if x == "a":
+                pos = not pos
+        elif pos:
+            if is_hole(x):
+                out = {**out, x[1]: E}
+            elif x != E:
+                return None
+        elif k == 0 or not is_sig(x):
+            return None
+    return out
+
+
+def is_final(net: N.ProofNet, c: Context) -> bool:
+    return final_bindings(net, c, {}) is not None
 
 
 # --- transitions ----------------------------------------------------------
@@ -292,94 +313,153 @@ class RunResult:
                 yield from b.outcomes()
 
 
+# explore's events; see its docstring
+ENTER, CYCLE, BRANCH, BUDGET, LEAVE = "enter", "cycle", "branch", "budget", "leave"
+
+
+def explore(start, expand, budget: int, key=lambda node: node):
+    """Depth-first walk from start; yields (event, node, path).
+
+    expand(node) lists the successors of node; an empty list makes it a
+    leaf.  key(node) identifies nodes for cycle detection.  path is the
+    live list of nodes from start to the current one:
+
+    - ENTER: node, a successor of path[-1] unless it is start, is appended
+      to path and then expanded.
+    - CYCLE: node, a successor of path[-1], is on the path; it is skipped.
+    - BRANCH: node, path[-1], has more than one successor.
+    - BUDGET: node, path[-1], has successors but the budget is spent; it
+      is left as a leaf.
+    - LEAVE: the walk below node, path[-1], is done; node is removed.
+
+    A consumer that stops iterating takes no further successor.
+    """
+    path: list = []
+    on_path: set = set()
+    pending: list = []  # [path length at the node, its successors, next index]
+    d = start
+    while True:
+        k = key(d)
+        if k in on_path:
+            yield CYCLE, d, path
+            succs = None
+        else:
+            yield ENTER, d, path
+            path.append(d)
+            on_path.add(k)
+            succs = expand(d)
+            if succs and budget <= 0:
+                yield BUDGET, d, path
+                succs = None
+        if succs:
+            if len(succs) > 1:
+                yield BRANCH, d, path
+                pending.append([len(path), succs, 1])
+            d = succs[0]
+        else:
+            depth = pending[-1][0] if pending else 0
+            while len(path) > depth:
+                yield LEAVE, path[-1], path
+                on_path.discard(key(path.pop()))
+            if not pending:
+                return
+            entry = pending[-1]
+            _, rest, i = entry
+            d = rest[i]
+            entry[2] = i + 1
+            if i + 1 == len(rest):
+                pending.pop()
+        budget -= 1
+
+
 def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
         recorder: Recorder | None = None, trace: list | None = None) -> RunResult:
     """Depth-first exploration of the transition relation from start.
 
-    Cycle detection uses the set of contexts seen along the current branch.
+    Cycle detection uses the set of contexts on the current branch.  The
+    outcome of a path that branches collects its branches' outcomes in
+    successor order.
     """
     config = config or MachineConfig()
-    budget = [config.step_budget]
+    top: list[RunResult] = []
+    outs = [top]  # the outcome list of each open branch, innermost last
+    branch_depths: list[int] = []  # path length at each open branch
 
-    def explore(c: Context, steps: int, visited: frozenset[Context]) -> RunResult:
-        while True:
-            if is_final(net, c):
-                return RunResult("final", c, steps)
-            succs = step(net, c, config)
-            if not succs:
-                return RunResult("stuck", c, steps)
-            if budget[0] <= 0:
-                return RunResult("budget", c, steps)
-            if len(succs) == 1:
-                d = succs[0]
-                budget[0] -= 1
-                if recorder:
-                    recorder.record(c, d)
-                if trace is not None:
-                    trace.append(d)
-                if d in visited:
-                    return RunResult("cycle", d, steps + 1)
-                visited = visited | {d}
-                c, steps = d, steps + 1
-                continue
-            branches = []
-            for d in succs:
-                budget[0] -= 1
-                if recorder:
-                    recorder.record(c, d)
-                if trace is not None:
-                    trace.append(d)
-                if d in visited:
-                    branches.append(RunResult("cycle", d, steps + 1))
-                else:
-                    branches.append(explore(d, steps + 1, visited | {d}))
-            return RunResult("branch", c, steps, branches)
+    def expand(c: Context) -> list[Context]:
+        steps = len(path) - 1  # explore expands c as path[-1]
+        if is_final(net, c):
+            outs[-1].append(RunResult("final", c, steps))
+            return []
+        succs = step(net, c, config)
+        if not succs:
+            outs[-1].append(RunResult("stuck", c, steps))
+        return succs
 
-    return explore(start, 0, frozenset([start]))
+    for event, c, path in explore(start, expand, config.step_budget):
+        if (event == ENTER or event == CYCLE) and path:  # a transition
+            if recorder:
+                recorder.record(path[-1], c)
+            if trace is not None:
+                trace.append(c)
+        if event == CYCLE:
+            outs[-1].append(RunResult("cycle", c, len(path)))
+        elif event == BUDGET:
+            outs[-1].append(RunResult("budget", c, len(path) - 1))
+        elif event == BRANCH:
+            b = RunResult("branch", c, len(path) - 1, [])
+            outs[-1].append(b)
+            outs.append(b.branches)
+            branch_depths.append(len(path))
+        elif event == LEAVE and branch_depths and branch_depths[-1] == len(path):
+            branch_depths.pop()
+            outs.pop()
+    return top[0]
 
 
 def reach_final(net: N.ProofNet, start: Context,
                 config: MachineConfig | None = None,
                 memo: dict | None = None,
-                recorder: Recorder | None = None) -> bool:
-    """True iff some final context is reachable from start.
+                recorder: Recorder | None = None) -> tuple[bool, bool]:
+    """(reachable, cycle): whether some final context is reachable from
+    start, and whether the walk met a context already on its path.
 
-    Memoizes results that do not depend on an in-progress ancestor.
+    Memoizes each context whose answer does not depend on an in-progress
+    ancestor: every context on a path to a final one, and every context
+    left without reaching one and without meeting a cycle below it.
     """
     config = config or MachineConfig()
     memo = memo if memo is not None else {}
-    budget = [config.step_budget]
+    found = cycle = False
+    tainted = 0  # the first `tainted` contexts on the path met a cycle below
 
-    def go(c: Context, visiting: set[Context]) -> tuple[bool, bool]:
-        # returns (reachable, tainted-by-cycle)
+    def expand(c: Context) -> list[Context]:
+        nonlocal found
         if c in memo:
-            return memo[c], False
+            found = memo[c]
+            return []
         if is_final(net, c):
-            memo[c] = True
-            return True, False
-        if c in visiting:
-            return False, True
-        if budget[0] <= 0:
-            raise BudgetExhausted("machine step budget exhausted", c)
-        visiting.add(c)
-        tainted = False
-        result = False
-        for d in step(net, c, config):
-            budget[0] -= 1
-            if recorder:
-                recorder.record(c, d)
-            r, t = go(d, visiting)
-            tainted = tainted or t
-            if r:
-                result = True
-                break
-        visiting.discard(c)
-        if result or not tainted:
-            memo[c] = result
-        return result, tainted
+            memo[c] = found = True
+            return []
+        return step(net, c, config)
 
-    ok, _ = go(start, set())
-    return ok
+    for event, c, path in explore(start, expand, config.step_budget):
+        if (event == ENTER or event == CYCLE) and path and recorder:
+            recorder.record(path[-1], c)
+        if event == CYCLE:
+            cycle = True
+            tainted = len(path)
+        elif event == BUDGET:
+            raise BudgetExhausted("machine step budget exhausted", c)
+        elif event == LEAVE:
+            if found:
+                for p in reversed(path[:-1]):
+                    memo[p] = True
+                return True, cycle
+            if len(path) <= tainted:
+                tainted = len(path) - 1
+            else:
+                memo[c] = False
+    return False, cycle
 
 
 def format_context(c: Context) -> str:

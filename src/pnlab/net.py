@@ -574,6 +574,8 @@ def _check_boxes(net: ProofNet, say):
                 say(f"box {pid}: nested box {qid} leaks {sorted(missing)}")
     # depth consistency: direct contents sit one level below the principal edge
     for pid, b in net.boxes.items():
+        if pid not in net.vertices:
+            continue  # reported above
         try:
             pe = net.rho(pid)
         except NetError:
@@ -643,7 +645,11 @@ def parse_net(text: str) -> ProofNet:
                 vid, label = bits
                 vertices[vid] = Vertex(vid, label)
             elif len(bits) == 3 and bits[1] == MUX:
-                vertices[bits[0]] = Vertex(bits[0], MUX, int(bits[2]))
+                try:
+                    arity = int(bits[2])
+                except ValueError:
+                    raise NetError(f"bad multiplexer arity in {ln!r}") from None
+                vertices[bits[0]] = Vertex(bits[0], MUX, arity)
             else:
                 raise NetError(f"bad vertex line {ln!r}")
         elif kind == "edge":

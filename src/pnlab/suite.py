@@ -7,7 +7,8 @@ corpus net and prints one line per (net, check).
 from __future__ import annotations
 
 from . import corpus
-from .machine import Context, MachineConfig, Recorder, dual, is_final, step
+from .machine import (BUDGET, BudgetExhausted, Context, MachineConfig, Recorder,
+                      dual, explore, is_final, step)
 from .net import ProofNet, validate
 from .rewrite import TRIANGLE, DOUBLE, WEIGHT_KINDS, find_cuts, fire, normalize
 from .weights import WeightComputer
@@ -43,21 +44,24 @@ def check_no_stuck(net: ProofNet, comp: WeightComputer) -> list[str]:
     """Verification runs of confirmed copies never strand a token."""
     out = []
     cfg = comp.config
+    seen: set[Context] = set()
+
+    def expand(c: Context) -> list[Context]:
+        succs = step(net, c, cfg)
+        if not succs and not is_final(net, c):
+            out.append(f"stuck canonical context {c}")
+        return [d for d in succs if d not in seen and not seen.add(d)]
+
     for e, be in comp.report().entries.items():
         for u in be.sequences:
-            for t in be.copies[u]:
-                frontier = [Context(e, u, (t,), "+")]
-                seen = set(frontier)
-                while frontier:
-                    c = frontier.pop()
-                    succs = step(net, c, cfg)
-                    if not succs and not is_final(net, c):
-                        out.append(f"stuck canonical context {c}")
-                        continue
-                    for d in succs:
-                        if d not in seen:
-                            seen.add(d)
-                            frontier.append(d)
+            for t in sorted(be.copies[u]):
+                start = Context(e, u, (t,), "+")
+                seen.clear()
+                seen.add(start)
+                for event, c, _ in explore(start, expand, cfg.step_budget):
+                    if event == BUDGET:
+                        raise BudgetExhausted(
+                            "machine step budget exhausted", c)
     return out
 
 

@@ -261,7 +261,7 @@ def verify_soundness(net: N.ProofNet, system: str,
         for e, be in wrep.entries.items():
             for u in be.sequences:
                 finals = {}
-                for t in be.copies[u]:
+                for t in sorted(be.copies[u]):
                     r = run(net, Context(e, u, (t,), "+"),
                             config or MachineConfig())
                     ends = [o.context for o in r.outcomes() if o.kind == "final"]

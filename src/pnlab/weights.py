@@ -12,17 +12,18 @@ to a size bound cross-validates the search on small nets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import net as N
 from .machine import (
+    BUDGET,
     BudgetExhausted,
     Context,
     MachineConfig,
     Recorder,
-    is_final,
-    neg_final_stack,
-    pos_final_stack,
+    explore,
+    final_bindings,
+    is_hole,
     reach_final,
     step,
     sym_count,
@@ -53,12 +54,8 @@ class WeightError(ValueError):
 # standard subtree
 
 
-def _is_hole(x) -> bool:
-    return isinstance(x, tuple) and x and x[0] == "h"
-
-
 def _resolve(x, binds, default=None):
-    if _is_hole(x):
+    if is_hole(x):
         if x[1] in binds:
             return _resolve(binds[x[1]], binds, default)
         return default if default is not None else x
@@ -71,73 +68,13 @@ def _resolve(x, binds, default=None):
 
 def _resolve_ctx(c: Context, binds) -> Context:
     us = tuple(_resolve(t, binds) for t in c.us)
-    stack = tuple(_resolve(s, binds) if is_sig(s) or _is_hole(s) else s
+    stack = tuple(_resolve(s, binds) if is_sig(s) or is_hole(s) else s
                   for s in c.stack)
     return Context(c.edge, us, stack, c.pol)
 
 
 def _complete(x, binds):
     return _resolve(x, binds, default=E)
-
-
-def _sym_final(net: N.ProofNet, c: Context, binds):
-    """Final-context check in the presence of holes.
-
-    Returns a list of binding extensions under which c is final (empty when
-    it cannot be final).  Holes in must-be-e positions get bound; holes in
-    free signature positions stay open.
-    """
-    vid, port = (net.edges[c.edge].tgt if c.pol == "+" else net.edges[c.edge].src)
-    label = net.vertices[vid].label
-    if c.pol == "+" and label == N.DER and port == "bang":
-        if len(c.stack) == 1:
-            top = c.stack[0]
-            if _is_hole(top):
-                return [{**binds, top[1]: E}]
-            if top == E:
-                return [binds]
-        return []
-    if c.pol == "+" and label in (N.CONCL, N.WEAK):
-        return _sym_pos_final(c.stack, binds)
-    if c.pol == "-" and label == N.PREM:
-        return _sym_neg_final(c.stack, binds)
-    return []
-
-
-def _sym_pos_final(v, binds):
-    if not v:
-        return []
-    top, rest = v[-1], v[:-1]
-    if not rest:
-        if _is_hole(top):
-            return [{**binds, top[1]: E}]
-        if top == E or top in ("a", "o", "f", "x", "s"):
-            return [binds]
-        return []
-    if top == "a":
-        return _sym_neg_final(rest, binds)
-    if top in ("o", "f", "x", "s"):
-        return _sym_pos_final(rest, binds)
-    if _is_hole(top):
-        return _sym_pos_final(rest, {**binds, top[1]: E})
-    if top == E:
-        return _sym_pos_final(rest, binds)
-    return []
-
-
-def _sym_neg_final(v, binds):
-    if not v:
-        return []
-    top, rest = v[-1], v[:-1]
-    if not rest:
-        return [binds] if top in ("a", "o", "f", "x", "s") else []
-    if top == "a":
-        return _sym_pos_final(rest, binds)
-    if top in ("o", "f", "x", "s"):
-        return _sym_neg_final(rest, binds)
-    if is_sig(top) or _is_hole(top):
-        return _sym_neg_final(rest, binds)
-    return []
 
 
 def _hole_branches(net: N.ProofNet, c: Context, fresh):
@@ -149,7 +86,7 @@ def _hole_branches(net: N.ProofNet, c: Context, fresh):
     vid, port = (net.edges[c.edge].tgt if c.pol == "+" else net.edges[c.edge].src)
     v = net.vertices[vid]
     top = c.stack[-1] if c.stack else None
-    if not _is_hole(top):
+    if not is_hole(top):
         return None
     out = []
     if v.label == N.CONTR and port == "merged" and c.pol == "+":
@@ -167,33 +104,33 @@ def _hole_branches(net: N.ProofNet, c: Context, fresh):
 
 def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
                            config: MachineConfig, budget: int = 10**6) -> set[Sig]:
-    """Standard signatures whose primary run reaches a final context."""
+    """Standard signatures whose primary run reaches a final context.
+
+    A node of the search is a context with the bindings of its holes; a
+    hole instantiation costs one budget unit, like a transition.
+    """
     fresh = itertools.count(1)
     root = ("h", 0)
-    start = Context(edge, us, (root,), "+")
     results: set[Sig] = set()
-    steps = [budget]
 
-    def explore(c: Context, binds, visited):
-        if steps[0] <= 0:
-            raise BudgetExhausted("copy search budget exhausted", c)
-        for b2 in _sym_final(net, c, binds):
-            results.add(_complete(root, b2))
+    def expand(node):
+        c, binds = node
+        final = final_bindings(net, c, binds)
+        if final is not None:
+            results.add(_complete(root, final))
         branches = _hole_branches(net, c, fresh)
-        if branches is not None:
-            for hid, t in branches:
-                b2 = {**binds, hid: t}
-                d = _resolve_ctx(c, b2)
-                if d not in visited:
-                    explore(d, b2, visited | {d})
-            return
-        for d in step(net, c, config):
-            steps[0] -= 1
-            if d in visited:
-                continue
-            explore(d, binds, visited | {d})
+        if branches is None:
+            return [(d, binds) for d in step(net, c, config)]
+        out = []
+        for hid, t in branches:
+            b2 = {**binds, hid: t}
+            out.append((_resolve_ctx(c, b2), b2))
+        return out
 
-    explore(start, {}, frozenset([start]))
+    start = (Context(edge, us, (root,), "+"), {})
+    for event, node, _ in explore(start, expand, budget, key=lambda n: n[0]):
+        if event == BUDGET:
+            raise BudgetExhausted("copy search budget exhausted", node[0])
     return results
 
 
@@ -268,7 +205,8 @@ class WeightComputer:
             raise WeightError(f"{edge} is not a box-edge")
         candidates = search_copy_candidates(self.net, edge, us, self.config,
                                             self.search_budget)
-        confirmed = frozenset(t for t in candidates
+        # sorted, so that the recorded transitions do not depend on hashing
+        confirmed = frozenset(t for t in sorted(candidates)
                               if standard(t) and self._verify(edge, us, t))
         self._copies[key] = confirmed
         return confirmed
@@ -281,19 +219,17 @@ class WeightComputer:
         return frozenset(t for t in cands if self._verify(edge, us, t))
 
     def _verify(self, edge: str, us: tuple[Sig, ...], t: Sig) -> bool:
+        cyclic = False
         for u in sorted(simplifications(t)):
             c = Context(edge, us, (u,), "+")
-            cycles = CycleWatcher()
-            ok = _reach_final_watch(self.net, c, self.config, self.reach_memo,
-                                    self.recorder, cycles)
-            if cycles.seen:
-                # contexts reachable from a canonical start are canonical, so
-                # a cycle here is a canonical cycle whenever t is a copy
-                self._cycle_candidates = getattr(self, "_cycle_candidates", set())
-                self._cycle_candidates.add((edge, us, t))
+            ok, cycle = reach_final(self.net, c, self.config, self.reach_memo,
+                                    self.recorder)
+            cyclic = cyclic or cycle
             if not ok:
                 return False
-        if (edge, us, t) in getattr(self, "_cycle_candidates", set()):
+        if cyclic:
+            # contexts reachable from a canonical start are canonical, so a
+            # cycle met while confirming the copy t is a canonical cycle
             self.cycle_seen = True
         return True
 
@@ -348,46 +284,6 @@ class WeightComputer:
                             positive, not self.cycle_seen)
 
 
-@dataclass
-class CycleWatcher:
-    seen: bool = False
-
-
-def _reach_final_watch(net, start, config, memo, recorder, watcher: CycleWatcher):
-    budget = [config.step_budget]
-
-    def go(c: Context, visiting: set) -> tuple[bool, bool]:
-        if c in memo:
-            return memo[c], False
-        if is_final(net, c):
-            memo[c] = True
-            return True, False
-        if c in visiting:
-            watcher.seen = True
-            return False, True
-        if budget[0] <= 0:
-            raise BudgetExhausted("machine step budget exhausted", c)
-        visiting.add(c)
-        tainted = False
-        result = False
-        for d in step(net, c, config):
-            budget[0] -= 1
-            if recorder:
-                recorder.record(c, d)
-            r, t = go(d, visiting)
-            tainted = tainted or t
-            if r:
-                result = True
-                break
-        visiting.discard(c)
-        if result or not tainted:
-            memo[c] = result
-        return result, tainted
-
-    ok, _ = go(start, set())
-    return ok
-
-
 def weight(net: N.ProofNet, config: MachineConfig | None = None,
            search_budget: int = 10**6,
            recorder: Recorder | None = None) -> WeightReport:
@@ -417,7 +313,7 @@ def is_canonical_context(net: N.ProofNet, c: Context,
         pol = "+" if sym_count(tail, "a") % 2 == 0 else "-"
         for u in simplifications(t):
             probe = Context(c.edge, c.us, (u,) + tail, pol)
-            if not reach_final(net, probe, comp.config, comp.reach_memo):
+            if not reach_final(net, probe, comp.config, comp.reach_memo)[0]:
                 return False
     return True
 
@@ -432,19 +328,19 @@ def check_subtree_property(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
         raise WeightError(f"{t} is not a copy of {edge}")
     witnessed: set[Sig] = set()
     seen: set[Context] = set()
-    frontier = []
-    for v in simplifications(t):
-        c = Context(edge, us, (v,), "+")
-        frontier.append(c)
-        seen.add(c)
-    while frontier:
-        c = frontier.pop()
+
+    def expand(c: Context) -> list[Context]:
         if c.pol == "+" and len(c.stack) == 1 and is_sig(c.stack[0]):
             witnessed.add(c.stack[0])
-        for d in step(net, c, comp.config):
-            if d not in seen:
-                if len(seen) >= limit:
-                    raise BudgetExhausted("subtree search limit", d)
-                seen.add(d)
-                frontier.append(d)
+        return [d for d in step(net, c, comp.config)
+                if d not in seen and not seen.add(d)]
+
+    for v in sorted(simplifications(t)):
+        c = Context(edge, us, (v,), "+")
+        if c in seen:
+            continue
+        seen.add(c)
+        for event, node, _ in explore(c, expand, limit):
+            if event == BUDGET:
+                raise BudgetExhausted("subtree search limit", node)
     return all(u in witnessed for u in subtrees(t))

@@ -135,6 +135,11 @@ def test_lambda_needs_signature(capsys):
     assert code == 3 and "error" in err
 
 
+def test_lambda_rejects_stray_type_characters(capsys):
+    code, _, err = run_cli(capsys, "lambda", "z", "--sig", "z:t $")
+    assert code == 3 and "error" in err
+
+
 def test_export_dot(tmp_path, capsys):
     path = tmp_path / "copy.pnet"
     run_cli(capsys, "gen", "copy-example", "--out", str(path))
@@ -160,6 +165,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
     path.write_text("(rlolli\n")
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 3 and "error" in err
+
+
+def test_bad_multiplexer_arity_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "mux.pnet"
+    path.write_text("pnet 1\nvertex v1 mux x\nend\n")
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 3 and "bad multiplexer arity" in err
+
+
+def test_box_without_principal_vertex_fails_validation(tmp_path, capsys):
+    path = tmp_path / "box.pnet"
+    path.write_text("pnet 1\nbox v1 - -\nend\n")
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 1 and "principal vertex missing" in err
+
+
+def test_machine_validates_its_input(tmp_path, capsys):
+    path = tmp_path / "bad.pnet"
+    path.write_text("pnet 1\nvertex v1 concl\nvertex v2 rlolli\n"
+                    "edge e1 v2 concl v1 edge a\nend\n")
+    code, out, err = run_cli(capsys, "machine", str(path),
+                             "--start", "e1 / eps / a / -")
+    assert code == 1 and err and not out
 
 
 def test_proof_term_input_accepted(tmp_path, capsys):

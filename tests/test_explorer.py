@@ -1,0 +1,514 @@
+"""The token machine's walks on the one explorer, against the walks they replace.
+
+Each walk of the transition relation, and the final-context test, was once
+written out by hand.  Those versions are copied below as references, with
+the one intended change: the suite's checks iterate copies in sorted
+order.  Every result is compared: run trees, traces and recorded
+transitions at three budgets; reach_final's answers, memo and cycle flag;
+copy candidates; the no-stuck and subtree checks; and is_final on every
+recorded context.
+"""
+
+import itertools
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from pnlab import corpus, lam
+from pnlab import net as N
+from pnlab.families import gen_family
+from pnlab.machine import (
+    SYMBOLS,
+    BudgetExhausted,
+    Context,
+    MachineConfig,
+    Recorder,
+    RunResult,
+    is_final,
+    parse_context,
+    reach_final,
+    run,
+    step,
+)
+from pnlab.signatures import (
+    E,
+    is_sig,
+    lsig,
+    msig,
+    nsig,
+    rsig,
+    simplifications,
+    subtrees,
+)
+from pnlab.suite import check_no_stuck
+from pnlab.weights import (
+    WeightComputer,
+    _complete,
+    _hole_branches,
+    _resolve_ctx,
+    check_subtree_property,
+    search_copy_candidates,
+)
+
+# --- references: the walks as they were before the explorer -----------------
+
+
+def ref_pos_final_stack(v):
+    if not v:
+        return False
+    top, rest = v[-1], v[:-1]
+    if not rest:
+        if top == E:
+            return True
+        return top in SYMBOLS
+    if top == "a":
+        return ref_neg_final_stack(rest)
+    if top in ("o", "f", "x", "s"):
+        return ref_pos_final_stack(rest)
+    if top == E:
+        return ref_pos_final_stack(rest)
+    return False
+
+
+def ref_neg_final_stack(v):
+    if not v:
+        return False
+    top, rest = v[-1], v[:-1]
+    if not rest:
+        return top in SYMBOLS
+    if top == "a":
+        return ref_pos_final_stack(rest)
+    if top in ("o", "f", "x", "s"):
+        return ref_neg_final_stack(rest)
+    if is_sig(top):
+        return ref_neg_final_stack(rest)
+    return False
+
+
+def _endpoint(net, c):
+    e = net.edges[c.edge]
+    return e.tgt if c.pol == "+" else e.src
+
+
+def ref_is_final(net, c):
+    vid, port = _endpoint(net, c)
+    label = net.vertices[vid].label
+    if c.pol == "+":
+        if label in (N.CONCL, N.WEAK):
+            return ref_pos_final_stack(c.stack)
+        if label == N.DER and port == "bang":
+            return c.stack == (E,)
+        return False
+    return label == N.PREM and ref_neg_final_stack(c.stack)
+
+
+def ref_run(net, start, config=None, recorder=None, trace=None):
+    config = config or MachineConfig()
+    budget = [config.step_budget]
+
+    def explore(c, steps, visited):
+        while True:
+            if ref_is_final(net, c):
+                return RunResult("final", c, steps)
+            succs = step(net, c, config)
+            if not succs:
+                return RunResult("stuck", c, steps)
+            if budget[0] <= 0:
+                return RunResult("budget", c, steps)
+            if len(succs) == 1:
+                d = succs[0]
+                budget[0] -= 1
+                if recorder:
+                    recorder.record(c, d)
+                if trace is not None:
+                    trace.append(d)
+                if d in visited:
+                    return RunResult("cycle", d, steps + 1)
+                visited = visited | {d}
+                c, steps = d, steps + 1
+                continue
+            branches = []
+            for d in succs:
+                budget[0] -= 1
+                if recorder:
+                    recorder.record(c, d)
+                if trace is not None:
+                    trace.append(d)
+                if d in visited:
+                    branches.append(RunResult("cycle", d, steps + 1))
+                else:
+                    branches.append(explore(d, steps + 1, visited | {d}))
+            return RunResult("branch", c, steps, branches)
+
+    return explore(start, 0, frozenset([start]))
+
+
+def ref_reach_final(net, start, config, memo, recorder=None):
+    """reach_final and its watching copy: (reachable, cycle seen)."""
+    budget = [config.step_budget]
+    seen = [False]
+
+    def go(c, visiting):
+        if c in memo:
+            return memo[c], False
+        if ref_is_final(net, c):
+            memo[c] = True
+            return True, False
+        if c in visiting:
+            seen[0] = True
+            return False, True
+        if budget[0] <= 0:
+            raise BudgetExhausted("machine step budget exhausted", c)
+        visiting.add(c)
+        tainted = False
+        result = False
+        for d in step(net, c, config):
+            budget[0] -= 1
+            if recorder:
+                recorder.record(c, d)
+            r, t = go(d, visiting)
+            tainted = tainted or t
+            if r:
+                result = True
+                break
+        visiting.discard(c)
+        if result or not tainted:
+            memo[c] = result
+        return result, tainted
+
+    ok, _ = go(start, set())
+    return ok, seen[0]
+
+
+def _is_hole(x):
+    return isinstance(x, tuple) and x and x[0] == "h"
+
+
+def ref_sym_final(net, c, binds):
+    vid, port = _endpoint(net, c)
+    label = net.vertices[vid].label
+    if c.pol == "+" and label == N.DER and port == "bang":
+        if len(c.stack) == 1:
+            top = c.stack[0]
+            if _is_hole(top):
+                return [{**binds, top[1]: E}]
+            if top == E:
+                return [binds]
+        return []
+    if c.pol == "+" and label in (N.CONCL, N.WEAK):
+        return ref_sym_pos_final(c.stack, binds)
+    if c.pol == "-" and label == N.PREM:
+        return ref_sym_neg_final(c.stack, binds)
+    return []
+
+
+def ref_sym_pos_final(v, binds):
+    if not v:
+        return []
+    top, rest = v[-1], v[:-1]
+    if not rest:
+        if _is_hole(top):
+            return [{**binds, top[1]: E}]
+        if top == E or top in ("a", "o", "f", "x", "s"):
+            return [binds]
+        return []
+    if top == "a":
+        return ref_sym_neg_final(rest, binds)
+    if top in ("o", "f", "x", "s"):
+        return ref_sym_pos_final(rest, binds)
+    if _is_hole(top):
+        return ref_sym_pos_final(rest, {**binds, top[1]: E})
+    if top == E:
+        return ref_sym_pos_final(rest, binds)
+    return []
+
+
+def ref_sym_neg_final(v, binds):
+    if not v:
+        return []
+    top, rest = v[-1], v[:-1]
+    if not rest:
+        return [binds] if top in ("a", "o", "f", "x", "s") else []
+    if top == "a":
+        return ref_sym_pos_final(rest, binds)
+    if top in ("o", "f", "x", "s"):
+        return ref_sym_neg_final(rest, binds)
+    if is_sig(top) or _is_hole(top):
+        return ref_sym_neg_final(rest, binds)
+    return []
+
+
+def ref_search_copy_candidates(net, edge, us, config, budget=10**6):
+    fresh = itertools.count(1)
+    root = ("h", 0)
+    start = Context(edge, us, (root,), "+")
+    results = set()
+    steps = [budget]
+
+    def explore(c, binds, visited):
+        if steps[0] <= 0:
+            raise BudgetExhausted("copy search budget exhausted", c)
+        for b2 in ref_sym_final(net, c, binds):
+            results.add(_complete(root, b2))
+        branches = _hole_branches(net, c, fresh)
+        if branches is not None:
+            for hid, t in branches:
+                b2 = {**binds, hid: t}
+                d = _resolve_ctx(c, b2)
+                if d not in visited:
+                    explore(d, b2, visited | {d})
+            return
+        for d in step(net, c, config):
+            steps[0] -= 1
+            if d in visited:
+                continue
+            explore(d, binds, visited | {d})
+
+    explore(start, {}, frozenset([start]))
+    return results
+
+
+def ref_check_no_stuck(net, comp):
+    out = []
+    cfg = comp.config
+    for e, be in comp.report().entries.items():
+        for u in be.sequences:
+            for t in sorted(be.copies[u]):
+                frontier = [Context(e, u, (t,), "+")]
+                seen = set(frontier)
+                while frontier:
+                    c = frontier.pop()
+                    succs = step(net, c, cfg)
+                    if not succs and not ref_is_final(net, c):
+                        out.append(f"stuck canonical context {c}")
+                        continue
+                    for d in succs:
+                        if d not in seen:
+                            seen.add(d)
+                            frontier.append(d)
+    return out
+
+
+def ref_check_subtree_property(net, edge, us, t, comp, limit=10**5):
+    witnessed = set()
+    seen = set()
+    frontier = []
+    for v in simplifications(t):
+        c = Context(edge, us, (v,), "+")
+        frontier.append(c)
+        seen.add(c)
+    while frontier:
+        c = frontier.pop()
+        if c.pol == "+" and len(c.stack) == 1 and is_sig(c.stack[0]):
+            witnessed.add(c.stack[0])
+        for d in step(net, c, comp.config):
+            if d not in seen:
+                if len(seen) >= limit:
+                    raise BudgetExhausted("subtree search limit", d)
+                seen.add(d)
+                frontier.append(d)
+    return all(u in witnessed for u in subtrees(t))
+
+
+# --- nets ---------------------------------------------------------------------
+
+
+def _church(k):
+    body = "x"
+    for _ in range(k):
+        body = f"f ({body})"
+    return f"(\\f:t -> t. \\x:t. {body})"
+
+
+def _applied(text):
+    sig = {"g": lam.parse_type("t -> t"), "z": lam.parse_type("t")}
+    return lam.from_lambda(lam.parse_lambda(f"{text} g z"), sig)
+
+
+def _composed(j, k):
+    body = "y"
+    for _ in range(j):
+        body = f"h ({body})"
+    outer = f"(\\h:(t -> t) -> (t -> t). \\y:(t -> t). {body})"
+    return _applied(f"{outer} {_church(k)}")
+
+
+def _nets():
+    nets = dict(corpus.full_corpus())
+    for n in range(1, 7):
+        nets[f"dr-ladder-{n}"] = gen_family("dr-ladder", n)
+    nets["copy-example"] = gen_family("copy-example")
+    nets["jump-example"] = gen_family("jump-example")
+    for k in range(7):
+        nets[f"church-{k}"] = _applied(_church(k))
+    nets["compose-2-2"] = _composed(2, 2)
+    return nets
+
+
+NETS = _nets()
+STACKS = ((E,), (lsig(E),), (rsig(E),), (nsig(E, E),), (msig(1),),
+          ("a",), ("o",), (E, "a"))
+BUDGETS = (10**7, 5, 2)
+
+
+def _recorded(net):
+    rec = Recorder()
+    WeightComputer(net, recorder=rec).report()
+    return rec.transitions
+
+
+# --- comparisons --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_run_matches_reference(name):
+    net = NETS[name]
+    big = net.size() > 40
+    for e in sorted(net.edges):
+        for stack in STACKS[:2] if big else STACKS:
+            for pol in "+-":
+                start = Context(e, (), stack, pol)
+                for budget in BUDGETS:
+                    config = MachineConfig(step_budget=budget)
+                    got, want = Recorder(), Recorder()
+                    got_trace, want_trace = [], []
+                    r = run(net, start, config, got, got_trace)
+                    w = ref_run(net, start, config, want, want_trace)
+                    assert r == w, (e, stack, pol, budget)
+                    assert got_trace == want_trace
+                    assert got.transitions == want.transitions
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_reach_final_and_is_final_match_reference(name):
+    net = NETS[name]
+    config = MachineConfig()
+    transitions = _recorded(net)
+    starts = list(dict.fromkeys(c for pair in transitions for c in pair))
+    for c in starts:
+        assert is_final(net, c) == ref_is_final(net, c), c
+    memo, ref_memo = {}, {}
+    got, want = Recorder(), Recorder()
+    for c in starts:
+        assert (reach_final(net, c, config, memo, got)
+                == ref_reach_final(net, c, config, ref_memo, want)), c
+    assert list(memo.items()) == list(ref_memo.items())
+    assert got.transitions == want.transitions
+
+
+@pytest.mark.parametrize("name", sorted(NETS))
+def test_copy_search_and_checks_match_reference(name):
+    net = NETS[name]
+    comp = WeightComputer(net)
+    rep = comp.report()
+    config = comp.config
+    for e, be in rep.entries.items():
+        for u in be.sequences:
+            assert (search_copy_candidates(net, e, u, config)
+                    == ref_search_copy_candidates(net, e, u, config)), (e, u)
+            for t in sorted(be.copies[u]):
+                assert (check_subtree_property(net, e, u, t, comp)
+                        == ref_check_subtree_property(net, e, u, t, comp))
+    assert check_no_stuck(net, comp) == ref_check_no_stuck(net, comp)
+
+
+def test_references_meet_every_outcome_but_cycles():
+    """The run comparison on nets covers each kind of outcome but cycles,
+    which the next test covers."""
+    kinds = set()
+    for name in ("lambda-church", "dr-ladder-3"):
+        net = NETS[name]
+        for e in net.edges:
+            for stack in STACKS:
+                for pol in "+-":
+                    for budget in BUDGETS:
+                        r = ref_run(net, Context(e, (), stack, pol),
+                                    MachineConfig(step_budget=budget))
+                        kinds.update(o.kind for o in (r, *r.outcomes()))
+    assert kinds == {"final", "stuck", "budget", "branch"}
+
+
+def _random_graph(rng):
+    """Successor lists over a few integers, mostly one successor, some
+    more, with cycles; and a set of final nodes."""
+    n = rng.randrange(2, 12)
+    succs = {v: [rng.randrange(n) for _ in range(rng.choice((0, 1, 1, 1, 2, 3)))]
+             for v in range(n)}
+    return succs, {v for v in range(n) if rng.random() < 0.2}
+
+
+def test_run_and_reach_final_match_reference_on_cyclic_graphs(monkeypatch):
+    """The walks with the machine replaced by random graphs with cycles."""
+    import pnlab.machine as M
+
+    rng = random.Random(7)
+    kinds = set()
+    cycles = 0
+    for _ in range(400):
+        succs, finals = _random_graph(rng)
+        fake_step = lambda net, c, config=None: list(succs[c])
+        fake_final = lambda net, c: c in finals
+        for module in (M, sys.modules[__name__]):
+            monkeypatch.setattr(module, "step", fake_step)
+        monkeypatch.setattr(M, "is_final", fake_final)
+        monkeypatch.setattr(sys.modules[__name__], "ref_is_final", fake_final)
+        memo, ref_memo = {}, {}
+        got, want = Recorder(), Recorder()
+        for start in succs:
+            for budget in (10**7, 3, 1):
+                config = MachineConfig(step_budget=budget)
+                r = run(None, start, config, got)
+                assert r == ref_run(None, start, config, want)
+                kinds.update(o.kind for o in (r, *r.outcomes()))
+            config = MachineConfig()
+            answer = reach_final(None, start, config, memo, got)
+            assert answer == ref_reach_final(None, start, config, ref_memo, want)
+            cycles += answer[1]
+        assert list(memo.items()) == list(ref_memo.items())
+        assert got.transitions == want.transitions
+    assert kinds == {"final", "stuck", "budget", "branch", "cycle"}
+    assert cycles
+
+
+# --- path length and hash order -----------------------------------------------
+
+
+def test_long_paths_need_no_python_frames():
+    """dr-ladder 11 has token paths of 8186 transitions."""
+    net = gen_family("dr-ladder", 11)
+    config = MachineConfig()
+    start = parse_context(net, "concl / eps / a / -")
+    assert reach_final(net, start, config) == (True, False)
+    for e in sorted(net.edges):
+        search_copy_candidates(net, e, (), config)
+
+
+TRANSITIONS_SCRIPT = """
+from pnlab import lam
+from pnlab.machine import Recorder
+from pnlab.weights import WeightComputer
+sig = {"g": lam.parse_type("t -> t"), "z": lam.parse_type("t")}
+net = lam.from_lambda(lam.parse_lambda(
+    "(\\\\f:t -> t. \\\\x:t. f (f (f x))) g z"), sig)
+rec = Recorder()
+WeightComputer(net, recorder=rec).report()
+for c, d in rec.transitions:
+    print(c, d)
+"""
+
+
+def _transitions_under(seed: str) -> str:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", TRANSITIONS_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+def test_recorded_transitions_do_not_depend_on_hash_seed():
+    first = _transitions_under("1")
+    assert first.count("\n") > 100
+    assert _transitions_under("3") == first

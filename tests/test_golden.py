@@ -3,7 +3,9 @@
 The answer checks elsewhere compare counts and weights; these hashes also
 catch a reduct whose vertices or edges got different ids, a trace that
 picked a different cut among equals, or a report whose key order drifted.
-The pinned values were computed before the net indexes were introduced.
+The normalize, weight and verify pins were computed before the net
+indexes were introduced; the machine pins before the token machine's walks
+were rebuilt on one explorer.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from pnlab import cli, corpus, lam
+from pnlab import cli, corpus, families, lam
 from pnlab.net import print_net
 from pnlab.rewrite import TRIANGLE, normalize
 from pnlab.weights import WeightComputer
@@ -63,6 +65,15 @@ def verify_output(tmp_path) -> str:
     return f"{code}\n{buf.getvalue()}"
 
 
+def machine_output(tmp_path, net, start: str, *flags: str) -> str:
+    path = tmp_path / "net.pnet"
+    path.write_text(print_net(net))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(["machine", str(path), "--start", start, *flags])
+    return f"{code}\n{buf.getvalue()}"
+
+
 NORMALIZE_SHA = {
     (2, 2):
         "807f54150352056a0b0273d4900a91ac85e32e10930991e87b607ea3c76d34d9",
@@ -73,6 +84,26 @@ NORMALIZE_SHA = {
 }
 WEIGHT_SHA = "164a7f5424d5d3802983d4ce3d6d9aef984a4f17c97e3a8ecef381e1b51951d2"
 VERIFY_SHA = "fae97bea09e3b2a5c2b3b580a471e3139b8d038e4d7822f9c2322f5a846e03df"
+# (net, start, flags) -> sha256 of exit code and stdout of `pnlab machine`
+MACHINE_SHA = {
+    # the exponential ladder path to its final context
+    ("dr-ladder-6", "concl / eps / a / -", ()):
+        "9140caea56fff3b2f796136def5d695efe21cb01c3c396bc0c42af49b2efc237",
+    # the same run cut by the step budget (exit 2)
+    ("dr-ladder-6", "concl / eps / a / -", ("--budget", "40")):
+        "64a78b3da5fd12659a9ae3d6831779496367c81fd32be6d872461d6f2c1907ad",
+    # a door-to-principal box jump on the way to a final context
+    ("jump-example", "e3 / eps / l(e) / +", ()):
+        "60a6bbf2bbe8261435347bad0351150e09936cbf3a175f733c86b8cfcb5b59ca",
+    # a jump from a two-door box's principal edge: one branch per door
+    ("lambda-church", "e12 / eps / e / -", ()):
+        "f18bb724f4b05dfe625563f6fa1dd034c72b32dc18732627e250a47f3e30d25b",
+}
+MACHINE_NETS = {
+    "dr-ladder-6": lambda: families.gen_family("dr-ladder", 6),
+    "jump-example": lambda: families.gen_family("jump-example"),
+    "lambda-church": lambda: corpus.named_fixtures()["lambda-church"],
+}
 
 
 @pytest.mark.parametrize("jk", sorted(NORMALIZE_SHA))
@@ -86,3 +117,10 @@ def test_weight_report_is_pinned():
 
 def test_verify_report_is_pinned(tmp_path):
     assert _sha(verify_output(tmp_path)) == VERIFY_SHA
+
+
+@pytest.mark.parametrize("case", sorted(MACHINE_SHA))
+def test_machine_output_is_pinned(tmp_path, case):
+    name, start, flags = case
+    out = machine_output(tmp_path, MACHINE_NETS[name](), start, *flags)
+    assert _sha(out) == MACHINE_SHA[case]

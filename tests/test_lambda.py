@@ -20,6 +20,12 @@ def test_parse_type():
     assert parse_type("(t -> u) -> v") == TArrow(TArrow(TAtom("t"), TAtom("u")), TAtom("v"))
 
 
+@pytest.mark.parametrize("text", ["t $ -> u", "t -> u;", "- > t", "t - u", "λ"])
+def test_parse_type_rejects_stray_characters(text):
+    with pytest.raises(LambdaError):
+        parse_type(text)
+
+
 def test_identity_translation():
     net = from_lambda(parse_lambda("\\x:t. x"))
     assert validate(net) == []

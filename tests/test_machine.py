@@ -10,13 +10,11 @@ from pnlab.machine import (
     Recorder,
     dual,
     is_final,
-    neg_final_stack,
     parse_context,
-    pos_final_stack,
     run,
     step,
 )
-from pnlab.net import CONTR, DER, RLOLLI
+from pnlab.net import CONCL, CONTR, DER, PREM, RLOLLI
 from pnlab.signatures import (
     E,
     all_standard_sigs,
@@ -117,7 +115,20 @@ def test_sig_parse_format_roundtrip():
 # --- final stacks -----------------------------------------------------------
 
 
-def test_final_stack_examples():
+def test_final_stack_examples(copy_net):
+    # a stack is final at a conclusion with polarity + (pos_final_stack) or
+    # at a premise with polarity - (neg_final_stack)
+    [concl] = [e.id for e in copy_net.edges.values()
+               if copy_net.vertices[e.tgt[0]].label == CONCL]
+    prem = min(e.id for e in copy_net.edges.values()
+               if copy_net.vertices[e.src[0]].label == PREM)
+
+    def pos_final_stack(v):
+        return is_final(copy_net, Context(concl, (), v, "+"))
+
+    def neg_final_stack(v):
+        return is_final(copy_net, Context(prem, (), v, "-"))
+
     assert neg_final_stack((E, "a", nsig(E, E)))
     assert pos_final_stack((E, "a", "f", "a"))
     assert pos_final_stack((E,))

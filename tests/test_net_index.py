@@ -158,6 +158,8 @@ def ref_check_boxes(net, say):
                 if missing:
                     say(f"box {pid}: nested box {qid} leaks {sorted(missing)}")
     for pid, b in net.boxes.items():
+        if pid not in net.vertices:
+            continue  # reported above; the depth check has no principal edge
         try:
             pe = ref_rho(net, pid)
         except NetError:
