@@ -12,13 +12,17 @@ structural lookup goes through one set of indexes per net, each built once,
 on its first query, in O(|G| + sum of box contents): port -> edge; vertex ->
 the boxes around it, which gives depth and the box tree; principal or door
 vertex -> its box; the principal edges; the conclusion vertices; and the
-largest numbered ids.
+largest numbered ids.  A reduct built by `rewrite.fire` receives its port
+index, box tables and box ranks from the rewriter instead, which shares
+every list it did not change with the source net; lists in the tables are
+therefore never changed in place.
 `retag` (`dataclasses.replace`) shares the index with its source net; that
 is safe because no index depends on the system tag.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -126,11 +130,119 @@ class Edge:
     formula: Formula
 
 
+class EditedSet(AbstractSet):
+    """A frozen set given as a base set with some members removed and then
+    some added; its value is computed on first use.
+
+    `rewrite.fire` stores the contents of a box it edits this way, so that
+    a step inside deep boxes does not copy the contents of every box
+    around it.  The base may itself be an edited set; the value is computed
+    without recursion, and eagerly once the pending edits outnumber the
+    members of the last computed value.  It compares, hashes and prints as
+    the frozenset of its value.
+    """
+
+    __slots__ = ("_base", "_added", "_removed", "_pending", "_anchor", "_value")
+
+    def __init__(self, base, added, removed):
+        self._added = frozenset(added)
+        self._removed = frozenset(removed)
+        pending = len(self._added) + len(self._removed)
+        if type(base) is EditedSet and base._value is None:
+            self._pending = base._pending + pending
+            self._anchor = base._anchor
+        else:
+            self._pending = pending
+            self._anchor = len(base)
+        self._base = base
+        self._value = None
+        if self._pending > self._anchor:
+            self.value()
+
+    def value(self) -> frozenset:
+        if self._value is None:
+            chain = []
+            node = self
+            while type(node) is EditedSet and node._value is None:
+                chain.append(node)
+                node = node._base
+            base = node._value if type(node) is EditedSet else node
+            # value = (base - removed) | added, with each edit's removals
+            # applied before its additions, oldest edit first
+            added: set = set()
+            removed: set = set()
+            for n in reversed(chain):
+                added -= n._removed
+                added |= n._added
+                removed |= n._removed
+            self._value = frozenset((base - removed) | added)
+            self._base = self._added = self._removed = None
+        return self._value
+
+    def __contains__(self, item):
+        return item in self.value()
+
+    def __iter__(self):
+        return iter(self.value())
+
+    def __len__(self):
+        return len(self.value())
+
+    def __hash__(self):
+        return hash(self.value())
+
+    def __repr__(self):
+        return repr(self.value())
+
+    def __eq__(self, other):
+        return self.value() == _plain(other)
+
+    def __le__(self, other):
+        return self.value() <= _plain(other)
+
+    def __lt__(self, other):
+        return self.value() < _plain(other)
+
+    def __ge__(self, other):
+        return self.value() >= _plain(other)
+
+    def __gt__(self, other):
+        return self.value() > _plain(other)
+
+    def __and__(self, other):
+        return self.value() & _plain(other)
+
+    def __or__(self, other):
+        return self.value() | _plain(other)
+
+    def __sub__(self, other):
+        return self.value() - _plain(other)
+
+    def __xor__(self, other):
+        return self.value() ^ _plain(other)
+
+    def __rand__(self, other):
+        return other & self.value()
+
+    def __ror__(self, other):
+        return other | self.value()
+
+    def __rsub__(self, other):
+        return other - self.value()
+
+    def __rxor__(self, other):
+        return other ^ self.value()
+
+
+def _plain(x):
+    return x.value() if type(x) is EditedSet else x
+
+
 @dataclass(frozen=True)
 class Box:
     principal: str  # R! / Rsec vertex id
     doors: tuple[str, ...]  # L! / Lsec vertex ids, ordered
-    contents: frozenset[str]  # vertex ids strictly inside
+    contents: frozenset[str]  # vertex ids strictly inside (or an EditedSet)
 
 
 @dataclass(frozen=True)
@@ -168,7 +280,8 @@ class _Index:
     """The lookup tables of one net, each built on its first query.
 
     It holds the net's dicts, never the net itself, so the two form no
-    reference cycle.  Box lists are box keys in the order of `boxes`.
+    reference cycle.  Box lists are box keys in the order of `boxes`, and
+    box ranks increase in that order.
     """
 
     def __init__(self, vertices, edges, boxes):
@@ -176,6 +289,8 @@ class _Index:
         self.edges = edges
         self.boxes = boxes
         self.edge_boxes: dict[str, list[str]] = {}  # filled per queried edge
+        # for a reduct: the edges the step put, re-ended or deleted
+        self.touched: set[str] | None = None
 
     @cached_property
     def ports(self) -> dict[tuple[str, str], Edge]:
@@ -213,6 +328,7 @@ class _Index:
 
     @cached_property
     def box_rank(self) -> dict[str, int]:
+        """Box -> a number that increases in box order."""
         return {pid: i for i, pid in enumerate(self.boxes)}
 
     @cached_property
@@ -586,6 +702,8 @@ def _check_boxes(net: ProofNet, say):
             q = net.boxes[qid]
             nested |= {qid, *q.doors} | q.contents
         for cid in b.contents - nested:
+            if cid not in net.vertices:
+                continue  # reported above
             if net.depth(cid) != want:
                 say(f"box {pid}: content {cid} has inconsistent depth")
 

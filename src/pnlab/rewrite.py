@@ -10,10 +10,22 @@ Rule kinds use the names -o, *, forall, !, X, D, N, W.  Strategies:
 
 Firing is pure: net in, net out.  Deterministic tie-break picks the lowest
 level, then the lowest edge id.
+
+Rewriting is local (Lafont's interaction nets).  `fire` works on shallow
+copies of the net's dicts and of its index tables (port -> edge, vertex ->
+boxes around it, principal or door -> its box, box ranks), edits only the
+entries the redex and any box it copies, opens or moves touch, and hands
+them to the reduct, with the set of edges it put, re-ended or deleted.  A
+box it edits gets a new record whose contents are an `EditedSet` over the
+old ones, so the boxes around a redex are not copied.  `normalize` and
+`reduction_metrics` run `find_cuts` once, on their input; after each step
+`update_cuts` reclassifies the touched edges and re-reads the level of the
+cuts inside a box that a D- or N-step moved.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import net as N
@@ -71,20 +83,16 @@ class Strategy:
     def permitted(self, cuts: list[Cut]) -> list[Cut]:
         if self.kind == "arrow":
             return list(cuts)
-        all_w = all(c.kind == "W" for c in cuts)
-        out = []
-        for c in cuts:
-            if c.kind == "W" and not all_w:
-                continue
-            if self.kind == "triangle":
-                if any(d.level < c.level and d.kind != "W" for d in cuts):
-                    continue
-                if c.kind == "!" and any(
-                        d.level == c.level and d.kind not in ("W", "!")
-                        for d in cuts):
-                    continue
-            out.append(c)
-        return out
+        active = [c for c in cuts if c.kind != "W"]
+        if not active:
+            return list(cuts)  # W-cuts fire once nothing else is left
+        if self.kind == "double":
+            return active
+        lowest = min(c.level for c in active)
+        # levels where a !-cut must wait for the other kinds
+        busy = {c.level for c in active if c.kind != "!"}
+        return [c for c in active if c.level == lowest
+                and not (c.kind == "!" and c.level in busy)]
 
 
 ARROW = Strategy("arrow")
@@ -129,20 +137,29 @@ class ReductionTrace:
 class _Surgeon:
     """Mutable copy of a net under one rewrite step.
 
-    It keeps a port index in step with its edges, and hands it to the
-    reduct together with the largest ids when they are still exact.
+    It keeps the port index, the box tables (`enclosing`, `inner_boxes`)
+    and the box ranks in step with its edges and boxes, and hands them to
+    the reduct, together with the largest ids when they are still exact and
+    the set of edges it put, re-ended or deleted.  Every dict is a shallow
+    copy of the source net's; a table entry is replaced, never changed in
+    place, and a box record is copied only when the step edits it.
     """
 
     def __init__(self, net: ProofNet):
+        index = net._index
         self.system = net.system
-        self.index = net._index  # of the source net, for its box lookups
-        self.vertices = dict(net.vertices)
-        self.edges = dict(net.edges)
-        self.ports = dict(self.index.ports)
-        self.boxes = {pid: (list(b.doors), set(b.contents))
-                      for pid, b in net.boxes.items()}
-        self.vn = self.index.max_vertex_id
-        self.en = self.index.max_edge_id
+        # dict.copy clones the hash table where dict() re-inserts each key
+        self.vertices = net.vertices.copy()
+        self.edges = net.edges.copy()
+        self.ports = index.ports.copy()
+        self.boxes = net.boxes.copy()
+        self.enclosing = index.enclosing.copy()
+        self.inner_boxes = index.inner_boxes.copy()
+        self.rank = index.box_rank.copy()
+        self.edited: dict[str, tuple[list[str], set[str], set[str]]] = {}
+        self.touched: set[str] = set()
+        self.vn = index.max_vertex_id
+        self.en = index.max_edge_id
         self.provenance: dict[str, tuple[str, str]] = {}
 
     def fresh_v(self) -> str:
@@ -167,9 +184,11 @@ class _Surgeon:
         self.edges[e.id] = e
         self.ports[e.src] = e
         self.ports[e.tgt] = e
+        self.touched.add(e.id)
 
     def del_edge(self, eid: str):
         self._unport(self.edges.pop(eid))
+        self.touched.add(eid)
 
     def _unport(self, e: Edge):
         for end in (e.src, e.tgt):
@@ -180,17 +199,110 @@ class _Surgeon:
         e = self.edges[eid]
         self.put_edge(Edge(e.id, src or e.src, tgt or e.tgt, e.formula))
 
-    def drop_vertex(self, vid: str):
-        """Remove a vertex of the source net from the vertices and boxes."""
+    # --- boxes and their tables ---
+
+    def _edit(self, pid: str) -> tuple[list[str], set[str], set[str]]:
+        """A box's doors, copied, and its contents' added and removed
+        members, kept from its first edit in this step until `freeze`."""
+        edit = self.edited.get(pid)
+        if edit is None:
+            edit = self.edited[pid] = (list(self.boxes[pid].doors), set(), set())
+        return edit
+
+    def add_contents(self, pid: str, ids):
+        _, added, removed = self._edit(pid)
+        added.update(ids)
+        removed.difference_update(ids)
+
+    def remove_content(self, pid: str, vid: str):
+        _, added, removed = self._edit(pid)
+        added.discard(vid)
+        removed.add(vid)
+
+    def contents(self, pid: str):
+        """A box's contents as they stand in this step."""
+        contents = self.boxes[pid].contents
+        edit = self.edited.get(pid)
+        if edit is not None:
+            contents = (contents - edit[2]) | edit[1]
+        return contents
+
+    def _enlist(self, table: dict[str, list[str]], key: str, pid: str):
+        """Add box pid to table[key], in box order."""
+        boxes = table.get(key)
+        if boxes is None:
+            table[key] = [pid]
+        elif pid not in boxes:
+            rank = self.rank
+            at = len(boxes)
+            while at and rank[boxes[at - 1]] > rank[pid]:
+                at -= 1
+            table[key] = [*boxes[:at], pid, *boxes[at:]]
+
+    @staticmethod
+    def _delist(table: dict[str, list[str]], key: str, pid: str):
+        boxes = table.get(key)
+        if boxes is not None and pid in boxes:
+            rest = [q for q in boxes if q != pid]
+            if rest:
+                table[key] = rest
+            else:
+                del table[key]
+
+    def add_vertex(self, vertex: Vertex, around):
+        """Insert a fresh vertex into the boxes `around` (a table list)."""
+        self.vertices[vertex.id] = vertex
+        if around:
+            self.enclosing[vertex.id] = around
+            for pid in around:
+                self.add_contents(pid, (vertex.id,))
+
+    def extend_box(self, pid: str, at: int, doors, contents):
+        """Insert doors into a box's doors at position `at`, and add contents."""
+        self._edit(pid)[0][at:at] = doors
+        self.add_contents(pid, contents)
+        for d in doors:
+            self._enlist(self.inner_boxes, d, pid)
+        for c in contents:
+            self._enlist(self.enclosing, c, pid)
+
+    def add_box(self, pid: str, doors: list[str], contents: set[str]):
+        """Append a box record after every other box."""
+        self.rank[pid] = next(reversed(self.rank.values()), -1) + 1
+        self.boxes[pid] = Box(pid, tuple(doors), frozenset(contents))
+        for c in contents:
+            self._enlist(self.enclosing, c, pid)
+        for vid in (pid, *doors):
+            self._enlist(self.inner_boxes, vid, pid)
+
+    def delete_box(self, pid: str):
+        contents = self.contents(pid)
+        doors = self._edit(pid)[0]
+        del self.edited[pid], self.boxes[pid]
+        for c in contents:
+            self._delist(self.enclosing, c, pid)
+        for vid in (pid, *doors):
+            self._delist(self.inner_boxes, vid, pid)
+        del self.rank[pid]
+
+    def drop_vertex(self, vid: str, dying=()):
+        """Remove a vertex from the vertices, the tables and the boxes,
+        except from the boxes in `dying`, which are deleted after it."""
         del self.vertices[vid]
-        for pid in self.index.enclosing.get(vid, ()):
+        for pid in self.enclosing.pop(vid, ()):
+            if pid not in dying:
+                self.remove_content(pid, vid)
+        for pid in self.inner_boxes.pop(vid, ()):
+            if pid != vid and pid not in dying:  # vid is a door of pid
+                self._edit(pid)[0].remove(vid)
+
+    def erase(self, dead: set[str]):
+        """Drop vertices, and the boxes whose principal is among them."""
+        for vid in dead:
+            self.drop_vertex(vid, dead)
+        for pid in dead:
             if pid in self.boxes:
-                self.boxes[pid][1].discard(vid)
-        for pid in self.index.inner_boxes.get(vid, ()):
-            if pid in self.boxes:
-                doors = self.boxes[pid][0]
-                if vid in doors:
-                    doors.remove(vid)
+                self.delete_box(pid)
 
     def splice(self, pairs: list[tuple[tuple[str, str], tuple[str, str]]]):
         """Glue dangling edge ends pairwise and merge the resulting chains.
@@ -235,11 +347,18 @@ class _Surgeon:
             raise RewriteError(f"splice produced a closed loop through {sorted(leftovers)}")
 
     def freeze(self) -> ProofNet:
-        boxes = {pid: Box(pid, tuple(doors), frozenset(contents))
-                 for pid, (doors, contents) in self.boxes.items()}
-        net = ProofNet(self.vertices, self.edges, boxes, self.system)
+        for pid, (doors, added, removed) in self.edited.items():
+            contents = self.boxes[pid].contents
+            if added or removed:
+                contents = N.EditedSet(contents, added, removed)
+            self.boxes[pid] = Box(pid, tuple(doors), contents)
+        net = ProofNet(self.vertices, self.edges, self.boxes, self.system)
         index = net._index
         index.ports = self.ports
+        index.enclosing = self.enclosing
+        index.inner_boxes = self.inner_boxes
+        index.box_rank = self.rank
+        index.touched = self.touched
         # every live id is at most the last one handed out, so that one is
         # the maximum exactly when it is still alive
         if f"v{self.vn}" in self.vertices:
@@ -315,10 +434,8 @@ def _fire_bang(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
     s.drop_vertex(v)
     s.drop_vertex(w)
     s.splice([((v, "inner"), (w, "inner"))])
-    doors, contents = s.boxes[host_pid]
-    del s.boxes[v]
-    doors[at:at] = list(inner_box.doors)
-    contents |= inner_box.contents
+    s.delete_box(v)
+    s.extend_box(host_pid, at, inner_box.doors, inner_box.contents)
     # enclosing boxes already contained the merged material
 
 
@@ -328,7 +445,7 @@ def _fire_der(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
     s.drop_vertex(v)
     s.drop_vertex(w)
     s.splice([((v, "inner"), (w, "plain"))])
-    del s.boxes[v]
+    s.delete_box(v)
     for d in box.doors:
         s.vertices[d] = Vertex(d, N.DER)
         outer = s.edge_at(d, "outer")
@@ -339,15 +456,13 @@ def _fire_der(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
 
 def _fire_weak(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
     box = net.boxes[v]
-    dead_vertices = {v, w} | set(box.contents)
-    for eid, ed in list(s.edges.items()):
-        if ed.src[0] in dead_vertices or ed.tgt[0] in dead_vertices:
-            s.del_edge(eid)
-    for vid in dead_vertices:
-        s.drop_vertex(vid)
-    for pid in list(s.boxes):
-        if pid not in s.vertices:
-            del s.boxes[pid]
+    dead = {v, w} | box.contents
+    for vid in dead:
+        for port in N.vertex_ports(s.vertices[vid]):
+            ed = s.ports.get((vid, port))
+            if ed is not None:
+                s.del_edge(ed.id)
+    s.erase(dead)
     for d in box.doors:
         s.vertices[d] = Vertex(d, N.WEAK)
         outer = s.edge_at(d, "outer")
@@ -374,13 +489,17 @@ def _copyset(net: ProofNet, pid: str) -> tuple[set[str], set[str]]:
 def _fire_contr(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
     box = net.boxes[v]
     vs, es = _copyset(net, v)
+    # the copied box and the boxes inside it, in box order
+    inner = sorted((pid for pid in vs if pid in net.boxes),
+                   key=net._index.box_rank.__getitem__)
+    around = s.enclosing.get(v)  # the boxes that receive both copies
     copies = {}
     for side in ("l", "r"):
         vmap, emap = {}, {}
         for vid in sorted(vs, key=N._numkey):
             nv = s.fresh_v()
             old = s.vertices[vid]
-            s.vertices[nv] = Vertex(nv, old.label, old.arity)
+            s.add_vertex(Vertex(nv, old.label, old.arity), around)
             vmap[vid] = nv
             s.provenance[nv] = (vid, side)
         for eid in sorted(es, key=N._numkey):
@@ -391,11 +510,10 @@ def _fire_contr(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
             emap[eid] = ne
             s.provenance[ne] = (eid, side)
         # box records inside the copied region (including the box itself)
-        for pid in list(net.boxes):
-            if pid in vs:
-                doors, contents = net.boxes[pid].doors, net.boxes[pid].contents
-                s.boxes[vmap[pid]] = ([vmap[d] for d in doors],
-                                      {vmap[c] for c in contents})
+        for pid in inner:
+            b = net.boxes[pid]
+            s.add_box(vmap[pid], [vmap[d] for d in b.doors],
+                      {vmap[c] for c in b.contents})
         copies[side] = vmap
     # rewire the contraction's split edges to the two fresh principal ports
     left = s.edge_at(w, "left")
@@ -403,66 +521,48 @@ def _fire_contr(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
     s.reend(left.id, src=(copies["l"][v], "principal"))
     s.reend(right.id, src=(copies["r"][v], "principal"))
     # each former premise feeds both copies through a fresh contraction
-    new_contr = []
     for d in box.doors:
         outer = s.edge_at(d, "outer")
         x = s.fresh_v()
-        s.vertices[x] = Vertex(x, N.CONTR)
-        new_contr.append(x)
+        s.add_vertex(Vertex(x, N.CONTR), around)
         s.reend(outer.id, tgt=(x, "merged"))
         for side, port in (("l", "left"), ("r", "right")):
             ne = s.fresh_e()
             s.put_edge(Edge(ne, (x, port), (copies[side][d], "outer"),
                             outer.formula))
-    # enclosing boxes pick up the copies and the new contractions
-    for pid in net._index.enclosing.get(v, ()):
-        contents = s.boxes[pid][1]
-        for side in ("l", "r"):
-            contents.update(copies[side][x] for x in vs)
-        contents.update(new_contr)
     # drop the originals and the cut
     s.del_edge(e.id)
     for eid in es:
         s.del_edge(eid)
-    for vid in vs:
-        s.drop_vertex(vid)
+    s.erase(vs)
     s.drop_vertex(w)
-    for pid in list(s.boxes):
-        if pid not in s.vertices:
-            del s.boxes[pid]
 
 
 def _fire_dig(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
     from .formulas import Bang
 
     box = net.boxes[v]
+    around = s.enclosing.get(v)  # the boxes that receive the new vertices
     r0 = s.fresh_v()
-    s.vertices[r0] = Vertex(r0, N.RBANG)
+    s.add_vertex(Vertex(r0, N.RBANG), around)
     dbang = s.edge_at(w, "dbang")
     s.reend(e.id, tgt=(r0, "inner"))
     s.reend(dbang.id, src=(r0, "principal"))
     s.drop_vertex(w)
     new_doors = []
-    new_digs = []
     for d in box.doors:
         outer = s.edge_at(d, "outer")
         nk = s.fresh_v()
         d0 = s.fresh_v()
-        s.vertices[nk] = Vertex(nk, N.DIG)
-        s.vertices[d0] = Vertex(d0, N.LBANG)
-        new_digs.append(nk)
+        s.add_vertex(Vertex(nk, N.DIG), around)
+        s.add_vertex(Vertex(d0, N.LBANG), around)
         new_doors.append(d0)
         s.reend(outer.id, tgt=(nk, "bang"))
         e1 = s.fresh_e()
         s.put_edge(Edge(e1, (nk, "dbang"), (d0, "outer"), Bang(outer.formula)))
         e2 = s.fresh_e()
         s.put_edge(Edge(e2, (d0, "inner"), (d, "outer"), outer.formula))
-    s.boxes[r0] = (new_doors, {v} | set(box.doors) | set(box.contents))
-    for pid in net._index.enclosing.get(v, ()):
-        contents = s.boxes[pid][1]
-        contents.add(r0)
-        contents.update(new_doors)
-        contents.update(new_digs)
+    s.add_box(r0, new_doors, {v} | set(box.doors) | box.contents)
 
 
 # --- normalization --------------------------------------------------------
@@ -472,19 +572,51 @@ def pick_cut(cuts: list[Cut]) -> Cut:
     return min(cuts, key=lambda c: (c.level, N._numkey(c.edge)))
 
 
+# kinds whose step moves a whole box one level up or down; a !-step only
+# hands the contents of one box to another box at the same level
+RELEVEL_KINDS = ("D", "N")
+
+
+def update_cuts(cuts: dict[str, Cut], net: ProofNet, cut: Cut, reduct: ProofNet):
+    """Turn the live-cut map of a net into that of its reduct by `cut`:
+    reclassify only the edges the step put, re-ended or deleted.
+
+    An edge the step did not touch changes level only when the step moves
+    the box of the cut one level and the edge lies in that box, which for a
+    cut means that its source vertex does; only those levels are read again.
+    """
+    touched = reduct._index.touched
+    for eid in touched:
+        cuts.pop(eid, None)
+    if cut.kind in RELEVEL_KINDS and cuts:
+        moved = net.boxes[net.edges[cut.edge].src[0]].contents
+        for eid, c in cuts.items():
+            if reduct.edges[eid].src[0] in moved:
+                level = reduct.depth(eid)
+                if level != c.level:
+                    cuts[eid] = Cut(eid, c.kind, level)
+    for eid in touched:
+        if eid in reduct.edges:
+            kind = classify_edge(reduct, eid)
+            if kind:
+                cuts[eid] = Cut(eid, kind, reduct.depth(eid))
+
+
 def normalize(net: ProofNet, strategy: Strategy = ARROW,
               budget: int = 10**5) -> tuple[ProofNet, ReductionTrace]:
     trace = ReductionTrace()
     cur = net
+    cuts = {c.edge: c for c in find_cuts(cur)}
     for i in range(budget):
-        cuts = find_cuts(cur)
         if not cuts:
             return cur, trace
-        permitted = strategy.permitted(cuts)
+        permitted = strategy.permitted(list(cuts.values()))
         if not permitted:
             raise RewriteError("strategy permits no cut but cuts remain")
         cut = pick_cut(permitted)
-        cur, prov = fire(cur, cut)
+        nxt, prov = fire(cur, cut)
+        update_cuts(cuts, cur, cut, nxt)
+        cur = nxt
         trace.steps.append(TraceStep(i, cut.kind, cut.edge, cut.level,
                                      cur.size(), prov or None))
     trace.status = "budget"
@@ -503,12 +635,13 @@ def canonical_key(net: ProofNet) -> str:
     conclusion, then remaining components from their least roots."""
     order: dict[str, int] = {}
     chunks: list[str] = []
+    formula_text: dict[str, str] = {}  # edge id -> its canonical formula
 
     def bfs(root: str):
-        queue = [root]
+        queue = deque([root])
         order.setdefault(root, len(order))
         while queue:
-            vid = queue.pop(0)
+            vid = queue.popleft()
             v = net.vertices[vid]
             parts = [f"{v.label}/{v.arity}"]
             for port in N.vertex_ports(v):
@@ -522,9 +655,11 @@ def canonical_key(net: ProofNet) -> str:
                 if nbr not in order:
                     order[nbr] = len(order)
                     queue.append(nbr)
+                text = formula_text.get(e.id)
+                if text is None:
+                    text = formula_text[e.id] = str(alpha_canon(e.formula))
                 parts.append(
-                    f"{port}:{'>' if out else '<'}{order[nbr]}.{nport}:"
-                    f"{alpha_canon(e.formula)}")
+                    f"{port}:{'>' if out else '<'}{order[nbr]}.{nport}:{text}")
             chunks.append(f"{order[vid]}({';'.join(parts)})")
 
     try:
@@ -555,32 +690,70 @@ def canonical_key(net: ProofNet) -> str:
     return net.system + "|" + ";".join(chunks) + "|" + "".join(sorted(boxparts))
 
 
+@dataclass
+class _State:
+    """A reduct on the metrics stack, with its permitted cuts still to fire."""
+
+    key: str
+    net: ProofNet
+    cuts: dict[str, Cut]  # every live cut, by edge
+    permitted: list[Cut]  # in edge order
+    fired: int = 0
+    longest: int = 0
+    largest: int = 0
+
+
 def reduction_metrics(net: ProofNet, strategy: Strategy = ARROW,
                       step_budget: int = 10**5,
                       state_budget: int = 10**5) -> tuple[int, int]:
     """Exact maxima over all permitted reduction sequences:
-    (longest step count, largest reachable reduct size)."""
-    memo: dict[str, tuple[int, int]] = {}
-    steps_used = [0]
+    (longest step count, largest reachable reduct size).
 
-    def explore(cur: ProofNet) -> tuple[int, int]:
+    A depth-first walk on an explicit stack.  Each state is entered once
+    per canonical key; its memo entry is provisional until every permitted
+    cut of it has been fired and its successors' maxima are known.
+    """
+    memo: dict[str, tuple[int, int]] = {}
+    steps_used = 0
+    stack: list[_State] = []
+
+    def enter(cur: ProofNet, parent: _State | None, cut: Cut | None):
+        """The maxima of a known state, or None after pushing a new one."""
         key = canonical_key(cur)
         if key in memo:
             return memo[key]
         if len(memo) >= state_budget:
             raise MetricsBudget("state budget exhausted")
         memo[key] = (0, cur.size())  # provisional; nets are strongly normalizing
-        cuts = strategy.permitted(find_cuts(cur))
-        best_steps, best_size = 0, cur.size()
-        for cut in cuts:
-            steps_used[0] += 1
-            if steps_used[0] > step_budget:
-                raise MetricsBudget("step budget exhausted")
-            nxt, _ = fire(cur, cut)
-            ns, nz = explore(nxt)
-            best_steps = max(best_steps, 1 + ns)
-            best_size = max(best_size, nz)
-        memo[key] = (best_steps, best_size)
-        return memo[key]
+        if parent is None:
+            cuts = {c.edge: c for c in find_cuts(cur)}
+        else:
+            cuts = dict(parent.cuts)
+            update_cuts(cuts, parent.net, cut, cur)
+        permitted = sorted(strategy.permitted(list(cuts.values())),
+                           key=lambda c: N._numkey(c.edge))
+        stack.append(_State(key, cur, cuts, permitted, largest=cur.size()))
+        return None
 
-    return explore(net)
+    result = enter(net, None, None)
+    while stack:
+        top = stack[-1]
+        if top.fired < len(top.permitted):
+            cut = top.permitted[top.fired]
+            top.fired += 1
+            steps_used += 1
+            if steps_used > step_budget:
+                raise MetricsBudget("step budget exhausted")
+            nxt, _ = fire(top.net, cut)
+            result = enter(nxt, top, cut)
+            if result is None:
+                continue
+        else:
+            stack.pop()
+            result = memo[top.key] = (top.longest, top.largest)
+            if not stack:
+                break
+        parent = stack[-1]
+        parent.longest = max(parent.longest, 1 + result[0])
+        parent.largest = max(parent.largest, result[1])
+    return result

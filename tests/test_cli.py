@@ -1,4 +1,8 @@
+import importlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +183,24 @@ def test_box_without_principal_vertex_fails_validation(tmp_path, capsys):
     path.write_text("pnet 1\nbox v1 - -\nend\n")
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 1 and "principal vertex missing" in err
+
+
+def test_box_listing_an_unknown_vertex_fails_validation(tmp_path, capsys):
+    path = tmp_path / "box.pnet"
+    path.write_text("pnet 1\nvertex v1 rbang\nvertex v2 concl\n"
+                    "edge e1 v1 principal v2 edge !a\nbox v1 - v9\nend\n")
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 1 and "unknown content vertex v9" in err
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "pnlab", "gen", "dr-ladder", "2"],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert parse_net(out.stdout).size() == 4
+    importlib.import_module("pnlab.__main__")  # importing it runs nothing
 
 
 def test_machine_validates_its_input(tmp_path, capsys):

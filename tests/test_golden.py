@@ -3,9 +3,10 @@
 The answer checks elsewhere compare counts and weights; these hashes also
 catch a reduct whose vertices or edges got different ids, a trace that
 picked a different cut among equals, or a report whose key order drifted.
-The normalize, weight and verify pins were computed before the net
-indexes were introduced; the machine pins before the token machine's walks
-were rebuilt on one explorer.
+The triangle normalize, weight and verify pins were computed before the
+net indexes were introduced; the machine pins before the token machine's
+walks were rebuilt on one explorer; the arrow and double normalize pins
+before rewriting kept a redex worklist and inherited box tables.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 
 from pnlab import cli, corpus, families, lam
 from pnlab.net import print_net
-from pnlab.rewrite import TRIANGLE, normalize
+from pnlab.rewrite import STRATEGIES, TRIANGLE, normalize
 from pnlab.weights import WeightComputer
 
 
@@ -46,8 +47,8 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def normalize_output(j: int, k: int) -> str:
-    nf, trace = normalize(composed(j, k), TRIANGLE)
+def normalize_output(j: int, k: int, strategy=TRIANGLE) -> str:
+    nf, trace = normalize(composed(j, k), strategy)
     return trace.render() + print_net(nf)
 
 
@@ -82,6 +83,18 @@ NORMALIZE_SHA = {
     (3, 2):
         "1a6a2df2ecd6ebf3cf32c1a7a27e9d1a0cfd25a6590476c550823abb49dfce39",
 }
+# (strategy, j, k) -> sha256 of the trace and normal form; arrow and double
+# pick the same cuts on these nets, and triangle does not
+UNLEVELLED_NORMALIZE_SHA = {
+    ("arrow", 2, 2):
+        "8f50e4485c6c883340957e8bc349f5bf0851affe038528b0e845b91f2dd76be3",
+    ("double", 2, 2):
+        "8f50e4485c6c883340957e8bc349f5bf0851affe038528b0e845b91f2dd76be3",
+    ("arrow", 3, 2):
+        "ceb86effea330c920a2aec3fb31854187bdbd6f463422c491d294e1098a7f231",
+    ("double", 3, 2):
+        "ceb86effea330c920a2aec3fb31854187bdbd6f463422c491d294e1098a7f231",
+}
 WEIGHT_SHA = "164a7f5424d5d3802983d4ce3d6d9aef984a4f17c97e3a8ecef381e1b51951d2"
 VERIFY_SHA = "fae97bea09e3b2a5c2b3b580a471e3139b8d038e4d7822f9c2322f5a846e03df"
 # (net, start, flags) -> sha256 of exit code and stdout of `pnlab machine`
@@ -109,6 +122,13 @@ MACHINE_NETS = {
 @pytest.mark.parametrize("jk", sorted(NORMALIZE_SHA))
 def test_triangle_normal_form_and_trace_are_pinned(jk):
     assert _sha(normalize_output(*jk)) == NORMALIZE_SHA[jk]
+
+
+@pytest.mark.parametrize("case", sorted(UNLEVELLED_NORMALIZE_SHA))
+def test_arrow_and_double_normal_forms_and_traces_are_pinned(case):
+    name, j, k = case
+    out = normalize_output(j, k, STRATEGIES[name])
+    assert _sha(out) == UNLEVELLED_NORMALIZE_SHA[case]
 
 
 def test_weight_report_is_pinned():

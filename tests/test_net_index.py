@@ -4,8 +4,9 @@ The reference functions below are the scans `ProofNet` and `validate` used
 before the indexes, copied as they were.  Each index must give the same
 answer on every net the front ends build, on every one-step reduct of those
 nets, and on malformed nets, where ties and dangling references decide the
-answer.  After a rewrite step, the port index and the largest ids the
-rewriter hands to the reduct must equal ones rebuilt from its dicts.
+answer.  After a rewrite step, the port index, the box tables, the box
+ranks and the largest ids the rewriter hands to the reduct must equal ones
+rebuilt from its dicts, and the source net's tables must be unchanged.
 """
 
 import pytest
@@ -170,6 +171,8 @@ def ref_check_boxes(net, say):
             if qid in b.contents:
                 nested |= {qid, *q.doors} | q.contents
         for cid in b.contents - nested:
+            if cid not in net.vertices:
+                continue  # reported above; it has no depth
             if ref_depth(net, cid) != want:
                 say(f"box {pid}: content {cid} has inconsistent depth")
 
@@ -216,13 +219,36 @@ def assert_indexes_agree(net, name):
 
 
 def assert_handed_over(reduct, name):
-    """The rewriter's port index and id maxima, as the reduct received them."""
+    """The rewriter's port index, box tables, box ranks and id maxima, as
+    the reduct received them."""
     handed = vars(reduct._index)
     assert handed["ports"] == ref_ports(reduct), name
     for key, d, prefix in (("max_vertex_id", reduct.vertices, "v"),
                            ("max_edge_id", reduct.edges, "e")):
         if key in handed:
             assert handed[key] == ref_max_id(d, prefix), (name, key)
+    rebuilt = N._Index(reduct.vertices, reduct.edges, reduct.boxes)
+    # the lists are compared in order: ties in theta depend on it
+    assert handed["enclosing"] == rebuilt.enclosing, name
+    assert handed["inner_boxes"] == rebuilt.inner_boxes, name
+    ranks = handed["box_rank"]
+    assert list(ranks) == list(reduct.boxes), name
+    assert sorted(ranks.values()) == list(ranks.values()), name
+    for pid, b in reduct.boxes.items():
+        plain = frozenset(b.contents)
+        assert b.principal == pid, name
+        assert b.contents == plain and hash(b.contents) == hash(plain), name
+    assert parse_net(N.print_net(reduct)) == reduct, name
+
+
+def table_snapshot(net):
+    """Deep copies of a net's dicts, box records and tables."""
+    idx = net._index
+    return (dict(net.vertices), dict(net.edges),
+            {pid: (b.doors, frozenset(b.contents)) for pid, b in net.boxes.items()},
+            dict(idx.ports), dict(idx.box_rank),
+            {k: list(v) for k, v in idx.enclosing.items()},
+            {k: list(v) for k, v in idx.inner_boxes.items()})
 
 
 # --- the nets ---------------------------------------------------------------------
@@ -346,6 +372,24 @@ def test_indexes_agree_on_every_one_step_reduct(all_nets):
             assert_handed_over(reduct, label)
             assert_indexes_agree(reduct, label)
             kinds.add(cut.kind)
+    assert kinds == set(CUT_KINDS)
+
+
+def test_firing_leaves_the_source_tables_unchanged(all_nets):
+    """Every reduct shares lists and box records with its source; firing
+    all cuts of one net, as `reduction_metrics` does, must not edit them."""
+    nets = {**all_nets, **family_nets(), "higher-order": higher_order_net()}
+    cur = higher_order_net()
+    while cuts := TRIANGLE.permitted(find_cuts(cur)):  # reducts of reducts too
+        cur, _ = fire(cur, pick_cut(cuts))
+        nets[f"higher-order after {len(nets)}"] = cur
+    kinds = set()
+    for name, net in nets.items():
+        before = table_snapshot(net)
+        for cut in find_cuts(net):
+            fire(net, cut)
+            kinds.add(cut.kind)
+        assert table_snapshot(net) == before, name
     assert kinds == set(CUT_KINDS)
 
 
