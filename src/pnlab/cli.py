@@ -35,6 +35,7 @@ from .machine import (
 )
 from .rewrite import (
     EXPONENTIAL_KINDS,
+    REWRITE_BUDGET,
     STRATEGIES,
     WEIGHT_KINDS,
     MetricsBudget,
@@ -143,7 +144,7 @@ def cmd_normalize(args) -> int:
     if _report_invalid(net):
         return EXIT_FAIL
     strategy = STRATEGIES[args.strategy]
-    budget = args.budget or _env_int("PNLAB_REWRITE_BUDGET", 10**5)
+    budget = args.budget or _env_int("PNLAB_REWRITE_BUDGET", REWRITE_BUDGET)
     t0 = time.monotonic()
     nf, trace = normalize(net, strategy, budget)
     kinds = [s.kind for s in trace.steps]

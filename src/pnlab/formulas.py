@@ -7,6 +7,7 @@ forall binders.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 
 
@@ -196,82 +197,87 @@ def match_instance(pattern: Formula, inst: Formula, atom: str):
 #   unary   := '!' unary | 'sec' unary | 'all' NAME '.' formula
 #            | NAME | '(' formula ')'
 
-_TOKEN = re.compile(r"\s*(-o|\*|!|\(|\)|\.|[A-Za-z_][A-Za-z0-9_]*)")
+# One pass of _TOKENS splits a text into tokens; a character that starts no
+# token becomes a token of its own, which no position of the grammar accepts.
+_TOKENS = re.compile(r"\s*(-o|[*!().]|[A-Za-z_][A-Za-z0-9_]*|\S)")
+_PUNCT = frozenset(("-o", "*", "!", "(", ")", "."))
+_NAME_START = frozenset(string.ascii_letters + "_")
+
+# frames of parse_formula's stack: a prefix waiting for its unary operand,
+# a binder or an open parenthesis waiting for a whole formula, and the left
+# operand of a tensor or a lolli waiting for its right one
+_BANG, _SEC, _FORALL, _PAREN, _TENSOR, _LOLLI = range(6)
 
 
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise FormulaError(f"bad formula syntax at {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def eat(self, tok=None):
-        cur = self.peek()
-        if cur is None or (tok is not None and cur != tok):
-            raise FormulaError(f"expected {tok or 'token'}, found {cur!r}")
-        self.i += 1
-        return cur
-
-    def formula(self) -> Formula:
-        left = self.tensor()
-        if self.peek() == "-o":
-            self.eat()
-            return Lolli(left, self.formula())
-        return left
-
-    def tensor(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "*":
-            self.eat()
-            f = Tensor(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "!":
-            self.eat()
-            return Bang(self.unary())
-        if tok == "sec":
-            self.eat()
-            return Sec(self.unary())
-        if tok == "all":
-            self.eat()
-            name = self.eat()
-            self.eat(".")
-            return Forall(name, self.formula())
-        if tok == "(":
-            self.eat()
-            f = self.formula()
-            self.eat(")")
-            return f
-        if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            self.eat()
-            return Atom(tok)
-        raise FormulaError(f"unexpected token {tok!r}")
+def _is_token(tok: str) -> bool:
+    return tok in _PUNCT or tok[0] in _NAME_START
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(_tokenize(text))
-    f = p.formula()
-    if p.peek() is not None:
-        raise FormulaError(f"trailing input {p.toks[p.i:]!r}")
-    return f
+    """Read a formula of the grammar above, on explicit stacks, so the
+    nesting depth of the text costs no Python frames."""
+    toks = _TOKENS.findall(text)
+    if not all(map(_is_token, set(toks))):
+        for m in _TOKENS.finditer(text):
+            if not _is_token(m.group(1)):
+                raise FormulaError(f"bad formula syntax at {text[m.start():]!r}")
+    n = len(toks)
+    i = 0
+    frames: list[tuple] = []  # (frame kind, payload)
+    while True:
+        # read prefixes up to an atom: the start of a unary
+        tok = toks[i] if i < n else None
+        i += 1
+        if tok == "!":
+            frames.append((_BANG, None))
+            continue
+        if tok == "sec":
+            frames.append((_SEC, None))
+            continue
+        if tok == "all":
+            if i >= n:
+                raise FormulaError("expected token, found None")
+            binder = toks[i]
+            dot = toks[i + 1] if i + 1 < n else None
+            if dot != ".":
+                raise FormulaError(f"expected ., found {dot!r}")
+            i += 2
+            frames.append((_FORALL, binder))
+            continue
+        if tok == "(":
+            frames.append((_PAREN, None))
+            continue
+        if tok is None or tok in _PUNCT:
+            raise FormulaError(f"unexpected token {tok!r}")
+        f: Formula = Atom(tok)
+        # f is a whole unary: close what it completes
+        while True:
+            while frames and frames[-1][0] <= _SEC:
+                f = Bang(f) if frames.pop()[0] == _BANG else Sec(f)
+            if frames and frames[-1][0] == _TENSOR:
+                f = Tensor(frames.pop()[1], f)
+            tok = toks[i] if i < n else None
+            if tok == "*":
+                frames.append((_TENSOR, f))
+                break
+            if tok == "-o":
+                frames.append((_LOLLI, f))
+                break
+            # f ends a formula: close its lollis, then what opened it
+            while frames and frames[-1][0] == _LOLLI:
+                f = Lolli(frames.pop()[1], f)
+            if not frames:
+                if tok is not None:
+                    raise FormulaError(f"trailing input {toks[i:]!r}")
+                return f
+            kind, binder = frames.pop()
+            if kind == _FORALL:
+                f = Forall(binder, f)
+            elif tok == ")":  # kind is _PAREN
+                i += 1
+            else:
+                raise FormulaError(f"expected ), found {tok!r}")
+        i += 1
 
 
 def format_formula(f: Formula) -> str:

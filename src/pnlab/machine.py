@@ -3,9 +3,20 @@
 A context is (edge, U, V, polarity): U a sequence of exponential signatures,
 V a stack of stack elements, polarity '+' or '-'.  Polarity '+' means the
 token travels with the edge's direction (the next vertex it meets is the
-edge's target); '-' means against it.  Transitions are keyed on the label
-and port of that vertex, transcribed once from the rewrite tables together
-with their duals.
+edge's target); '-' means against it.  Contexts are tuples, built and
+hashed in C.  Transitions are keyed on the label and port of that vertex,
+transcribed once from the rewrite tables together with their duals.
+
+The transitions are compiled, after Mackie's geometry of interaction
+machine: each (edge, polarity) gets a table entry on first use, kept with
+the net's index, that holds the endpoint vertex and port, and the rule
+met there with its exit edges and their direction checks already
+resolved.  step is one lookup and one call of the rule, which inspects only
+the stack and U (and whether jumps are enabled, read as it runs).  An exit
+that cannot be taken (no edge at the port, an edge the wrong way round)
+is resolved to one that raises that error when a rule takes it, so a
+malformed net fails in the step that reaches the fault and no earlier.
+A reduct from rewriting starts with an empty table of its own.
 
 The machine is deterministic except at a box's principal edge with negative
 polarity and a single-signature stack, where it jumps to every box premise
@@ -28,6 +39,7 @@ needs e; final_bindings then binds them to e.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import net as N
 from .signatures import E, Sig, is_sig, lsig, msig, nsig, psig, rsig
@@ -48,16 +60,22 @@ class BudgetExhausted(RuntimeError):
         self.steps = steps
 
 
-@dataclass(frozen=True)
-class Context:
+class _ContextFields(NamedTuple):
     edge: str
     us: tuple[Sig, ...]
     stack: tuple[StackEl, ...]
     pol: str  # '+' or '-'
 
-    def __post_init__(self):
-        if self.pol not in ("+", "-"):
-            raise MachineError(f"bad polarity {self.pol!r}")
+
+class Context(_ContextFields):
+    """A token's position: a tuple, so that it is built and hashed in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, edge, us, stack, pol):
+        if pol != "+" and pol != "-":
+            raise MachineError(f"bad polarity {pol!r}")
+        return tuple.__new__(cls, (edge, us, stack, pol))
 
     def __str__(self):
         from .signatures import format_sig
@@ -105,11 +123,6 @@ def is_hole(x) -> bool:
     return isinstance(x, tuple) and x and x[0] == "h"
 
 
-def _endpoint(net: N.ProofNet, c: Context) -> tuple[str, str]:
-    e = net.edges[c.edge]
-    return e.tgt if c.pol == "+" else e.src
-
-
 def final_bindings(net: N.ProofNet, c: Context, binds: dict):
     """The bindings under which c is final, or None when it cannot be.
 
@@ -120,23 +133,19 @@ def final_bindings(net: N.ProofNet, c: Context, binds: dict):
     A hole where e is needed is bound to e in the result, a copy of binds;
     other holes stay open.
     """
-    vid, port = _endpoint(net, c)
-    label = net.vertices[vid].label
+    final = table_entry(net, c.edge, c.pol).final
+    if final is None:
+        return None
     st = c.stack
-    if c.pol == "+" and label == N.DER and port == "bang":
+    if final == _DER_FINAL:
         if len(st) != 1:
             return None
         if is_hole(st[0]):
             return {**binds, st[0][1]: E}
         return binds if st[0] == E else None
-    if c.pol == "+" and label in (N.CONCL, N.WEAK):
-        pos = True
-    elif c.pol == "-" and label == N.PREM:
-        pos = False
-    else:
-        return None
     if not st:
         return None
+    pos = final == "+"
     out = binds
     for k in range(len(st) - 1, -1, -1):
         x = st[k]
@@ -157,142 +166,351 @@ def is_final(net: N.ProofNet, c: Context) -> bool:
     return final_bindings(net, c, {}) is not None
 
 
-# --- transitions ----------------------------------------------------------
+# --- the compiled transition table ------------------------------------------
 
 
-def _leave(net: N.ProofNet, vid: str, port: str, pol: str,
-           us: tuple[Sig, ...], stack: tuple[StackEl, ...]) -> Context:
-    e = net.edge_at(vid, port)
-    if pol == "+":
-        assert e.src == (vid, port), f"leaving {vid}.{port} with + but edge enters it"
-    else:
-        assert e.tgt == (vid, port), f"leaving {vid}.{port} with - but edge exits it"
-    return Context(e.id, us, stack, pol)
+# Entry.final: how final_bindings reads a stack at the endpoint, namely a
+# dereliction's bang port, or from the polarity '+' or '-'; None: never final
+_DER_FINAL = "der"
+
+
+class Entry(NamedTuple):
+    """What a token on an edge with a polarity meets: the endpoint vertex
+    and port, and the rule applied there."""
+
+    vertex: N.Vertex
+    port: str
+    rule: Callable  # (us, stack, config) -> successors
+    final: str | None
+
+
+def table_entry(net: N.ProofNet, edge: str, pol: str) -> Entry:
+    """The entry of (edge, pol), compiled on first use and kept with the
+    net's index."""
+    table = net._index.transitions
+    entry = table.get((edge, pol))
+    if entry is None:
+        entry = table[edge, pol] = _compile(net, edge, pol)
+    return entry
 
 
 def step(net: N.ProofNet, c: Context,
          config: MachineConfig | None = None) -> list[Context]:
     """All d with c -> d; empty when c is final or stuck."""
-    config = config or MachineConfig()
-    if c.edge not in net.edges:
-        raise MachineError(f"unknown edge {c.edge}")
-    vid, port = _endpoint(net, c)
-    v = net.vertices[vid]
-    us, st, pol = c.us, c.stack, c.pol
-    top = st[-1] if st else None
-    out: list[Context] = []
-    go = lambda p, b, u2, s2: out.append(_leave(net, vid, p, b, u2, s2))
+    return table_entry(net, c.edge, c.pol).rule(c.us, c.stack, config)
 
+
+def _compile(net: N.ProofNet, edge: str, pol: str) -> Entry:
+    e = net.edges.get(edge)
+    if e is None:
+        raise MachineError(f"unknown edge {edge}")
+    vid, port = e.tgt if pol == "+" else e.src
+    v = net.vertices[vid]
     label = v.label
+    if label == N.DER and port == "bang" and pol == "+":
+        final = _DER_FINAL
+    elif (pol == "+" and label in (N.CONCL, N.WEAK)) \
+            or (pol == "-" and label == N.PREM):
+        final = pol
+    else:
+        final = None
+    return Entry(v, port, _rule(net, v, port, pol), final)
+
+
+class _Broken:
+    """An exit that raises, when a rule takes it, the error met while
+    resolving it."""
+
+    __slots__ = ("kind", "args")
+
+    def __init__(self, exc: Exception):
+        self.kind = type(exc)
+        self.args = exc.args
+
+    def throw(self):
+        raise self.kind(*self.args)
+
+
+def _resolve(fn, *args):
+    try:
+        return fn(*args)
+    except (KeyError, ValueError, AssertionError) as exc:  # NetError, MachineError too
+        return _Broken(exc)
+
+
+def _leave(net: N.ProofNet, vid: str, port: str, pol: str) -> str:
+    e = net.edge_at(vid, port)
+    if pol == "+":
+        assert e.src == (vid, port), f"leaving {vid}.{port} with + but edge enters it"
+    else:
+        assert e.tgt == (vid, port), f"leaving {vid}.{port} with - but edge exits it"
+    return e.id
+
+
+def _never(us, st, config):
+    return []
+
+
+_new = tuple.__new__  # a Context without the polarity check
+
+
+def _raising(broken: _Broken) -> Callable:
+    return lambda us, st, config: broken.throw()
+
+
+def _push(x, pol: str, sym) -> Callable:
+    """Leave by x with sym pushed."""
+    if x.__class__ is _Broken:
+        return _raising(x)
+    tail = (sym,)
+    return lambda us, st, config: [_new(Context, (x, us, st + tail, pol))]
+
+
+def _pop(branches: dict) -> Callable:
+    """Pop the top symbol and leave by the exit it selects, if any."""
+
+    def rule(us, st, config):
+        hit = branches.get(st[-1]) if st else None
+        if hit is None:
+            return []
+        x, pol = hit
+        if x.__class__ is _Broken:
+            x.throw()
+        return [_new(Context, (x, us, st[:-1], pol))]
+
+    return rule
+
+
+def _rule(net: N.ProofNet, v: N.Vertex, port: str, pol: str) -> Callable:
+    """The rule a token meets at port of v with polarity pol, its exits
+    resolved; transcribed from the rewrite tables with their duals."""
+    vid, label = v.id, v.label
+    out = lambda p, b: _resolve(_leave, net, vid, p, b)
+
     if label == N.RLOLLI:
         if port == "bound" and pol == "-":
-            go("concl", "+", us, st + ("a",))
-        elif port == "body" and pol == "+":
-            go("concl", "+", us, st + ("o",))
-        elif port == "concl" and pol == "-":
-            if top == "a":
-                go("bound", "+", us, st[:-1])
-            elif top == "o":
-                go("body", "-", us, st[:-1])
+            return _push(out("concl", "+"), "+", "a")
+        if port == "body" and pol == "+":
+            return _push(out("concl", "+"), "+", "o")
+        if port == "concl" and pol == "-":
+            return _pop({"a": (out("bound", "+"), "+"),
+                         "o": (out("body", "-"), "-")})
     elif label == N.LLOLLI:
         if port == "fun" and pol == "+":
-            if top == "a":
-                go("arg", "-", us, st[:-1])
-            elif top == "o":
-                go("res", "+", us, st[:-1])
-        elif port == "arg" and pol == "+":
-            go("fun", "-", us, st + ("a",))
-        elif port == "res" and pol == "-":
-            go("fun", "-", us, st + ("o",))
+            return _pop({"a": (out("arg", "-"), "-"),
+                         "o": (out("res", "+"), "+")})
+        if port == "arg" and pol == "+":
+            return _push(out("fun", "-"), "-", "a")
+        if port == "res" and pol == "-":
+            return _push(out("fun", "-"), "-", "o")
     elif label == N.RTENSOR:
         if port == "left" and pol == "+":
-            go("concl", "+", us, st + ("f",))
-        elif port == "right" and pol == "+":
-            go("concl", "+", us, st + ("x",))
-        elif port == "concl" and pol == "-":
-            if top == "f":
-                go("left", "-", us, st[:-1])
-            elif top == "x":
-                go("right", "-", us, st[:-1])
+            return _push(out("concl", "+"), "+", "f")
+        if port == "right" and pol == "+":
+            return _push(out("concl", "+"), "+", "x")
+        if port == "concl" and pol == "-":
+            return _pop({"f": (out("left", "-"), "-"),
+                         "x": (out("right", "-"), "-")})
     elif label == N.LTENSOR:
         if port == "pair" and pol == "+":
-            if top == "f":
-                go("left", "+", us, st[:-1])
-            elif top == "x":
-                go("right", "+", us, st[:-1])
-        elif port == "left" and pol == "-":
-            go("pair", "-", us, st + ("f",))
-        elif port == "right" and pol == "-":
-            go("pair", "-", us, st + ("x",))
+            return _pop({"f": (out("left", "+"), "+"),
+                         "x": (out("right", "+"), "+")})
+        if port == "left" and pol == "-":
+            return _push(out("pair", "-"), "-", "f")
+        if port == "right" and pol == "-":
+            return _push(out("pair", "-"), "-", "x")
     elif label == N.RFORALL:
         if port == "prem" and pol == "+":
-            go("concl", "+", us, st + ("s",))
-        elif port == "concl" and pol == "-" and top == "s":
-            go("prem", "-", us, st[:-1])
+            return _push(out("concl", "+"), "+", "s")
+        if port == "concl" and pol == "-":
+            return _pop({"s": (out("prem", "-"), "-")})
     elif label == N.LFORALL:
-        if port == "fa" and pol == "+" and top == "s":
-            go("inst", "+", us, st[:-1])
-        elif port == "inst" and pol == "-":
-            go("fa", "-", us, st + ("s",))
+        if port == "fa" and pol == "+":
+            return _pop({"s": (out("inst", "+"), "+")})
+        if port == "inst" and pol == "-":
+            return _push(out("fa", "-"), "-", "s")
     elif label == N.CONTR:
         if port == "merged" and pol == "+":
-            if is_sig(top) and top[0] == "l":
-                go("left", "+", us, st[:-1] + (top[1],))
-            elif is_sig(top) and top[0] == "r":
-                go("right", "+", us, st[:-1] + (top[1],))
-        elif port == "left" and pol == "-" and is_sig(top):
-            go("merged", "-", us, st[:-1] + (lsig(top),))
-        elif port == "right" and pol == "-" and is_sig(top):
-            go("merged", "-", us, st[:-1] + (rsig(top),))
+            return _contr_split(out("left", "+"), out("right", "+"))
+        if port == "left" and pol == "-":
+            return _contr_merge(out("merged", "-"), lsig)
+        if port == "right" and pol == "-":
+            return _contr_merge(out("merged", "-"), rsig)
     elif label == N.DER:
-        if port == "bang" and pol == "+" and top == E and len(st) >= 2:
-            go("plain", "+", us, st[:-1])
-        elif port == "plain" and pol == "-":
-            go("bang", "-", us, st + (E,))
+        if port == "bang" and pol == "+":
+            return _der_open(out("plain", "+"))
+        if port == "plain" and pol == "-":
+            return _push(out("bang", "-"), "-", E)
     elif label == N.DIG:
         if port == "bang" and pol == "+":
-            if is_sig(top) and top[0] == "n":
-                go("dbang", "+", us, st[:-1] + (top[1], top[2]))
-            elif len(st) == 1 and is_sig(top) and top[0] == "p":
-                go("dbang", "+", us, (top[1],))
-        elif port == "dbang" and pol == "-":
-            if len(st) >= 2 and is_sig(st[-1]) and is_sig(st[-2]):
-                go("bang", "-", us, st[:-2] + (nsig(st[-2], st[-1]),))
-            elif len(st) == 1 and is_sig(top):
-                go("bang", "-", us, (psig(top),))
+            return _dig_open(out("dbang", "+"))
+        if port == "dbang" and pol == "-":
+            return _dig_close(out("bang", "-"))
     elif label == N.MUX:
         if port == "merged" and pol == "+":
-            if is_sig(top) and top[0] == "m" and 1 <= top[1] <= v.arity:
-                go(f"split{top[1]}", "+", us, st[:-1])
-        elif port.startswith("split") and pol == "-":
-            go("merged", "-", us, st + (msig(int(port[5:])),))
+            return _mux_split({i: out(f"split{i}", "+")
+                               for i in range(1, v.arity + 1)})
+        if port.startswith("split") and pol == "-":
+            index = _resolve(int, port[5:])
+            if index.__class__ is _Broken:
+                return _raising(index)
+            return _push(out("merged", "-"), "-", msig(index))
     elif label in (N.RBANG, N.RSEC):
-        box = net.boxes[vid]
+        box = net.boxes.get(vid)
+        if box is None:
+            return _raising(_Broken(KeyError(vid)))
         if port == "principal" and pol == "-":
-            if is_sig(top) and len(st) >= 2:
-                go("inner", "-", us + (top,), st[:-1])
-            elif is_sig(top) and len(st) == 1 and config.jumps_enabled \
-                    and label == N.RBANG:
-                for door in box.doors:
-                    door_edge = net.edge_at(door, "outer")
-                    out.append(Context(door_edge.id, us, st, "-"))
-        elif port == "inner" and pol == "+" and us:
-            go("principal", "+", us[:-1], st + (us[-1],))
+            jumps = None
+            if label == N.RBANG:
+                jumps = _resolve(lambda: [net.edge_at(d, "outer").id
+                                          for d in box.doors])
+            return _box_enter(out("inner", "-"), "-", jumps)
+        if port == "inner" and pol == "+":
+            return _box_exit(out("principal", "+"), "+")
     elif label in (N.LBANG, N.LSEC):
         if port == "outer" and pol == "+":
-            if is_sig(top) and len(st) >= 2:
-                go("inner", "+", us + (top,), st[:-1])
-            elif is_sig(top) and len(st) == 1 and config.jumps_enabled \
-                    and label == N.LBANG:
-                box_pid = net.door_box(vid)
-                if box_pid is None:
-                    raise MachineError(f"door {vid} not attached to a box")
-                pedge = net.rho(box_pid)
-                out.append(Context(pedge, us, st, "+"))
-        elif port == "inner" and pol == "-" and us:
-            go("outer", "-", us[:-1], st + (us[-1],))
+            jumps = None
+            if label == N.LBANG:
+                jumps = _resolve(_door_jump, net, vid)
+            return _box_enter(out("inner", "+"), "+", jumps)
+        if port == "inner" and pol == "-":
+            return _box_exit(out("outer", "-"), "-")
     # prem / concl / weak induce no transitions
-    return out
+    return _never
+
+
+def _contr_split(left, right) -> Callable:
+    def rule(us, st, config):
+        top = st[-1] if st else None
+        if is_sig(top) and (top[0] == "l" or top[0] == "r"):
+            x = left if top[0] == "l" else right
+            st = st[:-1] + (top[1],)
+            if x.__class__ is _Broken:
+                x.throw()
+            return [_new(Context, (x, us, st, "+"))]
+        return []
+
+    return rule
+
+
+def _contr_merge(x, wrap) -> Callable:
+    def rule(us, st, config):
+        top = st[-1] if st else None
+        if not is_sig(top):
+            return []
+        st = st[:-1] + (wrap(top),)
+        if x.__class__ is _Broken:
+            x.throw()
+        return [_new(Context, (x, us, st, "-"))]
+
+    return rule
+
+
+def _der_open(x) -> Callable:
+    def rule(us, st, config):
+        if len(st) < 2 or st[-1] != E:
+            return []
+        if x.__class__ is _Broken:
+            x.throw()
+        return [_new(Context, (x, us, st[:-1], "+"))]
+
+    return rule
+
+
+def _dig_open(x) -> Callable:
+    def rule(us, st, config):
+        top = st[-1] if st else None
+        if is_sig(top) and top[0] == "n":
+            st = st[:-1] + (top[1], top[2])
+        elif len(st) == 1 and is_sig(top) and top[0] == "p":
+            st = (top[1],)
+        else:
+            return []
+        if x.__class__ is _Broken:
+            x.throw()
+        return [_new(Context, (x, us, st, "+"))]
+
+    return rule
+
+
+def _dig_close(x) -> Callable:
+    def rule(us, st, config):
+        if len(st) >= 2 and is_sig(st[-1]) and is_sig(st[-2]):
+            st = st[:-2] + (nsig(st[-2], st[-1]),)
+        elif len(st) == 1 and is_sig(st[-1]):
+            st = (psig(st[-1]),)
+        else:
+            return []
+        if x.__class__ is _Broken:
+            x.throw()
+        return [_new(Context, (x, us, st, "-"))]
+
+    return rule
+
+
+def _mux_split(exits: dict) -> Callable:
+    """exits: split index -> exit, for indices 1 to the arity."""
+    arity = len(exits)
+
+    def rule(us, st, config):
+        top = st[-1] if st else None
+        if not (is_sig(top) and top[0] == "m" and 1 <= top[1] <= arity):
+            return []
+        x = exits[top[1]]
+        if x.__class__ is _Broken:
+            x.throw()
+        return [_new(Context, (x, us, st[:-1], "+"))]
+
+    return rule
+
+
+def _door_jump(net: N.ProofNet, vid: str) -> str:
+    """The principal edge of the box of door vid."""
+    pid = net.door_box(vid)
+    if pid is None:
+        raise MachineError(f"door {vid} not attached to a box")
+    return net.rho(pid)
+
+
+def _box_enter(x, pol: str, jumps) -> Callable:
+    """Cross a box boundary inwards, moving the top signature to U; with a
+    single signature, jump instead (from a principal to every door, from a
+    door to the principal) when jumps are enabled.  jumps is None for
+    sec-boxes, whose boundary has no jumps."""
+
+    def rule(us, st, config):
+        top = st[-1] if st else None
+        if not is_sig(top):
+            return []
+        if len(st) >= 2:
+            us, st = us + (top,), st[:-1]
+            if x.__class__ is _Broken:
+                x.throw()
+            return [_new(Context, (x, us, st, pol))]
+        if jumps is None or (config is not None and not config.jumps_enabled):
+            return []
+        if jumps.__class__ is _Broken:
+            jumps.throw()
+        if pol == "+":
+            return [_new(Context, (jumps, us, st, "+"))]
+        return [_new(Context, (d, us, st, "-")) for d in jumps]
+
+    return rule
+
+
+def _box_exit(x, pol: str) -> Callable:
+    """Cross a box boundary outwards, moving the last signature of U back
+    onto the stack."""
+
+    def rule(us, st, config):
+        if not us:
+            return []
+        us, st = us[:-1], st + (us[-1],)
+        if x.__class__ is _Broken:
+            x.throw()
+        return [_new(Context, (x, us, st, pol))]
+
+    return rule
 
 
 # --- runs -----------------------------------------------------------------

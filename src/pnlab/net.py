@@ -15,7 +15,9 @@ vertex -> its box; the principal edges; the conclusion vertices; and the
 largest numbered ids.  A reduct built by `rewrite.fire` receives its port
 index, box tables and box ranks from the rewriter instead, which shares
 every list it did not change with the source net; lists in the tables are
-therefore never changed in place.
+therefore never changed in place.  The index also keeps the token
+machine's compiled transitions (`machine.table_entry`); those hold resolved
+edges and vertices, so a reduct always starts with an empty table.
 `retag` (`dataclasses.replace`) shares the index with its source net; that
 is safe because no index depends on the system tag.
 """
@@ -289,6 +291,8 @@ class _Index:
         self.edges = edges
         self.boxes = boxes
         self.edge_boxes: dict[str, list[str]] = {}  # filled per queried edge
+        # (edge, polarity) -> machine.Entry, filled per queried pair
+        self.transitions: dict[tuple[str, str], object] = {}
         # for a reduct: the edges the step put, re-ended or deleted
         self.touched: set[str] | None = None
 
@@ -741,9 +745,12 @@ def print_net(net: ProofNet) -> str:
 
 
 def parse_net(text: str) -> ProofNet:
+    """Read the format of print_net.  Each distinct formula text is read
+    once per call, and the edges carrying it share one formula object."""
     vertices: dict[str, Vertex] = {}
     edges: dict[str, Edge] = {}
     boxes: dict[str, Box] = {}
+    formulas: dict[str, Formula] = {}  # formula text -> its value
     system = "MELL"
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -775,7 +782,10 @@ def parse_net(text: str) -> ProofNet:
             if len(bits) != 6:
                 raise NetError(f"bad edge line {ln!r}")
             eid, sv, sp, tv, tp, ftext = bits
-            edges[eid] = Edge(eid, (sv, sp), (tv, tp), parse_formula(ftext))
+            f = formulas.get(ftext)
+            if f is None:
+                f = formulas[ftext] = parse_formula(ftext)
+            edges[eid] = Edge(eid, (sv, sp), (tv, tp), f)
         elif kind == "box":
             bits = rest.split()
             if len(bits) != 3:

@@ -17,7 +17,8 @@ boxes around it, principal or door -> its box, box ranks), edits only the
 entries the redex and any box it copies, opens or moves touch, and hands
 them to the reduct, with the set of edges it put, re-ended or deleted.  A
 box it edits gets a new record whose contents are an `EditedSet` over the
-old ones, so the boxes around a redex are not copied.  `normalize` and
+old ones, so the boxes around a redex are not copied.  `Walk`, which
+`normalize` and the suite's monotonicity check step through, and
 `reduction_metrics` run `find_cuts` once, on their input; after each step
 `update_cuts` reclassifies the touched edges and re-reads the level of the
 cuts inside a box that a D- or N-step moved.
@@ -602,24 +603,49 @@ def update_cuts(cuts: dict[str, Cut], net: ProofNet, cut: Cut, reduct: ProofNet)
                 cuts[eid] = Cut(eid, kind, reduct.depth(eid))
 
 
+# the default number of steps normalize takes before it gives up
+REWRITE_BUDGET = 10**5
+
+
+class Walk:
+    """The steps a strategy takes from a net.  Iterating fires the cut the
+    strategy picks until none is left or `budget` steps are taken, and
+    yields (net, cut, reduct, provenance) per step; `cuts` then holds the
+    cuts left in the last reduct."""
+
+    def __init__(self, net: ProofNet, strategy: Strategy,
+                 budget: int = REWRITE_BUDGET):
+        self.net, self.strategy, self.budget = net, strategy, budget
+        self.cuts: dict[str, Cut] = {}
+
+    def __iter__(self):
+        cur = self.net
+        cuts = self.cuts = {c.edge: c for c in find_cuts(cur)}
+        for _ in range(self.budget):
+            if not cuts:
+                return
+            permitted = self.strategy.permitted(list(cuts.values()))
+            if not permitted:
+                raise RewriteError("strategy permits no cut but cuts remain")
+            cut = pick_cut(permitted)
+            nxt, prov = fire(cur, cut)
+            update_cuts(cuts, cur, cut, nxt)
+            yield cur, cut, nxt, prov
+            cur = nxt
+
+
 def normalize(net: ProofNet, strategy: Strategy = ARROW,
-              budget: int = 10**5) -> tuple[ProofNet, ReductionTrace]:
+              budget: int = REWRITE_BUDGET) -> tuple[ProofNet, ReductionTrace]:
+    """Walk the strategy from the net; the status is 'budget' when cuts
+    remain after `budget` steps."""
     trace = ReductionTrace()
     cur = net
-    cuts = {c.edge: c for c in find_cuts(cur)}
-    for i in range(budget):
-        if not cuts:
-            return cur, trace
-        permitted = strategy.permitted(list(cuts.values()))
-        if not permitted:
-            raise RewriteError("strategy permits no cut but cuts remain")
-        cut = pick_cut(permitted)
-        nxt, prov = fire(cur, cut)
-        update_cuts(cuts, cur, cut, nxt)
-        cur = nxt
+    walk = Walk(net, strategy, budget)
+    for i, (_, cut, cur, prov) in enumerate(walk):
         trace.steps.append(TraceStep(i, cut.kind, cut.edge, cut.level,
                                      cur.size(), prov or None))
-    trace.status = "budget"
+    if walk.cuts:
+        trace.status = "budget"
     return cur, trace
 
 

@@ -10,7 +10,7 @@ from . import corpus
 from .machine import (BUDGET, BudgetExhausted, Context, MachineConfig, Recorder,
                       dual, explore, is_final, step)
 from .net import ProofNet, validate
-from .rewrite import TRIANGLE, DOUBLE, WEIGHT_KINDS, find_cuts, fire, normalize
+from .rewrite import DOUBLE, REWRITE_BUDGET, TRIANGLE, WEIGHT_KINDS, Walk, normalize
 from .weights import WeightComputer
 
 
@@ -80,7 +80,8 @@ def check_theorem2(net: ProofNet, comp: WeightComputer) -> list[str]:
 
 
 def check_monotonicity(net: ProofNet, config: MachineConfig | None = None) -> list[str]:
-    """The per-rule weight identities along the double-strategy trace.
+    """The per-rule weight identities along the double-strategy walk that
+    normalize takes.
 
     For a box merge the displayed identity uses sum(R), but the weight
     definition pins the difference to sum(R - 1): merging removes one
@@ -88,17 +89,11 @@ def check_monotonicity(net: ProofNet, config: MachineConfig | None = None) -> li
     new inner box-edge's sequence count, one per copy of the outer box.
     """
     out = []
-    cur = net
-    guard = 0
-    while guard < 200:
-        guard += 1
-        cuts = DOUBLE.permitted(find_cuts(cur))
-        if not cuts:
-            break
-        cut = min(cuts, key=lambda c: (c.level, c.edge))
-        comp_g = WeightComputer(cur, config)
-        rep_g = comp_g.report()
-        nxt, _ = fire(cur, cut)
+    walk = Walk(net, DOUBLE, REWRITE_BUDGET)
+    comp_g, rep_g = WeightComputer(net, config), None
+    for _, cut, nxt, _ in walk:
+        if rep_g is None:  # the input's report, read once a cut has fired
+            rep_g = comp_g.report()
         comp_h = WeightComputer(nxt, config)
         rep_h = comp_h.report()
         wg, wh = rep_g.weight, rep_h.weight
@@ -123,7 +118,10 @@ def check_monotonicity(net: ProofNet, config: MachineConfig | None = None) -> li
             out.append(
                 f"T did not decrease on a {cut.kind} step: "
                 f"{rep_g.t_value} -> {rep_h.t_value}")
-        cur = nxt
+        comp_g, rep_g = comp_h, rep_h
+    if walk.cuts:
+        out.append(
+            f"the double-strategy walk left cuts after {REWRITE_BUDGET} steps")
     return out
 
 

@@ -27,6 +27,7 @@ from .machine import (
     reach_final,
     step,
     sym_count,
+    table_entry,
 )
 from .signatures import (
     E,
@@ -83,20 +84,19 @@ def _hole_branches(net: N.ProofNet, c: Context, fresh):
     Only standard constructors are offered; p-simplifications are covered by
     the per-candidate verification afterwards.
     """
-    vid, port = (net.edges[c.edge].tgt if c.pol == "+" else net.edges[c.edge].src)
-    v = net.vertices[vid]
     top = c.stack[-1] if c.stack else None
     if not is_hole(top):
         return None
-    out = []
-    if v.label == N.CONTR and port == "merged" and c.pol == "+":
+    entry = table_entry(net, c.edge, c.pol)
+    label, port = entry.vertex.label, entry.port
+    if label == N.CONTR and port == "merged" and c.pol == "+":
         out = [lsig(("h", next(fresh))), rsig(("h", next(fresh)))]
-    elif v.label == N.DER and port == "bang" and c.pol == "+" and len(c.stack) >= 2:
+    elif label == N.DER and port == "bang" and c.pol == "+" and len(c.stack) >= 2:
         out = [E]
-    elif v.label == N.DIG and port == "bang" and c.pol == "+":
+    elif label == N.DIG and port == "bang" and c.pol == "+":
         out = [nsig(("h", next(fresh)), ("h", next(fresh)))]
-    elif v.label == N.MUX and port == "merged" and c.pol == "+":
-        out = [msig(i) for i in range(1, v.arity + 1)]
+    elif label == N.MUX and port == "merged" and c.pol == "+":
+        out = [msig(i) for i in range(1, entry.vertex.arity + 1)]
     else:
         return None
     return [(top[1], t) for t in out]

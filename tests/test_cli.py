@@ -77,6 +77,28 @@ def test_normalize_budget_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_normalize_reaching_normal_form_at_the_budget_is_normal(tmp_path, capsys):
+    """dr-ladder 5 normalizes in exactly 4 arrow steps."""
+    path = tmp_path / "ladder5.pnet"
+    run_cli(capsys, "gen", "dr-ladder", "5", "--out", str(path))
+    for budget, code_want, status in (("4", 0, "normal"), ("3", 2, "budget")):
+        code, out, _ = run_cli(capsys, "normalize", str(path),
+                               "--strategy", "arrow", "--budget", budget)
+        report = json.loads(out)["normalize"]
+        assert (code, report["status"]) == (code_want, status)
+        assert report["steps"] == int(budget)
+
+
+@pytest.mark.parametrize("formula", ["!" * 3000 + "a",
+                                     "(" * 3000 + "a" + ")" * 3000])
+def test_deeply_nested_formulas_are_read(tmp_path, capsys, formula):
+    path = tmp_path / "deep.pnet"
+    path.write_text("pnet 1\nvertex v1 prem\nvertex v2 concl\n"
+                    f"edge e1 v1 edge v2 edge {formula}\nend\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out, err) == (0, "check: ok\n", "")
+
+
 def test_machine_trace_golden(tmp_path, capsys):
     path = tmp_path / "ladder1.pnet"
     run_cli(capsys, "gen", "dr-ladder", "1", "--out", str(path))
