@@ -1,7 +1,12 @@
 """Formula trees for intuitionistic MELL (atoms, -o, *, !, forall; sec in LLL mode).
 
 Formulas are immutable; substitution is capture-avoiding with respect to
-forall binders.
+forall binders.  A formula's canonical text, `alpha_canon`, is computed on
+an explicit stack the first time it is asked for and kept on the formula
+object, so formulas shared between nets share it too; `feq` compares these
+texts.  The reader, `parse_formula`, and the printer, `format_formula`, also
+run on explicit stacks, so the nesting depth of a formula costs no Python
+frames in them.
 """
 
 from __future__ import annotations
@@ -9,6 +14,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class FormulaError(ValueError):
@@ -17,7 +23,10 @@ class FormulaError(ValueError):
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    @cached_property
+    def canon(self) -> str:
+        """The canonical text of the formula; see alpha_canon."""
+        return _canon_text(self)
 
 
 @dataclass(frozen=True)
@@ -126,29 +135,72 @@ def rename_free_atom(f: Formula, old: str, new: str) -> Formula:
     return substitute(f, old, Atom(new))
 
 
-def alpha_canon(f: Formula, env=None, depth=0) -> tuple:
-    """Canonical nameless form; equal iff the formulas are alpha-equivalent."""
-    env = env or {}
-    if isinstance(f, Atom):
-        return ("atom", env.get(f.name, f.name))
-    if isinstance(f, Lolli):
-        return ("lolli", alpha_canon(f.left, env, depth), alpha_canon(f.right, env, depth))
-    if isinstance(f, Tensor):
-        return ("tensor", alpha_canon(f.left, env, depth), alpha_canon(f.right, env, depth))
-    if isinstance(f, Bang):
-        return ("bang", alpha_canon(f.body, env, depth))
-    if isinstance(f, Sec):
-        return ("sec", alpha_canon(f.body, env, depth))
-    if isinstance(f, Forall):
-        inner = dict(env)
-        inner[f.binder] = depth
-        return ("forall", alpha_canon(f.body, inner, depth + 1))
-    raise FormulaError(f"unknown formula {f!r}")
+def alpha_canon(f: Formula) -> str:
+    """Canonical nameless text; equal iff the formulas are alpha-equivalent.
+
+    It is `str` of the nested tuple ('atom', name | binder level),
+    ('lolli', A, B), ('tensor', A, B), ('bang', A), ('sec', A),
+    ('forall', A), where a bound atom is the level of its binder counted
+    from the outermost one.  Computed once per formula object.
+    """
+    return f.canon
+
+
+def _canon_text(f: Formula) -> str:
+    out: list[str] = []
+    levels: dict[str, list[int]] = {}  # binder -> levels of its open scopes
+    depth = 0
+    # Outside every binder a subformula has one text wherever it occurs, so
+    # a formula sharing subformulas costs its size as a graph, not as a
+    # tree: id -> the span of the text in `out`, then the text once reused.
+    spans: dict[int, tuple[int, int] | str] = {}
+    # formulas to write, text to write, (binder,) to close its scope, or
+    # (id, start) to note where a subformula's text ends
+    todo: list = [f]
+    while todo:
+        f = todo.pop()
+        cls = type(f)
+        if cls is str:
+            out.append(f)
+            continue
+        if cls is tuple:
+            if len(f) == 1:
+                levels[f[0]].pop()
+                depth -= 1
+            else:
+                spans[f[0]] = (f[1], len(out))
+            continue
+        if cls is Atom:
+            open_ = levels.get(f.name)
+            out.append(f"('atom', {open_[-1] if open_ else repr(f.name)})")
+            continue
+        if not depth:
+            span = spans.get(id(f))
+            if span is not None:
+                if type(span) is tuple:
+                    span = spans[id(f)] = "".join(out[span[0]:span[1]])
+                out.append(span)
+                continue
+            todo.append((id(f), len(out)))
+        if cls is Lolli or cls is Tensor:
+            out.append("('lolli', " if cls is Lolli else "('tensor', ")
+            todo += (")", f.right, ", ", f.left)
+        elif cls is Bang or cls is Sec:
+            out.append("('bang', " if cls is Bang else "('sec', ")
+            todo += (")", f.body)
+        elif cls is Forall:
+            out.append("('forall', ")
+            levels.setdefault(f.binder, []).append(depth)
+            depth += 1
+            todo += (")", (f.binder,), f.body)
+        else:
+            raise FormulaError(f"unknown formula {f!r}")
+    return "".join(out)
 
 
 def feq(f: Formula, g: Formula) -> bool:
     """Equality up to renaming of bound atoms."""
-    return f == g or alpha_canon(f) == alpha_canon(g)
+    return f is g or f.canon == g.canon
 
 
 def match_instance(pattern: Formula, inst: Formula, atom: str):
@@ -281,25 +333,40 @@ def parse_formula(text: str) -> Formula:
 
 
 def format_formula(f: Formula) -> str:
-    """Parenthesis-light printer; parse_formula(format_formula(f)) == f."""
-    return _fmt(f, 0)
+    """Parenthesis-light printer; parse_formula(format_formula(f)) == f.
 
-
-def _fmt(f: Formula, prec: int) -> str:
-    # precedence: 0 lolli (right assoc), 1 tensor, 2 unary
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Bang):
-        return "!" + _fmt(f.body, 2)
-    if isinstance(f, Sec):
-        return "sec " + _fmt(f.body, 2)
-    if isinstance(f, Forall):
-        s = f"all {f.binder}. {_fmt(f.body, 0)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(f, Lolli):
-        s = f"{_fmt(f.left, 1)} -o {_fmt(f.right, 0)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(f, Tensor):
-        s = f"{_fmt(f.left, 1)} * {_fmt(f.right, 2)}"
-        return f"({s})" if prec > 1 else s
-    raise FormulaError(f"unknown formula {f!r}")
+    Precedence: 0 lolli (right associative), 1 tensor, 2 unary.  A lolli
+    or binder is bracketed where the context's precedence is above 0, a
+    tensor where it is above 1.
+    """
+    out: list[str] = []
+    todo: list = [(f, 0)]  # (formula, context precedence) or text to write
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        f, prec = item
+        cls = type(f)
+        if cls is Atom:
+            out.append(f.name)
+        elif cls is Bang:
+            out.append("!")
+            todo.append((f.body, 2))
+        elif cls is Sec:
+            out.append("sec ")
+            todo.append((f.body, 2))
+        else:
+            if prec > (1 if cls is Tensor else 0):
+                out.append("(")
+                todo.append(")")
+            if cls is Forall:
+                out.append(f"all {f.binder}. ")
+                todo.append((f.body, 0))
+            elif cls is Lolli:
+                todo += ((f.right, 0), " -o ", (f.left, 1))
+            elif cls is Tensor:
+                todo += ((f.right, 2), " * ", (f.left, 1))
+            else:
+                raise FormulaError(f"unknown formula {f!r}")
+    return "".join(out)

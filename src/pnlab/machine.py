@@ -105,14 +105,26 @@ class MachineConfig:
 
 @dataclass
 class Recorder:
-    """Collects executed transitions for invariant checks."""
+    """Collects executed transitions for invariant checks: the first
+    `limit` of them, counting those it drops after that."""
 
     transitions: list[tuple[Context, Context]] = field(default_factory=list)
     limit: int = 10**6
+    dropped: int = 0
 
     def record(self, c: Context, d: Context):
         if len(self.transitions) < self.limit:
             self.transitions.append((c, d))
+        else:
+            self.dropped += 1
+
+    def truncation(self) -> str | None:
+        """What the checks over `transitions` miss, or None when nothing
+        was dropped."""
+        if not self.dropped:
+            return None
+        return (f"{self.dropped} transition(s) past the recorder's limit of "
+                f"{self.limit} were not recorded, so they went unchecked")
 
 
 # --- final contexts -------------------------------------------------------

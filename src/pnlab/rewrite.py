@@ -26,11 +26,10 @@ cuts inside a box that a D- or N-step moved.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import net as N
-from .formulas import Formula, Forall, match_instance, substitute, alpha_canon
+from .formulas import Formula, Forall, match_instance, substitute
 from .net import Box, Cut, Edge, ProofNet, Vertex
 
 CUT_KINDS = ("-o", "*", "forall", "!", "X", "D", "N", "W")
@@ -658,62 +657,68 @@ class MetricsBudget(RuntimeError):
 
 def canonical_key(net: ProofNet) -> str:
     """Isomorphism-invariant key: breadth-first relabelling from the
-    conclusion, then remaining components from their least roots."""
-    order: dict[str, int] = {}
-    chunks: list[str] = []
-    formula_text: dict[str, str] = {}  # edge id -> its canonical formula
+    conclusion, then remaining components from their least roots.
 
-    def bfs(root: str):
-        queue = deque([root])
-        order.setdefault(root, len(order))
-        while queue:
-            vid = queue.popleft()
-            v = net.vertices[vid]
-            parts = [f"{v.label}/{v.arity}"]
+    Each vertex is written as its label and arity, then each of its ports
+    as '-' when no edge ends there, or as the edge's direction, the
+    neighbour's number and port, and the edge formula's `alpha_canon` text,
+    which the formula object computes once and keeps.  Ports are read from
+    the net's port table.
+    """
+    ports = net._index.ports
+    vertices = net.vertices
+    order: dict[str, str] = {}  # vertex -> its number, as text
+    out: list[str] = []  # the text of the vertices, each part led by ';'
+
+    def bfs(root: str) -> list[str]:
+        """Number and write the component of root; returns its vertices."""
+        queue = [root]
+        order[root] = str(len(order))
+        for vid in queue:  # the loop also reaches what it appends
+            v = vertices[vid]
+            out.append(f";{order[vid]}({v.label}/{v.arity}")
             for port in N.vertex_ports(v):
-                try:
-                    e = net.edge_at(vid, port)
-                except N.NetError:
-                    parts.append(f"{port}:-")
+                e = ports.get((vid, port))
+                if e is None:
+                    out.append(f";{port}:-")
                     continue
-                out = e.src == (vid, port)
-                nbr, nport = e.tgt if out else e.src
-                if nbr not in order:
-                    order[nbr] = len(order)
+                src = e.src
+                if src[0] == vid and src[1] == port:
+                    (nbr, nport), arrow = e.tgt, ">"
+                else:
+                    (nbr, nport), arrow = src, "<"
+                n = order.get(nbr)
+                if n is None:
+                    n = order[nbr] = str(len(order))
                     queue.append(nbr)
-                text = formula_text.get(e.id)
-                if text is None:
-                    text = formula_text[e.id] = str(alpha_canon(e.formula))
-                parts.append(
-                    f"{port}:{'>' if out else '<'}{order[nbr]}.{nport}:{text}")
-            chunks.append(f"{order[vid]}({';'.join(parts)})")
+                out.append(f";{port}:{arrow}{n}.{nport}:{e.formula.canon}")
+            out.append(")")
+        return queue
 
-    try:
-        bfs(net.conclusion_vertex())
-    except N.NetError:
-        pass
+    conclusions = net._index.conclusions
+    if len(conclusions) == 1:
+        bfs(conclusions[0])
     while True:
-        rest = sorted(set(net.vertices) - set(order), key=N._numkey)
+        rest = sorted((v for v in vertices if v not in order), key=N._numkey)
         if not rest:
             break
         best = None
-        for root in rest:
-            snap_order, snap_chunks = dict(order), list(chunks)
-            bfs(root)
-            cand = ";".join(chunks[len(snap_chunks):])
+        for root in rest:  # try each root, then undo its numbering and text
+            mark = len(out)
+            for vid in bfs(root):
+                del order[vid]
+            cand = "".join(out[mark:])
+            del out[mark:]
             if best is None or cand < best[0]:
                 best = (cand, root)
-            order.clear()
-            order.update(snap_order)
-            del chunks[len(snap_chunks):]
         bfs(best[1])
     boxparts = []
     for pid in net.boxes:
         b = net.boxes[pid]
         boxparts.append(
-            f"[{order[pid]}|{','.join(str(order[d]) for d in b.doors)}|"
-            f"{','.join(sorted(str(order[c]) for c in b.contents))}]")
-    return net.system + "|" + ";".join(chunks) + "|" + "".join(sorted(boxparts))
+            f"[{order[pid]}|{','.join([order[d] for d in b.doors])}|"
+            f"{','.join(sorted([order[c] for c in b.contents]))}]")
+    return f"{net.system}|{''.join(out)[1:]}|{''.join(sorted(boxparts))}"
 
 
 @dataclass

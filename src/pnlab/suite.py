@@ -140,6 +140,9 @@ def run_suite(verbose: bool = False, nets: dict[str, ProofNet] | None = None):
             "monotonicity": check_monotonicity(net),
             "reversibility": check_reversibility(net, recorder.transitions),
         }
+        truncation = recorder.truncation()
+        if truncation:
+            checks["reversibility"].append(truncation)
         for cname, problems in checks.items():
             ok = "pass" if not problems else "FAIL"
             if verbose:

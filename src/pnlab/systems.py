@@ -271,6 +271,9 @@ def verify_soundness(net: N.ProofNet, system: str,
                                        f"copies {finals[end]} and {t} share {end}")
                         finals[end] = t
                 report.add(f"injectivity({e})", True, f"{len(finals)} final(s)")
+    truncation = recorder.truncation()
+    if truncation and system != "MELL":  # no MELL check reads transitions
+        report.add("recorder", False, truncation)
     return report
 
 

@@ -99,6 +99,23 @@ def test_deeply_nested_formulas_are_read(tmp_path, capsys, formula):
     assert (code, out, err) == (0, "check: ok\n", "")
 
 
+def test_deeply_nested_formulas_are_written(tmp_path, capsys):
+    deep = "!" * 3000 + "a"
+    path, out_path = tmp_path / "deep.pnet", tmp_path / "out.pnet"
+    path.write_text("pnet 1\nvertex v1 prem\nvertex v2 concl\n"
+                    f"edge e1 v1 edge v2 edge {deep}\nend\n")
+    code, out, err = run_cli(capsys, "normalize", str(path),
+                             "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["normalize"]["status"] == "normal"
+    written = out_path.read_text()
+    assert f"edge e1 v1 edge v2 edge {deep}\n" in written
+    # texts, not nets: the generated == of a formula still recurses
+    assert print_net(parse_net(written)) == written
+    code, out, err = run_cli(capsys, "check", str(out_path))
+    assert (code, out, err) == (0, "check: ok\n", "")
+
+
 def test_machine_trace_golden(tmp_path, capsys):
     path = tmp_path / "ladder1.pnet"
     run_cli(capsys, "gen", "dr-ladder", "1", "--out", str(path))

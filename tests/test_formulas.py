@@ -1,11 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from pnlab import corpus
+from pnlab.families import gen_family
 from pnlab.formulas import (
     Atom,
     Bang,
     Forall,
     Lolli,
+    Sec,
     Tensor,
     FormulaError,
     alpha_canon,
@@ -100,3 +103,127 @@ def test_alpha_equality():
     assert feq(Forall("a", A), Forall("b", B))
     assert not feq(Forall("a", A), Forall("a", Bang(A)))
     assert alpha_canon(Forall("a", Lolli(A, B))) == alpha_canon(Forall("c", Lolli(Atom("c"), B)))
+
+
+# --- the canonical text and the printer against their recursive forms -------
+
+
+def ref_alpha_canon(f, env=None, depth=0):
+    """alpha_canon as it was: a nested tuple, built recursively."""
+    env = env or {}
+    if isinstance(f, Atom):
+        return ("atom", env.get(f.name, f.name))
+    if isinstance(f, Lolli):
+        return ("lolli", ref_alpha_canon(f.left, env, depth),
+                ref_alpha_canon(f.right, env, depth))
+    if isinstance(f, Tensor):
+        return ("tensor", ref_alpha_canon(f.left, env, depth),
+                ref_alpha_canon(f.right, env, depth))
+    if isinstance(f, Bang):
+        return ("bang", ref_alpha_canon(f.body, env, depth))
+    if isinstance(f, Sec):
+        return ("sec", ref_alpha_canon(f.body, env, depth))
+    if isinstance(f, Forall):
+        inner = dict(env)
+        inner[f.binder] = depth
+        return ("forall", ref_alpha_canon(f.body, inner, depth + 1))
+    raise FormulaError(f"unknown formula {f!r}")
+
+
+def ref_format(f, prec=0):
+    """format_formula as it was, recursive."""
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Bang):
+        return "!" + ref_format(f.body, 2)
+    if isinstance(f, Sec):
+        return "sec " + ref_format(f.body, 2)
+    if isinstance(f, Forall):
+        s = f"all {f.binder}. {ref_format(f.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if isinstance(f, Lolli):
+        s = f"{ref_format(f.left, 1)} -o {ref_format(f.right, 0)}"
+        return f"({s})" if prec > 0 else s
+    if isinstance(f, Tensor):
+        s = f"{ref_format(f.left, 1)} * {ref_format(f.right, 2)}"
+        return f"({s})" if prec > 1 else s
+    raise FormulaError(f"unknown formula {f!r}")
+
+
+# two binder names among three atoms: binders nest, shadow one another and
+# leave atoms free
+_binders = st.sampled_from(["a", "b"])
+
+
+def _binder_formulas():
+    return st.recursive(
+        _atoms.map(Atom),
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda p: Lolli(*p)),
+            st.tuples(sub, sub).map(lambda p: Tensor(*p)),
+            sub.map(Bang),
+            sub.map(Sec),
+            st.tuples(_binders, sub).map(lambda p: Forall(*p)),
+        ),
+        max_leaves=12,
+    )
+
+
+@given(_binder_formulas(), _binder_formulas())
+def test_canonical_text_is_the_printed_reference_tuple(f, g):
+    text = alpha_canon(f)
+    assert text == str(ref_alpha_canon(f))
+    assert alpha_canon(f) is text  # kept on the formula
+    assert format_formula(f) == ref_format(f)
+    # one object in several places, inside and outside binders
+    shared = Tensor(Lolli(g, f), Forall("a", Lolli(Bang(f), Tensor(g, f))))
+    assert alpha_canon(shared) == str(ref_alpha_canon(shared))
+
+
+def test_printer_brackets_by_precedence():
+    C = Atom("c")
+    cases = {
+        Tensor(Tensor(A, B), C): "a * b * c",
+        Tensor(A, Tensor(B, C)): "a * (b * c)",
+        Lolli(Lolli(A, B), C): "(a -o b) -o c",
+        Lolli(A, Lolli(B, C)): "a -o b -o c",
+        Tensor(Lolli(A, B), Forall("a", A)): "(a -o b) * (all a. a)",
+        Lolli(Tensor(A, B), Bang(Sec(Tensor(A, C)))): "a * b -o !sec (a * c)",
+        Forall("a", Lolli(A, Forall("b", B))): "all a. a -o all b. b",
+    }
+    for f, text in cases.items():
+        assert format_formula(f) == ref_format(f) == text
+
+
+@given(_binder_formulas(), _binder_formulas())
+def test_feq_is_equality_of_the_reference_tuples(f, g):
+    assert feq(f, g) == (ref_alpha_canon(f) == ref_alpha_canon(g))
+    assert feq(f, f)
+
+
+def test_canonical_text_of_every_corpus_formula(all_nets):
+    nets = [*all_nets.values(), corpus.ell_fixture(), corpus.sll_fixture(),
+            corpus.lll_fixture(), corpus.lll_sec_fixture(),
+            *(gen_family("dr-ladder", n) for n in range(1, 7))]
+    formulas = [e.formula for net in nets for e in net.edges.values()]
+    for f in formulas:
+        assert alpha_canon(f) == str(ref_alpha_canon(f))
+        assert format_formula(f) == ref_format(f)
+    assert len(formulas) > 300
+    assert any(isinstance(f, Sec) for f in formulas)
+
+
+def test_deep_formulas_cost_no_python_frames():
+    depth = 5000
+    f = A
+    for i in range(depth):
+        f = Bang(f) if i % 2 else Forall("ab"[i % 4 // 2], Lolli(f, B))
+    text = format_formula(f)
+    assert format_formula(parse_formula(text)) == text
+    assert alpha_canon(f).count("('forall', ") == depth // 2
+    assert alpha_canon(f).count("('atom', 'b')") == 0  # every b is bound
+    bangs = A
+    for _ in range(3000):
+        bangs = Bang(bangs)
+    assert alpha_canon(bangs) == "('bang', " * 3000 + "('atom', 'a')" + ")" * 3000
+    assert format_formula(bangs) == "!" * 3000 + "a"

@@ -5,9 +5,10 @@
 step that map must equal `find_cuts` of the reduct.  The references below
 are the functions as they were before: `Strategy.permitted` with its
 pairwise scan, the recursive `reduction_metrics` that ran `find_cuts` on
-every state, and `canonical_key` without its formula memo.  Box contents a
-step edits are kept as `EditedSet`s, which must act as the frozensets they
-stand for.
+every state, and `canonical_key` as a queue walk through `edge_at` that
+prints the recursive `alpha_canon` tuple of each edge's formula.  Box
+contents a step edits are kept as `EditedSet`s, which must act as the
+frozensets they stand for.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 
 from pnlab import net as N
 from pnlab import rewrite
-from pnlab.formulas import Atom, alpha_canon
+from pnlab.formulas import Atom
 from pnlab.net import EditedSet
 from pnlab.net import Cut as CutRecord
 from pnlab.rewrite import (
@@ -36,6 +37,7 @@ from pnlab.rewrite import (
 
 from pnlab.terms import Ax, Cut, Derelict, Promote, elaborate
 
+from test_formulas import ref_alpha_canon
 from test_golden import _applied, _church, composed
 from test_net_index import family_nets
 
@@ -68,9 +70,18 @@ def ref_permitted(kind, cuts):
     return out
 
 
-def ref_canonical_key(net):
+def ref_canonical_key(net, texts=None):
+    """The key as it was.  `texts` may carry the reference formula texts
+    from call to call: formula id -> (formula, text)."""
+    texts = {} if texts is None else texts
     order = {}
     chunks = []
+
+    def text(f):
+        hit = texts.get(id(f))
+        if hit is None:
+            hit = texts[id(f)] = (f, str(ref_alpha_canon(f)))
+        return hit[1]
 
     def bfs(root):
         queue = [root]
@@ -92,7 +103,7 @@ def ref_canonical_key(net):
                     queue.append(nbr)
                 parts.append(
                     f"{port}:{'>' if out else '<'}{order[nbr]}.{nport}:"
-                    f"{alpha_canon(e.formula)}")
+                    f"{text(e.formula)}")
             chunks.append(f"{order[vid]}({';'.join(parts)})")
 
     try:
@@ -286,10 +297,11 @@ def test_canonical_key_matches_the_reference(all_nets, monkeypatch):
         assert canonical_key(net) == ref_canonical_key(net)
 
     seen = []
+    texts = {}
 
     def checked(net):
         key = canonical_key(net)
-        assert key == ref_canonical_key(net)
+        assert key == ref_canonical_key(net, texts)
         seen.append(key)
         return key
 
@@ -297,6 +309,18 @@ def test_canonical_key_matches_the_reference(all_nets, monkeypatch):
     for k in (2, 3, 4):
         reduction_metrics(church(k), TRIANGLE)
     assert len(set(seen)) > 200
+    seen.clear()
+    assert reduction_metrics(composed(2, 2), TRIANGLE) == (90, 109)
+    assert len(seen) > 14000 and len(set(seen)) > 3800
+
+
+def test_canonical_key_of_a_deep_formula():
+    deep = "!" * 3000 + "a"
+    net = N.parse_net("pnet 1\nvertex v1 prem\nvertex v2 concl\n"
+                      f"edge e1 v1 edge v2 edge {deep}\nend\n")
+    text = "('bang', " * 3000 + "('atom', 'a')" + ")" * 3000
+    assert canonical_key(net) == (f"MELL|0(concl/0;edge:<1.edge:{text});"
+                                  f"1(prem/0;edge:>0.edge:{text})|")
 
 
 # --- edited sets --------------------------------------------------------------------

@@ -154,3 +154,64 @@ def test_sll_prefix_stability():
     rec = Recorder()
     WeightComputer(net, recorder=rec).report()
     assert check_sll_prefix(rec.transitions) == []
+
+
+# --- recorder truncation ----------------------------------------------------
+
+
+def test_recorder_counts_what_it_drops():
+    rec = Recorder(limit=2)
+    for i in range(5):
+        rec.record(i, i + 1)
+    assert rec.transitions == [(0, 1), (1, 2)] and rec.dropped == 3
+    assert rec.truncation() == ("3 transition(s) past the recorder's limit of "
+                                "2 were not recorded, so they went unchecked")
+    assert Recorder().truncation() is None
+
+
+def _recorded(net) -> int:
+    rec = Recorder()
+    WeightComputer(net, recorder=rec).report()
+    assert rec.dropped == 0
+    return len(rec.transitions)
+
+
+def test_suite_reports_dropped_transitions(monkeypatch):
+    from pnlab import suite
+    from test_golden import _applied, _church
+
+    net = _applied(_church(2, "t"))
+    whole = suite.run_suite(nets={"church": net})
+    total = _recorded(net)
+    assert total > 5
+    monkeypatch.setattr(suite, "Recorder", lambda: Recorder(limit=5))
+    cut = suite.run_suite(nets={"church": net})
+    assert cut == whole + [
+        f"church: reversibility: {total - 5} transition(s) past the "
+        "recorder's limit of 5 were not recorded, so they went unchecked"]
+
+
+def test_soundness_fails_on_dropped_transitions(monkeypatch):
+    import pnlab.systems as systems
+
+    whole = {tag: verify_soundness(f(), tag).to_dict()
+             for tag, f in (("ELL", corpus.ell_fixture),
+                            ("SLL", corpus.sll_fixture),
+                            ("LLL", corpus.lll_fixture))}
+    assert not any(c["name"] == "recorder"
+                   for d in whole.values() for c in d["checks"])
+    monkeypatch.setattr(systems, "Recorder", lambda: Recorder(limit=1))
+    for tag, f in (("ELL", corpus.ell_fixture), ("SLL", corpus.sll_fixture),
+                   ("LLL", corpus.lll_fixture)):
+        total = _recorded(f())
+        cut = verify_soundness(f(), tag).to_dict()
+        assert not cut["ok"]
+        assert cut["checks"][-1] == {
+            "name": "recorder", "ok": False,
+            "detail": f"{total - 1} transition(s) past the recorder's limit "
+                      "of 1 were not recorded, so they went unchecked"}
+        assert cut["checks"][:len(whole[tag]["checks"])] == whole[tag]["checks"]
+    # no MELL check reads the transitions, so MELL loses nothing by the limit
+    copy = corpus.named_fixtures()["copy"]
+    assert _recorded(copy) > 1
+    assert verify_soundness(copy, "MELL").ok
