@@ -29,7 +29,6 @@ from .machine import (
     BudgetExhausted,
     MachineConfig,
     MachineError,
-    format_context,
     parse_context,
     run,
 )
@@ -205,10 +204,10 @@ def cmd_machine(args) -> int:
     steps: list = []
     result = run(net, start, config, trace=steps)
     for i, c in enumerate(steps, start=1):
-        print(f"{i} {format_context(c)}")
+        print(f"{i} {c}")
     outcomes = list(result.outcomes())
     for o in outcomes:
-        print(f"outcome {o.kind} after {o.steps} step(s) at {format_context(o.context)}")
+        print(f"outcome {o.kind} after {o.steps} step(s) at {o.context}")
     if any(o.kind == "budget" for o in outcomes):
         return EXIT_BUDGET
     if any(o.kind == "stuck" for o in outcomes):

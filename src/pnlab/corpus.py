@@ -9,7 +9,7 @@ searches and weight computations affordable.
 from __future__ import annotations
 
 from .families import copy_example_term, dr_ladder_term, jump_example_term
-from .formulas import Atom, Bang, Lolli
+from .formulas import Atom, Bang, Lolli, parse_formula
 from .lam import from_lambda, parse_lambda, parse_type
 from .net import ProofNet
 from .terms import (
@@ -60,7 +60,7 @@ def named_fixtures() -> dict[str, ProofNet]:
                        LTensor(RTensor(Ax(A), Ax(B)), 1, 2), 1)
     fx["forall"] = Cut(RForall(RLolli(Ax(B), 1), "b"),
                        LForall(LLolli(Ax(A), Ax(A), 1), 2,
-                               parse_formula_cached("all b. b -o b"), A), 2)
+                               parse_formula("all b. b -o b"), A), 2)
     nets = {}
     for name, term in fx.items():
         nets[name] = elaborate(term)
@@ -74,17 +74,6 @@ def named_fixtures() -> dict[str, ProofNet]:
     nets["lambda-church"] = from_lambda(
         parse_lambda("\\f:t -> t. \\x:t. f (f x)"))
     return nets
-
-
-_FORMULA_CACHE = {}
-
-
-def parse_formula_cached(text: str):
-    from .formulas import parse_formula
-
-    if text not in _FORMULA_CACHE:
-        _FORMULA_CACHE[text] = parse_formula(text)
-    return _FORMULA_CACHE[text]
 
 
 def ell_fixture() -> ProofNet:

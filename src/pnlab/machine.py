@@ -4,8 +4,14 @@ A context is (edge, U, V, polarity): U a sequence of exponential signatures,
 V a stack of stack elements, polarity '+' or '-'.  Polarity '+' means the
 token travels with the edge's direction (the next vertex it meets is the
 edge's target); '-' means against it.  Contexts are tuples, built and
-hashed in C.  Transitions are keyed on the label and port of that vertex,
-transcribed once from the rewrite tables together with their duals.
+hashed in C.  Transitions are keyed on the label and port of that vertex.
+Both polarities of a rule come from the port's direction (`net.IN_PORTS`):
+a token arrives at an in-port with '+' and at an out-port with '-', and
+leaves an out-port with '+' and an in-port with '-'.  The rules of -o, *
+and forall are read from the one declared table `net.CONNECTIVES`: at a
+connective's principal port the token pops the symbol that selects an
+auxiliary port, and at an auxiliary port it pushes that port's symbol, so
+each rule and its dual come from the same entry.
 
 The transitions are compiled, after Mackie's geometry of interaction
 machine: each (edge, polarity) gets a table entry on first use, kept with
@@ -250,13 +256,19 @@ def _resolve(fn, *args):
         return _Broken(exc)
 
 
-def _leave(net: N.ProofNet, vid: str, port: str, pol: str) -> str:
-    e = net.edge_at(vid, port)
-    if pol == "+":
-        assert e.src == (vid, port), f"leaving {vid}.{port} with + but edge enters it"
+def _leave(net: N.ProofNet, v: N.Vertex, port: str) -> str:
+    e = net.edge_at(v.id, port)
+    if N.is_in_port(v, port):
+        assert e.tgt == (v.id, port), f"leaving {v.id}.{port} with - but edge exits it"
     else:
-        assert e.tgt == (vid, port), f"leaving {vid}.{port} with - but edge exits it"
+        assert e.src == (v.id, port), f"leaving {v.id}.{port} with + but edge enters it"
     return e.id
+
+
+def _exit(net: N.ProofNet, v: N.Vertex, port: str) -> tuple:
+    """Leaving v by port: the edge there, or the error met resolving it,
+    and the polarity, '+' from an out-port and '-' from an in-port."""
+    return _resolve(_leave, net, v, port), "-" if N.is_in_port(v, port) else "+"
 
 
 def _never(us, st, config):
@@ -270,8 +282,9 @@ def _raising(broken: _Broken) -> Callable:
     return lambda us, st, config: broken.throw()
 
 
-def _push(x, pol: str, sym) -> Callable:
-    """Leave by x with sym pushed."""
+def _push(out, sym) -> Callable:
+    """Leave by the exit out with sym pushed."""
+    x, pol = out
     if x.__class__ is _Broken:
         return _raising(x)
     tail = (sym,)
@@ -293,100 +306,75 @@ def _pop(branches: dict) -> Callable:
     return rule
 
 
-def _rule(net: N.ProofNet, v: N.Vertex, port: str, pol: str) -> Callable:
-    """The rule a token meets at port of v with polarity pol, its exits
-    resolved; transcribed from the rewrite tables with their duals."""
-    vid, label = v.id, v.label
-    out = lambda p, b: _resolve(_leave, net, vid, p, b)
+# label -> (principal port, stack symbol -> auxiliary port), read from
+# net.CONNECTIVES
+_CONNECTIVES = {label: (principal, aux)
+                for sides in N.CONNECTIVES.values()
+                for label, principal, aux in sides}
 
-    if label == N.RLOLLI:
-        if port == "bound" and pol == "-":
-            return _push(out("concl", "+"), "+", "a")
-        if port == "body" and pol == "+":
-            return _push(out("concl", "+"), "+", "o")
-        if port == "concl" and pol == "-":
-            return _pop({"a": (out("bound", "+"), "+"),
-                         "o": (out("body", "-"), "-")})
-    elif label == N.LLOLLI:
-        if port == "fun" and pol == "+":
-            return _pop({"a": (out("arg", "-"), "-"),
-                         "o": (out("res", "+"), "+")})
-        if port == "arg" and pol == "+":
-            return _push(out("fun", "-"), "-", "a")
-        if port == "res" and pol == "-":
-            return _push(out("fun", "-"), "-", "o")
-    elif label == N.RTENSOR:
-        if port == "left" and pol == "+":
-            return _push(out("concl", "+"), "+", "f")
-        if port == "right" and pol == "+":
-            return _push(out("concl", "+"), "+", "x")
-        if port == "concl" and pol == "-":
-            return _pop({"f": (out("left", "-"), "-"),
-                         "x": (out("right", "-"), "-")})
-    elif label == N.LTENSOR:
-        if port == "pair" and pol == "+":
-            return _pop({"f": (out("left", "+"), "+"),
-                         "x": (out("right", "+"), "+")})
-        if port == "left" and pol == "-":
-            return _push(out("pair", "-"), "-", "f")
-        if port == "right" and pol == "-":
-            return _push(out("pair", "-"), "-", "x")
-    elif label == N.RFORALL:
-        if port == "prem" and pol == "+":
-            return _push(out("concl", "+"), "+", "s")
-        if port == "concl" and pol == "-":
-            return _pop({"s": (out("prem", "-"), "-")})
-    elif label == N.LFORALL:
-        if port == "fa" and pol == "+":
-            return _pop({"s": (out("inst", "+"), "+")})
-        if port == "inst" and pol == "-":
-            return _push(out("fa", "-"), "-", "s")
+
+def _rule(net: N.ProofNet, v: N.Vertex, port: str, pol: str) -> Callable:
+    """The rule a token arriving at port of v with polarity pol meets, its
+    exits resolved.  A token arrives at an in-port with '+' and at an
+    out-port with '-'; with the other polarity it meets no rule."""
+    label = v.label
+    if label in N.BOX_PRINCIPALS and v.id not in net.boxes:
+        return _raising(_Broken(KeyError(v.id)))
+    if label not in N.IN_PORTS or pol != ("+" if N.is_in_port(v, port) else "-"):
+        return _never
+    out = lambda p: _exit(net, v, p)
+
+    connective = _CONNECTIVES.get(label)
+    if connective is not None:
+        principal, aux = connective
+        if port == principal:
+            return _pop({sym: out(p) for sym, p in aux.items()})
+        for sym, p in aux.items():
+            if port == p:
+                return _push(out(principal), sym)
     elif label == N.CONTR:
-        if port == "merged" and pol == "+":
-            return _contr_split(out("left", "+"), out("right", "+"))
-        if port == "left" and pol == "-":
-            return _contr_merge(out("merged", "-"), lsig)
-        if port == "right" and pol == "-":
-            return _contr_merge(out("merged", "-"), rsig)
+        if port == "merged":
+            return _contr_split(out("left"), out("right"))
+        if port == "left":
+            return _contr_merge(out("merged"), lsig)
+        if port == "right":
+            return _contr_merge(out("merged"), rsig)
     elif label == N.DER:
-        if port == "bang" and pol == "+":
-            return _der_open(out("plain", "+"))
-        if port == "plain" and pol == "-":
-            return _push(out("bang", "-"), "-", E)
+        if port == "bang":
+            return _der_open(out("plain"))
+        if port == "plain":
+            return _push(out("bang"), E)
     elif label == N.DIG:
-        if port == "bang" and pol == "+":
-            return _dig_open(out("dbang", "+"))
-        if port == "dbang" and pol == "-":
-            return _dig_close(out("bang", "-"))
+        if port == "bang":
+            return _dig_open(out("dbang"))
+        if port == "dbang":
+            return _dig_close(out("bang"))
     elif label == N.MUX:
-        if port == "merged" and pol == "+":
-            return _mux_split({i: out(f"split{i}", "+")
-                               for i in range(1, v.arity + 1)})
-        if port.startswith("split") and pol == "-":
+        if port == "merged":
+            return _pop({msig(i): out(f"split{i}") for i in range(1, v.arity + 1)})
+        if port.startswith("split"):
             index = _resolve(int, port[5:])
             if index.__class__ is _Broken:
                 return _raising(index)
-            return _push(out("merged", "-"), "-", msig(index))
-    elif label in (N.RBANG, N.RSEC):
-        box = net.boxes.get(vid)
-        if box is None:
-            return _raising(_Broken(KeyError(vid)))
-        if port == "principal" and pol == "-":
+            return _push(out("merged"), msig(index))
+    elif label in N.BOX_PRINCIPALS:
+        if port == "principal":
             jumps = None
             if label == N.RBANG:
+                doors = net.boxes[v.id].doors
                 jumps = _resolve(lambda: [net.edge_at(d, "outer").id
-                                          for d in box.doors])
-            return _box_enter(out("inner", "-"), "-", jumps)
-        if port == "inner" and pol == "+":
-            return _box_exit(out("principal", "+"), "+")
-    elif label in (N.LBANG, N.LSEC):
-        if port == "outer" and pol == "+":
+                                          for d in doors])
+            return _box_enter(out("inner"), jumps)
+        if port == "inner":
+            return _box_exit(out("principal"))
+    elif label in N.BOX_DOORS:
+        if port == "outer":
             jumps = None
             if label == N.LBANG:
-                jumps = _resolve(_door_jump, net, vid)
-            return _box_enter(out("inner", "+"), "+", jumps)
-        if port == "inner" and pol == "-":
-            return _box_exit(out("outer", "-"), "-")
+                jumps = _resolve(_door_jump, net, v.id)
+            return _box_enter(out("inner"), jumps)
+        if port == "inner":
+            return _box_exit(out("outer"))
     # prem / concl / weak induce no transitions
     return _never
 
@@ -395,17 +383,19 @@ def _contr_split(left, right) -> Callable:
     def rule(us, st, config):
         top = st[-1] if st else None
         if is_sig(top) and (top[0] == "l" or top[0] == "r"):
-            x = left if top[0] == "l" else right
+            x, pol = left if top[0] == "l" else right
             st = st[:-1] + (top[1],)
             if x.__class__ is _Broken:
                 x.throw()
-            return [_new(Context, (x, us, st, "+"))]
+            return [_new(Context, (x, us, st, pol))]
         return []
 
     return rule
 
 
-def _contr_merge(x, wrap) -> Callable:
+def _contr_merge(out, wrap) -> Callable:
+    x, pol = out
+
     def rule(us, st, config):
         top = st[-1] if st else None
         if not is_sig(top):
@@ -413,23 +403,27 @@ def _contr_merge(x, wrap) -> Callable:
         st = st[:-1] + (wrap(top),)
         if x.__class__ is _Broken:
             x.throw()
-        return [_new(Context, (x, us, st, "-"))]
+        return [_new(Context, (x, us, st, pol))]
 
     return rule
 
 
-def _der_open(x) -> Callable:
+def _der_open(out) -> Callable:
+    x, pol = out
+
     def rule(us, st, config):
         if len(st) < 2 or st[-1] != E:
             return []
         if x.__class__ is _Broken:
             x.throw()
-        return [_new(Context, (x, us, st[:-1], "+"))]
+        return [_new(Context, (x, us, st[:-1], pol))]
 
     return rule
 
 
-def _dig_open(x) -> Callable:
+def _dig_open(out) -> Callable:
+    x, pol = out
+
     def rule(us, st, config):
         top = st[-1] if st else None
         if is_sig(top) and top[0] == "n":
@@ -440,12 +434,14 @@ def _dig_open(x) -> Callable:
             return []
         if x.__class__ is _Broken:
             x.throw()
-        return [_new(Context, (x, us, st, "+"))]
+        return [_new(Context, (x, us, st, pol))]
 
     return rule
 
 
-def _dig_close(x) -> Callable:
+def _dig_close(out) -> Callable:
+    x, pol = out
+
     def rule(us, st, config):
         if len(st) >= 2 and is_sig(st[-1]) and is_sig(st[-2]):
             st = st[:-2] + (nsig(st[-2], st[-1]),)
@@ -455,23 +451,7 @@ def _dig_close(x) -> Callable:
             return []
         if x.__class__ is _Broken:
             x.throw()
-        return [_new(Context, (x, us, st, "-"))]
-
-    return rule
-
-
-def _mux_split(exits: dict) -> Callable:
-    """exits: split index -> exit, for indices 1 to the arity."""
-    arity = len(exits)
-
-    def rule(us, st, config):
-        top = st[-1] if st else None
-        if not (is_sig(top) and top[0] == "m" and 1 <= top[1] <= arity):
-            return []
-        x = exits[top[1]]
-        if x.__class__ is _Broken:
-            x.throw()
-        return [_new(Context, (x, us, st[:-1], "+"))]
+        return [_new(Context, (x, us, st, pol))]
 
     return rule
 
@@ -484,11 +464,12 @@ def _door_jump(net: N.ProofNet, vid: str) -> str:
     return net.rho(pid)
 
 
-def _box_enter(x, pol: str, jumps) -> Callable:
+def _box_enter(out, jumps) -> Callable:
     """Cross a box boundary inwards, moving the top signature to U; with a
     single signature, jump instead (from a principal to every door, from a
     door to the principal) when jumps are enabled.  jumps is None for
     sec-boxes, whose boundary has no jumps."""
+    x, pol = out
 
     def rule(us, st, config):
         top = st[-1] if st else None
@@ -510,9 +491,10 @@ def _box_enter(x, pol: str, jumps) -> Callable:
     return rule
 
 
-def _box_exit(x, pol: str) -> Callable:
+def _box_exit(out) -> Callable:
     """Cross a box boundary outwards, moving the last signature of U back
     onto the stack."""
+    x, pol = out
 
     def rule(us, st, config):
         if not us:
@@ -692,17 +674,13 @@ def reach_final(net: N.ProofNet, start: Context,
     return False, cycle
 
 
-def format_context(c: Context) -> str:
-    return str(c)
-
-
 def parse_context(net: N.ProofNet, text: str) -> Context:
     """Parse 'edge / U / V / polarity' with slash-separated fields.
 
     U is a space-separated signature list (or 'eps'); V likewise but may mix
     the symbols a o s f x with signatures.  Example: 'e3 / eps / a / -'.
     """
-    from .signatures import parse_sig
+    from .signatures import SigError, parse_sig
 
     parts = [p.strip() for p in text.split("/")]
     if len(parts) != 4:
@@ -712,11 +690,14 @@ def parse_context(net: N.ProofNet, text: str) -> Context:
         eid = net.conclusion_edge()
     if eid not in net.edges:
         raise MachineError(f"unknown edge {eid}")
-    us = tuple(parse_sig(tok) for tok in utext.split()) if utext != "eps" else ()
-    stack: list[StackEl] = []
-    if vtext != "eps":
-        for tok in vtext.split():
-            stack.append(tok if tok in SYMBOLS else parse_sig(tok))
+    try:
+        us = tuple(parse_sig(tok) for tok in utext.split()) if utext != "eps" else ()
+        stack: list[StackEl] = []
+        if vtext != "eps":
+            for tok in vtext.split():
+                stack.append(tok if tok in SYMBOLS else parse_sig(tok))
+    except SigError as exc:
+        raise MachineError(f"bad context literal {text!r}: {exc}") from None
     if not stack:
         raise MachineError("context stack must be nonempty")
     if pol not in ("+", "-"):

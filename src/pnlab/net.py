@@ -112,6 +112,21 @@ IN_PORTS = {
     MUX: {"merged"},
 }
 
+# The multiplicative connectives and the quantifier, each declared once, by
+# cut kind: its right and its left vertex, each as (label, principal port,
+# stack symbol -> auxiliary port).  A cut joins the two principal ports and
+# its step splices the auxiliary ports that share a symbol; the token pushes
+# a port's symbol when it leaves that port for the principal one, and pops
+# it to leave the principal port for that port.
+CONNECTIVES = {
+    "-o": ((RLOLLI, "concl", {"a": "bound", "o": "body"}),
+           (LLOLLI, "fun", {"a": "arg", "o": "res"})),
+    "*": ((RTENSOR, "concl", {"f": "left", "x": "right"}),
+          (LTENSOR, "pair", {"f": "left", "x": "right"})),
+    "forall": ((RFORALL, "concl", {"s": "prem"}),
+               (LFORALL, "fa", {"s": "inst"})),
+}
+
 
 class NetError(ValueError):
     pass
@@ -255,11 +270,7 @@ class Cut:
 
 
 def port_name(v: Vertex, port: str) -> str:
-    if v.label == MUX:
-        if port == "merged" or port.startswith("split"):
-            return port
-        raise NetError(f"bad mux port {port}")
-    if port not in PORTS[v.label]:
+    if port not in vertex_ports(v):
         raise NetError(f"vertex {v.id} ({v.label}) has no port {port}")
     return port
 
@@ -522,6 +533,12 @@ def validate(net: ProofNet) -> list[str]:
 
     if net.system not in SYSTEMS:
         say(f"net: unknown system tag {net.system}")
+
+    unknown = [v for v in net.vertices.values() if v.label not in IN_PORTS]
+    for v in unknown:
+        say(f"vertex {v.id}: unknown label {v.label}")
+    if unknown:
+        return diags  # the port checks below need each label's ports
 
     # every port filled exactly once, with the right direction
     seen: dict[tuple[str, str], list[str]] = {}

@@ -9,7 +9,9 @@ Rule kinds use the names -o, *, forall, !, X, D, N, W.  Strategies:
     every level-n cut is a W-cut or a !-cut
 
 Firing is pure: net in, net out.  Deterministic tie-break picks the lowest
-level, then the lowest edge id.
+level, then the lowest edge id.  The cuts of -o, * and forall, and the ports
+their steps splice, are read from the one declared table `net.CONNECTIVES`,
+which the token machine reads too.
 
 Rewriting is local (Lafont's interaction nets).  `fire` works on shallow
 copies of the net's dicts and of its index tables (port -> edge, vertex ->
@@ -45,16 +47,22 @@ class RewriteError(ValueError):
     pass
 
 
+# (source label, port, target label, port) of a cut edge -> its kind; a
+# connective's cut runs from its right vertex's principal port to its left's
 _REDEX = {
-    (N.RLOLLI, "concl", N.LLOLLI, "fun"): "-o",
-    (N.RTENSOR, "concl", N.LTENSOR, "pair"): "*",
-    (N.RFORALL, "concl", N.LFORALL, "fa"): "forall",
+    **{(right[0], right[1], left[0], left[1]): kind
+       for kind, (right, left) in N.CONNECTIVES.items()},
     (N.RBANG, "principal", N.LBANG, "outer"): "!",
     (N.RBANG, "principal", N.CONTR, "merged"): "X",
     (N.RBANG, "principal", N.DER, "bang"): "D",
     (N.RBANG, "principal", N.DIG, "bang"): "N",
     (N.RBANG, "principal", N.WEAK, "edge"): "W",
 }
+
+# kind -> the auxiliary ports its step splices, right with left, in pairs
+# sharing a stack symbol
+_SPLICED = {kind: [(right[2][sym], left[2][sym]) for sym in right[2]]
+            for kind, (right, left) in N.CONNECTIVES.items()}
 
 
 def classify_edge(net: ProofNet, eid: str):
@@ -381,29 +389,22 @@ def fire(net: ProofNet, cut: Cut) -> tuple[ProofNet, dict[str, tuple[str, str]]]
     v, w = e.src[0], e.tgt[0]
     kind = cut.kind
 
-    if kind == "-o":
+    if kind in _SPLICED:
+        pairs = _SPLICED[kind]
+        witness = None
+        if kind == "forall":
+            fa = e.formula
+            if not isinstance(fa, Forall):
+                raise RewriteError("forall cut edge does not carry a quantified formula")
+            (_, inst), = pairs  # one auxiliary port a side
+            m = match_instance(fa.body, s.edge_at(w, inst).formula, fa.binder)
+            if m is None:
+                raise RewriteError("forall instance does not match the quantified body")
+            witness = m[1]
         s.del_edge(e.id)
         s.drop_vertex(v)
         s.drop_vertex(w)
-        s.splice([((v, "bound"), (w, "arg")), ((v, "body"), (w, "res"))])
-    elif kind == "*":
-        s.del_edge(e.id)
-        s.drop_vertex(v)
-        s.drop_vertex(w)
-        s.splice([((v, "left"), (w, "left")), ((v, "right"), (w, "right"))])
-    elif kind == "forall":
-        fa = e.formula
-        if not isinstance(fa, Forall):
-            raise RewriteError("forall cut edge does not carry a quantified formula")
-        inst = s.edge_at(w, "inst").formula
-        m = match_instance(fa.body, inst, fa.binder)
-        if m is None:
-            raise RewriteError("forall instance does not match the quantified body")
-        witness = m[1]
-        s.del_edge(e.id)
-        s.drop_vertex(v)
-        s.drop_vertex(w)
-        s.splice([((v, "prem"), (w, "inst"))])
+        s.splice([((v, p), (w, q)) for p, q in pairs])
         if witness is not None:
             for ed in list(s.edges.values()):
                 s.put_edge(Edge(ed.id, ed.src, ed.tgt,

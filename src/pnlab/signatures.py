@@ -151,51 +151,57 @@ def format_sig(t: Sig) -> str:
     return f"n({format_sig(t[1])},{format_sig(t[2])})"
 
 
+class SigError(ValueError):
+    """A signature text that parse_sig cannot read."""
+
+
 _TOK = re.compile(r"\s*([elrpnm]|\(|\)|,|\d+)")
 
 
 def parse_sig(text: str) -> Sig:
+    """Read the format of format_sig; malformed text raises SigError."""
     toks: list[str] = []
     pos = 0
     while pos < len(text):
         m = _TOK.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise ValueError(f"bad signature syntax at {text[pos:]!r}")
+                raise SigError(f"bad signature syntax at {text[pos:]!r}")
             break
         toks.append(m.group(1))
         pos = m.end()
 
+    def expect(i: int, tok: str):
+        if i >= len(toks) or toks[i] != tok:
+            raise SigError(f"expected {tok} in signature {text!r}")
+
     def parse(i: int) -> tuple[Sig, int]:
         if i >= len(toks):
-            raise ValueError("truncated signature")
+            raise SigError("truncated signature")
         tok = toks[i]
         if tok == "e":
             return E, i + 1
         if tok == "m":
-            if toks[i + 1] != "(" or toks[i + 3] != ")":
-                raise ValueError("bad m(i) signature")
+            expect(i + 1, "(")
+            if i + 2 >= len(toks) or not toks[i + 2].isdigit():
+                raise SigError("bad m(i) signature")
+            expect(i + 3, ")")
             return msig(int(toks[i + 2])), i + 4
         if tok in ("l", "r", "p"):
-            if toks[i + 1] != "(":
-                raise ValueError(f"expected ( after {tok}")
+            expect(i + 1, "(")
             t, j = parse(i + 2)
-            if j >= len(toks) or toks[j] != ")":
-                raise ValueError("expected )")
+            expect(j, ")")
             return (tok, t), j + 1
         if tok == "n":
-            if toks[i + 1] != "(":
-                raise ValueError("expected ( after n")
+            expect(i + 1, "(")
             t, j = parse(i + 2)
-            if toks[j] != ",":
-                raise ValueError("expected , in n(,)")
+            expect(j, ",")
             u, k = parse(j + 1)
-            if toks[k] != ")":
-                raise ValueError("expected )")
+            expect(k, ")")
             return nsig(t, u), k + 1
-        raise ValueError(f"unexpected token {tok!r}")
+        raise SigError(f"unexpected token {tok!r}")
 
     t, i = parse(0)
     if i != len(toks):
-        raise ValueError(f"trailing signature input {toks[i:]!r}")
+        raise SigError(f"trailing signature input {toks[i:]!r}")
     return t

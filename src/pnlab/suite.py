@@ -14,10 +14,6 @@ from .rewrite import DOUBLE, REWRITE_BUDGET, TRIANGLE, WEIGHT_KINDS, Walk, norma
 from .weights import WeightComputer
 
 
-def check_valid(net: ProofNet) -> list[str]:
-    return validate(net)
-
-
 def check_reversibility(net: ProofNet, transitions) -> list[str]:
     out = []
     for c, d in transitions:
@@ -133,7 +129,7 @@ def run_suite(verbose: bool = False, nets: dict[str, ProofNet] | None = None):
         recorder = Recorder()
         comp = WeightComputer(net, recorder=recorder)
         checks = {
-            "valid": check_valid(net),
+            "valid": validate(net),
             "weights": check_weight_invariants(net, comp),
             "no-stuck": check_no_stuck(net, comp),
             "theorem2": check_theorem2(net, comp),

@@ -31,21 +31,13 @@ PROFILES = {
 class SystemProfile:
     tag: str
     allowed_labels: frozenset[str]
-    sig_constructors: tuple[str, ...]
     bang_box_max_doors: int | None = None
 
     @staticmethod
     def of(tag: str) -> "SystemProfile":
         if tag not in PROFILES:
             raise ValueError(f"unknown system {tag!r}")
-        sigs = {
-            "MELL": ("e", "l", "r", "p", "n"),
-            "ELL": ("e", "l", "r"),
-            "SLL": ("e", "m"),
-            "LLL": ("e", "l", "r"),
-        }[tag]
-        return SystemProfile(tag, PROFILES[tag], sigs,
-                             1 if tag == "LLL" else None)
+        return SystemProfile(tag, PROFILES[tag], 1 if tag == "LLL" else None)
 
 
 def _has_sec_formula(f) -> bool:
@@ -137,10 +129,7 @@ def bounds(system: str, n: int, x: int) -> int:
     if system == "SLL":
         return x ** (n + 2)
     if system == "ELL":
-        r = 1
-        for _ in range(n):
-            r = r * (1 << (x * r + 1))
-        return x * r * (1 << (x * r + 1))
+        return x * _ell_r(n + 1, x, None)
     if system == "LLL":
         r = 1
         for _ in range(n):
@@ -149,19 +138,23 @@ def bounds(system: str, n: int, x: int) -> int:
     raise ValueError(f"unknown system {system!r}")
 
 
-def _ell_r(n: int, x: int):
+def _ell_r(n: int, x: int, cap: int | None = _CAP_BITS):
+    """r_n of the ELL recurrence r_0 = 1, r_(k+1) = r_k * 2^(x r_k + 1), or
+    None once a value passes `cap` bits (no cap when cap is None).  The
+    ELL bound at depth n is x * r_(n+1)."""
     r = 1
     for _ in range(n):
         exp = x * r + 1
-        if exp > _CAP_BITS:
+        if cap is not None and exp > cap:
             return None
         r = r * (1 << exp)
-        if r.bit_length() > _CAP_BITS:
+        if cap is not None and r.bit_length() > cap:
             return None
     return r
 
 
 def _ell_q(n: int, x: int):
+    """The factor r_(n+1) / r_n = 2^(x r_n + 1), or None past the cap."""
     r = _ell_r(n, x)
     if r is None:
         return None
@@ -174,10 +167,10 @@ def _ell_q(n: int, x: int):
 def _capped_bound(system: str, n: int, x: int):
     """The bound as an int, or None when it is astronomically large."""
     if system == "ELL":
-        r, q = _ell_r(n, x), _ell_q(n, x)
-        if r is None or q is None:
+        r = _ell_r(n + 1, x)
+        if r is None:
             return None
-        value = x * r * q
+        value = x * r
     else:
         value = bounds(system, n, x)
     return value if value.bit_length() <= _CAP_BITS else None

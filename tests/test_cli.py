@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pnlab import corpus
 from pnlab.cli import main
 from pnlab.net import parse_net, print_net
 
@@ -249,6 +250,37 @@ def test_machine_validates_its_input(tmp_path, capsys):
     code, out, err = run_cli(capsys, "machine", str(path),
                              "--start", "e1 / eps / a / -")
     assert code == 1 and err and not out
+
+
+@pytest.mark.parametrize("start", ["e1 / eps / q / -", "e1 / eps / m(x) / -",
+                                   "e1 / eps / l / -", "e1 / eps / n(e / -",
+                                   "e1 / l( / a / -"])
+def test_machine_rejects_a_malformed_signature(tmp_path, capsys, start):
+    path = tmp_path / "ladder3.pnet"
+    run_cli(capsys, "gen", "dr-ladder", "3", "--out", str(path))
+    code, out, err = run_cli(capsys, "machine", str(path), "--start", start)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("port", ["split9", "splitx"])
+def test_an_edge_at_a_port_the_mux_lacks_fails_validation(tmp_path, capsys, port):
+    """The multiplexer v6 of the SLL fixture has arity 3."""
+    path = tmp_path / "mux.pnet"
+    path.write_text(print_net(corpus.sll_fixture()).replace(
+        "end\n", f"vertex v10 weak\nedge e12 v6 {port} v10 edge !a\nend\n"))
+    for cmd, *flags in (("check",), ("weight",), ("verify", "--system", "SLL")):
+        code, _, err = run_cli(capsys, cmd, str(path), *flags)
+        assert code == 1 and f"has no port {port}" in err, cmd
+
+
+def test_a_vertex_with_an_unknown_label_fails_validation(tmp_path, capsys):
+    path = tmp_path / "bogus.pnet"
+    path.write_text("pnet 1\nvertex v1 bogus\nvertex v2 concl\n"
+                    "edge e1 v1 out v2 edge a\nend\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out, err) == (1, "check: 1 problem(s)\n",
+                                "vertex v1: unknown label bogus\n")
 
 
 def test_proof_term_input_accepted(tmp_path, capsys):
