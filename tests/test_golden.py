@@ -6,7 +6,8 @@ picked a different cut among equals, or a report whose key order drifted.
 The triangle normalize, weight and verify pins were computed before the
 net indexes were introduced; the machine pins before the token machine's
 walks were rebuilt on one explorer; the arrow and double normalize pins
-before rewriting kept a redex worklist and inherited box tables.
+before rewriting kept a redex worklist and inherited box tables; the walk
+pins before each walk read one table entry per node.
 """
 
 import hashlib
@@ -17,9 +18,11 @@ from contextlib import redirect_stdout
 import pytest
 
 from pnlab import cli, corpus, families, lam
+from pnlab.machine import Recorder, parse_context, run
 from pnlab.net import print_net
 from pnlab.rewrite import STRATEGIES, TRIANGLE, normalize
-from pnlab.weights import WeightComputer
+from pnlab.suite import check_no_stuck
+from pnlab.weights import WeightComputer, search_copy_candidates
 
 
 def _church(k: int, ty: str) -> str:
@@ -75,6 +78,46 @@ def machine_output(tmp_path, net, start: str, *flags: str) -> str:
     return f"{code}\n{buf.getvalue()}"
 
 
+def _lines(rows) -> str:
+    return "".join(" ".join(str(x) for x in row) + "\n" for row in rows)
+
+
+def _tree(result, depth=0):
+    """The rows of a run's outcome tree, branches included, depth first."""
+    yield depth, result.kind, result.steps, result.context
+    for b in result.branches or ():
+        yield from _tree(b, depth + 1)
+
+
+def run_output(net, start: str) -> str:
+    """run's outcome tree, then its trace, then its recorded transitions."""
+    rec, trace = Recorder(), []
+    result = run(net, parse_context(net, start), recorder=rec, trace=trace)
+    return (_lines(_tree(result)) + "--\n" + _lines((c,) for c in trace)
+            + "--\n" + _lines(rec.transitions))
+
+
+def weight_walks_output() -> str:
+    """The weight report of church 6 g z, the transitions its walks
+    recorded, and reach_final's memo in insertion order."""
+    rec = Recorder()
+    comp = WeightComputer(_applied(_church(6, "t")), recorder=rec)
+    report = json.dumps(comp.report().to_dict(), indent=2, sort_keys=True)
+    return (report + "\n--\n" + _lines(rec.transitions) + "--\n"
+            + _lines(comp.reach_memo.items()))
+
+
+def search_output() -> str:
+    """check_no_stuck on composed (2,2), then the copy candidates from each
+    principal edge on each of its canonical sequences."""
+    net = composed(2, 2)
+    comp = WeightComputer(net)
+    rows = [(e, u, sorted(search_copy_candidates(net, e, u, comp.config)))
+            for e in sorted(net.principal_edges())
+            for u in comp.canonical_sequences(e)]
+    return _lines((p,) for p in check_no_stuck(net, comp)) + "--\n" + _lines(rows)
+
+
 NORMALIZE_SHA = {
     (2, 2):
         "807f54150352056a0b0273d4900a91ac85e32e10930991e87b607ea3c76d34d9",
@@ -112,7 +155,19 @@ MACHINE_SHA = {
     ("lambda-church", "e12 / eps / e / -", ()):
         "f18bb724f4b05dfe625563f6fa1dd034c72b32dc18732627e250a47f3e30d25b",
 }
+# (net, start) -> sha256 of run's outcomes, trace and recorded transitions
+RUN_SHA = {
+    ("dr-ladder-8", "concl / eps / a / -"):
+        "c2b1a6e4ec0eea48399dbeda1e58e108344bb3e268c362d2483ceaa8e6c58b4e",
+    # a jump to both doors of a box, one branch each
+    ("lambda-church", "e12 / eps / e / -"):
+        "5cf7b4f13cb60cfd05c2b8c7b11aae69b3faa15b02f53c566c9aed58e901a7cb",
+}
+WEIGHT_WALKS_SHA = \
+    "67a331a097f1b08a8dab1964428e004dbec2fc7c197bbde6c7d3b1fd4d3b79aa"
+SEARCH_SHA = "8dc153fdc70d1ae7d2bdefea52c49402d00768fa4145086611da075f09e5e3e8"
 MACHINE_NETS = {
+    "dr-ladder-8": lambda: families.gen_family("dr-ladder", 8),
     "dr-ladder-6": lambda: families.gen_family("dr-ladder", 6),
     "jump-example": lambda: families.gen_family("jump-example"),
     "lambda-church": lambda: corpus.named_fixtures()["lambda-church"],
@@ -144,3 +199,17 @@ def test_machine_output_is_pinned(tmp_path, case):
     name, start, flags = case
     out = machine_output(tmp_path, MACHINE_NETS[name](), start, *flags)
     assert _sha(out) == MACHINE_SHA[case]
+
+
+@pytest.mark.parametrize("case", sorted(RUN_SHA))
+def test_run_outcomes_trace_and_transitions_are_pinned(case):
+    name, start = case
+    assert _sha(run_output(MACHINE_NETS[name](), start)) == RUN_SHA[case]
+
+
+def test_weight_walks_are_pinned():
+    assert _sha(weight_walks_output()) == WEIGHT_WALKS_SHA
+
+
+def test_no_stuck_and_copy_search_are_pinned():
+    assert _sha(search_output()) == SEARCH_SHA
