@@ -248,7 +248,7 @@ def _verify_suite(args) -> int:
 
 def cmd_gen(args) -> int:
     base = parse_formula(args.base) if args.base else None
-    net = gen_family(args.family, args.n, base)
+    net = gen_family(args.family, tuple(args.sizes), base)
     _write_out(N.print_net(net), args.out)
     return EXIT_OK
 
@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("gen", help="generate an example family net")
     c.add_argument("family", choices=list(FAMILIES))
-    c.add_argument("n", type=int, nargs="?", default=1)
+    c.add_argument("sizes", type=int, nargs="*", metavar="n",
+                   help="the family's size, or for compose j and k (default 1)")
     c.add_argument("--base", help="base formula (default: a)")
     c.add_argument("--out")
     c.set_defaults(fn=cmd_gen)

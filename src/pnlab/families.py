@@ -11,11 +11,18 @@ copy-example is the one-box net whose cut corresponds to the beta redex of
 
 jump-example chains a second box in front of the copy-example box, so the
 outer box's copies are discovered only through the box-premise jump rule.
+
+church k is the Church numeral k applied to g z, and compose j k is church j
+applied to church k, then to g z, with church j taken at type
+(a -> a) -> a -> a; g : a -> a and z : a.  Both are built by the lambda
+front end, so they are the nets `pnlab lambda` prints for those terms.
+compose is the one family with two sizes.
 """
 
 from __future__ import annotations
 
 from .formulas import Atom, Formula, Lolli
+from .lam import App, Lam, LTerm, TArrow, TAtom, Var, from_lambda
 from .net import ProofNet
 from .terms import (
     Ax,
@@ -29,7 +36,9 @@ from .terms import (
     elaborate,
 )
 
-FAMILIES = ("dr-ladder", "copy-example", "jump-example")
+# family -> how many sizes it takes
+FAMILIES = {"dr-ladder": 1, "copy-example": 1, "jump-example": 1, "church": 1,
+            "compose": 2}
 
 
 class FamilyError(ValueError):
@@ -71,12 +80,54 @@ def jump_example_term() -> ProofTerm:
     return Cut(Promote(Ax(a)), Cut(Promote(Ax(a)), _body_yxx(a, b), 1), 1)
 
 
-def gen_family(name: str, n: int = 1, base: Formula | None = None) -> ProofNet:
+def church_term(k: int, ty: TAtom | TArrow) -> LTerm:
+    """\\f:ty -> ty. \\x:ty. f (... (f x)), with k applications of f."""
+    body: LTerm = Var("x")
+    for _ in range(k):
+        body = App(Var("f"), body)
+    return Lam("f", TArrow(ty, ty), Lam("x", ty, body))
+
+
+def _applied(term: LTerm, atom: TAtom) -> ProofNet:
+    """term applied to g : atom -> atom and z : atom."""
+    sig = {"g": TArrow(atom, atom), "z": atom}
+    return from_lambda(App(App(term, Var("g")), Var("z")), sig)
+
+
+def church_net(k: int, atom: TAtom) -> ProofNet:
+    return _applied(church_term(k, atom), atom)
+
+
+def compose_net(j: int, k: int, atom: TAtom) -> ProofNet:
+    """church j (church k) g z, church j taken at type
+    (atom -> atom) -> atom -> atom."""
+    fn = TArrow(atom, atom)
+    return _applied(App(church_term(j, fn), church_term(k, atom)), atom)
+
+
+def gen_family(name: str, n: int | tuple[int, ...] = 1,
+               base: Formula | None = None) -> ProofNet:
+    """The net of family name at size n, a tuple of sizes for a family
+    that takes more than one; sizes left out are 1."""
+    if name not in FAMILIES:
+        raise FamilyError(
+            f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
+    sizes = n if isinstance(n, tuple) else (n,)
+    if len(sizes) > FAMILIES[name]:
+        raise FamilyError(f"{name} takes {FAMILIES[name]} size(s), "
+                          f"not {len(sizes)}")
+    sizes += (1,) * (FAMILIES[name] - len(sizes))
     base = base or Atom("a")
     if name == "dr-ladder":
-        return elaborate(dr_ladder_term(n, base))
+        return elaborate(dr_ladder_term(sizes[0], base))
     if name == "copy-example":
         return elaborate(copy_example_term())
     if name == "jump-example":
         return elaborate(jump_example_term())
-    raise FamilyError(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
+    if not isinstance(base, Atom):
+        raise FamilyError(f"{name} needs an atomic base, not {base}")
+    if min(sizes) < 0:
+        raise FamilyError(f"{name} needs sizes >= 0")
+    if name == "church":
+        return church_net(sizes[0], TAtom(base.name))
+    return compose_net(*sizes, TAtom(base.name))

@@ -32,14 +32,21 @@ Every walk of the transition relation (run, reach_final, the copy search
 and the suite's checks) is one call of explore: a depth-first walk on an
 explicit stack that keeps the current path as a set for cycle detection
 and a stack entry only for a node with successors left, so the length of a
-path costs no Python frames.  One budget rule holds for all of them: it is
-checked when a node with successors is expanded, and each transition
-taken costs one unit.  run reports an exhausted budget as an outcome; the
-other walks raise BudgetExhausted.
+path costs no Python frames.  A walk's per-node work is its expand hook,
+and explore yields events only where the walk branches, meets a cycle,
+runs out of budget or backtracks, never once per node.  One budget rule
+holds for all of them: it is checked when a node with successors is
+expanded, and each transition taken costs one unit.  run reports an
+exhausted budget as an outcome; the other walks raise BudgetExhausted.
 
-A final context is defined once, by final_bindings.  The copy search's
-holes ('h', k), signatures not yet chosen, may stand where a final context
-needs e; final_bindings then binds them to e.
+A final context is defined once, by final_at on its table entry
+(final_bindings on a context).  The copy search's holes ('h', k),
+signatures not yet chosen, may stand where a final context needs e;
+final_at then binds them to e.  A final context has no successor: it is
+at a conclusion, weakening or premise, where no rule applies, or at a
+dereliction's bang port on a one-element stack, where the rule needs two.
+So each walk reads one table entry per node and calls its rule, and tests
+finality only when the rule gives no successor.
 """
 
 from __future__ import annotations
@@ -142,7 +149,13 @@ def is_hole(x) -> bool:
 
 
 def final_bindings(net: N.ProofNet, c: Context, binds: dict):
-    """The bindings under which c is final, or None when it cannot be.
+    """The bindings under which c is final, or None when it cannot be."""
+    return final_at(table_entry(net, c.edge, c.pol), c.stack, binds)
+
+
+def final_at(entry: Entry, st: tuple, binds: dict):
+    """The bindings under which a token with stack st is final at the
+    endpoint of entry, or None when it cannot be.
 
     The stack is read from its top, with a polarity that starts '+' at a
     conclusion or weakening and '-' at a premise and flips at each 'a'.
@@ -151,10 +164,9 @@ def final_bindings(net: N.ProofNet, c: Context, binds: dict):
     A hole where e is needed is bound to e in the result, a copy of binds;
     other holes stay open.
     """
-    final = table_entry(net, c.edge, c.pol).final
+    final = entry.final
     if final is None:
         return None
-    st = c.stack
     if final == _DER_FINAL:
         if len(st) != 1:
             return None
@@ -526,23 +538,26 @@ class RunResult:
 
 
 # explore's events; see its docstring
-ENTER, CYCLE, BRANCH, BUDGET, LEAVE = "enter", "cycle", "branch", "budget", "leave"
+CYCLE, BRANCH, BUDGET, LEAVE = "cycle", "branch", "budget", "leave"
 
 
-def explore(start, expand, budget: int, key=lambda node: node):
-    """Depth-first walk from start; yields (event, node, path).
+def explore(start, expand, budget: int, key=None):
+    """Depth-first walk from start; yields (event, x, path) at the walk's
+    joints only, never once per node.
 
-    expand(node) lists the successors of node; an empty list makes it a
-    leaf.  key(node) identifies nodes for cycle detection.  path is the
-    live list of nodes from start to the current one:
+    path is the live list of nodes from start to the current one.  Each
+    node not already on the path is appended to it and then expanded:
+    expand(node, path) lists its successors, and an empty list makes it a
+    leaf.  expand is therefore the per-node hook, and path[-2] is the node
+    it was reached from.  key(node) identifies nodes for cycle detection;
+    with key None a node is its own key.  The events:
 
-    - ENTER: node, a successor of path[-1] unless it is start, is appended
-      to path and then expanded.
-    - CYCLE: node, a successor of path[-1], is on the path; it is skipped.
-    - BRANCH: node, path[-1], has more than one successor.
-    - BUDGET: node, path[-1], has successors but the budget is spent; it
-      is left as a leaf.
-    - LEAVE: the walk below node, path[-1], is done; node is removed.
+    - CYCLE: x, a successor of path[-1], is on the path; it is skipped.
+    - BRANCH: x, path[-1], has more than one successor.
+    - BUDGET: x, path[-1], has successors but the budget is spent; it is
+      left as a leaf.
+    - LEAVE: the walk backtracks; x is the length the path is cut to, and
+      path[x:], the nodes whose walks are done, are still on it.
 
     A consumer that stops iterating takes no further successor.
     """
@@ -551,15 +566,14 @@ def explore(start, expand, budget: int, key=lambda node: node):
     pending: list = []  # [path length at the node, its successors, next index]
     d = start
     while True:
-        k = key(d)
+        k = d if key is None else key(d)
         if k in on_path:
             yield CYCLE, d, path
             succs = None
         else:
-            yield ENTER, d, path
             path.append(d)
             on_path.add(k)
-            succs = expand(d)
+            succs = expand(d, path)
             if succs and budget <= 0:
                 yield BUDGET, d, path
                 succs = None
@@ -570,9 +584,11 @@ def explore(start, expand, budget: int, key=lambda node: node):
             d = succs[0]
         else:
             depth = pending[-1][0] if pending else 0
-            while len(path) > depth:
-                yield LEAVE, path[-1], path
-                on_path.discard(key(path.pop()))
+            if len(path) > depth:
+                yield LEAVE, depth, path
+                done = path[depth:]
+                del path[depth:]
+                on_path.difference_update(done if key is None else map(key, done))
             if not pending:
                 return
             entry = pending[-1]
@@ -593,38 +609,47 @@ def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
     successor order.
     """
     config = config or MachineConfig()
+    table = net._index.transitions
+    record = recorder.record if recorder else None
+    append = trace.append if trace is not None else None
     top: list[RunResult] = []
     outs = [top]  # the outcome list of each open branch, innermost last
     branch_depths: list[int] = []  # path length at each open branch
 
-    def expand(c: Context) -> list[Context]:
-        steps = len(path) - 1  # explore expands c as path[-1]
-        if is_final(net, c):
-            outs[-1].append(RunResult("final", c, steps))
-            return []
-        succs = step(net, c, config)
+    def expand(c: Context, path: list) -> list[Context]:
+        if len(path) > 1:  # a transition from path[-2]
+            if record:
+                record(path[-2], c)
+            if append:
+                append(c)
+        try:
+            entry = table[c[0], c[3]]
+        except KeyError:
+            entry = table_entry(net, c[0], c[3])
+        succs = entry.rule(c[1], c[2], config)
         if not succs:
-            outs[-1].append(RunResult("stuck", c, steps))
+            kind = "stuck" if final_at(entry, c[2], {}) is None else "final"
+            outs[-1].append(RunResult(kind, c, len(path) - 1))
         return succs
 
-    for event, c, path in explore(start, expand, config.step_budget):
-        if (event == ENTER or event == CYCLE) and path:  # a transition
-            if recorder:
-                recorder.record(path[-1], c)
-            if trace is not None:
-                trace.append(c)
-        if event == CYCLE:
-            outs[-1].append(RunResult("cycle", c, len(path)))
-        elif event == BUDGET:
-            outs[-1].append(RunResult("budget", c, len(path) - 1))
+    for event, x, path in explore(start, expand, config.step_budget):
+        if event == LEAVE:
+            while branch_depths and branch_depths[-1] > x:
+                branch_depths.pop()
+                outs.pop()
+        elif event == CYCLE:  # a transition from path[-1]
+            if record:
+                record(path[-1], x)
+            if append:
+                append(x)
+            outs[-1].append(RunResult("cycle", x, len(path)))
         elif event == BRANCH:
-            b = RunResult("branch", c, len(path) - 1, [])
+            b = RunResult("branch", x, len(path) - 1, [])
             outs[-1].append(b)
             outs.append(b.branches)
             branch_depths.append(len(path))
-        elif event == LEAVE and branch_depths and branch_depths[-1] == len(path):
-            branch_depths.pop()
-            outs.pop()
+        else:  # BUDGET
+            outs[-1].append(RunResult("budget", x, len(path) - 1))
     return top[0]
 
 
@@ -641,36 +666,44 @@ def reach_final(net: N.ProofNet, start: Context,
     """
     config = config or MachineConfig()
     memo = memo if memo is not None else {}
+    table = net._index.transitions
+    record = recorder.record if recorder else None
     found = cycle = False
     tainted = 0  # the first `tainted` contexts on the path met a cycle below
 
-    def expand(c: Context) -> list[Context]:
+    def expand(c: Context, path: list) -> list[Context]:
         nonlocal found
+        if record and len(path) > 1:
+            record(path[-2], c)
         if c in memo:
             found = memo[c]
             return []
-        if is_final(net, c):
+        try:
+            entry = table[c[0], c[3]]
+        except KeyError:
+            entry = table_entry(net, c[0], c[3])
+        succs = entry.rule(c[1], c[2], config)
+        if not succs and final_at(entry, c[2], {}) is not None:
             memo[c] = found = True
-            return []
-        return step(net, c, config)
+        return succs
 
-    for event, c, path in explore(start, expand, config.step_budget):
-        if (event == ENTER or event == CYCLE) and path and recorder:
-            recorder.record(path[-1], c)
-        if event == CYCLE:
-            cycle = True
-            tainted = len(path)
-        elif event == BUDGET:
-            raise BudgetExhausted("machine step budget exhausted", c)
-        elif event == LEAVE:
+    for event, x, path in explore(start, expand, config.step_budget):
+        if event == LEAVE:
             if found:
                 for p in reversed(path[:-1]):
                     memo[p] = True
                 return True, cycle
-            if len(path) <= tainted:
-                tainted = len(path) - 1
-            else:
-                memo[c] = False
+            # deepest first; the tainted prefix gets no entry
+            for i in range(len(path) - 1, max(x, tainted) - 1, -1):
+                memo[path[i]] = False
+            tainted = min(tainted, x)
+        elif event == CYCLE:
+            if record:
+                record(path[-1], x)
+            cycle = True
+            tainted = len(path)
+        elif event == BUDGET:
+            raise BudgetExhausted("machine step budget exhausted", x)
     return False, cycle
 
 

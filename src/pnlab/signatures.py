@@ -141,14 +141,27 @@ def all_standard_sigs(max_size: int, mux_indices: tuple[int, ...] = ()) -> list[
 
 
 def format_sig(t: Sig) -> str:
-    head = t[0]
-    if head == "e":
-        return "e"
-    if head == "m":
-        return f"m({t[1]})"
-    if head in ("l", "r", "p"):
-        return f"{head}({format_sig(t[1])})"
-    return f"n({format_sig(t[1])},{format_sig(t[2])})"
+    """The text of t, on an explicit stack, so that its depth costs no
+    Python frames."""
+    out: list[str] = []
+    todo: list = [t]  # signatures to write, and the punctuation after them
+    while todo:
+        x = todo.pop()
+        if x.__class__ is str:
+            out.append(x)
+            continue
+        head = x[0]
+        if head == "e":
+            out.append("e")
+        elif head == "m":
+            out.append(f"m({x[1]})")
+        elif head in ("l", "r", "p"):
+            out.append(f"{head}(")
+            todo += (")", x[1])
+        else:
+            out.append("n(")
+            todo += (")", x[2], ",", x[1])
+    return "".join(out)
 
 
 class SigError(ValueError):
@@ -175,33 +188,41 @@ def parse_sig(text: str) -> Sig:
         if i >= len(toks) or toks[i] != tok:
             raise SigError(f"expected {tok} in signature {text!r}")
 
-    def parse(i: int) -> tuple[Sig, int]:
+    # left to right on an explicit stack, so that the depth of the text
+    # costs no Python frames: each open constructor is a frame [head], and
+    # an n whose first argument is read is [n, first]
+    frames: list[list] = []
+    i = 0
+    while True:
         if i >= len(toks):
             raise SigError("truncated signature")
         tok = toks[i]
+        if tok in ("l", "r", "p", "n"):
+            expect(i + 1, "(")
+            frames.append([tok])
+            i += 2
+            continue
         if tok == "e":
-            return E, i + 1
-        if tok == "m":
+            t, i = E, i + 1
+        elif tok == "m":
             expect(i + 1, "(")
             if i + 2 >= len(toks) or not toks[i + 2].isdigit():
                 raise SigError("bad m(i) signature")
             expect(i + 3, ")")
-            return msig(int(toks[i + 2])), i + 4
-        if tok in ("l", "r", "p"):
-            expect(i + 1, "(")
-            t, j = parse(i + 2)
-            expect(j, ")")
-            return (tok, t), j + 1
-        if tok == "n":
-            expect(i + 1, "(")
-            t, j = parse(i + 2)
-            expect(j, ",")
-            u, k = parse(j + 1)
-            expect(k, ")")
-            return nsig(t, u), k + 1
-        raise SigError(f"unexpected token {tok!r}")
-
-    t, i = parse(0)
+            t, i = msig(int(toks[i + 2])), i + 4
+        else:
+            raise SigError(f"unexpected token {tok!r}")
+        # close every constructor that t completes
+        while frames and not (frames[-1] == ["n"]):
+            frame = frames.pop()
+            expect(i, ")")
+            t = nsig(frame[1], t) if frame[0] == "n" else (frame[0], t)
+            i += 1
+        if not frames:
+            break
+        expect(i, ",")  # t is the first argument of an n
+        frames[-1].append(t)
+        i += 1
     if i != len(toks):
         raise SigError(f"trailing signature input {toks[i:]!r}")
     return t

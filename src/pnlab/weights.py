@@ -12,6 +12,7 @@ to a size bound cross-validates the search on small nets.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import net as N
@@ -19,10 +20,11 @@ from .machine import (
     BUDGET,
     BudgetExhausted,
     Context,
+    Entry,
     MachineConfig,
     Recorder,
     explore,
-    final_bindings,
+    final_at,
     is_hole,
     reach_final,
     step,
@@ -78,8 +80,9 @@ def _complete(x, binds):
     return _resolve(x, binds, default=E)
 
 
-def _hole_branches(net: N.ProofNet, c: Context, fresh):
-    """Instantiations demanded when the endpoint rule inspects a hole on top.
+def _hole_branches(entry: Entry, c: Context, fresh):
+    """Instantiations demanded when the rule of entry, c's endpoint,
+    inspects a hole on top.
 
     Only standard constructors are offered; p-simplifications are covered by
     the per-candidate verification afterwards.
@@ -87,7 +90,6 @@ def _hole_branches(net: N.ProofNet, c: Context, fresh):
     top = c.stack[-1] if c.stack else None
     if not is_hole(top):
         return None
-    entry = table_entry(net, c.edge, c.pol)
     label, port = entry.vertex.label, entry.port
     if label == N.CONTR and port == "merged" and c.pol == "+":
         out = [lsig(("h", next(fresh))), rsig(("h", next(fresh)))]
@@ -113,22 +115,27 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
     root = ("h", 0)
     results: set[Sig] = set()
 
-    def expand(node):
+    def expand(node, path):
         c, binds = node
-        final = final_bindings(net, c, binds)
+        entry = table_entry(net, c[0], c[3])
+        branches = _hole_branches(entry, c, fresh)
+        if branches is not None:
+            out = []
+            for hid, t in branches:
+                b2 = {**binds, hid: t}
+                out.append((_resolve_ctx(c, b2), b2))
+            return out
+        succs = entry.rule(c[1], c[2], config)
+        if succs:
+            return [(d, binds) for d in succs]
+        final = final_at(entry, c[2], binds)
         if final is not None:
             results.add(_complete(root, final))
-        branches = _hole_branches(net, c, fresh)
-        if branches is None:
-            return [(d, binds) for d in step(net, c, config)]
-        out = []
-        for hid, t in branches:
-            b2 = {**binds, hid: t}
-            out.append((_resolve_ctx(c, b2), b2))
-        return out
+        return []
 
     start = (Context(edge, us, (root,), "+"), {})
-    for event, node, _ in explore(start, expand, budget, key=lambda n: n[0]):
+    for event, node, _ in explore(start, expand, budget,
+                                  key=operator.itemgetter(0)):
         if event == BUDGET:
             raise BudgetExhausted("copy search budget exhausted", node[0])
     return results
@@ -329,7 +336,7 @@ def check_subtree_property(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
     witnessed: set[Sig] = set()
     seen: set[Context] = set()
 
-    def expand(c: Context) -> list[Context]:
+    def expand(c: Context, path: list) -> list[Context]:
         if c.pol == "+" and len(c.stack) == 1 and is_sig(c.stack[0]):
             witnessed.add(c.stack[0])
         return [d for d in step(net, c, comp.config)

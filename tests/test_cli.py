@@ -263,6 +263,52 @@ def test_machine_rejects_a_malformed_signature(tmp_path, capsys, start):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+DEEP_SIG = "l(" * 3000 + "e" + ")" * 3000
+
+
+def test_machine_reads_and_prints_a_deep_signature(tmp_path, capsys):
+    """A signature 3,000 deep is read and printed at the default recursion
+    limit, with the output of the same run on l(e), that text aside."""
+    path = tmp_path / "ladder3.pnet"
+    run_cli(capsys, "gen", "dr-ladder", "3", "--out", str(path))
+    # carried in U to the final context
+    code, out, err = run_cli(capsys, "machine", str(path),
+                             "--start", f"concl / {DEEP_SIG} / a / -")
+    shallow = run_cli(capsys, "machine", str(path),
+                      "--start", "concl / l(e) / a / -")
+    assert (code, err) == (0, "") and shallow[0] == 0
+    assert out == shallow[1].replace("l(e)", DEEP_SIG)
+    # on the stack, stuck two steps in, as l(e) is
+    code, out, err = run_cli(capsys, "machine", str(path),
+                             "--start", f"e1 / eps / {DEEP_SIG} / -")
+    shallow = run_cli(capsys, "machine", str(path),
+                      "--start", "e1 / eps / l(e) / -")
+    assert (code, err) == (1, "") and shallow[0] == 1
+    assert out == shallow[1].replace("l(e)", DEEP_SIG)
+
+
+@pytest.mark.parametrize("depth", [1, 3000])
+@pytest.mark.parametrize("broken, message", [
+    ("{open}e", "expected ) in signature {text!r}"),
+    ("{open}n(e", "expected , in signature {text!r}"),
+    ("{open}n(e,", "truncated signature"),
+    ("{open},{close}", "unexpected token ','"),
+    ("{open}m(e){close}", "bad m(i) signature"),
+    ("{open}e{close})", "trailing signature input [')']"),
+], ids=["unclosed", "n-without-comma", "n-truncated", "comma", "bad-m",
+        "trailing"])
+def test_machine_rejects_a_deep_malformed_signature(tmp_path, capsys, depth,
+                                                    broken, message):
+    path = tmp_path / "ladder3.pnet"
+    run_cli(capsys, "gen", "dr-ladder", "3", "--out", str(path))
+    text = broken.format(open="l(" * depth, close=")" * depth)
+    code, out, err = run_cli(capsys, "machine", str(path),
+                             "--start", f"e1 / eps / {text} / -")
+    assert (code, out) == (3, "")
+    expect = f"bad context literal {f'e1 / eps / {text} / -'!r}: "
+    assert err == f"error: {expect}{message.format(text=text)}\n"
+
+
 @pytest.mark.parametrize("port", ["split9", "splitx"])
 def test_an_edge_at_a_port_the_mux_lacks_fails_validation(tmp_path, capsys, port):
     """The multiplexer v6 of the SLL fixture has arity 3."""

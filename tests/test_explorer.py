@@ -28,10 +28,12 @@ from pnlab.machine import (
     Recorder,
     RunResult,
     is_final,
+    Entry,
     parse_context,
     reach_final,
     run,
     step,
+    table_entry,
 )
 from pnlab.signatures import (
     E,
@@ -253,7 +255,7 @@ def ref_search_copy_candidates(net, edge, us, config, budget=10**6):
             raise BudgetExhausted("copy search budget exhausted", c)
         for b2 in ref_sym_final(net, c, binds):
             results.add(_complete(root, b2))
-        branches = _hole_branches(net, c, fresh)
+        branches = _hole_branches(table_entry(net, c.edge, c.pol), c, fresh)
         if branches is not None:
             for hid, t in branches:
                 b2 = {**binds, hid: t}
@@ -440,32 +442,48 @@ def _random_graph(rng):
     return succs, {v for v in range(n) if rng.random() < 0.2}
 
 
-def test_run_and_reach_final_match_reference_on_cyclic_graphs(monkeypatch):
-    """The walks with the machine replaced by random graphs with cycles."""
-    import pnlab.machine as M
+def _graph_net(succs, finals):
+    """A net whose transition table holds one entry per graph node.
 
+    Node v is the context (ev, [], e, +).  Its edge ends at a conclusion
+    when v is final and at a premise otherwise, so that the reference's
+    is_final reads the net; its entry's rule gives the contexts of v's
+    successors, or none when v is final, as a final context has none.
+    """
+    ctx = {v: Context(f"e{v}", (), (E,), "+") for v in succs}
+    vertices, edges = {}, {}
+    for v in succs:
+        vertices[f"v{v}"] = N.Vertex(f"v{v}", N.CONCL if v in finals else N.PREM)
+        edges[f"e{v}"] = N.Edge(f"e{v}", (f"w{v}", "edge"), (f"v{v}", "edge"),
+                                None)
+    net = N.ProofNet(vertices, edges, {})
+    for v, ws in succs.items():
+        out = () if v in finals else tuple(ctx[w] for w in ws)
+        net._index.transitions[f"e{v}", "+"] = Entry(
+            vertices[f"v{v}"], "edge", lambda us, st, config, out=out: list(out),
+            "+" if v in finals else None)
+    return net, ctx
+
+
+def test_run_and_reach_final_match_reference_on_cyclic_graphs():
+    """The walks on random graphs with cycles, given as transition tables."""
     rng = random.Random(7)
     kinds = set()
     cycles = 0
     for _ in range(400):
         succs, finals = _random_graph(rng)
-        fake_step = lambda net, c, config=None: list(succs[c])
-        fake_final = lambda net, c: c in finals
-        for module in (M, sys.modules[__name__]):
-            monkeypatch.setattr(module, "step", fake_step)
-        monkeypatch.setattr(M, "is_final", fake_final)
-        monkeypatch.setattr(sys.modules[__name__], "ref_is_final", fake_final)
+        net, ctx = _graph_net(succs, finals)
         memo, ref_memo = {}, {}
         got, want = Recorder(), Recorder()
-        for start in succs:
+        for start in map(ctx.get, succs):
             for budget in (10**7, 3, 1):
                 config = MachineConfig(step_budget=budget)
-                r = run(None, start, config, got)
-                assert r == ref_run(None, start, config, want)
+                r = run(net, start, config, got)
+                assert r == ref_run(net, start, config, want)
                 kinds.update(o.kind for o in (r, *r.outcomes()))
             config = MachineConfig()
-            answer = reach_final(None, start, config, memo, got)
-            assert answer == ref_reach_final(None, start, config, ref_memo, want)
+            answer = reach_final(net, start, config, memo, got)
+            assert answer == ref_reach_final(net, start, config, ref_memo, want)
             cycles += answer[1]
         assert list(memo.items()) == list(ref_memo.items())
         assert got.transitions == want.transitions
