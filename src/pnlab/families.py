@@ -22,7 +22,7 @@ compose is the one family with two sizes.
 from __future__ import annotations
 
 from .formulas import Atom, Formula, Lolli
-from .lam import App, Lam, LTerm, TArrow, TAtom, Var, from_lambda
+from .lam import App, Lam, LTerm, SType, TArrow, TAtom, Var, from_lambda
 from .net import ProofNet
 from .terms import (
     Ax,
@@ -80,7 +80,7 @@ def jump_example_term() -> ProofTerm:
     return Cut(Promote(Ax(a)), Cut(Promote(Ax(a)), _body_yxx(a, b), 1), 1)
 
 
-def church_term(k: int, ty: TAtom | TArrow) -> LTerm:
+def church_term(k: int, ty: SType) -> LTerm:
     """\\f:ty -> ty. \\x:ty. f (... (f x)), with k applications of f."""
     body: LTerm = Var("x")
     for _ in range(k):
@@ -92,17 +92,6 @@ def _applied(term: LTerm, atom: TAtom) -> ProofNet:
     """term applied to g : atom -> atom and z : atom."""
     sig = {"g": TArrow(atom, atom), "z": atom}
     return from_lambda(App(App(term, Var("g")), Var("z")), sig)
-
-
-def church_net(k: int, atom: TAtom) -> ProofNet:
-    return _applied(church_term(k, atom), atom)
-
-
-def compose_net(j: int, k: int, atom: TAtom) -> ProofNet:
-    """church j (church k) g z, church j taken at type
-    (atom -> atom) -> atom -> atom."""
-    fn = TArrow(atom, atom)
-    return _applied(App(church_term(j, fn), church_term(k, atom)), atom)
 
 
 def gen_family(name: str, n: int | tuple[int, ...] = 1,
@@ -128,6 +117,9 @@ def gen_family(name: str, n: int | tuple[int, ...] = 1,
         raise FamilyError(f"{name} needs an atomic base, not {base}")
     if min(sizes) < 0:
         raise FamilyError(f"{name} needs sizes >= 0")
+    atom = TAtom(base.name)
     if name == "church":
-        return church_net(sizes[0], TAtom(base.name))
-    return compose_net(*sizes, TAtom(base.name))
+        return _applied(church_term(sizes[0], atom), atom)
+    j, k = sizes  # church j taken at type (atom -> atom) -> atom -> atom
+    return _applied(App(church_term(j, TArrow(atom, atom)), church_term(k, atom)),
+                    atom)

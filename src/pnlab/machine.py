@@ -542,8 +542,9 @@ CYCLE, BRANCH, BUDGET, LEAVE = "cycle", "branch", "budget", "leave"
 
 
 def explore(start, expand, budget: int, key=None):
-    """Depth-first walk from start; yields (event, x, path) at the walk's
-    joints only, never once per node.
+    """Depth-first walk from start; yields (event, x, path) where the walk
+    meets a cycle, branches, spends its budget or backtracks, never once
+    per node.
 
     path is the live list of nodes from start to the current one.  Each
     node not already on the path is appended to it and then expanded:
@@ -582,15 +583,16 @@ def explore(start, expand, budget: int, key=None):
                 yield BRANCH, d, path
                 pending.append([len(path), succs, 1])
             d = succs[0]
+        elif not pending:  # the walk is done
+            yield LEAVE, 0, path
+            return
         else:
-            depth = pending[-1][0] if pending else 0
+            depth = pending[-1][0]
             if len(path) > depth:
                 yield LEAVE, depth, path
                 done = path[depth:]
                 del path[depth:]
                 on_path.difference_update(done if key is None else map(key, done))
-            if not pending:
-                return
             entry = pending[-1]
             _, rest, i = entry
             d = rest[i]

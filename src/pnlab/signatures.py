@@ -213,7 +213,7 @@ def parse_sig(text: str) -> Sig:
         else:
             raise SigError(f"unexpected token {tok!r}")
         # close every constructor that t completes
-        while frames and not (frames[-1] == ["n"]):
+        while frames and frames[-1] != ["n"]:
             frame = frames.pop()
             expect(i, ")")
             t = nsig(frame[1], t) if frame[0] == "n" else (frame[0], t)

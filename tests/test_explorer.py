@@ -24,11 +24,11 @@ from pnlab.machine import (
     SYMBOLS,
     BudgetExhausted,
     Context,
+    Entry,
     MachineConfig,
     Recorder,
     RunResult,
     is_final,
-    Entry,
     parse_context,
     reach_final,
     run,
