@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("gen", help="generate an example family net")
     c.add_argument("family", choices=list(FAMILIES))
     c.add_argument("sizes", type=int, nargs="*", metavar="n",
-                   help="the family's size, or for compose j and k (default 1)")
+                   help="the family's size, or for compose j and k "
+                   "(default 1 each)")
     c.add_argument("--base", help="base formula (default: a)")
     c.add_argument("--out")
     c.set_defaults(fn=cmd_gen)

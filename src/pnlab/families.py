@@ -94,18 +94,19 @@ def _applied(term: LTerm, atom: TAtom) -> ProofNet:
     return from_lambda(App(App(term, Var("g")), Var("z")), sig)
 
 
-def gen_family(name: str, n: int | tuple[int, ...] = 1,
+def gen_family(name: str, sizes: int | tuple[int, ...] = (),
                base: Formula | None = None) -> ProofNet:
-    """The net of family name at size n, a tuple of sizes for a family
-    that takes more than one; sizes left out are 1."""
+    """The net of family name.  sizes holds FAMILIES[name] sizes, or none
+    for the default of 1 each; an int n stands for (n,)."""
     if name not in FAMILIES:
         raise FamilyError(
             f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
-    sizes = n if isinstance(n, tuple) else (n,)
-    if len(sizes) > FAMILIES[name]:
+    if isinstance(sizes, int):
+        sizes = (sizes,)
+    sizes = sizes or (1,) * FAMILIES[name]
+    if len(sizes) != FAMILIES[name]:
         raise FamilyError(f"{name} takes {FAMILIES[name]} size(s), "
                           f"not {len(sizes)}")
-    sizes += (1,) * (FAMILIES[name] - len(sizes))
     base = base or Atom("a")
     if name == "dr-ladder":
         return elaborate(dr_ladder_term(sizes[0], base))

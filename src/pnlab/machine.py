@@ -45,8 +45,9 @@ signatures not yet chosen, may stand where a final context needs e;
 final_at then binds them to e.  A final context has no successor: it is
 at a conclusion, weakening or premise, where no rule applies, or at a
 dereliction's bang port on a one-element stack, where the rule needs two.
-So each walk reads one table entry per node and calls its rule, and tests
-finality only when the rule gives no successor.
+So run, reach_final and the suite's checks call step once per node, and
+the copy search reads the node's table entry once and calls its rule; each
+tests finality only when no successor comes back.
 """
 
 from __future__ import annotations
@@ -611,7 +612,6 @@ def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
     successor order.
     """
     config = config or MachineConfig()
-    table = net._index.transitions
     record = recorder.record if recorder else None
     append = trace.append if trace is not None else None
     top: list[RunResult] = []
@@ -624,13 +624,9 @@ def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
                 record(path[-2], c)
             if append:
                 append(c)
-        try:
-            entry = table[c[0], c[3]]
-        except KeyError:
-            entry = table_entry(net, c[0], c[3])
-        succs = entry.rule(c[1], c[2], config)
+        succs = step(net, c, config)
         if not succs:
-            kind = "stuck" if final_at(entry, c[2], {}) is None else "final"
+            kind = "final" if is_final(net, c) else "stuck"
             outs[-1].append(RunResult(kind, c, len(path) - 1))
         return succs
 
@@ -668,7 +664,6 @@ def reach_final(net: N.ProofNet, start: Context,
     """
     config = config or MachineConfig()
     memo = memo if memo is not None else {}
-    table = net._index.transitions
     record = recorder.record if recorder else None
     found = cycle = False
     tainted = 0  # the first `tainted` contexts on the path met a cycle below
@@ -680,12 +675,8 @@ def reach_final(net: N.ProofNet, start: Context,
         if c in memo:
             found = memo[c]
             return []
-        try:
-            entry = table[c[0], c[3]]
-        except KeyError:
-            entry = table_entry(net, c[0], c[3])
-        succs = entry.rule(c[1], c[2], config)
-        if not succs and final_at(entry, c[2], {}) is not None:
+        succs = step(net, c, config)
+        if not succs and is_final(net, c):
             memo[c] = found = True
         return succs
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import corpus
 from .machine import (BUDGET, BudgetExhausted, Context, MachineConfig, Recorder,
-                      dual, explore, final_at, step, table_entry)
+                      dual, explore, is_final, step)
 from .net import ProofNet, validate
 from .rewrite import DOUBLE, REWRITE_BUDGET, TRIANGLE, WEIGHT_KINDS, Walk, normalize
 from .weights import WeightComputer
@@ -43,9 +43,8 @@ def check_no_stuck(net: ProofNet, comp: WeightComputer) -> list[str]:
     seen: set[Context] = set()
 
     def expand(c: Context, path: list) -> list[Context]:
-        entry = table_entry(net, c[0], c[3])
-        succs = entry.rule(c[1], c[2], cfg)
-        if not succs and final_at(entry, c[2], {}) is None:
+        succs = step(net, c, cfg)
+        if not succs and not is_final(net, c):
             out.append(f"stuck canonical context {c}")
         return [d for d in succs if d not in seen and not seen.add(d)]
 

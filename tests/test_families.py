@@ -83,9 +83,10 @@ def test_church_and_compose_are_the_benchmark_nets():
 
 
 def test_family_sizes_are_checked():
-    assert print_net(gen_family("compose", (2,))) == \
-        print_net(gen_family("compose", (2, 1)))
+    assert print_net(gen_family("compose")) == \
+        print_net(gen_family("compose", (1, 1)))
     for name, n in (("dr-ladder", (2, 3)), ("church", (1, 2)),
+                    ("compose", 2), ("compose", (2,)),
                     ("compose", (1, 2, 3)), ("church", -1),
                     ("compose", (2, -1))):
         with pytest.raises(FamilyError):
@@ -101,5 +102,6 @@ def test_gen_takes_one_or_two_sizes(tmp_path, capsys):
     assert main(["gen", "church", "4", "--base", "b", "--out", str(out)]) == 0
     assert out.read_text() == print_net(gen_family("church", 4, Atom("b")))
     assert main(["gen", "dr-ladder", "3", "4"]) == 3
+    assert main(["gen", "compose", "2"]) == 3
     assert main(["gen", "church", "x"]) == 3
     capsys.readouterr()
