@@ -6,7 +6,11 @@ an explicit stack the first time it is asked for and kept on the formula
 object, so formulas shared between nets share it too; `feq` compares these
 texts.  The reader, `parse_formula`, and the printer, `format_formula`, also
 run on explicit stacks, so the nesting depth of a formula costs no Python
-frames in them.
+frames in them.  The reader hash-conses parenthesized groups (Filliâtre and
+Conchon, *Type-safe modular hash-consing*, 2006): a group whose tokens equal
+those of a group already read, in the same text or in any text read with
+the same groups map, is not read again but shares that group's formula, so
+a text that repeats its groups costs its distinct groups, not its length.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import re
 import string
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 
 
 class FormulaError(ValueError):
@@ -251,8 +256,9 @@ def match_instance(pattern: Formula, inst: Formula, atom: str):
 
 # One pass of _TOKENS splits a text into tokens; a character that starts no
 # token becomes a token of its own, which no position of the grammar accepts.
-_TOKENS = re.compile(r"\s*(-o|[*!().]|[A-Za-z_][A-Za-z0-9_]*|\S)")
+_TOKENS = re.compile(r"-o|[*!().]|[A-Za-z_][A-Za-z0-9_]*|\S")
 _PUNCT = frozenset(("-o", "*", "!", "(", ")", "."))
+_PARENS = frozenset("()")
 _NAME_START = frozenset(string.ascii_letters + "_")
 
 # frames of parse_formula's stack: a prefix waiting for its unary operand,
@@ -265,14 +271,56 @@ def _is_token(tok: str) -> bool:
     return tok in _PUNCT or tok[0] in _NAME_START
 
 
-def parse_formula(text: str) -> Formula:
+def _match_groups(toks: list[str], groups: dict) -> dict[int, tuple]:
+    """Map the index of each '(' of toks that has a matching ')' to (the
+    index of that ')', the group's entry in `groups`).
+
+    A group's key is its tokens with each inner group replaced by the
+    inner group's number, so equal keys mean equal token sequences and each
+    token goes into one key.  `groups` maps a key to its entry
+    [number, formula or None until a group with that key has been read].
+    """
+    at: dict[int, tuple] = {}
+    opens: list[tuple] = []  # (index of an open '(', key of the group around it)
+    key: list = []  # tokens and group numbers of the innermost open group
+    last = 0
+    for k in compress(count(), map(_PARENS.__contains__, toks)):
+        key += toks[last:k]
+        last = k + 1
+        if toks[k] == "(":
+            opens.append((k, key))
+            key = []
+        elif opens:
+            whole = tuple(key)
+            entry = groups.get(whole)
+            if entry is None:
+                entry = groups[whole] = [len(groups), None]
+            start, key = opens.pop()
+            key.append(entry[0])
+            at[start] = (k, entry)
+    return at
+
+
+def parse_formula(text: str, groups: dict | None = None) -> Formula:
     """Read a formula of the grammar above, on explicit stacks, so the
-    nesting depth of the text costs no Python frames."""
+    nesting depth of the text costs no Python frames.
+
+    A parenthesized group whose tokens equal those of a group read before
+    is not read again: its formula is reused and the reader skips to its
+    ')'.  `groups` holds the groups read so far (see _match_groups); calls
+    that pass the same dict share them, and by default a call has its own.
+    Reading a group depends on its tokens alone, and only a group that read
+    to its own ')' is kept, so the value and every error are the same as
+    when each group is read.
+    """
     toks = _TOKENS.findall(text)
     if not all(map(_is_token, set(toks))):
+        end = 0  # where the token before m ends: the error quotes from there
         for m in _TOKENS.finditer(text):
-            if not _is_token(m.group(1)):
-                raise FormulaError(f"bad formula syntax at {text[m.start():]!r}")
+            if not _is_token(m.group()):
+                raise FormulaError(f"bad formula syntax at {text[end:]!r}")
+            end = m.end()
+    at = _match_groups(toks, {} if groups is None else groups)
     n = len(toks)
     i = 0
     frames: list[tuple] = []  # (frame kind, payload)
@@ -297,11 +345,17 @@ def parse_formula(text: str) -> Formula:
             frames.append((_FORALL, binder))
             continue
         if tok == "(":
-            frames.append((_PAREN, None))
-            continue
-        if tok is None or tok in _PUNCT:
+            group = at.get(i - 1, (None, None))  # None: no matching ')'
+            close, entry = group
+            if entry is None or entry[1] is None:
+                frames.append((_PAREN, group))
+                continue
+            f = entry[1]  # read before: skip to its ')'
+            i = close + 1
+        elif tok is None or tok in _PUNCT:
             raise FormulaError(f"unexpected token {tok!r}")
-        f: Formula = Atom(tok)
+        else:
+            f = Atom(tok)
         # f is a whole unary: close what it completes
         while True:
             while frames and frames[-1][0] <= _SEC:
@@ -322,10 +376,13 @@ def parse_formula(text: str) -> Formula:
                 if tok is not None:
                     raise FormulaError(f"trailing input {toks[i:]!r}")
                 return f
-            kind, binder = frames.pop()
+            kind, payload = frames.pop()
             if kind == _FORALL:
-                f = Forall(binder, f)
+                f = Forall(payload, f)
             elif tok == ")":  # kind is _PAREN
+                close, entry = payload
+                if close == i:  # the group read to its own ')': keep it
+                    entry[1] = f
                 i += 1
             else:
                 raise FormulaError(f"expected ), found {tok!r}")

@@ -60,43 +60,54 @@ class TArrow(SType):
         return f"{l} -> {self.right}"
 
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def parse_type(text: str) -> SType:
+    """Read `ty := atom ('->' ty)?`, `atom := '(' ty ')' | NAME` on an
+    explicit stack, so the nesting depth of the text costs no Python frames."""
     # \S takes any other character as a token of its own, which no rule accepts
     toks = re.findall(r"->|\(|\)|[A-Za-z_][A-Za-z0-9_]*|\S", text)
-    pos = [0]
+    pos = 0
 
     def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
+        return toks[pos] if pos < len(toks) else None
 
     def eat(t=None):
+        nonlocal pos
         cur = peek()
         if cur is None or (t is not None and cur != t):
             raise LambdaError(f"bad type {text!r}: expected {t or 'token'}, got {cur!r}")
-        pos[0] += 1
+        pos += 1
         return cur
 
-    def ty() -> SType:
-        left = atom()
-        if peek() == "->":
-            eat()
-            return TArrow(left, ty())
-        return left
-
-    def atom() -> SType:
+    # None for an open parenthesis waiting for a type, or the left side of
+    # an arrow waiting for its right one
+    frames: list[SType | None] = []
+    while True:
         if peek() == "(":
             eat()
-            t = ty()
-            eat(")")
-            return t
+            frames.append(None)
+            continue
         name = eat()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        if not _NAME.fullmatch(name):
             raise LambdaError(f"bad type token {name!r}")
-        return TAtom(name)
-
-    t = ty()
-    if peek() is not None:
-        raise LambdaError(f"trailing type input in {text!r}")
-    return t
+        t: SType = TAtom(name)
+        # t is a whole atom: read the right side of its arrow, or close
+        # what t ends
+        while True:
+            if peek() == "->":
+                eat()
+                frames.append(t)
+                break
+            while frames and frames[-1] is not None:
+                t = TArrow(frames.pop(), t)
+            if not frames:
+                if peek() is not None:
+                    raise LambdaError(f"trailing type input in {text!r}")
+                return t
+            frames.pop()
+            eat(")")
 
 
 def type_formula(t: SType) -> Formula:
@@ -134,7 +145,16 @@ class App(LTerm):
 _LAM_TOKEN = re.compile(r"\s*(\\|λ|\.|:|\(|\)|->|[A-Za-z_][A-Za-z0-9_]*)")
 
 
+# frames of parse_lambda's stack: a binder waiting for its body, an open
+# parenthesis waiting for a term, and an application's function waiting
+# for its next argument
+_LAM, _PAREN, _APP = range(3)
+
+
 def parse_lambda(text: str) -> LTerm:
+    """Read `term := ('\\' | 'λ') NAME ':' TYPE '.' term | app`,
+    `app := atom atom*`, `atom := '(' term ')' | NAME` on an explicit stack,
+    so the nesting depth of the text costs no Python frames."""
     toks = []
     p = 0
     while p < len(text):
@@ -145,20 +165,23 @@ def parse_lambda(text: str) -> LTerm:
             break
         toks.append(m.group(1))
         p = m.end()
-    pos = [0]
+    pos = 0
 
     def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
+        return toks[pos] if pos < len(toks) else None
 
     def eat(t=None):
+        nonlocal pos
         cur = peek()
         if cur is None or (t is not None and cur != t):
             raise LambdaError(f"expected {t or 'a token'}, found {cur!r}")
-        pos[0] += 1
+        pos += 1
         return cur
 
-    def term() -> LTerm:
-        if peek() in ("\\", "λ"):
+    frames: list[tuple] = []  # (frame kind, payload)
+    term_start = True  # a binder may start here, not only an atom
+    while True:
+        if term_start and peek() in ("\\", "λ"):
             eat()
             name = eat()
             eat(":")
@@ -170,30 +193,35 @@ def parse_lambda(text: str) -> LTerm:
                 depth -= tok == ")"
                 tytoks.append(tok)
             eat(".")
-            return Lam(name, parse_type(" ".join(tytoks)), term())
-        return app()
-
-    def app() -> LTerm:
-        t = atom()
-        while peek() is not None and peek() not in (")", "."):
-            t = App(t, atom())
-        return t
-
-    def atom() -> LTerm:
+            frames.append((_LAM, (name, parse_type(" ".join(tytoks)))))
+            continue
         if peek() == "(":
             eat()
-            t = term()
-            eat(")")
-            return t
+            frames.append((_PAREN, None))
+            term_start = True
+            continue
         name = eat()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        if not _NAME.fullmatch(name):
             raise LambdaError(f"unexpected token {name!r}")
-        return Var(name)
-
-    t = term()
-    if peek() is not None:
-        raise LambdaError(f"trailing input {toks[pos[0]:]!r}")
-    return t
+        t: LTerm = Var(name)
+        # t is a whole atom: apply the function waiting for it, then read
+        # the next argument or close what t ends
+        while True:
+            if frames and frames[-1][0] == _APP:
+                t = App(frames.pop()[1], t)
+            if peek() is not None and peek() not in (")", "."):
+                frames.append((_APP, t))
+                term_start = False
+                break
+            while frames and frames[-1][0] == _LAM:
+                name, ty = frames.pop()[1]
+                t = Lam(name, ty, t)
+            if not frames:
+                if peek() is not None:
+                    raise LambdaError(f"trailing input {toks[pos:]!r}")
+                return t
+            frames.pop()  # _PAREN
+            eat(")")
 
 
 def typecheck(term: LTerm, sig: dict[str, SType]) -> SType:

@@ -763,11 +763,15 @@ def print_net(net: ProofNet) -> str:
 
 def parse_net(text: str) -> ProofNet:
     """Read the format of print_net.  Each distinct formula text is read
-    once per call, and the edges carrying it share one formula object."""
+    once per call, and the edges carrying it share one formula object.
+    The texts also share one map of parenthesized groups, so each distinct
+    group is read once per call too, and equal groups share one formula
+    object wherever they occur."""
     vertices: dict[str, Vertex] = {}
     edges: dict[str, Edge] = {}
     boxes: dict[str, Box] = {}
     formulas: dict[str, Formula] = {}  # formula text -> its value
+    groups: dict = {}  # parse_formula's groups read so far
     system = "MELL"
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -801,7 +805,7 @@ def parse_net(text: str) -> ProofNet:
             eid, sv, sp, tv, tp, ftext = bits
             f = formulas.get(ftext)
             if f is None:
-                f = formulas[ftext] = parse_formula(ftext)
+                f = formulas[ftext] = parse_formula(ftext, groups)
             edges[eid] = Edge(eid, (sv, sp), (tv, tp), f)
         elif kind == "box":
             bits = rest.split()

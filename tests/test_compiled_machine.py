@@ -7,15 +7,17 @@ references.  Compiled `step` must give the same successors, in the same
 order, or raise the same exception type, on every edge, both polarities,
 jumps on and off, and stacks topped by each symbol, each signature
 constructor and a hole; the reader must accept the same texts and give
-equal values.
+equal values, with the same error texts, also where it reuses the
+parenthesized groups it has read before.
 """
 
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnlab import corpus, rewrite, suite
+from pnlab import corpus, families, rewrite, suite
 from pnlab import net as N
 from pnlab.formulas import (
     Atom,
@@ -522,6 +524,113 @@ def test_reader_needs_no_frame_per_level():
     assert f == Atom("x")
     with pytest.raises(FormulaError):
         parse_formula("(" * 5000 + "a" + ")" * 4999)
+
+
+# --- groups read once --------------------------------------------------------
+#
+# A parenthesized group whose tokens equal those of a group read before, in
+# the same text or in an earlier one sharing the groups map, is not read
+# again.  Texts below repeat groups, with the copies spaced differently,
+# nested in each other and followed by junk.
+
+_group_pieces = st.lists(st.sampled_from(["-o", "*", "!", "(", ")", "a", "b1",
+                                          "sec", "all x.", "all", ".", "x",
+                                          "$"]),
+                         max_size=7)
+# the tokens of a well-formed formula, so that most texts read to the end
+_formula_tokens = st.recursive(
+    st.sampled_from([["a"], ["b1"], ["x"]]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from(["-o", "*"]), sub).map(
+            lambda t: ["(", *t[0], t[1], *t[2], ")"]),
+        st.tuples(st.sampled_from([["!"], ["sec"], ["all", "x", "."]]),
+                  sub).map(lambda t: t[0] + t[1])),
+    max_leaves=6)
+_templates = st.sampled_from([
+    "({f}) -o ({f}) * ({g})",
+    "(({f}) -o ({f})) * ({f})",
+    "({f}) * ({f}){junk}",
+    "!({f}) -o all x. ({f}) -o ({g}{junk})",
+    "(({f})) -o ({f} -o ({f}))",
+    "({g}) -o ({f}) -o ({g}) -o ({f}{junk}",
+])
+
+
+@st.composite
+def repeated_group_texts(draw):
+    """A template filled with the piece lists f, g and junk, each copy
+    spaced anew."""
+    f, g = (draw(st.one_of(_formula_tokens, _group_pieces)) for _ in "fg")
+    junk = draw(_group_pieces)
+
+    def spaced(pieces):
+        return "".join(draw(_gaps) + p for p in pieces)
+
+    template = draw(_templates)
+    out, rest = [], template
+    while "{" in rest:
+        head, _, rest = rest.partition("{")
+        name, _, rest = rest.partition("}")
+        out.append(head + spaced({"f": f, "g": g, "junk": junk}[name]))
+    return "".join(out) + rest
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(repeated_group_texts(), min_size=1, max_size=4))
+def test_reader_reusing_groups_matches_the_recursive_reader(texts):
+    groups: dict = {}  # shared by the texts, as parse_net shares it
+    for text in texts:
+        want = read(ref_parse_formula, text)
+        assert read(parse_formula, text) == want
+        assert read(lambda t: parse_formula(t, groups), text) == want
+
+
+def test_a_group_read_past_its_matching_parenthesis_is_not_kept():
+    # a binder may be a parenthesis, so the ')' that closes a group as read
+    # need not be the one that matches its '(' by counting
+    texts = ["(all ). a) -o (all ). a)", "(all)", "(all ( . a) * (( . a)"]
+    groups: dict = {}
+    for text in texts:
+        want = read(ref_parse_formula, text)
+        assert read(lambda t: parse_formula(t, groups), text) == want, text
+
+
+def test_equal_groups_share_one_formula():
+    f = parse_formula("(a -o b) -o ( a -o b ) * (b)")
+    assert f.left is f.right.left
+    groups: dict = {}
+    first = parse_formula("!(a * (b -o a))", groups)
+    again = parse_formula("(b -o a) -o (a * (b -o a))", groups)
+    assert again.right is first.body and again.left is first.body.right
+
+
+def _reachable(formulas) -> int:
+    """The number of distinct formula objects reachable from formulas."""
+    seen: set[int] = set()
+    todo = list(formulas)
+    while todo:
+        f = todo.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            todo += [getattr(f, a) for a in ("left", "right", "body")
+                     if hasattr(f, a)]
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", [6, 11, 16])
+def test_ladder_types_are_read_as_their_distinct_groups(n):
+    # the types' text doubles with n; their distinct subformulas grow with n
+    net = parse_net(print_net(families.gen_family("dr-ladder", n)))
+    assert _reachable(e.formula for e in net.edges.values()) <= 30 * n
+
+
+def test_deeply_nested_groups_are_read_in_linear_time():
+    d = 20_000
+    text = "(" * d + "a" + ")" * d + " -o " + "(" * d + "b" + ")" * d
+    t0 = time.perf_counter()
+    f = parse_formula(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert f == Lolli(Atom("a"), Atom("b"))
 
 
 # --- parse_net ---------------------------------------------------------------

@@ -7,7 +7,8 @@ The triangle normalize, weight and verify pins were computed before the
 net indexes were introduced; the machine pins before the token machine's
 walks were rebuilt on one explorer; the arrow and double normalize pins
 before rewriting kept a redex worklist and inherited box tables; the walk
-pins before each walk read one table entry per node.
+pins before each walk read one table entry per node; the ladder pins before
+the formula reader shared equal parenthesized groups.
 """
 
 import hashlib
@@ -19,7 +20,8 @@ import pytest
 
 from pnlab import cli, corpus, families, lam
 from pnlab.machine import Recorder, parse_context, run
-from pnlab.net import print_net
+from pnlab.formulas import alpha_canon
+from pnlab.net import parse_net, print_net
 from pnlab.rewrite import STRATEGIES, TRIANGLE, normalize
 from pnlab.suite import check_no_stuck
 from pnlab.weights import WeightComputer, search_copy_candidates
@@ -118,6 +120,33 @@ def search_output() -> str:
     return _lines((p,) for p in check_no_stuck(net, comp)) + "--\n" + _lines(rows)
 
 
+def gen_ladder(tmp_path, n: int):
+    """The path of `pnlab gen dr-ladder n`'s output."""
+    path = tmp_path / f"ladder{n}.pnet"
+    assert cli.main(["gen", "dr-ladder", str(n), "--out", str(path)]) == 0
+    return path
+
+
+def ladder_parse_output(tmp_path, n: int) -> str:
+    """print_net of the parsed ladder, then every edge's alpha_canon."""
+    net = parse_net(gen_ladder(tmp_path, n).read_text())
+    return (print_net(net) + "--\n"
+            + _lines((e.id, alpha_canon(e.formula)) for e in net.edges_sorted()))
+
+
+def ladder_cli_output(tmp_path, n: int, cmd: str, *flags: str) -> str:
+    """Exit code and stdout of `pnlab cmd` on the ladder, then the net it
+    wrote with --out, if any."""
+    path = gen_ladder(tmp_path, n)
+    out = tmp_path / "out.pnet"
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main([cmd, str(path), *flags, "--out", str(out)]
+                        if cmd == "normalize" else [cmd, str(path), *flags])
+    written = out.read_text() if out.exists() else ""
+    return f"{code}\n{buf.getvalue()}--\n{written}"
+
+
 NORMALIZE_SHA = {
     (2, 2):
         "807f54150352056a0b0273d4900a91ac85e32e10930991e87b607ea3c76d34d9",
@@ -166,6 +195,14 @@ RUN_SHA = {
 WEIGHT_WALKS_SHA = \
     "67a331a097f1b08a8dab1964428e004dbec2fc7c197bbde6c7d3b1fd4d3b79aa"
 SEARCH_SHA = "8dc153fdc70d1ae7d2bdefea52c49402d00768fa4145086611da075f09e5e3e8"
+# dr-ladder types repeat their parenthesized groups: parse_net's output on
+# ladder 11, and the weight and triangle normalize runs of `pnlab` on 8 and 9
+LADDER_PARSE_SHA = \
+    "06e30a4704c34f294b215eccd614d1df8f6cf8b16ad4678aa6a9f5d42c290808"
+LADDER_WEIGHT_SHA = \
+    "3ce2390ba95d9f7798d94a4b9d85a7899ac8a73427bedf816dd3bec0d1368191"
+LADDER_NORMALIZE_SHA = \
+    "a5597f859dbfe1bdeb2942d71522c74fbec1a6129329a8435493a0a7ba1a4b91"
 MACHINE_NETS = {
     "dr-ladder-8": lambda: families.gen_family("dr-ladder", 8),
     "dr-ladder-6": lambda: families.gen_family("dr-ladder", 6),
@@ -213,3 +250,17 @@ def test_weight_walks_are_pinned():
 
 def test_no_stuck_and_copy_search_are_pinned():
     assert _sha(search_output()) == SEARCH_SHA
+
+
+def test_ladder_parse_and_canonical_texts_are_pinned(tmp_path):
+    assert _sha(ladder_parse_output(tmp_path, 11)) == LADDER_PARSE_SHA
+
+
+def test_ladder_weight_report_is_pinned(tmp_path):
+    assert _sha(ladder_cli_output(tmp_path, 8, "weight")) == LADDER_WEIGHT_SHA
+
+
+def test_ladder_triangle_trace_and_normal_form_are_pinned(tmp_path):
+    out = ladder_cli_output(tmp_path, 9, "normalize", "--strategy", "triangle",
+                            "--trace")
+    assert _sha(out) == LADDER_NORMALIZE_SHA

@@ -1,10 +1,17 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnlab.formulas import Atom, Bang, Lolli
 from pnlab.lam import (
+    _LAM_TOKEN,
+    App,
+    Lam,
     LambdaError,
     TArrow,
     TAtom,
+    Var,
     from_lambda,
     parse_lambda,
     parse_type,
@@ -85,3 +92,158 @@ def test_beta_redex_normalizes():
     assert trace.status == "normal"
     assert nf.size() < net.size()
     assert validate(nf) == []
+
+
+# --- the readers against the recursive-descent readers they replace ----------
+#
+# parse_type and parse_lambda once recursed on the nesting depth of their
+# text; they are copied below as references.  The readers on explicit stacks
+# must give equal values and the same error texts.
+
+
+def ref_parse_type(text):
+    toks = re.findall(r"->|\(|\)|[A-Za-z_][A-Za-z0-9_]*|\S", text)
+    pos = [0]
+
+    def peek():
+        return toks[pos[0]] if pos[0] < len(toks) else None
+
+    def eat(t=None):
+        cur = peek()
+        if cur is None or (t is not None and cur != t):
+            raise LambdaError(f"bad type {text!r}: expected {t or 'token'}, got {cur!r}")
+        pos[0] += 1
+        return cur
+
+    def ty():
+        left = atom()
+        if peek() == "->":
+            eat()
+            return TArrow(left, ty())
+        return left
+
+    def atom():
+        if peek() == "(":
+            eat()
+            t = ty()
+            eat(")")
+            return t
+        name = eat()
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+            raise LambdaError(f"bad type token {name!r}")
+        return TAtom(name)
+
+    t = ty()
+    if peek() is not None:
+        raise LambdaError(f"trailing type input in {text!r}")
+    return t
+
+
+def ref_parse_lambda(text):
+    toks = []
+    p = 0
+    while p < len(text):
+        m = _LAM_TOKEN.match(text, p)
+        if not m:
+            if text[p:].strip():
+                raise LambdaError(f"bad lambda syntax at {text[p:]!r}")
+            break
+        toks.append(m.group(1))
+        p = m.end()
+    pos = [0]
+
+    def peek():
+        return toks[pos[0]] if pos[0] < len(toks) else None
+
+    def eat(t=None):
+        cur = peek()
+        if cur is None or (t is not None and cur != t):
+            raise LambdaError(f"expected {t or 'a token'}, found {cur!r}")
+        pos[0] += 1
+        return cur
+
+    def term():
+        if peek() in ("\\", "λ"):
+            eat()
+            name = eat()
+            eat(":")
+            tytoks = []
+            depth = 0
+            while peek() is not None and not (peek() == "." and depth == 0):
+                tok = eat()
+                depth += tok == "("
+                depth -= tok == ")"
+                tytoks.append(tok)
+            eat(".")
+            return Lam(name, ref_parse_type(" ".join(tytoks)), term())
+        return app()
+
+    def app():
+        t = atom()
+        while peek() is not None and peek() not in (")", "."):
+            t = App(t, atom())
+        return t
+
+    def atom():
+        if peek() == "(":
+            eat()
+            t = term()
+            eat(")")
+            return t
+        name = eat()
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+            raise LambdaError(f"unexpected token {name!r}")
+        return Var(name)
+
+    t = term()
+    if peek() is not None:
+        raise LambdaError(f"trailing input {toks[pos[0]:]!r}")
+    return t
+
+
+def read(fn, text):
+    try:
+        return ("ok", fn(text))
+    except LambdaError as exc:
+        return ("error", str(exc))
+
+
+_gaps = st.sampled_from(["", " ", "  ", "\t"])
+_type_pieces = st.sampled_from(["->", "(", ")", "t", "u1", "_v", "-", ">",
+                                "$", "λ", "."])
+_lambda_pieces = st.sampled_from(["\\", "λ", ".", ":", "(", ")", "->", "x",
+                                  "y1", "t", "u", "$", "-", "\\x:t."])
+
+
+def _texts(pieces, max_size):
+    return st.builds(lambda ps, tail: "".join(g + p for g, p in ps) + tail,
+                     st.lists(st.tuples(_gaps, pieces), max_size=max_size),
+                     _gaps)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_texts(_type_pieces, 14))
+def test_type_reader_matches_the_recursive_reader(text):
+    assert read(parse_type, text) == read(ref_parse_type, text)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_texts(_lambda_pieces, 16))
+def test_lambda_reader_matches_the_recursive_reader(text):
+    assert read(parse_lambda, text) == read(ref_parse_lambda, text)
+
+
+def test_readers_match_on_well_formed_terms():
+    for text in ["\\f:t -> t. \\x:t. f (f x)", "(\\x:(t -> u) -> t. x) y z",
+                 "λx:t. (λy:((t)). y) x", "f (g x) (h (k y))"]:
+        assert parse_lambda(text) == ref_parse_lambda(text)
+    for text in ["(t -> u) -> (t -> (u -> t)) -> t", "((t))", "t -> (u)"]:
+        assert parse_type(text) == ref_parse_type(text)
+
+
+def test_readers_need_no_frame_per_level():
+    assert parse_lambda("(" * 5000 + "z" + ")" * 5000) == Var("z")
+    assert parse_type("(" * 5000 + "t" + ")" * 5000) == TAtom("t")
+    assert parse_type("(t -> " * 5000 + "t" + ")" * 5000).left == TAtom("t")
+    with pytest.raises(LambdaError, match="expected \\), found None"):
+        parse_lambda("(" * 5000 + "z" + ")" * 4999)
