@@ -111,8 +111,13 @@ def lll_sec_fixture() -> ProofNet:
                      system="LLL")
 
 
-def enumerate_nets(max_vertices: int = 12, max_nets: int = 60,
-                   rounds: int = 3) -> list[ProofNet]:
+# the enumeration's bounds: vertices per net, nets, and rounds of rules
+MAX_VERTICES = 12
+MAX_NETS = 60
+ROUNDS = 3
+
+
+def enumerate_nets() -> list[ProofNet]:
     """Closure of seed axioms under the rules, bounded and deduplicated."""
     from .rewrite import canonical_key
 
@@ -124,10 +129,7 @@ def enumerate_nets(max_vertices: int = 12, max_nets: int = 60,
         pool.append((s, prem, concl))
 
     def grow(term: ProofTerm):
-        try:
-            prem, concl = sequent_of(term)
-        except Exception:
-            return
+        prem, concl = sequent_of(term)
         if len(prem) > 3:
             return
         key = repr(term)
@@ -136,7 +138,7 @@ def enumerate_nets(max_vertices: int = 12, max_nets: int = 60,
         seen_terms.add(key)
         pool.append((term, prem, concl))
 
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         snapshot = list(pool)
         for term, prem, concl in snapshot:
             if prem:
@@ -162,24 +164,21 @@ def enumerate_nets(max_vertices: int = 12, max_nets: int = 60,
     nets = []
     keys = set()
     for term, prem, concl in pool:
-        try:
-            net = elaborate(term)
-        except Exception:
-            continue
-        if net.size() > max_vertices:
+        net = elaborate(term)
+        if net.size() > MAX_VERTICES:
             continue
         key = canonical_key(net)
         if key in keys:
             continue
         keys.add(key)
         nets.append(net)
-        if len(nets) >= max_nets:
+        if len(nets) >= MAX_NETS:
             break
     return nets
 
 
-def full_corpus(max_vertices: int = 12, max_nets: int = 60) -> dict[str, ProofNet]:
+def full_corpus() -> dict[str, ProofNet]:
     corpus = dict(named_fixtures())
-    for i, net in enumerate(enumerate_nets(max_vertices, max_nets)):
+    for i, net in enumerate(enumerate_nets()):
         corpus[f"enum{i:03d}"] = net
     return corpus

@@ -6,6 +6,10 @@ is boxed (with a digging on each premise the box captures), multiple uses
 of a variable are contracted into one premise at its binder, unused binders
 weaken.  Binders carry type annotations; free variables take their types
 from an explicit signature, since type inference is out of scope.
+
+The readers, `type_formula` and the translation run on explicit stacks, so
+the depth of a term or type costs no Python frames.  Typing and translation
+are one post-order walk, `_translate`; `typecheck` returns its type.
 """
 
 from __future__ import annotations
@@ -111,9 +115,19 @@ def parse_type(text: str) -> SType:
 
 
 def type_formula(t: SType) -> Formula:
-    if isinstance(t, TAtom):
-        return Atom(t.name)
-    return Lolli(Bang(type_formula(t.left)), type_formula(t.right))
+    """(A -> B)* = !A* -o B*, post-order on an explicit stack."""
+    done: list[Formula] = []
+    todo: list[SType | None] = [t]  # types to translate; None joins an arrow
+    while todo:
+        t = todo.pop()
+        if t is None:
+            right = done.pop()
+            done[-1] = Lolli(Bang(done[-1]), right)
+        elif isinstance(t, TAtom):
+            done.append(Atom(t.name))
+        else:
+            todo += (None, t.right, t.left)
+    return done[0]
 
 
 # --- lambda terms -----------------------------------------------------------
@@ -225,68 +239,70 @@ def parse_lambda(text: str) -> LTerm:
 
 
 def typecheck(term: LTerm, sig: dict[str, SType]) -> SType:
-    if isinstance(term, Var):
-        if term.name not in sig:
-            raise LambdaError(f"variable {term.name} has no declared type")
-        return sig[term.name]
-    if isinstance(term, Lam):
-        inner = dict(sig)
-        inner[term.var] = term.ty
-        return TArrow(term.ty, typecheck(term.body, inner))
-    if isinstance(term, App):
-        ft = typecheck(term.fun, sig)
-        at = typecheck(term.arg, sig)
-        if not isinstance(ft, TArrow):
-            raise LambdaError(f"applying a non-function of type {ft}")
-        if ft.left != at:
-            raise LambdaError(f"argument type {at} does not match {ft.left}")
-        return ft.right
-    raise LambdaError(f"unknown term {term!r}")
+    """The type of term, its free variables typed by sig; see _translate."""
+    return _translate(term, sig)[2]
 
 
 # --- translation ------------------------------------------------------------
 
 
-def _translate(term: LTerm, sig: dict[str, SType]) -> tuple[ProofTerm, list[str]]:
-    """Returns a proof term plus, per premise position, the owning variable."""
-    if isinstance(term, Var):
-        a = type_formula(sig[term.name])
-        return Derelict(Ax(a), 1), [term.name]
-    if isinstance(term, Lam):
-        inner = dict(sig)
-        inner[term.var] = term.ty
-        sub, owners = _translate(term.body, inner)
-        positions = [i + 1 for i, v in enumerate(owners) if v == term.var]
-        if not positions:
-            sub = Weak(sub, type_formula(term.ty))
-            owners = owners + [term.var]
-            positions = [len(owners)]
-        while len(positions) > 1:
-            i, j = positions[0], positions[1]
-            sub = Contr(sub, i, j)
-            owners = [v for k, v in enumerate(owners) if k != j - 1]
-            positions = [i] + [p - 1 if p > j else p for p in positions[2:]]
-        at = positions[0]
-        owners = [v for k, v in enumerate(owners) if k != at - 1]
-        return RLolli(sub, at), owners
-    if isinstance(term, App):
-        ft, fowners = _translate(term.fun, sig)
-        ut, uowners = _translate(term.arg, sig)
-        fty = typecheck(term.fun, sig)
-        boxed = Promote(ut)
-        for i in range(1, len(uowners) + 1):
-            boxed = Dig(boxed, i)
-        applied = LLolli(boxed, Ax(type_formula(fty.right)), 1)
-        hook = len(uowners) + 1
-        out = Cut(ft, applied, hook)
-        return out, uowners + fowners
-    raise LambdaError(f"unknown term {term!r}")
+def _translate(term: LTerm, sig: dict[str, SType]):
+    """The proof term of a typed term, per premise position the variable
+    that owns it, and the term's type, in one post-order walk on an
+    explicit stack.  A name's binder types are kept on a stack of their own,
+    innermost last, above its type in the signature."""
+    scope = {name: [ty] for name, ty in sig.items()}
+    done: list[tuple[ProofTerm, list[str], SType]] = []
+    # (term, False) to reach a term, (term, True) to join its subterms
+    todo: list[tuple[LTerm, bool]] = [(term, False)]
+    while todo:
+        t, joining = todo.pop()
+        if isinstance(t, Var):
+            if not scope.get(t.name):
+                raise LambdaError(f"variable {t.name} has no declared type")
+            ty = scope[t.name][-1]
+            done.append((Derelict(Ax(type_formula(ty)), 1), [t.name], ty))
+        elif isinstance(t, Lam) and not joining:
+            scope.setdefault(t.var, []).append(t.ty)
+            todo += ((t, True), (t.body, False))
+        elif isinstance(t, Lam):
+            scope[t.var].pop()
+            sub, owners, ty = done.pop()
+            positions = [i + 1 for i, v in enumerate(owners) if v == t.var]
+            if not positions:
+                sub = Weak(sub, type_formula(t.ty))
+                owners = owners + [t.var]
+                positions = [len(owners)]
+            while len(positions) > 1:
+                i, j = positions[0], positions[1]
+                sub = Contr(sub, i, j)
+                owners = [v for k, v in enumerate(owners) if k != j - 1]
+                positions = [i] + [p - 1 if p > j else p for p in positions[2:]]
+            at = positions[0]
+            owners = [v for k, v in enumerate(owners) if k != at - 1]
+            done.append((RLolli(sub, at), owners, TArrow(t.ty, ty)))
+        elif isinstance(t, App) and not joining:
+            todo += ((t, True), (t.arg, False), (t.fun, False))
+        elif isinstance(t, App):
+            ut, uowners, aty = done.pop()
+            ft, fowners, fty = done.pop()
+            if not isinstance(fty, TArrow):
+                raise LambdaError(f"applying a non-function of type {fty}")
+            if fty.left != aty:
+                raise LambdaError(f"argument type {aty} does not match {fty.left}")
+            boxed = Promote(ut)
+            for i in range(1, len(uowners) + 1):
+                boxed = Dig(boxed, i)
+            applied = LLolli(boxed, Ax(type_formula(fty.right)), 1)
+            hook = len(uowners) + 1
+            done.append((Cut(ft, applied, hook), uowners + fowners, fty.right))
+        else:
+            raise LambdaError(f"unknown term {t!r}")
+    return done[0]
 
 
 def from_lambda(term: LTerm, sig: dict[str, SType] | None = None) -> ProofNet:
-    sig = sig or {}
-    typecheck(term, sig)
-    pt, owners = _translate(term, sig)
+    pt, owners, _ = _translate(term, sig or {})
     # contract repeated free variables so each ends up as one premise
     firsts: dict[str, int] = {}
     pos = 0

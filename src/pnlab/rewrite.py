@@ -118,8 +118,6 @@ class TraceStep:
     level: int
     size_after: int
     provenance: dict[str, tuple[str, str]] | None = None
-    weight_after: int | None = None
-    t_after: int | None = None
 
 
 @dataclass
@@ -128,13 +126,8 @@ class ReductionTrace:
     status: str = "normal"  # 'normal' | 'budget'
 
     def render(self) -> str:
-        lines = []
-        for s in self.steps:
-            extra = ""
-            if s.weight_after is not None:
-                extra = f" W={s.weight_after} T={s.t_after}"
-            lines.append(
-                f"{s.index} {s.kind} {s.edge} level={s.level} size={s.size_after}{extra}")
+        lines = [f"{s.index} {s.kind} {s.edge} level={s.level} size={s.size_after}"
+                 for s in self.steps]
         lines.append(f"status {self.status}")
         return "\n".join(lines) + "\n"
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import net as N
-from .formulas import Sec
 from .machine import Context, MachineConfig, Recorder, run, sig_count, step
 from .signatures import E
 from .weights import WeightComputer
@@ -40,13 +39,6 @@ class SystemProfile:
         return SystemProfile(tag, PROFILES[tag], 1 if tag == "LLL" else None)
 
 
-def _has_sec_formula(f) -> bool:
-    if isinstance(f, Sec):
-        return True
-    return any(_has_sec_formula(getattr(f, k)) for k in ("left", "right", "body")
-               if hasattr(f, k))
-
-
 def check_membership(net: N.ProofNet, system: str) -> list[str]:
     profile = SystemProfile.of(system)
     out = []
@@ -55,7 +47,7 @@ def check_membership(net: N.ProofNet, system: str) -> list[str]:
             out.append(f"vertex {v.id}: label {v.label} not allowed in {system}")
     if system != "LLL":
         for e in net.edges_sorted():
-            if _has_sec_formula(e.formula):
+            if "('sec', " in e.formula.canon:  # see alpha_canon
                 out.append(f"edge {e.id}: sec formulas need LLL mode")
     if profile.bang_box_max_doors is not None:
         for pid, b in net.boxes.items():

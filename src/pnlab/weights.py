@@ -104,8 +104,12 @@ def _hole_branches(entry: Entry, c: Context, fresh):
     return [(top[1], t) for t in out]
 
 
+# the number of nodes a copy search visits before it gives up
+SEARCH_BUDGET = 10**6
+
+
 def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
-                           config: MachineConfig, budget: int = 10**6) -> set[Sig]:
+                           config: MachineConfig) -> set[Sig]:
     """Standard signatures whose primary run reaches a final context.
 
     A node of the search is a context with the bindings of its holes; a
@@ -134,7 +138,7 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
         return []
 
     start = (Context(edge, us, (root,), "+"), {})
-    for event, node, _ in explore(start, expand, budget,
+    for event, node, _ in explore(start, expand, SEARCH_BUDGET,
                                   key=operator.itemgetter(0)):
         if event == BUDGET:
             raise BudgetExhausted("copy search budget exhausted", node[0])
@@ -192,10 +196,9 @@ class WeightComputer:
     """Shared memo tables for copies and canonical sequences on one net."""
 
     def __init__(self, net: N.ProofNet, config: MachineConfig | None = None,
-                 search_budget: int = 10**6, recorder: Recorder | None = None):
+                 recorder: Recorder | None = None):
         self.net = net
         self.config = config or MachineConfig()
-        self.search_budget = search_budget
         self.recorder = recorder
         self._copies: dict[tuple[str, tuple[Sig, ...]], frozenset[Sig]] = {}
         self._canon: dict[str, list[tuple[Sig, ...]]] = {}
@@ -210,8 +213,7 @@ class WeightComputer:
             return self._copies[key]
         if edge not in self.net.principal_edges():
             raise WeightError(f"{edge} is not a box-edge")
-        candidates = search_copy_candidates(self.net, edge, us, self.config,
-                                            self.search_budget)
+        candidates = search_copy_candidates(self.net, edge, us, self.config)
         # sorted, so that the recorded transitions do not depend on hashing
         confirmed = frozenset(t for t in sorted(candidates)
                               if standard(t) and self._verify(edge, us, t))
@@ -292,9 +294,8 @@ class WeightComputer:
 
 
 def weight(net: N.ProofNet, config: MachineConfig | None = None,
-           search_budget: int = 10**6,
            recorder: Recorder | None = None) -> WeightReport:
-    return WeightComputer(net, config, search_budget, recorder).report()
+    return WeightComputer(net, config, recorder).report()
 
 
 # --- canonical contexts -----------------------------------------------------

@@ -50,6 +50,18 @@ def test_check_system_gate(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("depth", [1, 3000])
+@pytest.mark.parametrize("modality, code", [("!", 0), ("sec ", 1)])
+def test_membership_reads_deep_formulas(tmp_path, capsys, depth, modality, code):
+    """A formula 3,000 deep is checked for sec at the default recursion limit."""
+    path = tmp_path / "deep.pnet"
+    path.write_text("pnet 1\nvertex v1 prem\nvertex v2 concl\n"
+                    f"edge e1 v1 edge v2 edge {modality * depth}a\nend\n")
+    got, out, err = run_cli(capsys, "check", str(path), "--system", "MELL")
+    assert got == code and "Traceback" not in err
+    assert out == ("check: ok\n" if code == 0 else "check: 1 problem(s)\n")
+
+
 def test_normalize_report(tmp_path, capsys):
     path = tmp_path / "ladder5.pnet"
     run_cli(capsys, "gen", "dr-ladder", "5", "--out", str(path))

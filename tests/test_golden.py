@@ -8,7 +8,9 @@ net indexes were introduced; the machine pins before the token machine's
 walks were rebuilt on one explorer; the arrow and double normalize pins
 before rewriting kept a redex worklist and inherited box tables; the walk
 pins before each walk read one table entry per node; the ladder pins before
-the formula reader shared equal parenthesized groups.
+the formula reader shared equal parenthesized groups; the corpus and family
+pins before the proof-term reader, the elaborator and the lambda translation
+ran on explicit stacks.
 """
 
 import hashlib
@@ -127,6 +129,19 @@ def gen_ladder(tmp_path, n: int):
     return path
 
 
+def gen_output(tmp_path, *args: str) -> str:
+    """The text of `pnlab gen args`."""
+    path = tmp_path / "gen.pnet"
+    assert cli.main(["gen", *args, "--out", str(path)]) == 0
+    return path.read_text()
+
+
+def corpus_output() -> str:
+    """Each corpus net's name and print_net, in the corpus's order."""
+    return "".join(f"{name}\n{print_net(net)}"
+                   for name, net in corpus.full_corpus().items())
+
+
 def ladder_parse_output(tmp_path, n: int) -> str:
     """print_net of the parsed ladder, then every edge's alpha_canon."""
     net = parse_net(gen_ladder(tmp_path, n).read_text())
@@ -203,6 +218,16 @@ LADDER_WEIGHT_SHA = \
     "3ce2390ba95d9f7798d94a4b9d85a7899ac8a73427bedf816dd3bec0d1368191"
 LADDER_NORMALIZE_SHA = \
     "a5597f859dbfe1bdeb2942d71522c74fbec1a6129329a8435493a0a7ba1a4b91"
+# every net the front ends build for the corpus, and three generated families
+CORPUS_SHA = "8533d6db7ff5a97220f3fff2a2183951d611f8bc798c22ea7dcee63374da487d"
+GEN_SHA = {
+    ("church", "20"):
+        "e54211379e5548951c5417c5d7e097337264f03020d967fa607d7cc0d441e7f0",
+    ("compose", "3", "3"):
+        "3a397e9bf5647b039dd4676194377b11d8656730984abbb5f71f3598519da9e9",
+    ("dr-ladder", "11"):
+        "1f9b0fc0cd4a294888086bddcd9d89ec8440350b22c61658a330776a8bee9f92",
+}
 MACHINE_NETS = {
     "dr-ladder-8": lambda: families.gen_family("dr-ladder", 8),
     "dr-ladder-6": lambda: families.gen_family("dr-ladder", 6),
@@ -264,3 +289,12 @@ def test_ladder_triangle_trace_and_normal_form_are_pinned(tmp_path):
     out = ladder_cli_output(tmp_path, 9, "normalize", "--strategy", "triangle",
                             "--trace")
     assert _sha(out) == LADDER_NORMALIZE_SHA
+
+
+def test_corpus_nets_are_pinned():
+    assert _sha(corpus_output()) == CORPUS_SHA
+
+
+@pytest.mark.parametrize("args", sorted(GEN_SHA))
+def test_generated_families_are_pinned(tmp_path, args):
+    assert _sha(gen_output(tmp_path, *args)) == GEN_SHA[args]

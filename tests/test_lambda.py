@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnlab.formulas import Atom, Bang, Lolli
+from pnlab.formulas import Atom, Bang, Lolli, feq, parse_formula
 from pnlab.lam import (
     _LAM_TOKEN,
     App,
@@ -15,10 +15,23 @@ from pnlab.lam import (
     from_lambda,
     parse_lambda,
     parse_type,
+    type_formula,
     typecheck,
 )
-from pnlab.net import CONTR, DER, RBANG, WEAK, validate
+from pnlab.net import CONTR, DER, RBANG, WEAK, print_net, validate
 from pnlab.rewrite import normalize
+from pnlab.terms import (
+    Ax,
+    Contr,
+    Cut,
+    Derelict,
+    Dig,
+    LLolli,
+    Promote,
+    RLolli,
+    Weak,
+    elaborate,
+)
 
 
 def test_parse_type():
@@ -247,3 +260,160 @@ def test_readers_need_no_frame_per_level():
     assert parse_type("(t -> " * 5000 + "t" + ")" * 5000).left == TAtom("t")
     with pytest.raises(LambdaError, match="expected \\), found None"):
         parse_lambda("(" * 5000 + "z" + ")" * 4999)
+
+
+# --- the lambda translation against the recursive one it replaces -----------
+#
+# typecheck and _translate once recursed on the depth of the term, and
+# from_lambda typed the term before translating it; they are copied below as
+# references.  The one walk on an explicit stack must give the same types,
+# the same nets and the same error texts.
+
+
+def ref_type_formula(t):
+    if isinstance(t, TAtom):
+        return Atom(t.name)
+    return Lolli(Bang(ref_type_formula(t.left)), ref_type_formula(t.right))
+
+
+def ref_typecheck(term, sig):
+    if isinstance(term, Var):
+        if term.name not in sig:
+            raise LambdaError(f"variable {term.name} has no declared type")
+        return sig[term.name]
+    if isinstance(term, Lam):
+        inner = dict(sig)
+        inner[term.var] = term.ty
+        return TArrow(term.ty, ref_typecheck(term.body, inner))
+    if isinstance(term, App):
+        ft = ref_typecheck(term.fun, sig)
+        at = ref_typecheck(term.arg, sig)
+        if not isinstance(ft, TArrow):
+            raise LambdaError(f"applying a non-function of type {ft}")
+        if ft.left != at:
+            raise LambdaError(f"argument type {at} does not match {ft.left}")
+        return ft.right
+    raise LambdaError(f"unknown term {term!r}")
+
+
+def ref_translate(term, sig):
+    if isinstance(term, Var):
+        a = ref_type_formula(sig[term.name])
+        return Derelict(Ax(a), 1), [term.name]
+    if isinstance(term, Lam):
+        inner = dict(sig)
+        inner[term.var] = term.ty
+        sub, owners = ref_translate(term.body, inner)
+        positions = [i + 1 for i, v in enumerate(owners) if v == term.var]
+        if not positions:
+            sub = Weak(sub, ref_type_formula(term.ty))
+            owners = owners + [term.var]
+            positions = [len(owners)]
+        while len(positions) > 1:
+            i, j = positions[0], positions[1]
+            sub = Contr(sub, i, j)
+            owners = [v for k, v in enumerate(owners) if k != j - 1]
+            positions = [i] + [p - 1 if p > j else p for p in positions[2:]]
+        at = positions[0]
+        owners = [v for k, v in enumerate(owners) if k != at - 1]
+        return RLolli(sub, at), owners
+    if isinstance(term, App):
+        ft, fowners = ref_translate(term.fun, sig)
+        ut, uowners = ref_translate(term.arg, sig)
+        fty = ref_typecheck(term.fun, sig)
+        boxed = Promote(ut)
+        for i in range(1, len(uowners) + 1):
+            boxed = Dig(boxed, i)
+        applied = LLolli(boxed, Ax(ref_type_formula(fty.right)), 1)
+        hook = len(uowners) + 1
+        out = Cut(ft, applied, hook)
+        return out, uowners + fowners
+    raise LambdaError(f"unknown term {term!r}")
+
+
+def ref_from_lambda(term, sig=None):
+    sig = sig or {}
+    ref_typecheck(term, sig)
+    pt, owners = ref_translate(term, sig)
+    firsts = {}
+    pos = 0
+    while pos < len(owners):
+        name = owners[pos]
+        if name in firsts:
+            i, j = firsts[name] + 1, pos + 1
+            pt = Contr(pt, i, j)
+            del owners[pos]
+            continue
+        firsts[name] = pos
+        pos += 1
+    return elaborate(pt)
+
+
+SIG = {"g": parse_type("t -> t"), "z": parse_type("t"),
+       "h": parse_type("(t -> t) -> t -> t"), "y": parse_type("t -> u -> t")}
+
+
+def translated(fn, text):
+    """The type and net text of a lambda text, or its first error."""
+    try:
+        term = parse_lambda(text)
+        ty = fn[0](term, dict(SIG))
+        return ("ok", ty, print_net(fn[1](term, dict(SIG))))
+    except LambdaError as exc:
+        return ("error", str(exc))
+
+
+NEW = (typecheck, from_lambda)
+REF = (ref_typecheck, ref_from_lambda)
+_types = st.sampled_from(["t", "u", "t -> t", "(t -> t) -> t -> t",
+                          "t -> u -> t", "(t -> u) -> t"])
+_vars = st.sampled_from(["x", "y", "z", "g", "h", "f"])
+
+
+def _lam_terms(t):
+    return st.one_of(
+        st.builds(lambda v, ty, b: f"\\{v}:{ty}. {b}", _vars, _types, t),
+        st.builds(lambda f, a: f"({f}) ({a})", t, t),
+        st.builds(lambda f, a: f"{f} {a}", _vars, t))
+
+
+_lam_well_formed = st.recursive(_vars, _lam_terms, max_leaves=8)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_lam_well_formed)
+def test_generated_terms_translate_as_the_recursive_walks(text):
+    assert translated(NEW, text) == translated(REF, text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_texts(st.sampled_from(["\\", "λ", ".", ":", "(", ")", "->", "x",
+                               "g", "z", "h", "t", "u", "\\x:t.",
+                               "\\f:t -> t."]), 14))
+def test_token_strings_translate_as_the_recursive_walks(text):
+    assert translated(NEW, text) == translated(REF, text)
+
+
+@pytest.mark.parametrize("text", [
+    "\\f:t -> t. \\x:t. f (f x)", "h g z", "h (h g) z", "g g",
+    "z z", "y z z", "y z (g z)", "(\\x:t. x) g", "\\x:t. \\x:u. x",
+    "\\g:u. g", "(\\h:t. h) (h g z)", "w", "\\x:t. w x",
+    "(\\x:t. x x) z", "\\x:t. \\y:t. y x x",
+])
+def test_chosen_terms_translate_as_the_recursive_walks(text):
+    assert translated(NEW, text) == translated(REF, text)
+
+
+def test_translation_needs_no_frame_per_level():
+    binders = "".join(f"\\x{i}:t. " for i in range(1000)) + "x0"
+    net = from_lambda(parse_lambda(binders))
+    assert validate(net) == []
+    arrows = parse_type("t -> " * 1500 + "t")
+    assert feq(type_formula(arrows),
+               parse_formula("!t -o " * 1500 + "t"))
+    assert typecheck(Var("f"), {"f": arrows}) is arrows
+    apps = "f (" * 100 + "z" + ")" * 100
+    net = from_lambda(parse_lambda(apps),
+                      {"f": parse_type("t -> t"), "z": parse_type("t")})
+    assert net.edges[net.conclusion_edge()].formula == Atom("t")
+    assert [v.label for v in net.vertices.values()].count(RBANG) == 100
