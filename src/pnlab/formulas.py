@@ -7,19 +7,23 @@ object, so formulas shared between nets share it too; `feq` compares these
 texts.  The reader, `parse_formula`, and the printer, `format_formula`, also
 run on explicit stacks, so the nesting depth of a formula costs no Python
 frames in them.  The reader hash-conses parenthesized groups (Filliâtre and
-Conchon, *Type-safe modular hash-consing*, 2006): a group whose tokens equal
-those of a group already read, in the same text or in any text read with
-the same groups map, is not read again but shares that group's formula, so
-a text that repeats its groups costs its distinct groups, not its length.
+Conchon, *Type-safe modular hash-consing*, 2006).  It tokenizes a text as
+it reads it, and a group whose text equals that of a group already read, in
+the same text or in any text read with the same groups map, is skipped by
+one C-level comparison of text and shares that group's formula; a group
+whose tokens equal those of one read before, such as a copy spaced
+differently, is read but shares the formula too.  So a text costs Python
+work for each distinct group, plus one C comparison for each repeated one,
+not its length.
 """
 
 from __future__ import annotations
 
 import re
-import string
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from typing import NoReturn
 
 
 class FormulaError(ValueError):
@@ -254,12 +258,16 @@ def match_instance(pattern: Formula, inst: Formula, atom: str):
 #   unary   := '!' unary | 'sec' unary | 'all' NAME '.' formula
 #            | NAME | '(' formula ')'
 
-# One pass of _TOKENS splits a text into tokens; a character that starts no
-# token becomes a token of its own, which no position of the grammar accepts.
-_TOKENS = re.compile(r"-o|[*!().]|[A-Za-z_][A-Za-z0-9_]*|\S")
+# A match of _TOKENS is one token; a character that starts no token is a
+# match of its own, in group 1, and the reader rejects it.
+_TOKENS = re.compile(r"-o|[*!().]|[A-Za-z_][A-Za-z0-9_]*|(\S)")
 _PUNCT = frozenset(("-o", "*", "!", "(", ")", "."))
-_PARENS = frozenset("()")
-_NAME_START = frozenset(string.ascii_letters + "_")
+# A group whose text has at least _PREFIX characters is looked up by its
+# first _PREFIX, among the last _PER_PREFIX such groups read with the same
+# prefix, so a '(' costs at most _PER_PREFIX comparisons of text; a shorter
+# group is read again, at the cost of a few tokens.
+_PREFIX = 16
+_PER_PREFIX = 8
 
 # frames of parse_formula's stack: a prefix waiting for its unary operand,
 # a binder or an open parenthesis waiting for a whole formula, and the left
@@ -267,126 +275,149 @@ _NAME_START = frozenset(string.ascii_letters + "_")
 _BANG, _SEC, _FORALL, _PAREN, _TENSOR, _LOLLI = range(6)
 
 
-def _is_token(tok: str) -> bool:
-    return tok in _PUNCT or tok[0] in _NAME_START
+class _Tokens:
+    """The tokens of a text, read from the left one at a time; `jump`
+    goes on from a later position without reading what lies between.
 
-
-def _match_groups(toks: list[str], groups: dict) -> dict[int, tuple]:
-    """Map the index of each '(' of toks that has a matching ')' to (the
-    index of that ')', the group's entry in `groups`).
-
-    A group's key is its tokens with each inner group replaced by the
-    inner group's number, so equal keys mean equal token sequences and each
-    token goes into one key.  `groups` maps a key to its entry
-    [number, formula or None until a group with that key has been read].
+    A text's first bad character is reported before any syntax error, as
+    by a reader that tokenizes the whole text first: `next` raises when it
+    meets one, and `rest` and `fail` look for one after the last token
+    read before they give up.
     """
-    at: dict[int, tuple] = {}
-    opens: list[tuple] = []  # (index of an open '(', key of the group around it)
-    key: list = []  # tokens and group numbers of the innermost open group
-    last = 0
-    for k in compress(count(), map(_PARENS.__contains__, toks)):
-        key += toks[last:k]
-        last = k + 1
-        if toks[k] == "(":
-            opens.append((k, key))
-            key = []
-        elif opens:
-            whole = tuple(key)
-            entry = groups.get(whole)
-            if entry is None:
-                entry = groups[whole] = [len(groups), None]
-            start, key = opens.pop()
-            key.append(entry[0])
-            at[start] = (k, entry)
-    return at
+
+    __slots__ = ("text", "end", "_it")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.end = 0  # where the last token read ends
+        self._it = _TOKENS.finditer(text)
+
+    def next(self) -> str | None:
+        """The next token, or None at the end of the text."""
+        m = next(self._it, None)
+        if m is None:
+            return None
+        if m.lastindex:
+            raise FormulaError(f"bad formula syntax at {self.text[self.end:]!r}")
+        self.end = m.end()
+        return m[0]
+
+    def jump(self, pos: int) -> None:
+        """Go on from pos, which ends a token."""
+        self.end = pos
+        self._it = _TOKENS.finditer(self.text, pos)
+
+    def rest(self) -> list[str]:
+        """The tokens after the last one read."""
+        return list(iter(self.next, None))
+
+    def fail(self, message: str) -> NoReturn:
+        """Raise the syntax error message, unless a bad character follows."""
+        self.rest()
+        raise FormulaError(message)
 
 
 def parse_formula(text: str, groups: dict | None = None) -> Formula:
     """Read a formula of the grammar above, on explicit stacks, so the
     nesting depth of the text costs no Python frames.
 
-    A parenthesized group whose tokens equal those of a group read before
-    is not read again: its formula is reused and the reader skips to its
-    ')'.  `groups` holds the groups read so far (see _match_groups); calls
-    that pass the same dict share them, and by default a call has its own.
-    Reading a group depends on its tokens alone, and only a group that read
-    to its own ')' is kept, so the value and every error are the same as
-    when each group is read.
+    Parenthesized groups are read once.  A '(' that starts the text of a
+    group read before, up to the ')' that closed that group, is skipped
+    after one comparison of text, and the group's formula is reused; a
+    group is looked up so if it has at least _PREFIX characters, among at
+    most _PER_PREFIX candidates.  A group that is read is keyed by its
+    tokens, an inner group standing as its formula's id, and shares the
+    formula of a group read before with the same key, such as a copy spaced
+    differently.  So a text costs Python work for its tokens outside
+    repeated groups, and a C-level comparison for each repeated group.
+
+    `groups` holds the groups read so far: a key (a tuple) maps to its
+    formula, and a text prefix (a str) to [text, formula] for the last
+    groups it starts, the text as (the text read, start, stop) until it is
+    first compared.  Calls that pass the same dict share them; by default
+    a call has its own.  Reading a group depends on its tokens alone, and a
+    group is kept only once it has read to its ')', so the value and every
+    error are the same as when each group is read.
     """
-    toks = _TOKENS.findall(text)
-    if not all(map(_is_token, set(toks))):
-        end = 0  # where the token before m ends: the error quotes from there
-        for m in _TOKENS.finditer(text):
-            if not _is_token(m.group()):
-                raise FormulaError(f"bad formula syntax at {text[end:]!r}")
-            end = m.end()
-    at = _match_groups(toks, {} if groups is None else groups)
-    n = len(toks)
-    i = 0
+    if groups is None:
+        groups = {}
+    tokens = _Tokens(text)
     frames: list[tuple] = []  # (frame kind, payload)
+    key: list = []  # the tokens of the innermost open group, read so far
     while True:
         # read prefixes up to an atom: the start of a unary
-        tok = toks[i] if i < n else None
-        i += 1
-        if tok == "!":
-            frames.append((_BANG, None))
-            continue
-        if tok == "sec":
-            frames.append((_SEC, None))
+        tok = tokens.next()
+        if tok == "!" or tok == "sec":
+            key.append(tok)
+            frames.append((_BANG if tok == "!" else _SEC, None))
             continue
         if tok == "all":
-            if i >= n:
-                raise FormulaError("expected token, found None")
-            binder = toks[i]
-            dot = toks[i + 1] if i + 1 < n else None
+            binder = tokens.next()
+            if binder is None:
+                tokens.fail("expected token, found None")
+            dot = tokens.next()
             if dot != ".":
-                raise FormulaError(f"expected ., found {dot!r}")
-            i += 2
+                tokens.fail(f"expected ., found {dot!r}")
+            key += (tok, binder, dot)
             frames.append((_FORALL, binder))
             continue
         if tok == "(":
-            group = at.get(i - 1, (None, None))  # None: no matching ')'
-            close, entry = group
-            if entry is None or entry[1] is None:
-                frames.append((_PAREN, group))
+            start = tokens.end - 1
+            for seen in groups.get(text[start:start + _PREFIX], ()):
+                g = seen[0]
+                if type(g) is tuple:  # first comparison: cut the text out
+                    g = seen[0] = g[0][g[1]:g[2]]
+                if text.startswith(g, start):  # read before: skip it
+                    f = seen[1]
+                    tokens.jump(start + len(g))
+                    break
+            else:
+                frames.append((_PAREN, (start, key)))
+                key = []
                 continue
-            f = entry[1]  # read before: skip to its ')'
-            i = close + 1
+            key.append(id(f))
         elif tok is None or tok in _PUNCT:
-            raise FormulaError(f"unexpected token {tok!r}")
+            tokens.fail(f"unexpected token {tok!r}")
         else:
+            key.append(tok)
             f = Atom(tok)
         # f is a whole unary: close what it completes
+        tok = tokens.next()
         while True:
             while frames and frames[-1][0] <= _SEC:
                 f = Bang(f) if frames.pop()[0] == _BANG else Sec(f)
             if frames and frames[-1][0] == _TENSOR:
                 f = Tensor(frames.pop()[1], f)
-            tok = toks[i] if i < n else None
-            if tok == "*":
-                frames.append((_TENSOR, f))
-                break
-            if tok == "-o":
-                frames.append((_LOLLI, f))
+            if tok == "*" or tok == "-o":
+                key.append(tok)
+                frames.append((_TENSOR if tok == "*" else _LOLLI, f))
                 break
             # f ends a formula: close its lollis, then what opened it
             while frames and frames[-1][0] == _LOLLI:
                 f = Lolli(frames.pop()[1], f)
             if not frames:
                 if tok is not None:
-                    raise FormulaError(f"trailing input {toks[i:]!r}")
+                    raise FormulaError(f"trailing input {[tok, *tokens.rest()]!r}")
                 return f
             kind, payload = frames.pop()
             if kind == _FORALL:
                 f = Forall(payload, f)
-            elif tok == ")":  # kind is _PAREN
-                close, entry = payload
-                if close == i:  # the group read to its own ')': keep it
-                    entry[1] = f
-                i += 1
+            elif tok == ")":  # kind is _PAREN: the group is read
+                start, outer = payload
+                # the formula of an equal group read before, else this one;
+                # ids of kept formulas stay distinct, as groups holds them
+                f = groups.setdefault(tuple(key), f)
+                if tokens.end - start >= _PREFIX:
+                    # its text is cut out when first compared, so that
+                    # nested groups do not each copy what they enclose
+                    seen = [(text, start, tokens.end), f]
+                    groups.setdefault(text[start:start + _PREFIX],
+                                      deque(maxlen=_PER_PREFIX)).append(seen)
+                key = outer
+                key.append(id(f))
+                tok = tokens.next()
             else:
-                raise FormulaError(f"expected ), found {tok!r}")
-        i += 1
+                tokens.fail(f"expected ), found {tok!r}")
 
 
 def format_formula(f: Formula) -> str:

@@ -7,7 +7,7 @@ corpus net and prints one line per (net, check).
 from __future__ import annotations
 
 from . import corpus
-from .machine import (BUDGET, BudgetExhausted, Context, MachineConfig, Recorder,
+from .machine import (BUDGET, BudgetExhausted, Context, Recorder,
                       dual, explore, is_final, step)
 from .net import ProofNet, validate
 from .rewrite import DOUBLE, REWRITE_BUDGET, TRIANGLE, WEIGHT_KINDS, Walk, normalize
@@ -75,9 +75,10 @@ def check_theorem2(net: ProofNet, comp: WeightComputer) -> list[str]:
     return out
 
 
-def check_monotonicity(net: ProofNet, config: MachineConfig | None = None) -> list[str]:
+def check_monotonicity(net: ProofNet, comp: WeightComputer) -> list[str]:
     """The per-rule weight identities along the double-strategy walk that
-    normalize takes.
+    normalize takes.  `comp` is the input net's computer; each later net
+    gets its own, with the same machine configuration.
 
     For a box merge the displayed identity uses sum(R), but the weight
     definition pins the difference to sum(R - 1): merging removes one
@@ -86,11 +87,11 @@ def check_monotonicity(net: ProofNet, config: MachineConfig | None = None) -> li
     """
     out = []
     walk = Walk(net, DOUBLE, REWRITE_BUDGET)
-    comp_g, rep_g = WeightComputer(net, config), None
+    comp_g, rep_g = comp, None
     for _, cut, nxt, _ in walk:
         if rep_g is None:  # the input's report, read once a cut has fired
             rep_g = comp_g.report()
-        comp_h = WeightComputer(nxt, config)
+        comp_h = WeightComputer(nxt, comp.config)
         rep_h = comp_h.report()
         wg, wh = rep_g.weight, rep_h.weight
         if cut.kind in ("-o", "*", "forall", "D", "W"):
@@ -133,7 +134,7 @@ def run_suite(verbose: bool = False, nets: dict[str, ProofNet] | None = None):
             "weights": check_weight_invariants(net, comp),
             "no-stuck": check_no_stuck(net, comp),
             "theorem2": check_theorem2(net, comp),
-            "monotonicity": check_monotonicity(net),
+            "monotonicity": check_monotonicity(net, comp),
             "reversibility": check_reversibility(net, recorder.transitions),
         }
         truncation = recorder.truncation()

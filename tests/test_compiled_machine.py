@@ -13,11 +13,12 @@ parenthesized groups it has read before.
 
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnlab import corpus, families, rewrite, suite
+from pnlab import corpus, families, formulas, rewrite, suite, weights
 from pnlab import net as N
 from pnlab.formulas import (
     Atom,
@@ -43,6 +44,7 @@ from pnlab.machine import (
 from pnlab.net import parse_net, print_net
 from pnlab.rewrite import DOUBLE, find_cuts, fire, normalize
 from pnlab.signatures import E, is_sig, lsig, msig, nsig, psig, rsig
+from pnlab.weights import WeightComputer
 
 from test_golden import _applied, _church, composed
 from test_net_index import family_nets, malformed_nets
@@ -528,22 +530,25 @@ def test_reader_needs_no_frame_per_level():
 
 # --- groups read once --------------------------------------------------------
 #
-# A parenthesized group whose tokens equal those of a group read before, in
-# the same text or in an earlier one sharing the groups map, is not read
-# again.  Texts below repeat groups, with the copies spaced differently,
-# nested in each other and followed by junk.
+# A '(' that starts the text of a group read before, in the same text or in
+# an earlier one sharing the groups map, up to the ')' that closed it, is
+# skipped; a group whose tokens equal those of one read before shares its
+# formula.  Texts below repeat groups, some copies byte-identical and some
+# spaced differently, nested in each other and followed by junk.
 
 _group_pieces = st.lists(st.sampled_from(["-o", "*", "!", "(", ")", "a", "b1",
                                           "sec", "all x.", "all", ".", "x",
-                                          "$"]),
+                                          "all ).", "$"]),
                          max_size=7)
-# the tokens of a well-formed formula, so that most texts read to the end
+# the tokens of a well-formed formula, so that most texts read to the end;
+# a binder may be a parenthesis, which the reader takes as a name
 _formula_tokens = st.recursive(
     st.sampled_from([["a"], ["b1"], ["x"]]),
     lambda sub: st.one_of(
         st.tuples(sub, st.sampled_from(["-o", "*"]), sub).map(
             lambda t: ["(", *t[0], t[1], *t[2], ")"]),
-        st.tuples(st.sampled_from([["!"], ["sec"], ["all", "x", "."]]),
+        st.tuples(st.sampled_from([["!"], ["sec"], ["all", "x", "."],
+                                   ["all", ")", "."], ["all", "(", "."]]),
                   sub).map(lambda t: t[0] + t[1])),
     max_leaves=6)
 _templates = st.sampled_from([
@@ -553,25 +558,35 @@ _templates = st.sampled_from([
     "!({f}) -o all x. ({f}) -o ({g}{junk})",
     "(({f})) -o ({f} -o ({f}))",
     "({g}) -o ({f}) -o ({g}) -o ({f}{junk}",
+    # groups long enough to be looked up by their text
+    "(({f}) -o ({g}) * ({f})) -o (({f}) -o ({g}) * ({f}))",
+    "((({f}) * ({g})) -o ({f})) * ((({f}) * ({g})) -o ({f})){junk}",
+    "!(all x. ({f}) -o ({g}) -o x) -o (all x. ({f}) -o ({g}) -o x{junk})",
+    "((all ). ({f}) -o ({g}))) -o ((all ). ({f}) -o ({g}))) -o ({g})",
 ])
 
 
 @st.composite
 def repeated_group_texts(draw):
-    """A template filled with the piece lists f, g and junk, each copy
-    spaced anew."""
+    """A template filled with the piece lists f, g and junk.  The first
+    copy of a piece list is spaced at random; each later copy is either
+    byte-identical to it or spaced anew."""
     f, g = (draw(st.one_of(_formula_tokens, _group_pieces)) for _ in "fg")
-    junk = draw(_group_pieces)
+    pieces = {"f": f, "g": g, "junk": draw(_group_pieces)}
+    first: dict[str, str] = {}
 
-    def spaced(pieces):
-        return "".join(draw(_gaps) + p for p in pieces)
+    def spaced(name):
+        if name in first and draw(st.booleans()):
+            return first[name]
+        text = "".join(draw(_gaps) + p for p in pieces[name])
+        return first.setdefault(name, text)
 
     template = draw(_templates)
     out, rest = [], template
     while "{" in rest:
         head, _, rest = rest.partition("{")
         name, _, rest = rest.partition("}")
-        out.append(head + spaced({"f": f, "g": g, "junk": junk}[name]))
+        out.append(head + spaced(name))
     return "".join(out) + rest
 
 
@@ -585,14 +600,44 @@ def test_reader_reusing_groups_matches_the_recursive_reader(texts):
         assert read(lambda t: parse_formula(t, groups), text) == want
 
 
-def test_a_group_read_past_its_matching_parenthesis_is_not_kept():
+def test_a_group_read_past_its_matching_parenthesis_is_kept():
     # a binder may be a parenthesis, so the ')' that closes a group as read
-    # need not be the one that matches its '(' by counting
-    texts = ["(all ). a) -o (all ). a)", "(all)", "(all ( . a) * (( . a)"]
+    # need not be the one that matches its '(' by counting; the group read
+    # is still a function of its text, and a copy of it reuses it
+    texts = ["(all ). a) -o (all ). a)", "(all)", "(all ( . a) * (( . a)",
+             "(all ). a -o b1 * a) -o (all ). a -o b1 * a) * x",
+             "(all ). a -o b1 * a) -o (all ).a-o b1*a)"]
     groups: dict = {}
     for text in texts:
         want = read(ref_parse_formula, text)
         assert read(lambda t: parse_formula(t, groups), text) == want, text
+    f = parse_formula(texts[-2], groups)
+    assert f.left is f.right.left
+    g = parse_formula(texts[-1], groups)
+    assert g.left is g.right is f.left
+
+
+def test_a_repeated_group_is_skipped_by_its_text(monkeypatch):
+    read_tokens = []
+    next_token = formulas._Tokens.next
+
+    def counting(self):
+        tok = next_token(self)
+        read_tokens.append(tok)
+        return tok
+
+    monkeypatch.setattr(formulas._Tokens, "next", counting)
+    group = "((a -o b1) * !(all x. x -o a))"
+    f = parse_formula(f"{group} -o {group}")
+    # the copy costs its '(' token, then one comparison of text
+    assert read_tokens == [*ref_tokenize(group), "-o", "(", None]
+    assert f.left is f.right
+    # a copy spaced differently is read again, and shares the formula
+    read_tokens.clear()
+    respaced = "( (a -o b1)*!(all x. x -o a))"
+    g = parse_formula(f"{group} -o {respaced}")
+    assert read_tokens == [*ref_tokenize(group), "-o", *ref_tokenize(respaced), None]
+    assert g.left is g.right
 
 
 def test_equal_groups_share_one_formula():
@@ -602,6 +647,13 @@ def test_equal_groups_share_one_formula():
     first = parse_formula("!(a * (b -o a))", groups)
     again = parse_formula("(b -o a) -o (a * (b -o a))", groups)
     assert again.right is first.body and again.left is first.body.right
+
+
+def test_groups_differing_in_one_token_share_nothing():
+    for text in ["(all x. x) -o (all y. x)", "(all ). a) -o (all (. a)",
+                 "(a -o b1) -o (a * b1)", "(!a) -o (sec a)", "((a)) -o ((b1))"]:
+        f = parse_formula(text)
+        assert f == ref_parse_formula(text) and f.left != f.right, text
 
 
 def _reachable(formulas) -> int:
@@ -631,6 +683,42 @@ def test_deeply_nested_groups_are_read_in_linear_time():
     f = parse_formula(text)
     assert time.perf_counter() - t0 < 1.0
     assert f == Lolli(Atom("a"), Atom("b"))
+
+
+def _right_spine(f, n):
+    """The left operands of the first n lollis down f's right spine, and
+    the formula below them."""
+    lefts = []
+    for _ in range(n):
+        assert type(f) is Lolli
+        lefts.append(f.left)
+        f = f.right
+    return lefts, f
+
+
+def test_a_doubling_ladder_is_read_in_time_of_its_groups():
+    # B(j+1) = (B(j)) -o B(j): the text doubles with j, while the distinct
+    # groups, (B(0)) to (B(j)), and the tokens outside them grow with j
+    k = 19
+    text = "a -o a"
+    for _ in range(k):
+        text = f"({text}) -o {text}"
+    assert len(text) > 6_000_000
+    t0 = time.perf_counter()
+    f = parse_formula(text)
+    elapsed = time.perf_counter() - t0
+    a_o_a = Lolli(Atom("a"), Atom("a"))
+    lefts, last = _right_spine(f, k)
+    assert last == a_o_a
+    groups = lefts[::-1]  # groups[j] is the formula of (B(j))
+    assert groups[0] == a_o_a
+    for j in range(1, k):
+        inner, last = _right_spine(groups[j], j)
+        assert all(x is y for x, y in zip(inner, groups[j - 1::-1])), j
+        assert last == a_o_a
+    assert _reachable([f]) <= 2 * k * k
+    # reading the groups takes milliseconds; tokenizing all 6.3 MB, a second
+    assert elapsed < 0.25
 
 
 # --- parse_net ---------------------------------------------------------------
@@ -670,15 +758,34 @@ def test_monotonicity_walk_is_normalize_double_trace(monkeypatch):
     monkeypatch.setattr(rewrite, "fire", recording_fire)
     for name, net in nets.items():
         fired.clear()
-        assert suite.check_monotonicity(net) == [], name
+        assert suite.check_monotonicity(net, WeightComputer(net)) == [], name
         assert fired == expected[name], name
+
+
+def test_run_suite_searches_each_copy_of_its_inputs_once(monkeypatch):
+    nets = dict(corpus.full_corpus())
+    for k in (2, 3):
+        nets[f"church-{k}"] = _applied(_church(k, "t"))
+    inputs = {id(net): name for name, net in nets.items()}
+    searched = Counter()
+    search = weights.search_copy_candidates
+
+    def counting(net, edge, us, config):
+        if id(net) in inputs:
+            searched[inputs[id(net)], edge, us] += 1
+        return search(net, edge, us, config)
+
+    monkeypatch.setattr(weights, "search_copy_candidates", counting)
+    assert suite.run_suite(nets=nets) == []
+    assert {name for name, _, _ in searched} >= {"church-2", "church-3"}
+    assert set(searched.values()) == {1}
 
 
 def test_monotonicity_reports_a_walk_over_budget(monkeypatch):
     net = _applied(_church(2, "t"))
     steps = len(normalize(net, DOUBLE)[1].steps)
     monkeypatch.setattr(suite, "REWRITE_BUDGET", steps)
-    assert suite.check_monotonicity(net) == []
+    assert suite.check_monotonicity(net, WeightComputer(net)) == []
     monkeypatch.setattr(suite, "REWRITE_BUDGET", steps - 1)
-    assert suite.check_monotonicity(net) == [
+    assert suite.check_monotonicity(net, WeightComputer(net)) == [
         f"the double-strategy walk left cuts after {steps - 1} steps"]
