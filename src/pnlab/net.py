@@ -304,6 +304,8 @@ class _Index:
         self.edge_boxes: dict[str, list[str]] = {}  # filled per queried edge
         # (edge, polarity) -> machine.Entry, filled per queried pair
         self.transitions: dict[tuple[str, str], object] = {}
+        # whether jumps are enabled -> the tables of weights.Chains
+        self.chains: dict[bool, tuple] = {}
         # for a reduct: the edges the step put, re-ended or deleted
         self.touched: set[str] | None = None
 

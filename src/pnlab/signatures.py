@@ -79,22 +79,39 @@ def leq(u: Sig, t: Sig) -> bool:
     return False
 
 
-def simplifications(t: Sig) -> frozenset[Sig]:
-    """All u with u <= t; finite and contains t."""
-    head = t[0]
-    if head in ("e", "m"):
-        return frozenset([t])
-    if head == "r":
-        return frozenset(rsig(u) for u in simplifications(t[1]))
-    if head == "l":
-        return frozenset(lsig(u) for u in simplifications(t[1]))
-    if head == "p":
-        return frozenset(psig(u) for u in simplifications(t[1]))
-    if head == "n":
-        out = {nsig(u, t[2]) for u in simplifications(t[1])}
-        out |= {psig(u) for u in simplifications(t[2])}
-        return frozenset(out)
-    raise ValueError(f"bad signature {t!r}")
+def simplifications(t: Sig, memo: dict | None = None) -> frozenset[Sig]:
+    """All u with u <= t; finite and contains t.
+
+    Computed bottom-up on an explicit stack; memo, if given, keeps the
+    answer for every subterm met, for later calls to share.
+    """
+    memo = {} if memo is None else memo
+    todo = [t]
+    while todo:
+        x = todo[-1]
+        if x in memo:
+            todo.pop()
+            continue
+        head = x[0]
+        if head in ("e", "m"):
+            memo[x] = frozenset([x])
+        elif head in ("l", "r", "p"):
+            inner = memo.get(x[1])
+            if inner is None:
+                todo.append(x[1])
+                continue
+            memo[x] = frozenset((head, u) for u in inner)
+        elif head == "n":
+            first, second = memo.get(x[1]), memo.get(x[2])
+            if first is None or second is None:
+                todo += [y for y, s in ((x[1], first), (x[2], second)) if s is None]
+                continue
+            memo[x] = frozenset([nsig(u, x[2]) for u in first]
+                                + [psig(u) for u in second])
+        else:
+            raise ValueError(f"bad signature {x!r}")
+        todo.pop()
+    return memo[t]
 
 
 def sig_size(t: Sig) -> int:

@@ -1,23 +1,33 @@
 """Copies, canonical sequences, cardinalities, and the weight aggregates.
 
-Copy discovery is demand-driven: a run starts from the box-edge with a hole
+Copy discovery is demand-driven: a walk starts from the box-edge with a hole
 in place of the signature and branches over the constructors a rule demands
 when it inspects the hole (l/r at contractions, e at derelictions, n at
-diggings, m(i) at multiplexers).  Candidates are standard by construction;
-each is then verified by running every one of its simplifications to a
-final context.  A generate-and-test oracle over all standard signatures up
-to a size bound cross-validates the search on small nets.
+diggings, m(i) at multiplexers).  Candidates are standard by construction.
+All candidates of a box-edge on a sequence are verified in one more walk
+from the same start, which carries every simplification of every candidate
+at once: where a rule inspects a hole it splits the simplifications still
+live by the head of their subterm there, so a context is walked once for
+all the simplifications that agree up to it (the sharing of paths until
+they read a signature, after Gonthier, Abadi and Levy).  Each
+simplification leaves the walk at its first final context, so what it
+walks is the depth-first walk a run from it alone would take.  A copy is
+confirmed when every one of its simplifications reaches a final context.
+A generate-and-test oracle over all standard signatures up to a size bound
+cross-validates the search on small nets.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import net as N
 from .machine import (
+    _new,
     BUDGET,
+    CYCLE,
+    LEAVE,
     BudgetExhausted,
     Context,
     Entry,
@@ -39,6 +49,7 @@ from .signatures import (
     lsig,
     msig,
     nsig,
+    psig,
     quasi_standard,
     rsig,
     simplifications,
@@ -51,10 +62,12 @@ class WeightError(ValueError):
     pass
 
 
-# --- symbolic copy search ---------------------------------------------------
+# --- symbolic walks -----------------------------------------------------------
 
-# holes are pseudo-signatures ('h', k); they stand for an undetermined
-# standard subtree
+# holes are pseudo-signatures ('h', pos); a hole stands for the subterm, not
+# yet read, at position pos (a tuple of child indices) of the signature that
+# started the walk, so ROOT is that whole signature
+ROOT = ("h", ())
 
 
 def _resolve(x, binds, default=None):
@@ -69,42 +82,324 @@ def _resolve(x, binds, default=None):
     return x
 
 
-def _resolve_ctx(c: Context, binds) -> Context:
-    us = tuple(_resolve(t, binds) for t in c.us)
-    stack = tuple(_resolve(s, binds) if is_sig(s) or is_hole(s) else s
-                  for s in c.stack)
-    return Context(c.edge, us, stack, c.pol)
-
-
 def _complete(x, binds):
     return _resolve(x, binds, default=E)
 
 
-def _hole_branches(entry: Entry, c: Context, fresh):
-    """Instantiations demanded when the rule of entry, c's endpoint,
-    inspects a hole on top.
+def _at(t: Sig, pos) -> Sig:
+    """The subterm of t at pos."""
+    for i in pos:
+        t = t[i]
+    return t
 
-    Only standard constructors are offered; p-simplifications are covered by
-    the per-candidate verification afterwards.
+
+def _rooted(x, pos: tuple):
+    """x with each hole ('h', (j, i, ...)) of a chain renamed by its
+    position in the root, pos[j] + (i, ...)."""
+    head = x[0]
+    if head == "h":
+        return ("h", pos[x[1][0]] + x[1][1:])
+    if head in ("l", "r", "p"):
+        return (head, _rooted(x[1], pos))
+    if head == "n":
+        return (head, _rooted(x[1], pos), _rooted(x[2], pos))
+    return x
+
+
+def _subst(x, v: tuple):
+    """x with each hole ('h', (j, i, ...)) replaced by v[j][i]..."""
+    head = x[0]
+    if head == "h":
+        t = v[x[1][0]]
+        for i in x[1][1:]:
+            t = t[i]
+        return t
+    if head in ("l", "r", "p"):
+        return (head, _subst(x[1], v))
+    if head == "n":
+        return (head, _subst(x[1], v), _subst(x[2], v))
+    return x
+
+
+def _map_holes(c: Context, f, arg) -> Context:
+    us = tuple(f(x, arg) for x in c[1])
+    stack = tuple(f(x, arg) if x.__class__ is tuple else x for x in c[2])
+    return Context(c[0], us, stack, c[3])
+
+
+def _has_hole(x: Sig) -> bool:
+    todo = [x]
+    while todo:
+        x = todo.pop()
+        if x[0] == "h":
+            return True
+        if x[0] in ("l", "r", "p", "n"):
+            todo.extend(x[1:])
+    return False
+
+
+# the (label, port) where a token arriving with '+' has the rule read the
+# signature on top of the stack: a hole there is split by _demanded
+_INSPECTING = {(N.CONTR, "merged"), (N.DER, "bang"), (N.DIG, "bang"),
+               (N.MUX, "merged")}
+_READ_PORTS = {port for _, port in _INSPECTING}
+
+
+def _demanded(entry: Entry, c: Context):
+    """The signatures the rule of entry, c's endpoint, accepts for the hole
+    on top of c's stack, or None when the rule does not read it.  The holes
+    inside a demanded signature are the children of the one read: (j, 1)
+    and (j, 2) below ('h', (j,))."""
+    st = c[2]
+    label, j = entry.vertex.label, st[-1][1]
+    child = ("h", j + (1,))
+    if label == N.CONTR:
+        return [lsig(child), rsig(child)]
+    if label == N.DER:
+        return [E] if len(st) >= 2 else None
+    if label == N.DIG:
+        out = [nsig(child, ("h", j + (2,)))]
+        if len(st) == 1:
+            out.append(psig(child))
+        return out
+    return [msig(i) for i in range(1, entry.vertex.arity + 1)]
+
+
+def _accepts(t: Sig, x: Sig) -> bool:
+    """Whether a rule that accepts the demanded signature t, whose holes
+    are open, takes x."""
+    return x[0] == t[0] and (t[0] != "m" or x == t)
+
+
+LEAF, LOOP, SPLIT, BRANCH = "leaf", "loop", "split", "branch"
+
+
+class _Chain:
+    """The transitions from a chain start, a context whose holes are named
+    ('h', (0,)), ('h', (1,)), ... in order of first occurrence, to its end.
+
+    A chain inspects no hole before its end, so every walk that meets its
+    start takes its transitions, whatever the subterms at the holes.  Its
+    end is the first context that reads the top of the stack (a rule of
+    _INSPECTING), has several successors or none, is on the chain already,
+    or steps to a join (a box's principal edge with '+' and one
+    signature, which runs from several doors reach).  The end's kind is:
+
+    - SPLIT: the rule reads hole `hole` on top of the stack; a walk goes on
+      by the links of the `demanded` signature that binds it;
+    - BRANCH: the links, taken in order;
+    - LOOP: the chain met a context already on it;
+    - LEAF: no successor; `need` lists the holes that must be e for the end
+      to be final, or is None when it cannot be.
+
+    A link is [chain start, positions, slots, chain or None]: the
+    positions of its holes below the end's, (j,) for hole j and (j, i) for
+    child i of the hole a split binds, the start's slots, and its chain,
+    walked on first use.
+
+    Whether a context ends a chain or starts one depends on the context
+    alone, and between them a context has one predecessor (the machine is
+    reversible, and only a join has several).  So a walk that meets a
+    context again meets a chain start again, or a context of its current
+    chain: keying walks by chain start finds every cycle that keying them
+    by context does.
     """
-    top = c.stack[-1] if c.stack else None
-    if not is_hole(top):
-        return None
-    label, port = entry.vertex.label, entry.port
-    if label == N.CONTR and port == "merged" and c.pol == "+":
-        out = [lsig(("h", next(fresh))), rsig(("h", next(fresh)))]
-    elif label == N.DER and port == "bang" and c.pol == "+" and len(c.stack) >= 2:
-        out = [E]
-    elif label == N.DIG and port == "bang" and c.pol == "+":
-        out = [nsig(("h", next(fresh)), ("h", next(fresh)))]
-    elif label == N.MUX and port == "merged" and c.pol == "+":
-        out = [msig(i) for i in range(1, entry.vertex.arity + 1)]
-    else:
-        return None
-    return [(top[1], t) for t in out]
+
+    __slots__ = ("start", "slots", "end", "steps", "kind", "need", "hole",
+                 "demanded", "links")
+
+    def __init__(self, start: Context, slots: tuple[list, list]):
+        self.start = start
+        self.slots = slots  # the indices of start's U and stack with a hole
+        self.steps = 0  # transitions from start to end
+        self.links: list | dict = []
+
+    def concrete(self, v: tuple) -> Context:
+        """The start with each hole j replaced by v[j]."""
+        c, (in_us, in_stack) = self.start, self.slots
+        us, stack = c[1], c[2]
+        if in_us:
+            us = list(us)
+            for i in in_us:
+                us[i] = _subst(us[i], v)
+            us = tuple(us)
+        if in_stack:
+            stack = list(stack)
+            for i in in_stack:
+                stack[i] = _subst(stack[i], v)
+            stack = tuple(stack)
+        return _new(Context, (c[0], us, stack, c[3]))
 
 
-# the number of nodes a copy search visits before it gives up
+class Chains:
+    """The chains of a net, kept by their start with the net's index (one
+    table for each setting of jumps, as the rules read it), so that each
+    stretch of the symbolic transition relation is stepped once for every
+    walk that reaches it: the copy search and the verification, from any
+    box-edge, sequence or signature, whatever the names of its holes."""
+
+    def __init__(self, net: N.ProofNet, config: MachineConfig):
+        self.net = net
+        self.config = config
+        tables = net._index.chains.get(config.jumps_enabled)
+        if tables is None:
+            tables = net._index.chains[config.jumps_enabled] = ({}, {}, {})
+        self._chains: dict[Context, _Chain] = tables[0]
+        self._holey: dict[Sig, bool] = tables[1]  # whether a hole is in it
+        self._renamed: dict[tuple, tuple] = tables[2]  # U -> _canonical's part
+        self.steps = 0  # the transitions of the chains this one walked
+
+    def walk(self, edge: str, us: tuple[Sig, ...], payload, visit,
+             budget: int, what: str):
+        """explore's events for a depth-first walk over chains from
+        (edge, us, (ROOT,), +).
+
+        A node is (chain, positions, payload): the positions in the root of
+        the chain's holes, so that the chain and the positions are the
+        node's context, and a payload.  visit(node, path) lists the links
+        to follow, with the payload of each, as (links, payload) pairs.  A
+        node costs its chain's transitions and one more; past budget, the
+        walk raises BudgetExhausted(what).
+        """
+        spent = 0
+
+        def expand(node, path):
+            nonlocal spent
+            ch, pos = node[0], node[1]
+            spent += ch.steps + 1
+            if spent > budget:
+                raise BudgetExhausted(what, _map_holes(ch.start, _rooted, pos))
+            succs = []
+            for links, p in visit(node, path):
+                for link in links:
+                    if link[3] is None:
+                        link[3] = self._chain(link[0], link[2])
+                    succs.append((link[3],
+                                  tuple(pos[x[0]] + x[1:] for x in link[1]), p))
+            return succs
+
+        start, _, slots = self._canonical(Context(edge, us, (ROOT,), "+"))
+        return explore((self._chain(start, slots), ((),), payload), expand,
+                       budget, key=operator.itemgetter(0, 1))
+
+    def split_links(self, ch: _Chain, i: int) -> list:
+        """The links out of ch's end with its hole bound to the i-th
+        demanded signature."""
+        links = ch.links.get(i)
+        if links is None:
+            c = ch.end
+            entry = table_entry(self.net, c[0], c[3])
+            # a hole occurs once in a context: signatures are moved, not copied
+            st = c[2][:-1] + (ch.demanded[i],)
+            links = ch.links[i] = [self._link(d) for d in
+                                   entry.rule(c[1], st, self.config)]
+        return links
+
+    def _chain(self, start: Context, slots) -> _Chain:
+        ch = self._chains.get(start)
+        if ch is None:
+            ch = self._chains[start] = self._walk_chain(_Chain(start, slots))
+        return ch
+
+    def _link(self, d: Context) -> list:
+        return [*self._canonical(d), None]
+
+    def _walk_chain(self, ch: _Chain) -> _Chain:
+        net, config = self.net, self.config
+        table, principals = net._index.transitions, net.principal_edges()
+        budget = config.step_budget
+        c, on_chain, steps = ch.start, {ch.start}, 0
+        while True:
+            if steps >= budget:
+                raise BudgetExhausted("machine step budget exhausted", c)
+            entry = table.get((c[0], c[3])) or table_entry(net, c[0], c[3])
+            st = c[2]
+            reads = (st and c[3] == "+" and entry.port in _READ_PORTS
+                     and (entry.vertex.label, entry.port) in _INSPECTING)
+            if reads and is_hole(st[-1]):
+                demanded = _demanded(entry, c)
+                if demanded is not None:
+                    ch.kind, ch.hole = SPLIT, st[-1][1][0]
+                    ch.demanded, ch.links = demanded, {}
+                    break
+            succs = entry.rule(c[1], st, config)
+            if len(succs) == 1 and not reads:
+                d = succs[0]
+                if d in on_chain:
+                    ch.kind = LOOP
+                    steps += 1  # the transition that closes the loop
+                    break
+                if not (d[3] == "+" and len(d[2]) == 1 and d[0] in principals):
+                    c = d
+                    on_chain.add(c)
+                    steps += 1
+                    continue
+            if succs:
+                ch.kind, ch.links = BRANCH, [self._link(d) for d in succs]
+            else:
+                ch.kind = LEAF
+                need = final_at(entry, st, {})
+                ch.need = None if need is None else [pos[0] for pos in need]
+            break
+        ch.end, ch.steps = c, steps
+        self.steps += steps
+        return ch
+
+    def _canonical(self, c: Context):
+        """c with its holes renamed ('h', (0,)), ('h', (1,)), ... in order
+        of first occurrence, U before the stack, their old names in that
+        order, and the indices of c's U and stack that hold a hole.  Each
+        U is renamed once."""
+        hit = self._renamed.get(c[1])
+        if hit is None:
+            names: dict = {}
+            us, in_us = self._rename(c[1], names)
+            hit = self._renamed[c[1]] = us, names, in_us
+        us, names, in_us = hit
+        if any(x.__class__ is tuple and self._has_hole(x) for x in c[2]):
+            names = dict(names)
+            stack, in_stack = self._rename(c[2], names)
+        else:
+            stack, in_stack = c[2], []
+        return (_new(Context, (c[0], us, stack, c[3])), tuple(names),
+                (in_us, in_stack))
+
+    def _has_hole(self, x: Sig) -> bool:
+        h = self._holey.get(x)
+        if h is None:
+            h = self._holey[x] = _has_hole(x)
+        return h
+
+    def _rename(self, entries: tuple, names: dict) -> tuple[tuple, list]:
+        """entries with their holes renamed, numbering new names on from
+        those in names, and the indices of the entries with a hole."""
+        slots, out = [], None
+        for i, x in enumerate(entries):
+            if x.__class__ is tuple and self._has_hole(x):
+                if out is None:
+                    out = list(entries)
+                out[i] = _renamed(x, names)
+                slots.append(i)
+        return (entries if out is None else tuple(out)), slots
+
+
+def _renamed(x, names: dict):
+    """x with each hole renamed ('h', (i,)), i its old name's number in
+    names, new names numbered on."""
+    head = x[0]
+    if head == "h":
+        i = names.get(x[1])
+        if i is None:
+            i = names[x[1]] = len(names)
+        return ("h", (i,))
+    if head in ("l", "r", "p"):
+        return (head, _renamed(x[1], names))
+    if head == "n":
+        return (head, _renamed(x[1], names), _renamed(x[2], names))
+    return x
+
+
+# the number of transitions a copy search takes before it gives up
 SEARCH_BUDGET = 10**6
 
 
@@ -112,37 +407,131 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
                            config: MachineConfig) -> set[Sig]:
     """Standard signatures whose primary run reaches a final context.
 
-    A node of the search is a context with the bindings of its holes; a
-    hole instantiation costs one budget unit, like a transition.
+    A node's payload is the bindings of the holes read on its path, by
+    position.  Only standard constructors are offered at a hole; the
+    verification walks p-simplifications.
     """
-    fresh = itertools.count(1)
-    root = ("h", 0)
+    chains = Chains(net, config)
     results: set[Sig] = set()
 
-    def expand(node, path):
-        c, binds = node
-        entry = table_entry(net, c[0], c[3])
-        branches = _hole_branches(entry, c, fresh)
-        if branches is not None:
-            out = []
-            for hid, t in branches:
-                b2 = {**binds, hid: t}
-                out.append((_resolve_ctx(c, b2), b2))
-            return out
-        succs = entry.rule(c[1], c[2], config)
-        if succs:
-            return [(d, binds) for d in succs]
-        final = final_at(entry, c[2], binds)
-        if final is not None:
-            results.add(_complete(root, final))
+    def visit(node, path):
+        ch, pos, binds = node
+        if ch.kind == BRANCH:
+            return [(ch.links, binds)]
+        if ch.kind == SPLIT:
+            at = pos[ch.hole]
+            return [(chains.split_links(ch, i), {**binds, at: _rooted(t, pos)})
+                    for i, t in enumerate(ch.demanded) if t[0] != "p"]
+        if ch.kind == LEAF and ch.need is not None:
+            final = {**binds, **{pos[j]: E for j in ch.need}}
+            results.add(_complete(ROOT, final))
         return []
 
-    start = (Context(edge, us, (root,), "+"), {})
-    for event, node, _ in explore(start, expand, SEARCH_BUDGET,
-                                  key=operator.itemgetter(0)):
-        if event == BUDGET:
-            raise BudgetExhausted("copy search budget exhausted", node[0])
+    for _ in chains.walk(edge, us, {}, visit, SEARCH_BUDGET,
+                         "copy search budget exhausted"):
+        pass
     return results
+
+
+@dataclass
+class SharedWalk:
+    """What one verification walk found for each signature it carried."""
+
+    found: set[Sig] = field(default_factory=set)  # reached a final context
+    cyclic: set[Sig] = field(default_factory=set)  # met a cycle on the way
+    # each signature's transitions, concrete and in walk order, if recorded
+    moves: dict[Sig, list[tuple[Context, Context]]] | None = None
+    nodes: int = 0
+
+
+def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
+                members: list[Sig], record: bool = False) -> SharedWalk:
+    """One walk from (edge, us, (t,), +) for every t of members.
+
+    A node's payload is the members still live there, those whose runs
+    take it and have not reached a final context, each with its subterms
+    at the positions of the open holes, the root () at the start.  Where a
+    chain's
+    end reads a hole, the members split by the head of their subterm there.
+    A member leaves at its first final context, and the members live at a
+    node that is on the path already meet a cycle.  So each member walks
+    what reach_final walks from it, and what does not depend on its
+    signature is walked once for all.
+    """
+    out = SharedWalk(moves={t: [] for t in members} if record else None)
+    found, cyclic, moves = out.found, out.cyclic, out.moves
+
+    def live_at(node) -> tuple:
+        live, seen = node[2]  # seen: len(found) when live was filtered
+        if seen == len(found):
+            return live
+        return tuple(m for m in live if m[0] not in found)
+
+    def visit(node, path):
+        out.nodes += 1
+        ch, pos = node[0], node[1]
+        live = live_at(node)
+        if not live:
+            return []
+        if moves is not None:
+            _replay(chains, path[-2] if len(path) > 1 else None, node, live,
+                    moves)
+        kind = ch.kind
+        if kind == BRANCH:
+            return [(ch.links, (live, len(found)))]
+        if kind == SPLIT:
+            at = pos[ch.hole]
+            kids = (at + (1,), at + (2,))
+            groups: dict = {}
+            for u, sub in live:
+                sub = dict(sub)
+                x = sub.pop(at)
+                sub.update(zip(kids, x[1:]))
+                groups.setdefault(x if x[0] == "m" else x[0], []).append((u, sub))
+            succs = []
+            for i, t in enumerate(ch.demanded):
+                sel = groups.get(t if t[0] == "m" else t[0])
+                if sel:
+                    succs.append((chains.split_links(ch, i),
+                                  (tuple(sel), len(found))))
+            return succs
+        if kind == LOOP:
+            cyclic.update(u for u, _ in live)
+        elif ch.need is not None:
+            need = [pos[j] for j in ch.need]
+            found.update(u for u, sub in live
+                         if all(sub[p] == E for p in need))
+        return []
+
+    start = (tuple((t, {(): t}) for t in members), 0)
+    for event, x, path in chains.walk(edge, us, start, visit,
+                                      chains.config.step_budget,
+                                      "machine step budget exhausted"):
+        if event == LEAVE and len(found) == len(members):
+            break
+        if event == CYCLE:  # a transition from path[-1]
+            live = live_at(x)
+            cyclic.update(u for u, _ in live)
+            if moves is not None:
+                _replay(chains, path[-1], x, live, moves, chain=False)
+    return out
+
+
+def _replay(chains: Chains, prev, node, live, moves, chain=True):
+    """Append, for each member in live, the concrete transition from the
+    end of prev's chain into node's and, if chain, those along node's."""
+    net, config = chains.net, chains.config
+    ch, pos = node[0], node[1]
+    before = dict(prev[2][0]) if prev is not None else {}
+    for u, sub in live:
+        c = ch.concrete(tuple(sub[p] for p in pos))
+        if prev is not None:
+            v = tuple(before[u][p] for p in prev[1])
+            moves[u].append((_map_holes(prev[0].end, _subst, v), c))
+        for _ in range(ch.steps if chain else 0):
+            d = step(net, c, config)[0]
+            moves[u].append((c, d))
+            c = d
 
 
 # --- the weight computer ----------------------------------------------------
@@ -202,8 +591,13 @@ class WeightComputer:
         self.recorder = recorder
         self._copies: dict[tuple[str, tuple[Sig, ...]], frozenset[Sig]] = {}
         self._canon: dict[str, list[tuple[Sig, ...]]] = {}
+        # reach_final's memo, for is_canonical_context's probes
         self.reach_memo: dict[Context, bool] = {}
         self.cycle_seen = False
+        self.chains = Chains(net, self.config)
+        self._simps: dict[Sig, frozenset[Sig]] = {}  # simplifications' memo
+        self.walk_nodes = 0  # the nodes of every verification walk
+        self._recorded: set[tuple[Context, Context]] = set()
 
     # -- copies --
 
@@ -215,8 +609,8 @@ class WeightComputer:
             raise WeightError(f"{edge} is not a box-edge")
         candidates = search_copy_candidates(self.net, edge, us, self.config)
         # sorted, so that the recorded transitions do not depend on hashing
-        confirmed = frozenset(t for t in sorted(candidates)
-                              if standard(t) and self._verify(edge, us, t))
+        confirmed = self._confirm(edge, us,
+                                  sorted(t for t in candidates if standard(t)))
         self._copies[key] = confirmed
         return confirmed
 
@@ -224,23 +618,43 @@ class WeightComputer:
                           max_size: int = 4) -> frozenset[Sig]:
         arities = [v.arity for v in self.net.vertices.values() if v.label == N.MUX]
         mux_idx = tuple(range(1, max(arities) + 1)) if arities else ()
-        cands = all_standard_sigs(max_size, mux_idx)
-        return frozenset(t for t in cands if self._verify(edge, us, t))
+        return self._confirm(edge, us, all_standard_sigs(max_size, mux_idx))
 
-    def _verify(self, edge: str, us: tuple[Sig, ...], t: Sig) -> bool:
-        cyclic = False
-        for u in sorted(simplifications(t)):
-            c = Context(edge, us, (u,), "+")
-            ok, cycle = reach_final(self.net, c, self.config, self.reach_memo,
-                                    self.recorder)
-            cyclic = cyclic or cycle
-            if not ok:
-                return False
-        if cyclic:
-            # contexts reachable from a canonical start are canonical, so a
-            # cycle met while confirming the copy t is a canonical cycle
-            self.cycle_seen = True
-        return True
+    def _confirm(self, edge: str, us: tuple[Sig, ...],
+                 candidates: list[Sig]) -> frozenset[Sig]:
+        """The candidates each of whose simplifications reaches a final
+        context, from one shared walk."""
+        record = self.recorder is not None
+        simps = [(t, simplifications(t, self._simps)) for t in candidates]
+        if record:  # the order runs one simplification at a time take
+            simps = [(t, sorted(ss)) for t, ss in simps]
+        members = list(dict.fromkeys(u for _, ss in simps for u in ss))
+        walk = shared_walk(self.chains, edge, us, members, record)
+        self.walk_nodes += walk.nodes
+        confirmed = []
+        for t, ss in simps:
+            if walk.moves is not None:
+                # what runs one simplification at a time would take: up to
+                # and including the first that reaches no final context
+                for u in ss:
+                    self._record(walk.moves[u])
+                    if u not in walk.found:
+                        break
+            if all(u in walk.found for u in ss):
+                confirmed.append(t)
+                if any(u in walk.cyclic for u in ss):
+                    # contexts reachable from a canonical start are
+                    # canonical, so a cycle met while confirming the copy t
+                    # is a canonical cycle
+                    self.cycle_seen = True
+        return frozenset(confirmed)
+
+    def _record(self, moves: list[tuple[Context, Context]]):
+        """Record each transition once."""
+        for move in moves:
+            if move not in self._recorded:
+                self._recorded.add(move)
+                self.recorder.record(*move)
 
     # -- canonical sequences --
 
@@ -262,7 +676,7 @@ class WeightComputer:
     def cardinality(self, edge: str, us: tuple[Sig, ...]) -> int:
         simps: set[Sig] = set()
         for t in self.copies(edge, us):
-            simps |= simplifications(t)
+            simps |= simplifications(t, self._simps)
         return len(simps)
 
     # -- aggregates --

@@ -49,8 +49,6 @@ from pnlab.suite import check_no_stuck
 from pnlab.weights import (
     WeightComputer,
     _complete,
-    _hole_branches,
-    _resolve_ctx,
     check_subtree_property,
     search_copy_candidates,
 )
@@ -241,6 +239,41 @@ def ref_sym_neg_final(v, binds):
     if is_sig(top) or _is_hole(top):
         return ref_sym_neg_final(rest, binds)
     return []
+
+
+def _ref_resolve(x, binds):
+    if _is_hole(x):
+        return _ref_resolve(binds[x[1]], binds) if x[1] in binds else x
+    if isinstance(x, tuple) and x and x[0] in ("l", "r", "p"):
+        return (x[0], _ref_resolve(x[1], binds))
+    if isinstance(x, tuple) and x and x[0] == "n":
+        return nsig(_ref_resolve(x[1], binds), _ref_resolve(x[2], binds))
+    return x
+
+
+def _resolve_ctx(c, binds):
+    us = tuple(_ref_resolve(t, binds) for t in c.us)
+    stack = tuple(_ref_resolve(s, binds) if is_sig(s) or _is_hole(s) else s
+                  for s in c.stack)
+    return Context(c.edge, us, stack, c.pol)
+
+
+def _hole_branches(entry, c, fresh):
+    top = c.stack[-1] if c.stack else None
+    if not _is_hole(top):
+        return None
+    label, port = entry.vertex.label, entry.port
+    if label == N.CONTR and port == "merged" and c.pol == "+":
+        out = [lsig(("h", next(fresh))), rsig(("h", next(fresh)))]
+    elif label == N.DER and port == "bang" and c.pol == "+" and len(c.stack) >= 2:
+        out = [E]
+    elif label == N.DIG and port == "bang" and c.pol == "+":
+        out = [nsig(("h", next(fresh)), ("h", next(fresh)))]
+    elif label == N.MUX and port == "merged" and c.pol == "+":
+        out = [msig(i) for i in range(1, entry.vertex.arity + 1)]
+    else:
+        return None
+    return [(top[1], t) for t in out]
 
 
 def ref_search_copy_candidates(net, edge, us, config, budget=10**6):

@@ -101,14 +101,15 @@ def run_output(net, start: str) -> str:
             + "--\n" + _lines(rec.transitions))
 
 
-def weight_walks_output() -> str:
+def weight_walks_output() -> tuple[str, str, int]:
     """The weight report of church 6 g z, the transitions its walks
-    recorded, and reach_final's memo in insertion order."""
+    recorded as a sorted set of lines, and the number of nodes of its
+    verification walks."""
     rec = Recorder()
     comp = WeightComputer(_applied(_church(6, "t")), recorder=rec)
     report = json.dumps(comp.report().to_dict(), indent=2, sort_keys=True)
-    return (report + "\n--\n" + _lines(rec.transitions) + "--\n"
-            + _lines(comp.reach_memo.items()))
+    transitions = "".join(sorted({_lines([t]) for t in rec.transitions}))
+    return report, transitions, comp.walk_nodes
 
 
 def search_output() -> str:
@@ -207,8 +208,14 @@ RUN_SHA = {
     ("lambda-church", "e12 / eps / e / -"):
         "5cf7b4f13cb60cfd05c2b8c7b11aae69b3faa15b02f53c566c9aed58e901a7cb",
 }
-WEIGHT_WALKS_SHA = \
-    "67a331a097f1b08a8dab1964428e004dbec2fc7c197bbde6c7d3b1fd4d3b79aa"
+# church 6 g z: the report; the set of recorded transitions, the same
+# before the copies of a box-edge were verified in one shared walk, when
+# they were recorded run by run; the shared walks' node count
+WEIGHT_WALKS_REPORT_SHA = \
+    "01b08969f2a6245b42909bd0380cc6e33f47e59ba26a9bef11d0729fe556af5c"
+WEIGHT_WALKS_TRANSITIONS_SHA = \
+    "86eee0fcf43d16df947ba3782dd8743fde501334a5c6d4e1be42fc0e204a1b35"
+WEIGHT_WALKS_NODES = 81
 SEARCH_SHA = "8dc153fdc70d1ae7d2bdefea52c49402d00768fa4145086611da075f09e5e3e8"
 # dr-ladder types repeat their parenthesized groups: parse_net's output on
 # ladder 11, and the weight and triangle normalize runs of `pnlab` on 8 and 9
@@ -270,7 +277,10 @@ def test_run_outcomes_trace_and_transitions_are_pinned(case):
 
 
 def test_weight_walks_are_pinned():
-    assert _sha(weight_walks_output()) == WEIGHT_WALKS_SHA
+    report, transitions, nodes = weight_walks_output()
+    assert _sha(report) == WEIGHT_WALKS_REPORT_SHA
+    assert _sha(transitions) == WEIGHT_WALKS_TRANSITIONS_SHA
+    assert nodes == WEIGHT_WALKS_NODES
 
 
 def test_no_stuck_and_copy_search_are_pinned():
