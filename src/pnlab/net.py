@@ -344,6 +344,19 @@ class _Index:
         return out
 
     @cached_property
+    def box_parent(self) -> dict[str, str]:
+        """Box -> the innermost box listing its principal among its
+        contents, the one with the fewest contents (the first in box order
+        on a tie); a box listed by none has no entry."""
+        out: dict[str, str] = {}
+        for qid in self.boxes:
+            listed = self.enclosing.get(qid)
+            if listed:
+                out[qid] = min(listed,
+                               key=lambda pid: len(self.boxes[pid].contents))
+        return out
+
+    @cached_property
     def box_rank(self) -> dict[str, int]:
         """Box -> a number that increases in box order."""
         return {pid: i for i, pid in enumerate(self.boxes)}
@@ -528,6 +541,164 @@ def _numkey(ident: str):
 # --- validation -----------------------------------------------------------
 
 
+def _closed(b: Box, pid: str) -> set[str]:
+    """A box's principal pid, doors and contents."""
+    return {pid, *b.doors} | b.contents
+
+
+class _Nesting:
+    """The box forest that validate's nesting checks read.
+
+    A box's parent is the innermost box listing its principal
+    (`_Index.box_parent`).  The link to it is kept where the box lies
+    inside it: the box's principal, doors and contents are among the
+    parent's contents, and its principal is not among its own.  Following
+    kept links from a box gives its chain, each box inside the next, so
+    every box on a chain lies inside the boxes above it.  Where the boxes
+    listing an identifier are exactly a chain, no check between two of
+    them can fail, so the pairwise checks run only where they are not: on a
+    well-nested net the checks are one pass over the contents.
+    """
+
+    def __init__(self, net: ProofNet):
+        self.net = net
+        idx, boxes = net._index, net.boxes
+        self.up: dict[str, str] = {}  # box -> parent, where the link is kept
+        for qid, q in boxes.items():
+            p = idx.box_parent.get(qid)
+            if (p is not None and q.principal == qid and qid not in q.contents
+                    and _closed(q, qid) <= boxes[p].contents):
+                self.up[qid] = p
+        kids: dict[str, list[str]] = {}
+        for qid, p in self.up.items():
+            kids.setdefault(p, []).append(qid)
+        self.kids = kids
+        # an Euler tour of the kept links: a is on c's chain exactly when
+        # enter[a] <= enter[c] < leave[a]; height is the chain's length
+        self.enter: dict[str, int] = {}
+        self.leave: dict[str, int] = {}
+        self.height: dict[str, int] = {}
+        for root in boxes:
+            if root in self.up:
+                continue
+            todo = [(root, 1)]
+            while todo:
+                b, h = todo.pop()
+                if h < 0:
+                    self.leave[b] = len(self.enter)
+                    continue
+                self.enter[b] = len(self.enter)
+                self.height[b] = h
+                todo.append((b, -1))
+                todo.extend((k, h + 1) for k in reversed(kids.get(b, ())))
+        self._reps: dict[str, str | None] = {}
+
+    def chain_of(self, listed) -> str | None:
+        """The box whose chain is exactly the distinct boxes listed, "" when
+        none is listed, and None when they are no chain."""
+        if not listed:
+            return ""
+        height, enter, leave = self.height, self.enter, self.leave
+        c = max(listed, key=height.__getitem__)
+        if height[c] != len(listed):
+            return None
+        at = enter[c]
+        if all(enter[a] <= at < leave[a] for a in listed):
+            return c
+        return None
+
+    def rep(self, vid: str) -> str | None:
+        """chain_of the boxes holding vid."""
+        r = self._reps.get(vid, 0)
+        if r == 0:
+            r = self._reps[vid] = self.chain_of(
+                self.net._index.enclosing.get(vid, ()))
+        return r
+
+    def crossings(self) -> dict[str, list[str]]:
+        """Box -> the edges with exactly one end inside it, in edge order."""
+        idx = self.net._index
+        out: dict[str, list[str]] = {}
+        for e in self.net.edges.values():
+            r = self._end_rep(e.src)
+            if r is not None and r == self._end_rep(e.tgt):
+                continue  # both ends lie in the same boxes
+            for pid in idx.end_boxes(e.src) ^ idx.end_boxes(e.tgt):
+                out.setdefault(pid, []).append(e.id)
+        return out
+
+    def _end_rep(self, end: tuple[str, str]) -> str | None:
+        """chain_of idx.end_boxes(end), or None when it is not known."""
+        vid, port = end
+        r = self.rep(vid)
+        if port != "inner" or r is None:
+            return r
+        extra = self.net._index.inner_boxes.get(vid, ())
+        if len(extra) == 1 and r == self.up.get(extra[0], ""):
+            return extra[0]
+        return None
+
+    def overlaps(self):
+        """The pairs of boxes, in box order, whose contents meet without
+        one box lying inside the other."""
+        idx = self.net._index
+        rank = idx.box_rank
+        pairs: set[tuple[int, int]] = set()
+        for x, listed in idx.enclosing.items():
+            if len(listed) > 1 and self.rep(x) is None:
+                ranks = sorted(rank[pid] for pid in listed)
+                pairs.update((i, j) for k, i in enumerate(ranks)
+                             for j in ranks[k + 1:])
+        boxes = list(self.net.boxes.values())
+        for i, j in sorted(pairs):
+            a, b = boxes[i], boxes[j]
+            if not (a.contents | {a.principal, *a.doors} <= b.contents
+                    or b.contents | {b.principal, *b.doors} <= a.contents):
+                yield a, b
+
+    def leaks(self):
+        """(box, nested box, what the nested box brings along that the box
+        does not hold), in box order and then nested box order."""
+        idx, boxes = self.net._index, self.net.boxes
+        rank = idx.box_rank
+        out = []
+        for qid, q in boxes.items():
+            listed = idx.enclosing.get(qid, ())
+            if not listed or (qid in self.up
+                              and self.rep(qid) == self.up[qid]):
+                continue
+            for pid in listed:
+                missing = _closed(q, qid) - (boxes[pid].contents | {qid})
+                if missing:
+                    out.append((rank[pid], rank[qid], pid, qid, missing))
+        out.sort(key=lambda row: row[:2])
+        return [row[2:] for row in out]
+
+    def nested(self, pid: str) -> set[str]:
+        """The principals, doors and contents of the boxes whose principal
+        pid lists among its contents."""
+        boxes = self.net.boxes
+        inside = self._inside().get(pid, ())
+        kids = self.kids.get(pid, ())
+        out: set[str] = set()
+        if len(inside) == self.leave[pid] - self.enter[pid] - 1:
+            inside = kids  # the others lie inside these
+        for qid in inside:
+            out |= _closed(boxes[qid], qid)
+        return out
+
+    def _inside(self) -> dict[str, list[str]]:
+        """Box -> the boxes whose principal it lists, in box order."""
+        inside = getattr(self, "_inside_boxes", None)
+        if inside is None:
+            inside = self._inside_boxes = {}
+            enclosing = self.net._index.enclosing
+            for qid in self.net.boxes:
+                for pid in enclosing.get(qid, ()):
+                    inside.setdefault(pid, []).append(qid)
+        return inside
+
+
 def validate(net: ProofNet) -> list[str]:
     """Local structural and typing checks; empty list means valid."""
     diags: list[str] = []
@@ -654,17 +825,8 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
 
 
 def _check_boxes(net: ProofNet, say):
-    idx = net._index
-    # box -> edges with exactly one end inside it, in edge order
-    crossing: dict[str, list[str]] = {}
-    for e in net.edges.values():
-        for pid in idx.end_boxes(e.src) ^ idx.end_boxes(e.tgt):
-            crossing.setdefault(pid, []).append(e.id)
-    # box -> boxes whose principal it lists among its contents
-    inside: dict[str, list[str]] = {}
-    for qid in net.boxes:
-        for pid in idx.enclosing.get(qid, ()):
-            inside.setdefault(pid, []).append(qid)
+    nest = _Nesting(net)
+    crossing = nest.crossings()
     all_doors: set[str] = set()
     for pid, b in net.boxes.items():
         v = net.vertices.get(pid)
@@ -692,25 +854,12 @@ def _check_boxes(net: ProofNet, say):
         if v.label in BOX_DOORS and v.id not in all_doors:
             say(f"vertex {v.id}: box door not attached to any box")
     # nesting forms a forest
-    boxes = list(net.boxes.values())
-    for i, a in enumerate(boxes):
-        for b in boxes[i + 1:]:
-            inter = a.contents & b.contents
-            if inter and not (
-                a.contents | {a.principal, *a.doors} <= b.contents
-                or b.contents | {b.principal, *b.doors} <= a.contents
-            ):
-                say(
-                    f"boxes {a.principal} and {b.principal}: contents overlap "
-                    "without nesting"
-                )
+    for a, b in nest.overlaps():
+        say(f"boxes {a.principal} and {b.principal}: contents overlap "
+            "without nesting")
     # nesting closure: a nested box brings its doors and contents along
-    for pid, b in net.boxes.items():
-        for qid in inside.get(pid, ()):
-            q = net.boxes[qid]
-            missing = ({qid, *q.doors} | q.contents) - (b.contents | {qid})
-            if missing:
-                say(f"box {pid}: nested box {qid} leaks {sorted(missing)}")
+    for pid, qid, missing in nest.leaks():
+        say(f"box {pid}: nested box {qid} leaks {sorted(missing)}")
     # depth consistency: direct contents sit one level below the principal edge
     for pid, b in net.boxes.items():
         if pid not in net.vertices:
@@ -720,11 +869,7 @@ def _check_boxes(net: ProofNet, say):
         except NetError:
             continue
         want = net.depth(pe) + 1
-        nested: set[str] = set()
-        for qid in inside.get(pid, ()):
-            q = net.boxes[qid]
-            nested |= {qid, *q.doors} | q.contents
-        for cid in b.contents - nested:
+        for cid in b.contents - nest.nested(pid):
             if cid not in net.vertices:
                 continue  # reported above
             if net.depth(cid) != want:

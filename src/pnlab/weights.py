@@ -247,7 +247,11 @@ class Chains:
         self._chains: dict[Context, _Chain] = tables[0]
         self._holey: dict[Sig, bool] = tables[1]  # whether a hole is in it
         self._renamed: dict[tuple, tuple] = tables[2]  # U -> _canonical's part
-        self.steps = 0  # the transitions of the chains this one walked
+
+    @property
+    def steps(self) -> int:
+        """The transitions of every chain walked on the net."""
+        return sum(ch.steps for ch in self._chains.values())
 
     def walk(self, edge: str, us: tuple[Sig, ...], payload, visit,
              budget: int, what: str):
@@ -342,7 +346,6 @@ class Chains:
                 ch.need = None if need is None else [pos[0] for pos in need]
             break
         ch.end, ch.steps = c, steps
-        self.steps += steps
         return ch
 
     def _canonical(self, c: Context):
@@ -448,15 +451,13 @@ def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
                 members: list[Sig], record: bool = False) -> SharedWalk:
     """One walk from (edge, us, (t,), +) for every t of members.
 
-    A node's payload is the members still live there, those whose runs
-    take it and have not reached a final context, each with its subterms
-    at the positions of the open holes, the root () at the start.  Where a
-    chain's
-    end reads a hole, the members split by the head of their subterm there.
-    A member leaves at its first final context, and the members live at a
-    node that is on the path already meet a cycle.  So each member walks
-    what reach_final walks from it, and what does not depend on its
-    signature is walked once for all.
+    A node's payload is the members still live there: those whose runs
+    take it and have not reached a final context.  Where a chain's end
+    reads a hole, they split by the head of their subterm there.  A member
+    leaves at its first final context, and the members live at a node that
+    is on the path already meet a cycle.  So each member walks what
+    reach_final walks from it, and what does not depend on its signature
+    is walked once for all.
     """
     out = SharedWalk(moves={t: [] for t in members} if record else None)
     found, cyclic, moves = out.found, out.cyclic, out.moves
@@ -465,7 +466,7 @@ def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
         live, seen = node[2]  # seen: len(found) when live was filtered
         if seen == len(found):
             return live
-        return tuple(m for m in live if m[0] not in found)
+        return tuple(t for t in live if t not in found)
 
     def visit(node, path):
         out.nodes += 1
@@ -481,13 +482,10 @@ def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
             return [(ch.links, (live, len(found)))]
         if kind == SPLIT:
             at = pos[ch.hole]
-            kids = (at + (1,), at + (2,))
             groups: dict = {}
-            for u, sub in live:
-                sub = dict(sub)
-                x = sub.pop(at)
-                sub.update(zip(kids, x[1:]))
-                groups.setdefault(x if x[0] == "m" else x[0], []).append((u, sub))
+            for u in live:
+                x = _at(u, at)
+                groups.setdefault(x if x[0] == "m" else x[0], []).append(u)
             succs = []
             for i, t in enumerate(ch.demanded):
                 sel = groups.get(t if t[0] == "m" else t[0])
@@ -496,22 +494,20 @@ def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
                                   (tuple(sel), len(found))))
             return succs
         if kind == LOOP:
-            cyclic.update(u for u, _ in live)
+            cyclic.update(live)
         elif ch.need is not None:
             need = [pos[j] for j in ch.need]
-            found.update(u for u, sub in live
-                         if all(sub[p] == E for p in need))
+            found.update(u for u in live if all(_at(u, p) == E for p in need))
         return []
 
-    start = (tuple((t, {(): t}) for t in members), 0)
-    for event, x, path in chains.walk(edge, us, start, visit,
+    for event, x, path in chains.walk(edge, us, (tuple(members), 0), visit,
                                       chains.config.step_budget,
                                       "machine step budget exhausted"):
         if event == LEAVE and len(found) == len(members):
             break
         if event == CYCLE:  # a transition from path[-1]
             live = live_at(x)
-            cyclic.update(u for u, _ in live)
+            cyclic.update(live)
             if moves is not None:
                 _replay(chains, path[-1], x, live, moves, chain=False)
     return out
@@ -522,11 +518,10 @@ def _replay(chains: Chains, prev, node, live, moves, chain=True):
     end of prev's chain into node's and, if chain, those along node's."""
     net, config = chains.net, chains.config
     ch, pos = node[0], node[1]
-    before = dict(prev[2][0]) if prev is not None else {}
-    for u, sub in live:
-        c = ch.concrete(tuple(sub[p] for p in pos))
+    for u in live:
+        c = ch.concrete(tuple(_at(u, p) for p in pos))
         if prev is not None:
-            v = tuple(before[u][p] for p in prev[1])
+            v = tuple(_at(u, p) for p in prev[1])
             moves[u].append((_map_holes(prev[0].end, _subst, v), c))
         for _ in range(ch.steps if chain else 0):
             d = step(net, c, config)[0]

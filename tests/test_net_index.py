@@ -410,3 +410,69 @@ def test_retag_shares_the_index():
     other = N.retag(net, "ELL")
     assert other._index is net._index
     assert other.box_edges() == net.box_edges()
+
+
+# --- the box checks on edited box records --------------------------------------
+
+
+def _edited_boxes(net, rng):
+    """net with one to three random edits of its box records: a content
+    dropped or added, a door dropped or added, a principal renamed, a box
+    record dropped."""
+    boxes = {pid: [b.principal, list(b.doors), set(b.contents)]
+             for pid, b in net.boxes.items()}
+    vertices = sorted(net.vertices) + ["v999"]
+    for _ in range(rng.randint(1, 3)):
+        if not boxes:
+            break
+        pid = rng.choice(sorted(boxes))
+        principal, doors, contents = boxes[pid]
+        kind = rng.randrange(6)
+        if kind == 0 and contents:
+            contents.discard(rng.choice(sorted(contents)))
+        elif kind == 1:
+            contents.add(rng.choice(vertices))
+        elif kind == 2 and doors:
+            doors.pop(rng.randrange(len(doors)))
+        elif kind == 3:
+            doors.append(rng.choice(vertices))
+        elif kind == 4:
+            boxes[pid][0] = rng.choice(vertices)
+        elif kind == 5:
+            del boxes[pid]
+    edited = {pid: Box(p, tuple(d), frozenset(c))
+              for pid, (p, d, c) in boxes.items()}
+    return ProofNet(net.vertices, net.edges, edited, net.system)
+
+
+def test_box_checks_agree_on_edited_box_records():
+    import random
+
+    church = "(\\f:t -> t. \\x:t. f (f (f x))) g z"
+    sig = {"g": parse_type("t -> t"), "z": parse_type("t")}
+    bases = [from_lambda(parse_lambda(church), sig), higher_order_net(),
+             parse_net(NESTED), parse_net(SIBLINGS), gen_family("jump-example")]
+    rng = random.Random(11)
+    said = 0
+    for _ in range(400):
+        net = _edited_boxes(rng.choice(bases), rng)
+        got = diagnostics(N._check_boxes, net)
+        assert got == diagnostics(ref_check_boxes, net)
+        said += bool(got[1])
+    assert said > 300  # most edits break a box check
+
+
+def test_box_checks_are_linear_in_a_deep_nest():
+    """A promote nest 300 deep, once cubic in its depth (2.5-2.9 s)."""
+    import time
+
+    from pnlab.formulas import Atom
+    from pnlab.terms import Ax, Promote, elaborate
+
+    term = Ax(Atom("a"))
+    for _ in range(300):
+        term = Promote(term)
+    net = elaborate(term)
+    start = time.perf_counter()
+    assert N.validate(net) == []
+    assert time.perf_counter() - start < 1.0
