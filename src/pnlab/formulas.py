@@ -92,15 +92,37 @@ class Sec(Formula):
 
 
 def free_atoms(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset([f.name])
-    if isinstance(f, (Lolli, Tensor)):
-        return free_atoms(f.left) | free_atoms(f.right)
-    if isinstance(f, (Bang, Sec)):
-        return free_atoms(f.body)
-    if isinstance(f, Forall):
-        return free_atoms(f.body) - {f.binder}
-    raise FormulaError(f"unknown formula {f!r}")
+    """The atoms of f not bound by a quantifier of f: bottom-up on an
+    explicit stack, each shared subformula once."""
+    memo: dict[int, frozenset[str]] = {}  # id of a subformula -> its atoms
+    todo = [f]
+    while todo:
+        x = todo[-1]
+        if id(x) in memo:
+            todo.pop()
+            continue
+        if isinstance(x, Atom):
+            memo[id(x)] = frozenset([x.name])
+            todo.pop()
+            continue
+        if isinstance(x, (Lolli, Tensor)):
+            parts = (x.left, x.right)
+        elif isinstance(x, (Bang, Sec, Forall)):
+            parts = (x.body,)
+        else:
+            raise FormulaError(f"unknown formula {x!r}")
+        missing = [y for y in parts if id(y) not in memo]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        atoms = memo[id(parts[0])]
+        if len(parts) == 2:
+            atoms = atoms | memo[id(parts[1])]
+        if isinstance(x, Forall):
+            atoms = atoms - {x.binder}
+        memo[id(x)] = atoms
+    return memo[id(f)]
 
 
 _FRESH = re.compile(r"^(.*?)(\d*)$")
@@ -116,32 +138,67 @@ def _fresh(name: str, avoid: frozenset[str]) -> str:
             return cand
 
 
-def substitute(f: Formula, atom: str, b: Formula) -> Formula:
-    """Capture-avoiding substitution of b for free occurrences of atom in f."""
-    if isinstance(f, Atom):
-        return b if f.name == atom else f
-    if isinstance(f, Lolli):
-        return Lolli(substitute(f.left, atom, b), substitute(f.right, atom, b))
-    if isinstance(f, Tensor):
-        return Tensor(substitute(f.left, atom, b), substitute(f.right, atom, b))
-    if isinstance(f, Bang):
-        return Bang(substitute(f.body, atom, b))
-    if isinstance(f, Sec):
-        return Sec(substitute(f.body, atom, b))
-    if isinstance(f, Forall):
-        if f.binder == atom:
-            return f
-        if f.binder in free_atoms(b) and atom in free_atoms(f.body):
-            fresh = _fresh(f.binder, free_atoms(b) | free_atoms(f.body) | {atom})
-            renamed = substitute(f.body, f.binder, Atom(fresh))
-            return Forall(fresh, substitute(renamed, atom, b))
-        return Forall(f.binder, substitute(f.body, atom, b))
-    raise FormulaError(f"unknown formula {f!r}")
+def substitute(f: Formula, atom: str, b: Formula,
+               memo: dict | None = None) -> Formula:
+    """Capture-avoiding substitution of b for free occurrences of atom in f.
+
+    Bottom-up on an explicit stack; a subformula with no free occurrence
+    is kept as it is.  memo (id of a subformula -> the subformula and its
+    result, for this atom and b) lets calls share their common subformulas.
+    """
+    memo = {} if memo is None else memo
+    b_atoms = None
+    todo = [f]
+    while todo:
+        x = todo[-1]
+        if id(x) in memo:
+            todo.pop()
+            continue
+        cls = type(x)
+        if cls is Atom:
+            memo[id(x)] = (x, b if x.name == atom else x)
+            todo.pop()
+            continue
+        if cls is Forall:
+            if x.binder == atom:
+                memo[id(x)] = (x, x)
+                todo.pop()
+                continue
+            if b_atoms is None:
+                b_atoms = free_atoms(b)
+            if x.binder in b_atoms and atom in free_atoms(x.body):
+                fresh = _fresh(x.binder, b_atoms | free_atoms(x.body) | {atom})
+                renamed = substitute(x.body, x.binder, Atom(fresh))
+                memo[id(x)] = (x, Forall(fresh, substitute(renamed, atom, b)))
+                todo.pop()
+                continue
+            parts = (x.body,)
+        elif cls is Lolli or cls is Tensor:
+            parts = (x.left, x.right)
+        elif cls is Bang or cls is Sec:
+            parts = (x.body,)
+        else:
+            raise FormulaError(f"unknown formula {x!r}")
+        missing = [y for y in parts if id(y) not in memo]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        new = [memo[id(y)][1] for y in parts]
+        if all(n is y for n, y in zip(new, parts)):
+            memo[id(x)] = (x, x)
+        elif cls is Forall:
+            memo[id(x)] = (x, Forall(x.binder, new[0]))
+        else:
+            memo[id(x)] = (x, cls(*new))
+    return memo[id(f)][1]
 
 
-def rename_free_atom(f: Formula, old: str, new: str) -> Formula:
-    """Rename free occurrences of an atom; bound occurrences are untouched."""
-    return substitute(f, old, Atom(new))
+def rename_free_atom(f: Formula, old: str, new: str,
+                     memo: dict | None = None) -> Formula:
+    """Rename free occurrences of an atom; bound occurrences are untouched.
+    memo is substitute's, shared by renamings of the same atom."""
+    return substitute(f, old, Atom(new), memo)
 
 
 def alpha_canon(f: Formula) -> str:

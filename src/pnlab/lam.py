@@ -60,8 +60,36 @@ class TArrow(SType):
     right: SType
 
     def __str__(self):
-        l = f"({self.left})" if isinstance(self.left, TArrow) else str(self.left)
-        return f"{l} -> {self.right}"
+        """The text parse_type reads, written on an explicit stack."""
+        out: list[str] = []
+        todo: list = [self]  # types to write, and the text after them
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif isinstance(t, TArrow):
+                if isinstance(t.left, TArrow):
+                    todo += (t.right, ") -> ", t.left, "(")
+                else:
+                    todo += (t.right, " -> ", t.left)
+            else:
+                out.append(str(t))
+        return "".join(out)
+
+
+def same_type(a: SType, b: SType) -> bool:
+    """a == b, pair by pair on an explicit stack rather than by the
+    generated, recursive __eq__."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if isinstance(a, TArrow) and isinstance(b, TArrow):
+            todo += ((a.right, b.right), (a.left, b.left))
+        elif isinstance(a, TArrow) or isinstance(b, TArrow) or a != b:
+            return False
+    return True
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -288,7 +316,7 @@ def _translate(term: LTerm, sig: dict[str, SType]):
             ft, fowners, fty = done.pop()
             if not isinstance(fty, TArrow):
                 raise LambdaError(f"applying a non-function of type {fty}")
-            if fty.left != aty:
+            if not same_type(fty.left, aty):
                 raise LambdaError(f"argument type {aty} does not match {fty.left}")
             boxed = Promote(ut)
             for i in range(1, len(uowners) + 1):

@@ -516,10 +516,11 @@ def _rforall(b, t, marks, p):
             raise ElaborationError(
                 f"rforall: binder {t.binder} occurs free in premise {k + 1}")
     fresh = b.fresh_atom(t.binder)
+    memo: dict = {}  # the edges' formulas share subformulas
     for k in range(marks[1] + 1, b.en + 1):
         e = b.edges.get(f"e{k}")  # None when a cut merged it away
         if e is not None:
-            e.formula = rename_free_atom(e.formula, t.binder, fresh)
+            e.formula = rename_free_atom(e.formula, t.binder, fresh, memo)
     v = b.vtx(N.RFORALL)
     cf = b.edges[p.concl].formula
     b.edges[p.concl].tgt = (v, "prem")

@@ -417,3 +417,17 @@ def test_translation_needs_no_frame_per_level():
                       {"f": parse_type("t -> t"), "z": parse_type("t")})
     assert net.edges[net.conclusion_edge()].formula == Atom("t")
     assert [v.label for v in net.vertices.values()].count(RBANG) == 100
+
+
+def test_argument_types_compare_without_a_frame_per_arrow():
+    """An application whose argument type has 1,500 arrows, matched and
+    not matched."""
+    arrows = parse_type("t -> " * 1500 + "t")
+    sig = {"f": TArrow(arrows, parse_type("t")), "z": arrows}
+    net = from_lambda(parse_lambda("f z"), sig)
+    assert net.edges[net.conclusion_edge()].formula == Atom("t")
+    other = parse_type("t -> " * 1499 + "u")
+    with pytest.raises(LambdaError, match="does not match"):
+        from_lambda(parse_lambda("f z"), {**sig, "z": other})
+    assert str(arrows) == "t -> " * 1500 + "t"
+    assert str(TArrow(arrows, arrows)).startswith("(t -> t")

@@ -654,3 +654,14 @@ def test_passes_need_no_frame_per_level():
         == Ax(A)
     with pytest.raises(ParseError, match="missing \\) \\(at offset 2999\\)"):
         parse_proof_term("(" * 3000 + "ax a")
+
+
+def test_rforall_over_a_deep_premise_needs_no_frame_per_level():
+    """free_atoms and the renaming of the binder run on explicit stacks."""
+    deep = "(derelict " * 3000 + "(ax a)" + " 1)" * 3000
+    net = elaborate(parse_proof_term(f"(rforall {deep} b)"))
+    assert validate(net) == []
+    concl = net.edges[net.conclusion_edge()].formula
+    assert isinstance(concl, Forall) and concl.body == A
+    chain = parse_formula("(" * 3000 + "a -o b" + ")" * 3000)
+    assert free_atoms(Forall("b", chain)) == {"a"}
