@@ -197,20 +197,24 @@ class _Chain:
     child i of the hole a split binds, the start's slots, and its chain,
     walked on first use.
 
-    Whether a context ends a chain or starts one depends on the context
-    alone, and between them a context has one predecessor (the machine is
-    reversible, and only a join has several).  So a walk that meets a
-    context again meets a chain start again, or a context of its current
-    chain: keying walks by chain start finds every cycle that keying them
-    by context does.
+    Whether a context starts a chain depends on the context alone: a
+    join, or a successor of a context that reads the top of the stack or
+    has several successors.  Any other context has one predecessor (the
+    machine is reversible, and only a join has several), and a context
+    that reads a hole cannot come back on a walk's path, as the read binds
+    the hole.  So the first context where a walk meets its path again is a
+    chain start, or a context of its current chain: keying a walk by chain
+    start finds the cycles that keying it by context does, at the same
+    context or at the successor of one that reads the top of the stack.
     """
 
-    __slots__ = ("start", "slots", "end", "steps", "kind", "need", "hole",
-                 "demanded", "links")
+    __slots__ = ("start", "slots", "join", "end", "steps", "kind", "need",
+                 "hole", "demanded", "links")
 
     def __init__(self, start: Context, slots: tuple[list, list]):
         self.start = start
         self.slots = slots  # the indices of start's U and stack with a hole
+        self.join = False  # whether start is a join
         self.steps = 0  # transitions from start to end
         self.links: list | dict = []
 
@@ -260,10 +264,11 @@ class Chains:
 
         A node is (chain, positions, payload): the positions in the root of
         the chain's holes, so that the chain and the positions are the
-        node's context, and a payload.  visit(node, path) lists the links
-        to follow, with the payload of each, as (links, payload) pairs.  A
-        node costs its chain's transitions and one more; past budget, the
-        walk raises BudgetExhausted(what).
+        context of its start, which keys it on the path, and a payload.
+        visit(node, path) lists the links to follow, with the payload of
+        each, as (links, payload) pairs.  A node costs its chain's
+        transitions and one more; past budget, the walk raises
+        BudgetExhausted(what).
         """
         spent = 0
 
@@ -313,6 +318,7 @@ class Chains:
         table, principals = net._index.transitions, net.principal_edges()
         budget = config.step_budget
         c, on_chain, steps = ch.start, {ch.start}, 0
+        ch.join = c[3] == "+" and len(c[2]) == 1 and c[0] in principals
         while True:
             if steps >= budget:
                 raise BudgetExhausted("machine step budget exhausted", c)
@@ -451,41 +457,55 @@ def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
                 members: list[Sig], record: bool = False) -> SharedWalk:
     """One walk from (edge, us, (t,), +) for every t of members.
 
-    A node's payload is the members still live there: those whose runs
-    take it and have not reached a final context.  Where a chain's end
-    reads a hole, they split by the head of their subterm there.  A member
-    leaves at its first final context, and the members live at a node that
-    is on the path already meet a cycle.  So each member walks what
-    reach_final walks from it, and what does not depend on its signature
-    is walked once for all.
+    A node's payload is the members still live there, those whose runs
+    take it and have not reached a final context, each with the position
+    it last read and its subterm there.  Where a chain's end reads a hole,
+    they split by the head of their subterm there.  A member leaves at its
+    first final context, and where its run meets a context already on its
+    path: at a node whose chain start is on the path, for every member, or
+    at a join whose concrete context is, for that member (the machine is
+    reversible, so a run first meets its path again at a join).  So each
+    member walks what reach_final walks from it, and what does not depend
+    on its signature is walked once for all.
     """
     out = SharedWalk(moves={t: [] for t in members} if record else None)
     found, cyclic, moves = out.found, out.cyclic, out.moves
+    joins: list = []  # (path index, edge, |U|) of each join on the path
 
     def live_at(node) -> tuple:
         live, seen = node[2]  # seen: len(found) when live was filtered
         if seen == len(found):
             return live
-        return tuple(t for t in live if t not in found)
+        return tuple(m for m in live if m[0] not in found)
 
     def visit(node, path):
-        out.nodes += 1
         ch, pos = node[0], node[1]
         live = live_at(node)
         if not live:
             return []
+        if moves is not None and len(path) > 1:
+            _link_moves(path[-2], node, live, moves)
+        if ch.join:
+            live = _at_joins(node, path, live, joins, cyclic)
+            if not live:
+                return []
         if moves is not None:
-            _replay(chains, path[-2] if len(path) > 1 else None, node, live,
-                    moves)
+            _chain_moves(chains, node, live, moves)
+        out.nodes += 1
         kind = ch.kind
         if kind == BRANCH:
             return [(ch.links, (live, len(found)))]
         if kind == SPLIT:
             at = pos[ch.hole]
             groups: dict = {}
-            for u in live:
-                x = _at(u, at)
-                groups.setdefault(x if x[0] == "m" else x[0], []).append(u)
+            for u, last, x in live:
+                # mostly a position below the one read last
+                if at[:len(last)] == last:
+                    x = _at(x, at[len(last):])
+                else:
+                    x = _at(u, at)
+                groups.setdefault(x if x[0] == "m" else x[0], []).append(
+                    (u, at, x))
             succs = []
             for i, t in enumerate(ch.demanded):
                 sel = groups.get(t if t[0] == "m" else t[0])
@@ -494,36 +514,69 @@ def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
                                   (tuple(sel), len(found))))
             return succs
         if kind == LOOP:
-            cyclic.update(live)
+            cyclic.update(m[0] for m in live)
         elif ch.need is not None:
             need = [pos[j] for j in ch.need]
-            found.update(u for u in live if all(_at(u, p) == E for p in need))
+            found.update(u for u, _, _ in live
+                         if all(_at(u, p) == E for p in need))
         return []
 
-    for event, x, path in chains.walk(edge, us, (tuple(members), 0), visit,
+    start = tuple((t, (), t) for t in members)
+    for event, x, path in chains.walk(edge, us, (start, 0), visit,
                                       chains.config.step_budget,
                                       "machine step budget exhausted"):
-        if event == LEAVE and len(found) == len(members):
-            break
-        if event == CYCLE:  # a transition from path[-1]
+        if event == LEAVE:
+            if len(found) == len(members):
+                break
+            while joins and joins[-1][0] >= x:
+                joins.pop()
+        elif event == CYCLE:  # a transition from path[-1]
             live = live_at(x)
-            cyclic.update(live)
+            cyclic.update(m[0] for m in live)
             if moves is not None:
-                _replay(chains, path[-1], x, live, moves, chain=False)
+                _link_moves(path[-1], x, live, moves)
     return out
 
 
-def _replay(chains: Chains, prev, node, live, moves, chain=True):
+def _concrete(node, u: Sig) -> Context:
+    """The context of member u at the start of node's chain."""
+    return node[0].concrete(tuple(_at(u, p) for p in node[1]))
+
+
+def _at_joins(node, path, live, joins, cyclic) -> tuple:
+    """The members in live that do not meet their path again at node, a
+    join; the others are added to cyclic.  Only the joins on the path with
+    node's edge and length of U can hold one of their contexts."""
+    start = node[0].start
+    shape = (start[0], len(start[1]))
+    earlier = [path[i] for i, *other in joins if tuple(other) == shape]
+    joins.append((len(path) - 1, *shape))
+    if not earlier:
+        return live
+    again = {u for u, _, _ in live
+             if _concrete(node, u) in {_concrete(p, u) for p in earlier}}
+    if not again:
+        return live
+    cyclic.update(again)
+    return tuple(m for m in live if m[0] not in again)
+
+
+def _link_moves(prev, node, live, moves):
     """Append, for each member in live, the concrete transition from the
-    end of prev's chain into node's and, if chain, those along node's."""
+    end of prev's chain into node's."""
+    ch = prev[0]
+    for u, _, _ in live:
+        v = tuple(_at(u, p) for p in prev[1])
+        moves[u].append((_map_holes(ch.end, _subst, v), _concrete(node, u)))
+
+
+def _chain_moves(chains: Chains, node, live, moves):
+    """Append, for each member in live, the concrete transitions along
+    node's chain."""
     net, config = chains.net, chains.config
-    ch, pos = node[0], node[1]
-    for u in live:
-        c = ch.concrete(tuple(_at(u, p) for p in pos))
-        if prev is not None:
-            v = tuple(_at(u, p) for p in prev[1])
-            moves[u].append((_map_holes(prev[0].end, _subst, v), c))
-        for _ in range(ch.steps if chain else 0):
+    for u, _, _ in live:
+        c = _concrete(node, u)
+        for _ in range(node[0].steps):
             d = step(net, c, config)[0]
             moves[u].append((c, d))
             c = d

@@ -9,6 +9,8 @@ and record the same set of transitions; and the copy search must agree with
 the generate-and-test oracle on the copies up to size 6.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -149,3 +151,95 @@ def test_walk_matches_reference_on_drawn_candidates(case):
     assert got == want
     assert comp.cycle_seen == cyclic
     assert _lines(rec.transitions) == _lines(want_rec.transitions)
+
+
+# --- cycles: random graphs of contexts with holes ------------------------------
+
+
+def _symbolic_graph(rng, joins: bool):
+    """A net whose transition table moves one signature between a few
+    nodes, with cycles: node v is the context (ev, [], t, +) for a
+    signature t.  A node passes t to its successors, wraps it in l or r,
+    reads its head at a contraction (l to one successor, r to another),
+    is final (a conclusion: t must be e) or is stuck.
+
+    With joins, each edge leaves a box principal, so that every context is
+    a join, and a node may also replace t by e: the graph is not
+    reversible, so the runs may meet their path again anywhere, and with
+    a context that is the same for some signatures only."""
+    from pnlab import net as N
+    from pnlab.machine import Entry
+    from pnlab.signatures import E, lsig, rsig
+
+    n = rng.randrange(2, 9)
+    kinds = ["pass", "pass", "wrap", "read", "read", "final", "stuck"]
+    kinds = [rng.choice(kinds + ["reset"] * joins) for _ in range(n)]
+    vertices, edges = {}, {}
+    for v, kind in enumerate(kinds):
+        label = {"final": N.CONCL, "stuck": N.PREM, "read": N.CONTR}.get(kind, N.DER)
+        vertices[f"v{v}"] = N.Vertex(f"v{v}", label)
+        port = "merged" if kind == "read" else "edge"
+        src = (f"w{v}", "principal" if joins else "edge")
+        if joins:
+            vertices[f"w{v}"] = N.Vertex(f"w{v}", N.RBANG)
+        edges[f"e{v}"] = N.Edge(f"e{v}", src, (f"v{v}", port), None)
+    net = N.ProofNet(vertices, edges, {})
+
+    def at(w, t):
+        return Context(f"e{w}", (), (t,), "+")
+
+    for v, kind in enumerate(kinds):
+        ws = [rng.randrange(n) for _ in range(rng.choice((1, 1, 2, 3)))]
+        if kind == "pass":
+            rule = lambda us, st, config, ws=ws: [at(w, st[-1]) for w in ws]
+        elif kind == "wrap":
+            wrap = rng.choice((lsig, rsig))
+            rule = lambda us, st, config, w=ws[0], wrap=wrap: [at(w, wrap(st[-1]))]
+        elif kind == "reset":
+            rule = lambda us, st, config, w=ws[0]: [at(w, E)]
+        elif kind == "read":
+            left, right = ws[0], rng.randrange(n)
+            rule = (lambda us, st, config, left=left, right=right:
+                    [at(left if st[-1][0] == "l" else right, st[-1][1])]
+                    if st[-1][0] in ("l", "r") else [])
+        else:
+            rule = lambda us, st, config: []
+        net._index.transitions[f"e{v}", "+"] = Entry(
+            vertices[f"v{v}"], "merged" if kind == "read" else "edge", rule,
+            "+" if kind == "final" else None)
+    return net
+
+
+@pytest.mark.parametrize("joins", [False, True])
+def test_walks_match_references_on_cyclic_graphs(joins):
+    from test_explorer import ref_search_copy_candidates
+
+    from pnlab import weights
+    from pnlab.machine import BudgetExhausted, MachineConfig
+
+    rng = random.Random(5)
+    config = MachineConfig(step_budget=3000)
+    pool = all_standard_sigs(4)
+    compared = cyclic = 0
+    for _ in range(300):
+        net = _symbolic_graph(rng, joins)
+        try:
+            want = ref_search_copy_candidates(net, "e0", (), config, budget=300)
+            rec, want_rec = Recorder(), Recorder()
+            comp = WeightComputer(net, config, recorder=rec)
+            cands = sorted(set(rng.sample(pool, 8)) | want)
+            confirmed, cycle_seen = ref_confirm(comp, "e0", (), cands, {}, want_rec)
+        except (BudgetExhausted, RecursionError):
+            continue  # a runaway graph: the budgets count different units
+        old_budget, weights.SEARCH_BUDGET = weights.SEARCH_BUDGET, 10**5
+        try:
+            assert search_copy_candidates(net, "e0", (), config) == want
+        finally:
+            weights.SEARCH_BUDGET = old_budget
+        assert comp._confirm("e0", (), cands) == confirmed
+        assert comp.cycle_seen == cycle_seen
+        assert _lines(rec.transitions) == _lines(want_rec.transitions)
+        compared += 1
+        cyclic += any(reach_final(net, Context("e0", (), (u,), "+"), config)[1]
+                      for u in cands)
+    assert compared > 150 and cyclic > 30
