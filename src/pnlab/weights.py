@@ -2,19 +2,25 @@
 
 Copy discovery is demand-driven: a walk starts from the box-edge with a hole
 in place of the signature and branches over the constructors a rule demands
-when it inspects the hole (l/r at contractions, e at derelictions, n at
+when it reads the hole (l/r at contractions, e at derelictions, n at
 diggings, m(i) at multiplexers).  Candidates are standard by construction.
 All candidates of a box-edge on a sequence are verified in one more walk
 from the same start, which carries every simplification of every candidate
-at once: where a rule inspects a hole it splits the simplifications still
-live by the head of their subterm there, so a context is walked once for
-all the simplifications that agree up to it (the sharing of paths until
-they read a signature, after Gonthier, Abadi and Levy).  Each
-simplification leaves the walk at its first final context, so what it
-walks is the depth-first walk a run from it alone would take.  A copy is
-confirmed when every one of its simplifications reaches a final context.
-A generate-and-test oracle over all standard signatures up to a size bound
-cross-validates the search on small nets.
+at once: where a rule reads a hole it splits the simplifications still live
+by the head of their subterm there, so a context is walked once for all
+the simplifications that agree up to it (the sharing of paths until they
+read a signature, after Gonthier, Abadi and Levy).  Each simplification
+leaves the walk at its first final context, so what it walks is the
+depth-first walk a run from it alone would take.  A copy is confirmed when
+every one of its simplifications reaches a final context.
+
+Both walks step through chains: the stretches of the symbolic transition
+relation between the contexts where a walk reads a hole, branches, stops
+or joins, kept with the net's index by their start with the holes renamed
+in order.  A stretch is therefore stepped once for every walk that reaches
+it, from any box-edge, sequence or signature.  A generate-and-test oracle
+over all standard signatures up to a size bound cross-validates the search
+on small nets.
 """
 
 from __future__ import annotations
@@ -247,10 +253,11 @@ class Chains:
         self.config = config
         tables = net._index.chains.get(config.jumps_enabled)
         if tables is None:
-            tables = net._index.chains[config.jumps_enabled] = ({}, {}, {})
+            tables = net._index.chains[config.jumps_enabled] = ({}, {}, {}, {})
         self._chains: dict[Context, _Chain] = tables[0]
         self._holey: dict[Sig, bool] = tables[1]  # whether a hole is in it
         self._renamed: dict[tuple, tuple] = tables[2]  # U -> _canonical's part
+        self._roots: dict[tuple, _Chain] = tables[3]  # (edge, U) -> chain
 
     @property
     def steps(self) -> int:
@@ -287,9 +294,12 @@ class Chains:
                                   tuple(pos[x[0]] + x[1:] for x in link[1]), p))
             return succs
 
-        start, _, slots = self._canonical(Context(edge, us, (ROOT,), "+"))
-        return explore((self._chain(start, slots), ((),), payload), expand,
-                       budget, key=operator.itemgetter(0, 1))
+        root = self._roots.get((edge, us))
+        if root is None:
+            start, _, slots = self._canonical(Context(edge, us, (ROOT,), "+"))
+            root = self._roots[edge, us] = self._chain(start, slots)
+        return explore((root, ((),), payload), expand, budget,
+                       key=operator.itemgetter(0, 1))
 
     def split_links(self, ch: _Chain, i: int) -> list:
         """The links out of ch's end with its hole bound to the i-th
@@ -317,24 +327,24 @@ class Chains:
         net, config = self.net, self.config
         table, principals = net._index.transitions, net.principal_edges()
         budget = config.step_budget
-        c, on_chain, steps = ch.start, {ch.start}, 0
+        c, on_chain, steps = ch.start, None, 0
         ch.join = c[3] == "+" and len(c[2]) == 1 and c[0] in principals
         while True:
-            if steps >= budget:
-                raise BudgetExhausted("machine step budget exhausted", c)
             entry = table.get((c[0], c[3])) or table_entry(net, c[0], c[3])
             st = c[2]
-            reads = (st and c[3] == "+" and entry.port in _READ_PORTS
+            reads = (c[3] == "+" and entry.port in _READ_PORTS and st
                      and (entry.vertex.label, entry.port) in _INSPECTING)
-            if reads and is_hole(st[-1]):
+            if reads and st[-1][0] == "h":
                 demanded = _demanded(entry, c)
                 if demanded is not None:
                     ch.kind, ch.hole = SPLIT, st[-1][1][0]
                     ch.demanded, ch.links = demanded, {}
                     break
-            succs = entry.rule(c[1], st, config)
+            succs = step(net, c, config)
             if len(succs) == 1 and not reads:
                 d = succs[0]
+                if on_chain is None:
+                    on_chain = {c}
                 if d in on_chain:
                     ch.kind = LOOP
                     steps += 1  # the transition that closes the loop
@@ -343,6 +353,8 @@ class Chains:
                     c = d
                     on_chain.add(c)
                     steps += 1
+                    if steps >= budget:
+                        raise BudgetExhausted("machine step budget exhausted", c)
                     continue
             if succs:
                 ch.kind, ch.links = BRANCH, [self._link(d) for d in succs]
@@ -363,15 +375,17 @@ class Chains:
         if hit is None:
             names: dict = {}
             us, in_us = self._rename(c[1], names)
-            hit = self._renamed[c[1]] = us, names, in_us
-        us, names, in_us = hit
-        if any(x.__class__ is tuple and self._has_hole(x) for x in c[2]):
-            names = dict(names)
-            stack, in_stack = self._rename(c[2], names)
-        else:
-            stack, in_stack = c[2], []
-        return (_new(Context, (c[0], us, stack, c[3])), tuple(names),
-                (in_us, in_stack))
+            hit = self._renamed[c[1]] = us, names, tuple(names), in_us
+        us, names, ordered, in_us = hit
+        for x in c[2]:
+            if x.__class__ is tuple and self._has_hole(x):
+                names = dict(names)
+                stack, in_stack = self._rename(c[2], names)
+                return (_new(Context, (c[0], us, stack, c[3])), tuple(names),
+                        (in_us, in_stack))
+        if us is not c[1]:
+            c = _new(Context, (c[0], us, c[2], c[3]))
+        return c, ordered, (in_us, [])
 
     def _has_hole(self, x: Sig) -> bool:
         h = self._holey.get(x)
