@@ -592,6 +592,11 @@ class _Nesting:
                 todo.append((b, -1))
                 todo.extend((k, h + 1) for k in reversed(kids.get(b, ())))
         self._reps: dict[str, str | None] = {}
+        # box -> the boxes whose principal it lists, in box order
+        self.inside: dict[str, list[str]] = {}
+        for qid in boxes:
+            for pid in idx.enclosing.get(qid, ()):
+                self.inside.setdefault(pid, []).append(qid)
 
     def chain_of(self, listed) -> str | None:
         """The box whose chain is exactly the distinct boxes listed, "" when
@@ -678,25 +683,14 @@ class _Nesting:
         """The principals, doors and contents of the boxes whose principal
         pid lists among its contents."""
         boxes = self.net.boxes
-        inside = self._inside().get(pid, ())
-        kids = self.kids.get(pid, ())
-        out: set[str] = set()
+        inside = self.inside.get(pid, ())
         if len(inside) == self.leave[pid] - self.enter[pid] - 1:
-            inside = kids  # the others lie inside these
+            # they are the boxes below pid, so they lie inside its children
+            inside = self.kids.get(pid, ())
+        out: set[str] = set()
         for qid in inside:
             out |= _closed(boxes[qid], qid)
         return out
-
-    def _inside(self) -> dict[str, list[str]]:
-        """Box -> the boxes whose principal it lists, in box order."""
-        inside = getattr(self, "_inside_boxes", None)
-        if inside is None:
-            inside = self._inside_boxes = {}
-            enclosing = self.net._index.enclosing
-            for qid in self.net.boxes:
-                for pid in enclosing.get(qid, ()):
-                    inside.setdefault(pid, []).append(qid)
-        return inside
 
 
 def validate(net: ProofNet) -> list[str]:

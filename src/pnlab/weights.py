@@ -171,12 +171,6 @@ def _demanded(entry: Entry, c: Context):
     return [msig(i) for i in range(1, entry.vertex.arity + 1)]
 
 
-def _accepts(t: Sig, x: Sig) -> bool:
-    """Whether a rule that accepts the demanded signature t, whose holes
-    are open, takes x."""
-    return x[0] == t[0] and (t[0] != "m" or x == t)
-
-
 LEAF, LOOP, SPLIT, BRANCH = "leaf", "loop", "split", "branch"
 
 
@@ -258,11 +252,6 @@ class Chains:
         self._holey: dict[Sig, bool] = tables[1]  # whether a hole is in it
         self._renamed: dict[tuple, tuple] = tables[2]  # U -> _canonical's part
         self._roots: dict[tuple, _Chain] = tables[3]  # (edge, U) -> chain
-
-    @property
-    def steps(self) -> int:
-        """The transitions of every chain walked on the net."""
-        return sum(ch.steps for ch in self._chains.values())
 
     def walk(self, edge: str, us: tuple[Sig, ...], payload, visit,
              budget: int, what: str):
