@@ -96,6 +96,9 @@ def family_nets():
 FAMILIES = family_nets()
 COMPOSED = {f"compose-{j}-{k}": _composed(j, k)
             for j in (1, 2) for k in (1, 2)}
+# the light subsystems' fixtures, whose checks read the recorded transitions
+SYSTEMS = {"ell": corpus.ell_fixture(), "sll": corpus.sll_fixture(),
+           "lll": corpus.lll_fixture(), "lll-sec": corpus.lll_sec_fixture()}
 CORPUS = corpus.full_corpus()
 
 
@@ -107,9 +110,9 @@ def test_walk_matches_reference_on_the_corpus():
         assert_walk_matches_reference(net, name)
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES) + sorted(COMPOSED))
+@pytest.mark.parametrize("name", [*FAMILIES, *COMPOSED, *SYSTEMS])
 def test_walk_matches_reference_on_the_families(name):
-    net = FAMILIES.get(name) or COMPOSED[name]
+    net = {**FAMILIES, **COMPOSED, **SYSTEMS}[name]
     assert_walk_matches_reference(net, name)
 
 
