@@ -148,6 +148,7 @@ def _has_hole(x: Sig) -> bool:
 # signature on top of the stack: a hole there is split by _demanded
 _INSPECTING = {(N.CONTR, "merged"), (N.DER, "bang"), (N.DIG, "bang"),
                (N.MUX, "merged")}
+_READ_PORTS = {port for _, port in _INSPECTING}
 
 
 def _demanded(entry: Entry, c: Context):
@@ -246,15 +247,11 @@ class Chains:
         self.config = config
         tables = net._index.chains.get(config.jumps_enabled)
         if tables is None:
-            tables = net._index.chains[config.jumps_enabled] = ({}, {}, {}, {},
-                                                                {})
+            tables = net._index.chains[config.jumps_enabled] = ({}, {}, {}, {})
         self._chains: dict[Context, _Chain] = tables[0]
         self._holey: dict[Sig, bool] = tables[1]  # whether a hole is in it
         self._renamed: dict[tuple, tuple] = tables[2]  # U -> _canonical's part
         self._roots: dict[tuple, _Chain] = tables[3]  # (edge, U) -> chain
-        # (edge, polarity) -> its table entry, and whether its rule reads
-        # the top of the stack
-        self._entries: dict[tuple, tuple] = tables[4]
 
     def walk(self, edge: str, us: tuple[Sig, ...], payload, visit,
              budget: int, what: str):
@@ -299,10 +296,11 @@ class Chains:
         links = ch.links.get(i)
         if links is None:
             c = ch.end
+            entry = table_entry(self.net, c[0], c[3])
             # a hole occurs once in a context: signatures are moved, not copied
-            bound = Context(c[0], c[1], c[2][:-1] + (ch.demanded[i],), c[3])
+            st = c[2][:-1] + (ch.demanded[i],)
             links = ch.links[i] = [self._link(d) for d in
-                                   step(self.net, bound, self.config)]
+                                   entry.rule(c[1], st, self.config)]
         return links
 
     def _chain(self, start: Context, slots) -> _Chain:
@@ -316,25 +314,22 @@ class Chains:
 
     def _walk_chain(self, ch: _Chain) -> _Chain:
         net, config = self.net, self.config
-        entries, principals = self._entries, net.principal_edges()
+        table, principals = net._index.transitions, net.principal_edges()
         budget = config.step_budget
         c, on_chain, steps = ch.start, None, 0
         ch.join = c[3] == "+" and len(c[2]) == 1 and c[0] in principals
         while True:
-            hit = entries.get((c[0], c[3]))
-            if hit is None:
-                entry = table_entry(net, c[0], c[3])
-                hit = entries[c[0], c[3]] = entry, c[3] == "+" and (
-                    entry.vertex.label, entry.port) in _INSPECTING
-            entry, reads = hit
+            entry = table.get((c[0], c[3])) or table_entry(net, c[0], c[3])
             st = c[2]
-            if reads and st and st[-1][0] == "h":
+            reads = (c[3] == "+" and entry.port in _READ_PORTS and st
+                     and (entry.vertex.label, entry.port) in _INSPECTING)
+            if reads and st[-1][0] == "h":
                 demanded = _demanded(entry, c)
                 if demanded is not None:
                     ch.kind, ch.hole = SPLIT, st[-1][1][0]
                     ch.demanded, ch.links = demanded, {}
                     break
-            succs = entry.rule(c[1], st, config)
+            succs = step(net, c, config)
             if len(succs) == 1 and not reads:
                 d = succs[0]
                 if on_chain is None:
