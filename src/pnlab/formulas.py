@@ -269,40 +269,82 @@ def feq(f: Formula, g: Formula) -> bool:
     return f is g or f.canon == g.canon
 
 
+def same_formula(f: Formula, g: Formula) -> bool:
+    """Structural equality, as `==` of the dataclasses gives it (binder
+    names count), compared pair by pair on an explicit stack; a pair of
+    one object is equal at once, and each pair of objects is compared once."""
+    todo = [(f, g)]
+    seen = set()  # ids of the pairs already pushed
+    while todo:
+        f, g = todo.pop()
+        if f is g:
+            continue
+        cls = type(f)
+        if cls is not type(g):
+            return False
+        if cls is Atom:
+            if f.name != g.name:
+                return False
+            continue
+        if cls is Lolli or cls is Tensor:
+            pairs = ((f.right, g.right), (f.left, g.left))
+        elif cls is Bang or cls is Sec:
+            pairs = ((f.body, g.body),)
+        elif cls is Forall:
+            if f.binder != g.binder:
+                return False
+            pairs = ((f.body, g.body),)
+        else:
+            raise FormulaError(f"unknown formula {f!r}")
+        for pair in pairs:
+            ids = (id(pair[0]), id(pair[1]))
+            if ids not in seen:
+                seen.add(ids)
+                todo.append(pair)
+    return True
+
+
 def match_instance(pattern: Formula, inst: Formula, atom: str):
     """Find B with pattern{B/atom} == inst, or None.
 
     Returns (True, B) on success; B is None when atom does not occur
-    (any instantiation works).
+    (any instantiation works).  The two formulas are walked in parallel,
+    left to right, on an explicit stack; B is the first subformula of
+    inst found at a free occurrence of atom, and every other one must
+    equal it.
     """
     found: list[Formula] = []
-
-    def go(p: Formula, q: Formula) -> bool:
-        if isinstance(p, Atom) and p.name == atom:
+    todo = [(pattern, inst)]
+    while todo:
+        p, q = todo.pop()
+        cls = type(p)
+        if cls is Atom and p.name == atom:
             found.append(q)
-            return True
-        if type(p) is not type(q):
-            return False
-        if isinstance(p, Atom):
-            return p.name == q.name
-        if isinstance(p, (Lolli, Tensor)):
-            return go(p.left, q.left) and go(p.right, q.right)
-        if isinstance(p, (Bang, Sec)):
-            return go(p.body, q.body)
-        if isinstance(p, Forall):
+            continue
+        if cls is not type(q):
+            return None
+        if cls is Atom:
+            if p.name != q.name:
+                return None
+        elif cls is Lolli or cls is Tensor:
+            todo.append((p.right, q.right))
+            todo.append((p.left, q.left))
+        elif cls is Bang or cls is Sec:
+            todo.append((p.body, q.body))
+        elif cls is Forall:
             if p.binder == atom:
-                return p == q
-            if p.binder != q.binder:
-                return False
-            return go(p.body, q.body)
-        return False
-
-    if not go(pattern, inst):
-        return None
+                if not same_formula(p, q):
+                    return None
+            elif p.binder != q.binder:
+                return None
+            else:
+                todo.append((p.body, q.body))
+        else:
+            return None
     if not found:
         return (True, None)
     first = found[0]
-    if any(x != first for x in found[1:]):
+    if any(not same_formula(x, first) for x in found[1:]):
         return None
     return (True, first)
 

@@ -17,7 +17,10 @@ index, box tables and box ranks from the rewriter instead, which shares
 every list it did not change with the source net; lists in the tables are
 therefore never changed in place.  The index also keeps the token
 machine's compiled transitions (`machine.table_entry`); those hold resolved
-edges and vertices, so a reduct always starts with an empty table.
+edges and vertices, so a reduct always starts with an empty table.  Once a
+net is keyed it also keeps `rewrite.canonical_key`'s row of each vertex
+(`_Index.key_row`); a reduct inherits the rows of the vertices its step
+left alone.
 `retag` (`dataclasses.replace`) shares the index with its source net; that
 is safe because no index depends on the system tag.
 """
@@ -39,6 +42,7 @@ from .formulas import (
     format_formula,
     match_instance,
     parse_formula,
+    same_formula,
 )
 
 # vertex labels
@@ -308,6 +312,9 @@ class _Index:
         self.chains: dict[bool, tuple] = {}
         # for a reduct: the edges the step put, re-ended or deleted
         self.touched: set[str] | None = None
+        # vertex -> its key row (see key_row), filled per keyed vertex; None
+        # until the net is first keyed
+        self.key_rows: dict[str, tuple] | None = None
 
     @cached_property
     def ports(self) -> dict[tuple[str, str], Edge]:
@@ -384,6 +391,39 @@ class _Index:
     @cached_property
     def max_edge_id(self) -> int:
         return _max_numbered(self.edges, "e")
+
+    def key_row(self, vid: str) -> tuple:
+        """What `rewrite.canonical_key` writes for a vertex, less the
+        numbers of its neighbours: (head, ((neighbour, text), ...)).
+
+        The head is the `(label/arity` text and every port up to the first
+        neighbour's number; each neighbour's text runs from after its
+        number to the next neighbour's number, or to the closing `)`.  A
+        port is written as `-` when no edge ends there, else as the edge's
+        direction, the neighbour's number and port, and the edge formula's
+        canonical text.  The row depends on the vertex's label and on the
+        edges at its ports alone.
+        """
+        v = self.vertices[vid]
+        ports = self.ports
+        nbrs = []
+        texts = []  # the head, then the text after each neighbour's number
+        text = f"({v.label}/{v.arity}"
+        for port in vertex_ports(v):
+            e = ports.get((vid, port))
+            if e is None:
+                text += f";{port}:-"
+                continue
+            src = e.src
+            if src[0] == vid and src[1] == port:
+                (nbr, nport), arrow = e.tgt, ">"
+            else:
+                (nbr, nport), arrow = src, "<"
+            texts.append(f"{text};{port}:{arrow}")
+            nbrs.append(nbr)
+            text = f".{nport}:{e.formula.canon}"
+        texts.append(text + ")")
+        return texts[0], tuple(zip(nbrs, texts[1:]))
 
     def end_boxes(self, end: tuple[str, str]) -> set[str]:
         """The boxes an edge end lies inside: those holding its vertex, and
@@ -754,22 +794,26 @@ def validate(net: ProofNet) -> list[str]:
 
 
 def _check_typing(net: ProofNet, v: Vertex, fml, say):
+    def same_at(port, want):
+        """Whether the formula at a port of v is want, as a structure."""
+        return same_formula(fml(v.id, port), want)
+
     l = v.label
     if l == RLOLLI:
-        if fml(v.id, "concl") != Lolli(fml(v.id, "bound"), fml(v.id, "body")):
+        if not same_at("concl", Lolli(fml(v.id, "bound"), fml(v.id, "body"))):
             say(f"vertex {v.id}: rlolli conclusion formula mismatch")
     elif l == LLOLLI:
-        if fml(v.id, "fun") != Lolli(fml(v.id, "arg"), fml(v.id, "res")):
+        if not same_at("fun", Lolli(fml(v.id, "arg"), fml(v.id, "res"))):
             say(f"vertex {v.id}: llolli formula mismatch")
     elif l == RTENSOR:
-        if fml(v.id, "concl") != Tensor(fml(v.id, "left"), fml(v.id, "right")):
+        if not same_at("concl", Tensor(fml(v.id, "left"), fml(v.id, "right"))):
             say(f"vertex {v.id}: rtensor conclusion formula mismatch")
     elif l == LTENSOR:
-        if fml(v.id, "pair") != Tensor(fml(v.id, "left"), fml(v.id, "right")):
+        if not same_at("pair", Tensor(fml(v.id, "left"), fml(v.id, "right"))):
             say(f"vertex {v.id}: ltensor formula mismatch")
     elif l == RFORALL:
         c = fml(v.id, "concl")
-        if not isinstance(c, Forall) or c.body != fml(v.id, "prem"):
+        if not isinstance(c, Forall) or not same_formula(c.body, fml(v.id, "prem")):
             say(f"vertex {v.id}: rforall conclusion formula mismatch")
     elif l == LFORALL:
         fa = fml(v.id, "fa")
@@ -778,10 +822,10 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
         elif match_instance(fa.body, fml(v.id, "inst"), fa.binder) is None:
             say(f"vertex {v.id}: lforall instance does not match the quantified body")
     elif l == DER:
-        if fml(v.id, "bang") != Bang(fml(v.id, "plain")):
+        if not same_at("bang", Bang(fml(v.id, "plain"))):
             say(f"vertex {v.id}: dereliction formula mismatch")
     elif l == DIG:
-        if fml(v.id, "dbang") != Bang(fml(v.id, "bang")):
+        if not same_at("dbang", Bang(fml(v.id, "bang"))):
             say(f"vertex {v.id}: digging formula mismatch")
         elif not isinstance(fml(v.id, "bang"), Bang):
             say(f"vertex {v.id}: digging premise must be banged")
@@ -789,24 +833,24 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
         m = fml(v.id, "merged")
         if not isinstance(m, Bang):
             say(f"vertex {v.id}: contraction formula must be banged")
-        if fml(v.id, "left") != m or fml(v.id, "right") != m:
+        if not same_at("left", m) or not same_at("right", m):
             say(f"vertex {v.id}: contraction branch formulas mismatch")
     elif l == WEAK:
         if not isinstance(fml(v.id, "edge"), Bang):
             say(f"vertex {v.id}: weakening formula must be banged")
     elif l == RBANG:
-        if fml(v.id, "principal") != Bang(fml(v.id, "inner")):
+        if not same_at("principal", Bang(fml(v.id, "inner"))):
             say(f"vertex {v.id}: box principal formula mismatch")
     elif l == LBANG:
-        if fml(v.id, "outer") != Bang(fml(v.id, "inner")):
+        if not same_at("outer", Bang(fml(v.id, "inner"))):
             say(f"vertex {v.id}: box door formula mismatch")
     elif l == RSEC:
-        if fml(v.id, "principal") != Sec(fml(v.id, "inner")):
+        if not same_at("principal", Sec(fml(v.id, "inner"))):
             say(f"vertex {v.id}: sec-box principal formula mismatch")
     elif l == LSEC:
         outer = fml(v.id, "outer")
         inner = fml(v.id, "inner")
-        if outer not in (Bang(inner), Sec(inner)):
+        if not same_formula(outer, Bang(inner)) and not same_formula(outer, Sec(inner)):
             say(f"vertex {v.id}: sec-box door formula mismatch")
     elif l == MUX:
         m = fml(v.id, "merged")
@@ -814,7 +858,7 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
             say(f"vertex {v.id}: mux formula must be banged")
         else:
             for i in range(1, v.arity + 1):
-                if fml(v.id, f"split{i}") != m.body:
+                if not same_at(f"split{i}", m.body):
                     say(f"vertex {v.id}: mux split {i} formula mismatch")
 
 

@@ -19,7 +19,11 @@ boxes around it, principal or door -> its box, box ranks), edits only the
 entries the redex and any box it copies, opens or moves touch, and hands
 them to the reduct, with the set of edges it put, re-ended or deleted.  A
 box it edits gets a new record whose contents are an `EditedSet` over the
-old ones, so the boxes around a redex are not copied.  `Walk`, which
+old ones, so the boxes around a redex are not copied.  A net that has been
+keyed also hands on its key rows (vertex -> what `canonical_key` writes for
+it), less those of the vertices the step added, dropped or relabelled and
+of every end of the edges it touched, so a reduct is keyed from the rows
+its step changed; a net never keyed hands on none.  `Walk`, which
 `normalize` and the suite's monotonicity check step through, and
 `reduction_metrics` run `find_cuts` once, on their input; after each step
 `update_cuts` reclassifies the touched edges and re-reads the level of the
@@ -141,9 +145,12 @@ class _Surgeon:
     It keeps the port index, the box tables (`enclosing`, `inner_boxes`)
     and the box ranks in step with its edges and boxes, and hands them to
     the reduct, together with the largest ids when they are still exact and
-    the set of edges it put, re-ended or deleted.  Every dict is a shallow
-    copy of the source net's; a table entry is replaced, never changed in
-    place, and a box record is copied only when the step edits it.
+    the set of edges it put, re-ended or deleted, and the source net's key
+    rows less the stale ones when it has any.  Every dict is a shallow copy
+    of the source net's; a table entry is replaced, never changed in place,
+    and a box record is copied only when the step edits it.  Every write to
+    the vertices goes through `add_vertex`, `drop_vertex` or `relabel`,
+    which note the vertex as changed.
     """
 
     def __init__(self, net: ProofNet):
@@ -159,6 +166,8 @@ class _Surgeon:
         self.rank = index.box_rank.copy()
         self.edited: dict[str, tuple[list[str], set[str], set[str]]] = {}
         self.touched: set[str] = set()
+        self.source = net  # for the key rows the reduct inherits
+        self.changed: set[str] = set()  # vertices added, dropped or relabelled
         self.vn = index.max_vertex_id
         self.en = index.max_edge_id
         self.provenance: dict[str, tuple[str, str]] = {}
@@ -253,6 +262,7 @@ class _Surgeon:
     def add_vertex(self, vertex: Vertex, around):
         """Insert a fresh vertex into the boxes `around` (a table list)."""
         self.vertices[vertex.id] = vertex
+        self.changed.add(vertex.id)
         if around:
             self.enclosing[vertex.id] = around
             for pid in around:
@@ -290,12 +300,18 @@ class _Surgeon:
         """Remove a vertex from the vertices, the tables and the boxes,
         except from the boxes in `dying`, which are deleted after it."""
         del self.vertices[vid]
+        self.changed.add(vid)
         for pid in self.enclosing.pop(vid, ()):
             if pid not in dying:
                 self.remove_content(pid, vid)
         for pid in self.inner_boxes.pop(vid, ()):
             if pid != vid and pid not in dying:  # vid is a door of pid
                 self._edit(pid)[0].remove(vid)
+
+    def relabel(self, vid: str, label: str):
+        """Give a vertex a new label, in the boxes it was in."""
+        self.vertices[vid] = Vertex(vid, label)
+        self.changed.add(vid)
 
     def erase(self, dead: set[str]):
         """Drop vertices, and the boxes whose principal is among them."""
@@ -366,6 +382,19 @@ class _Surgeon:
             index.max_vertex_id = self.vn
         if f"e{self.en}" in self.edges:
             index.max_edge_id = self.en
+        rows = self.source._index.key_rows
+        if rows is not None:
+            # a vertex's key row reads its label and the edges at its ports,
+            # so a row is stale at each end of an edge, before and after
+            rows = index.key_rows = rows.copy()
+            for vid in self.changed:
+                rows.pop(vid, None)
+            before, after = self.source.edges, self.edges
+            for eid in self.touched:
+                for e in (before.get(eid), after.get(eid)):
+                    if e is not None:
+                        rows.pop(e.src[0], None)
+                        rows.pop(e.tgt[0], None)
         return net
 
 
@@ -441,7 +470,7 @@ def _fire_der(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
     s.splice([((v, "inner"), (w, "plain"))])
     s.delete_box(v)
     for d in box.doors:
-        s.vertices[d] = Vertex(d, N.DER)
+        s.relabel(d, N.DER)
         outer = s.edge_at(d, "outer")
         s.reend(outer.id, tgt=(d, "bang"))
         inner = s.edge_at(d, "inner")
@@ -458,7 +487,7 @@ def _fire_weak(s: _Surgeon, net: ProofNet, v: str, w: str, e: Edge):
                 s.del_edge(ed.id)
     s.erase(dead)
     for d in box.doors:
-        s.vertices[d] = Vertex(d, N.WEAK)
+        s.relabel(d, N.WEAK)
         outer = s.edge_at(d, "outer")
         s.reend(outer.id, tgt=(d, "edge"))
 
@@ -656,46 +685,45 @@ def canonical_key(net: ProofNet) -> str:
     Each vertex is written as its label and arity, then each of its ports
     as '-' when no edge ends there, or as the edge's direction, the
     neighbour's number and port, and the edge formula's `alpha_canon` text,
-    which the formula object computes once and keeps.  Ports are read from
-    the net's port table.
+    which the formula object computes once and keeps.  All of that but the
+    neighbours' numbers is the vertex's key row (`net._Index.key_row`),
+    kept in the net's index once built; a reduct of a keyed net inherits
+    the rows of the vertices its step left alone (`_Surgeon.freeze`), so
+    keying it builds only the rows the step changed.
     """
-    ports = net._index.ports
+    index = net._index
+    rows = index.key_rows
+    if rows is None:
+        rows = index.key_rows = {}
     vertices = net.vertices
     order: dict[str, str] = {}  # vertex -> its number, as text
-    out: list[str] = []  # the text of the vertices, each part led by ';'
+    out: list[str] = []  # the text of the vertices, each led by ';'
 
     def bfs(root: str) -> list[str]:
         """Number and write the component of root; returns its vertices."""
         queue = [root]
         order[root] = str(len(order))
+        append, number = out.append, order.get
         for vid in queue:  # the loop also reaches what it appends
-            v = vertices[vid]
-            out.append(f";{order[vid]}({v.label}/{v.arity}")
-            for port in N.vertex_ports(v):
-                e = ports.get((vid, port))
-                if e is None:
-                    out.append(f";{port}:-")
-                    continue
-                src = e.src
-                if src[0] == vid and src[1] == port:
-                    (nbr, nport), arrow = e.tgt, ">"
-                else:
-                    (nbr, nport), arrow = src, "<"
-                n = order.get(nbr)
+            row = rows.get(vid)
+            if row is None:
+                row = rows[vid] = index.key_row(vid)
+            head, links = row
+            append(f";{order[vid]}{head}")
+            for nbr, text in links:
+                n = number(nbr)
                 if n is None:
                     n = order[nbr] = str(len(order))
                     queue.append(nbr)
-                out.append(f";{port}:{arrow}{n}.{nport}:{e.formula.canon}")
-            out.append(")")
+                append(n)
+                append(text)
         return queue
 
-    conclusions = net._index.conclusions
+    conclusions = index.conclusions
     if len(conclusions) == 1:
         bfs(conclusions[0])
-    while True:
+    while len(order) < len(vertices):
         rest = sorted((v for v in vertices if v not in order), key=N._numkey)
-        if not rest:
-            break
         best = None
         for root in rest:  # try each root, then undo its numbering and text
             mark = len(out)

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, one printed line each.
 
 Three criteria assert reference values that contradict the weight
-definition the rest of the suite verifies (details in the project notes):
+definition the rest of the suite verifies (derivations in docs/DECISIONS.md):
 the copy-example fixture's weight is pinned to 1 by the realized-cost
 identity, yet the stated values demand 2.  Those tests are implemented
 exactly as stated and marked strict-xfail; the definition-consistent
@@ -80,7 +80,7 @@ def test_criterion_02_ladder_normalization():
     strict=True,
     reason="stated copy set {e,l(e),r(e)} / R=3 / W=2 contradicts the weight "
     "definition: the bare signature e has no final run, and the realized "
-    "cost identity pins W to the single duplication (see decisions notes)")
+    "cost identity pins W to the single duplication (see docs/DECISIONS.md)")
 def test_criterion_03_copy_example_reference_values():
     g = gen_family("copy-example")
     comp = WeightComputer(g)
@@ -138,7 +138,7 @@ def _double_trace_steps(net):
     strict=True,
     reason="the stated box-merge identity W_G = W_H + sum R contradicts the "
     "weight definition, which gives W_G = W_H + sum (R - 1); a box merge "
-    "with R = 1 leaves the weight unchanged (see decisions notes)")
+    "with R = 1 leaves the weight unchanged (see docs/DECISIONS.md)")
 def test_criterion_05_monotonicity_as_stated(nets):
     ok = True
     for name, net in sorted(nets.items()):
@@ -199,7 +199,7 @@ def test_criterion_06_theorem1_bound(nets):
     strict=True,
     reason="box merges consume no weight, so counting them among the "
     "weight-consuming steps breaks the identity on any net with a !-cut "
-    "(see decisions notes)")
+    "(see docs/DECISIONS.md)")
 def test_criterion_07_theorem2_as_stated(nets):
     ok = True
     for name, net in sorted(nets.items()):

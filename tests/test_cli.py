@@ -129,6 +129,32 @@ def test_deeply_nested_formulas_are_written(tmp_path, capsys):
     assert (code, out, err) == (0, "check: ok\n", "")
 
 
+def test_typing_checks_of_deep_formulas(tmp_path, capsys):
+    """validate compares formulas, and matches an lforall instance,
+    without a Python frame per level."""
+    arrows = "t -> " * 1500 + "t"
+    path = tmp_path / "arrows.pnet"
+    code, _, err = run_cli(capsys, "lambda", "f z", "--sig", f"f:({arrows}) -> t",
+                           "--sig", f"z:{arrows}", "--out", str(path))
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "check", str(path)) == (0, "check: ok\n", "")
+    code, out, err = run_cli(capsys, "weight", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["weight"]["weight"] == 0
+    deep = tmp_path / "instance.pnet"
+    for bangs in (3000, 2999):
+        deep.write_text(
+            "pnet 1\nvertex v1 prem\nvertex v4 lforall\nvertex v6 concl\n"
+            f"edge e3 v1 edge v4 fa all b. {'!' * 3000}b\n"
+            f"edge e6 v4 inst v6 edge {'!' * bangs}a\nend\n")
+        code, out, err = run_cli(capsys, "check", str(deep))
+        if bangs == 3000:
+            assert (code, out, err) == (0, "check: ok\n", "")
+        else:
+            assert code == 1 and "Traceback" not in err
+            assert "vertex v4: lforall instance does not match the quantified body" in err
+
+
 def test_machine_trace_golden(tmp_path, capsys):
     path = tmp_path / "ladder1.pnet"
     run_cli(capsys, "gen", "dr-ladder", "1", "--out", str(path))

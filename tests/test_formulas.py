@@ -17,6 +17,7 @@ from pnlab.formulas import (
     free_atoms,
     match_instance,
     parse_formula,
+    same_formula,
     substitute,
 )
 
@@ -227,3 +228,83 @@ def test_deep_formulas_cost_no_python_frames():
         bangs = Bang(bangs)
     assert alpha_canon(bangs) == "('bang', " * 3000 + "('atom', 'a')" + ")" * 3000
     assert format_formula(bangs) == "!" * 3000 + "a"
+
+
+# --- structural equality and instance matching without recursion ----------
+
+
+def ref_match_instance(pattern, inst, atom):
+    """match_instance as it was, recursive, with the dataclasses' `==`."""
+    found = []
+
+    def go(p, q):
+        if isinstance(p, Atom) and p.name == atom:
+            found.append(q)
+            return True
+        if type(p) is not type(q):
+            return False
+        if isinstance(p, Atom):
+            return p.name == q.name
+        if isinstance(p, (Lolli, Tensor)):
+            return go(p.left, q.left) and go(p.right, q.right)
+        if isinstance(p, (Bang, Sec)):
+            return go(p.body, q.body)
+        if isinstance(p, Forall):
+            if p.binder == atom:
+                return p == q
+            if p.binder != q.binder:
+                return False
+            return go(p.body, q.body)
+        return False
+
+    if not go(pattern, inst):
+        return None
+    if not found:
+        return (True, None)
+    first = found[0]
+    if any(x != first for x in found[1:]):
+        return None
+    return (True, first)
+
+
+@given(_binder_formulas(), _binder_formulas())
+def test_same_formula_is_the_dataclass_equality(f, g):
+    assert same_formula(f, g) == (f == g)
+    assert same_formula(f, f)
+    copy = parse_formula(format_formula(f))  # equal, and no object shared
+    assert same_formula(f, copy) and same_formula(copy, f)
+    # binder names count, unlike feq
+    assert not same_formula(Forall("a", A), Forall("b", B))
+
+
+@given(_binder_formulas(), _binders, _binder_formulas(), _binder_formulas())
+def test_match_instance_matches_the_recursive_reference(pattern, atom, repl, other):
+    inst = substitute(pattern, atom, repl)
+    for q in (inst, other, pattern):
+        got = ref_match_instance(pattern, q, atom)
+        assert match_instance(pattern, q, atom) == got
+        if got is not None and got[1] is not None:
+            assert match_instance(pattern, q, atom)[1] is got[1]
+
+
+def test_deep_equality_and_instances_cost_no_python_frames():
+    bangs, copy = A, A
+    for _ in range(3000):
+        bangs, copy = Bang(bangs), Bang(copy)
+    assert bangs is not copy and same_formula(bangs, copy)
+    assert not same_formula(bangs, Bang(bangs))
+    arrows, twin = A, A
+    for _ in range(3000):  # DAGs, 2^3000 nodes as trees: each pair once
+        arrows, twin = Lolli(arrows, Bang(arrows)), Lolli(twin, Bang(twin))
+    assert same_formula(arrows, twin)
+    assert not same_formula(arrows, Lolli(twin, Bang(twin)))
+    pattern = B
+    for _ in range(3000):
+        pattern = Bang(pattern)
+    # the repro net's lforall: all b. !...!b instantiated at !...!a
+    assert match_instance(pattern, bangs, "b") == (True, A)
+    assert match_instance(pattern, Bang(bangs), "b") == (True, Bang(A))
+    assert match_instance(Bang(pattern), bangs, "b") is None
+    assert match_instance(Forall("b", pattern), Forall("b", copy), "b") is None
+    assert match_instance(Lolli(B, B), Lolli(bangs, copy), "b") == (True, bangs)
+    assert match_instance(Lolli(B, B), Lolli(bangs, Bang(copy)), "b") is None

@@ -12,14 +12,17 @@ frozensets they stand for.
 """
 
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from pnlab import corpus
 from pnlab import net as N
 from pnlab import rewrite
+from pnlab.families import gen_family
 from pnlab.formulas import Atom
 from pnlab.net import EditedSet
 from pnlab.net import Cut as CutRecord
@@ -312,6 +315,160 @@ def test_canonical_key_matches_the_reference(all_nets, monkeypatch):
     seen.clear()
     assert reduction_metrics(composed(2, 2), TRIANGLE) == (90, 109)
     assert len(seen) > 14000 and len(set(seen)) > 3800
+
+
+# a box whose content has an edge to the conclusion, past its doors: its
+# W-step leaves the conclusion with an empty port and no new edge there
+LEAKY_BOX = """\
+pnet 1
+vertex v1 rbang
+vertex v2 weak
+vertex v3 prem
+vertex v4 ltensor
+vertex v5 concl
+edge e1 v3 edge v4 pair a * b
+edge e2 v4 left v1 inner a
+edge e3 v4 right v5 edge b
+edge e4 v1 principal v2 edge !a
+box v1 - v3,v4
+end
+"""
+
+
+def inheriting_nets(all_nets):
+    nets = dict(all_nets)  # the corpus, with the copy, jump and forall nets
+    nets.update((f"church{k}", church(k)) for k in (2, 3, 4))
+    nets.update((f"dr-ladder{n}", gen_family("dr-ladder", n)) for n in range(1, 7))
+    nets["copy-example"] = gen_family("copy-example")
+    nets["jump-example"] = gen_family("jump-example")
+    nets["ell"] = corpus.ell_fixture()
+    nets["sll"] = corpus.sll_fixture()
+    nets["lll"] = corpus.lll_fixture()
+    nets["lll-sec"] = corpus.lll_sec_fixture()
+    nets["leaky-box"] = N.parse_net(LEAKY_BOX)
+    return nets
+
+
+def test_reducts_key_from_the_rows_they_inherit(all_nets):
+    """Each net is keyed before its cuts fire, for three generations, so
+    every reduct keys from the rows of its parent; each key must equal the
+    reference and the key of the same net read afresh, which inherits
+    nothing, and no row may outlive its vertex."""
+    texts = {}
+    kinds = set()
+    reused = 0  # fresh ids that name a vertex an earlier step dropped
+    for name, net in inheriting_nets(all_nets).items():
+        generation = [(net, set(net.vertices))]  # (net, every id seen on its path)
+        for _ in range(3):
+            children = []
+            for cur, seen in generation:
+                canonical_key(cur)  # the parent's rows, for every reduct below
+                for cut in find_cuts(cur):
+                    reduct, _ = fire(cur, cut)
+                    kinds.add(cut.kind)
+                    rows = reduct._index.key_rows
+                    assert rows is not None and set(rows) <= set(reduct.vertices)
+                    key = canonical_key(reduct)
+                    assert key == ref_canonical_key(reduct, texts), (name, cut)
+                    assert key == canonical_key(N.parse_net(N.print_net(reduct)))
+                    assert set(rows) == set(reduct.vertices)
+                    fresh = set(reduct.vertices) - set(cur.vertices)
+                    reused += len(fresh & seen)
+                    children.append((reduct, seen | fresh))
+            generation = children
+    assert kinds == set(CUT_KINDS)
+
+
+def top_numbered(net, last):
+    """The net with its vertices renamed so that those in `last` have the
+    largest ids, the others keeping their order."""
+    ids = sorted(net.vertices, key=lambda vid: (vid in last, N._numkey(vid)))
+    names = {vid: f"v{i}" for i, vid in enumerate(ids, 1)}
+    text = re.sub(r"\bv\d+\b", lambda m: names[m[0]], N.print_net(net))
+    return N.parse_net(text)
+
+
+def test_a_fresh_id_may_name_a_dropped_vertex(all_nets):
+    """A fresh id is one more than the largest live one, so once a step
+    drops the vertices with the largest ids the next step that adds
+    vertices names them again; their rows must not come back."""
+    texts = {}
+    reused = set()
+    for name, net in inheriting_nets(all_nets).items():
+        for cut in find_cuts(net):
+            dropped = set(net.vertices) - set(fire(net, cut)[0].vertices)
+            if not dropped:
+                continue
+            cur = top_numbered(net, dropped)  # the edge ids stay
+            canonical_key(cur)
+            mid = fire(cur, cut)[0]
+            canonical_key(mid)
+            for nxt in find_cuts(mid):
+                reduct = fire(mid, nxt)[0]
+                rows = reduct._index.key_rows
+                assert set(rows) <= set(reduct.vertices)
+                again = (set(reduct.vertices) - set(mid.vertices)) & set(cur.vertices)
+                if again:
+                    reused.add((name, cut.kind, nxt.kind))
+                    assert not again & set(rows)
+                key = canonical_key(reduct)
+                assert key == ref_canonical_key(reduct, texts), (name, cut, nxt)
+                assert key == canonical_key(N.parse_net(N.print_net(reduct)))
+    assert len(reused) >= 3, reused
+
+
+def test_each_edit_of_a_step_drops_the_rows_it_changes():
+    """One surgeon edit at a time on a keyed net: the vertex it adds, drops
+    or relabels, and each end of an edge it puts, re-ends or deletes, before
+    and after, lose their rows; every other row is handed on."""
+    net = church(2)
+    canonical_key(net)
+    parent_rows = net._index.key_rows
+    door = next(v.id for v in net.vertices.values() if v.label == N.LBANG)
+    edge = net.edges[next(iter(net.edges))]
+    other = next(vid for vid in net.vertices if vid not in (*edge.src, *edge.tgt))
+    fresh_end = (f"v{len(net.vertices) + 1}", "edge")
+
+    def relabel(s):
+        s.relabel(door, N.DER)
+        return {door}
+
+    def add(s):
+        vid = s.fresh_v()
+        s.add_vertex(N.Vertex(vid, N.WEAK), None)
+        return {vid}
+
+    def drop(s):
+        s.drop_vertex(other)
+        return {other}
+
+    def delete(s):
+        s.del_edge(edge.id)
+        return {edge.src[0], edge.tgt[0]}
+
+    def reend(s):
+        s.reend(edge.id, tgt=(other, "x"))
+        return {edge.src[0], edge.tgt[0], other}
+
+    def put(s):
+        s.put_edge(N.Edge("e999", (other, "x"), fresh_end, edge.formula))
+        return {other, fresh_end[0]}
+
+    for edit in (relabel, add, drop, delete, reend, put):
+        s = rewrite._Surgeon(net)
+        stale = edit(s)
+        rows = s.freeze()._index.key_rows
+        assert set(rows) == set(parent_rows) - stale, edit.__name__
+
+
+def test_reducts_of_an_unkeyed_net_inherit_no_rows(all_nets):
+    for net in inheriting_nets(all_nets).values():
+        fresh = N.parse_net(N.print_net(net))
+        for cut in find_cuts(fresh):
+            assert fire(fresh, cut)[0]._index.key_rows is None
+    net = church(3)
+    for _, _, reduct, _ in rewrite.Walk(net, TRIANGLE):
+        assert reduct._index.key_rows is None
 
 
 def test_canonical_key_of_a_deep_formula():
