@@ -273,12 +273,12 @@ def same_formula(f: Formula, g: Formula) -> bool:
     """Structural equality, as `==` of the dataclasses gives it (binder
     names count), compared pair by pair on an explicit stack; a pair of
     one object is equal at once, and each pair of objects is compared once."""
+    if f is g:
+        return True
     todo = [(f, g)]
     seen = set()  # ids of the pairs already pushed
     while todo:
         f, g = todo.pop()
-        if f is g:
-            continue
         cls = type(f)
         if cls is not type(g):
             return False
@@ -296,11 +296,12 @@ def same_formula(f: Formula, g: Formula) -> bool:
             pairs = ((f.body, g.body),)
         else:
             raise FormulaError(f"unknown formula {f!r}")
-        for pair in pairs:
-            ids = (id(pair[0]), id(pair[1]))
-            if ids not in seen:
-                seen.add(ids)
-                todo.append(pair)
+        for x, y in pairs:
+            if x is not y:
+                ids = (id(x), id(y))
+                if ids not in seen:
+                    seen.add(ids)
+                    todo.append((x, y))
     return True
 
 

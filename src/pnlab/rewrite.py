@@ -708,9 +708,9 @@ def canonical_key(net: ProofNet) -> str:
             row = rows.get(vid)
             if row is None:
                 row = rows[vid] = index.key_row(vid)
-            head, links = row
+            head, nbrs, texts = row
             append(f";{order[vid]}{head}")
-            for nbr, text in links:
+            for nbr, text in zip(nbrs, texts):
                 n = number(nbr)
                 if n is None:
                     n = order[nbr] = str(len(order))
