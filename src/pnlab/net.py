@@ -394,10 +394,10 @@ class _Index:
 
     def key_row(self, vid: str) -> tuple:
         """What `rewrite.canonical_key` writes for a vertex, less the
-        numbers of its neighbours: (head, neighbours, texts).
+        numbers of its neighbours: (head, ((neighbour, text), ...)).
 
         The head is the `(label/arity` text and every port up to the first
-        neighbour's number; the text of each neighbour runs from after its
+        neighbour's number; each neighbour's text runs from after its
         number to the next neighbour's number, or to the closing `)`.  A
         port is written as `-` when no edge ends there, else as the edge's
         direction, the neighbour's number and port, and the edge formula's
@@ -423,7 +423,7 @@ class _Index:
             nbrs.append(nbr)
             text = f".{nport}:{e.formula.canon}"
         texts.append(text + ")")
-        return texts[0], tuple(nbrs), tuple(texts[1:])
+        return texts[0], tuple(zip(nbrs, texts[1:]))
 
     def end_boxes(self, end: tuple[str, str]) -> set[str]:
         """The boxes an edge end lies inside: those holding its vertex, and

@@ -708,9 +708,9 @@ def canonical_key(net: ProofNet) -> str:
             row = rows.get(vid)
             if row is None:
                 row = rows[vid] = index.key_row(vid)
-            head, nbrs, texts = row
+            head, links = row
             append(f";{order[vid]}{head}")
-            for nbr, text in zip(nbrs, texts):
+            for nbr, text in links:
                 n = number(nbr)
                 if n is None:
                     n = order[nbr] = str(len(order))

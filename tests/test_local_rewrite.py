@@ -6,9 +6,11 @@ step that map must equal `find_cuts` of the reduct.  The references below
 are the functions as they were before: `Strategy.permitted` with its
 pairwise scan, the recursive `reduction_metrics` that ran `find_cuts` on
 every state, and `canonical_key` as a queue walk through `edge_at` that
-prints the recursive `alpha_canon` tuple of each edge's formula.  Box
-contents a step edits are kept as `EditedSet`s, which must act as the
-frozensets they stand for.
+prints the recursive `alpha_canon` tuple of each edge's formula.  A
+reduct of a keyed net keys from the rows its parent hands on, less those
+its step made stale; its key must equal the reference and the key of the
+same net read afresh.  Box contents a step edits are kept as `EditedSet`s,
+which must act as the frozensets they stand for.
 """
 
 import random
@@ -356,12 +358,11 @@ def test_reducts_key_from_the_rows_they_inherit(all_nets):
     nothing, and no row may outlive its vertex."""
     texts = {}
     kinds = set()
-    reused = 0  # fresh ids that name a vertex an earlier step dropped
     for name, net in inheriting_nets(all_nets).items():
-        generation = [(net, set(net.vertices))]  # (net, every id seen on its path)
+        generation = [net]
         for _ in range(3):
             children = []
-            for cur, seen in generation:
+            for cur in generation:
                 canonical_key(cur)  # the parent's rows, for every reduct below
                 for cut in find_cuts(cur):
                     reduct, _ = fire(cur, cut)
@@ -372,9 +373,7 @@ def test_reducts_key_from_the_rows_they_inherit(all_nets):
                     assert key == ref_canonical_key(reduct, texts), (name, cut)
                     assert key == canonical_key(N.parse_net(N.print_net(reduct)))
                     assert set(rows) == set(reduct.vertices)
-                    fresh = set(reduct.vertices) - set(cur.vertices)
-                    reused += len(fresh & seen)
-                    children.append((reduct, seen | fresh))
+                    children.append(reduct)
             generation = children
     assert kinds == set(CUT_KINDS)
 
