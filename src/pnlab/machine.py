@@ -29,10 +29,11 @@ polarity and a single-signature stack, where it jumps to every box premise
 at once.
 
 Every walk of the transition relation (run, reach_final, the copy search
-and verification over weights.Chains, and the suite's checks) is one call
-of explore: a depth-first walk on an explicit stack that keeps the current
-path as a set for cycle detection and a stack entry only for a node with
-successors left, so the length of a path costs no Python frames.  A walk's
+and verification over weights.Chains, the canonical transitions and the
+suite's checks) is one call of explore: a depth-first walk on an explicit
+stack that keeps the current path as a set for cycle detection and a stack
+entry only for a node with successors left, so the length of a path costs
+no Python frames.  A walk's
 per-node work is its expand hook, and explore yields events only where the
 walk branches, meets a cycle, runs out of budget or backtracks, never once
 per node.  One budget rule holds for all of them: it is checked when a node
@@ -55,7 +56,7 @@ its rule; each tests finality only when no successor comes back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import net as N
@@ -118,30 +119,6 @@ def sym_count(seq, s: str) -> int:
 class MachineConfig:
     jumps_enabled: bool = True
     step_budget: int = 10**7
-
-
-@dataclass
-class Recorder:
-    """Collects executed transitions for invariant checks: the first
-    `limit` of them, counting those it drops after that."""
-
-    transitions: list[tuple[Context, Context]] = field(default_factory=list)
-    limit: int = 10**6
-    dropped: int = 0
-
-    def record(self, c: Context, d: Context):
-        if len(self.transitions) < self.limit:
-            self.transitions.append((c, d))
-        else:
-            self.dropped += 1
-
-    def truncation(self) -> str | None:
-        """What the checks over `transitions` miss, or None when nothing
-        was dropped."""
-        if not self.dropped:
-            return None
-        return (f"{self.dropped} transition(s) past the recorder's limit of "
-                f"{self.limit} were not recorded, so they went unchecked")
 
 
 # --- final contexts -------------------------------------------------------
@@ -607,7 +584,7 @@ def explore(start, expand, budget: int, key=None):
 
 
 def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
-        recorder: Recorder | None = None, trace: list | None = None) -> RunResult:
+        trace: list | None = None) -> RunResult:
     """Depth-first exploration of the transition relation from start.
 
     Cycle detection uses the set of contexts on the current branch.  The
@@ -615,18 +592,14 @@ def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
     successor order.
     """
     config = config or MachineConfig()
-    record = recorder.record if recorder else None
     append = trace.append if trace is not None else None
     top: list[RunResult] = []
     outs = [top]  # the outcome list of each open branch, innermost last
     branch_depths: list[int] = []  # path length at each open branch
 
     def expand(c: Context, path: list) -> list[Context]:
-        if len(path) > 1:  # a transition from path[-2]
-            if record:
-                record(path[-2], c)
-            if append:
-                append(c)
+        if append and len(path) > 1:  # a transition from path[-2]
+            append(c)
         succs = step(net, c, config)
         if not succs:
             kind = "final" if is_final(net, c) else "stuck"
@@ -639,8 +612,6 @@ def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
                 branch_depths.pop()
                 outs.pop()
         elif event == CYCLE:  # a transition from path[-1]
-            if record:
-                record(path[-1], x)
             if append:
                 append(x)
             outs[-1].append(RunResult("cycle", x, len(path)))
@@ -656,8 +627,7 @@ def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
 
 def reach_final(net: N.ProofNet, start: Context,
                 config: MachineConfig | None = None,
-                memo: dict | None = None,
-                recorder: Recorder | None = None) -> tuple[bool, bool]:
+                memo: dict | None = None) -> tuple[bool, bool]:
     """(reachable, cycle): whether some final context is reachable from
     start, and whether the walk met a context already on its path.
 
@@ -667,14 +637,11 @@ def reach_final(net: N.ProofNet, start: Context,
     """
     config = config or MachineConfig()
     memo = memo if memo is not None else {}
-    record = recorder.record if recorder else None
     found = cycle = False
     tainted = 0  # the first `tainted` contexts on the path met a cycle below
 
     def expand(c: Context, path: list) -> list[Context]:
         nonlocal found
-        if record and len(path) > 1:
-            record(path[-2], c)
         if c in memo:
             found = memo[c]
             return []
@@ -694,8 +661,6 @@ def reach_final(net: N.ProofNet, start: Context,
                 memo[path[i]] = False
             tainted = min(tainted, x)
         elif event == CYCLE:
-            if record:
-                record(path[-1], x)
             cycle = True
             tainted = len(path)
         elif event == BUDGET:

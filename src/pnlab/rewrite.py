@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import net as N
-from .formulas import Formula, Forall, match_instance, substitute
+from .formulas import Forall, match_instance, substitute
 from .net import Box, Cut, Edge, ProofNet, Vertex
 
 CUT_KINDS = ("-o", "*", "forall", "!", "X", "D", "N", "W")
@@ -756,9 +756,12 @@ class _State:
     largest: int = 0
 
 
+# the number of distinct states reduction_metrics enters before it gives up
+STATE_BUDGET = 10**5
+
+
 def reduction_metrics(net: ProofNet, strategy: Strategy = ARROW,
-                      step_budget: int = 10**5,
-                      state_budget: int = 10**5) -> tuple[int, int]:
+                      step_budget: int = 10**5) -> tuple[int, int]:
     """Exact maxima over all permitted reduction sequences:
     (longest step count, largest reachable reduct size).
 
@@ -775,7 +778,7 @@ def reduction_metrics(net: ProofNet, strategy: Strategy = ARROW,
         key = canonical_key(cur)
         if key in memo:
             return memo[key]
-        if len(memo) >= state_budget:
+        if len(memo) >= STATE_BUDGET:
             raise MetricsBudget("state budget exhausted")
         memo[key] = (0, cur.size())  # provisional; nets are strongly normalizing
         if parent is None:

@@ -7,11 +7,10 @@ corpus net and prints one line per (net, check).
 from __future__ import annotations
 
 from . import corpus
-from .machine import (BUDGET, BudgetExhausted, Context, Recorder,
-                      dual, explore, is_final, step)
+from .machine import BUDGET, BudgetExhausted, Context, dual, explore, is_final, step
 from .net import ProofNet, validate
 from .rewrite import DOUBLE, REWRITE_BUDGET, TRIANGLE, WEIGHT_KINDS, Walk, normalize
-from .weights import WeightComputer
+from .weights import WeightComputer, canonical_transitions
 
 
 def check_reversibility(net: ProofNet, transitions) -> list[str]:
@@ -127,19 +126,15 @@ def run_suite(verbose: bool = False, nets: dict[str, ProofNet] | None = None):
     failures = []
     for name in sorted(nets):
         net = nets[name]
-        recorder = Recorder()
-        comp = WeightComputer(net, recorder=recorder)
+        comp = WeightComputer(net)
         checks = {
             "valid": validate(net),
             "weights": check_weight_invariants(net, comp),
             "no-stuck": check_no_stuck(net, comp),
             "theorem2": check_theorem2(net, comp),
             "monotonicity": check_monotonicity(net, comp),
-            "reversibility": check_reversibility(net, recorder.transitions),
+            "reversibility": check_reversibility(net, canonical_transitions(comp)),
         }
-        truncation = recorder.truncation()
-        if truncation:
-            checks["reversibility"].append(truncation)
         for cname, problems in checks.items():
             ok = "pass" if not problems else "FAIL"
             if verbose:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import net as N
-from .machine import Context, MachineConfig, Recorder, run, sig_count, step
+from .machine import Context, MachineConfig, run, sig_count, step
 from .signatures import E
-from .weights import WeightComputer
+from .weights import WeightComputer, canonical_transitions
 
 _BASE = frozenset(N.BASE_LABELS)
 
@@ -63,7 +63,7 @@ def check_membership(net: N.ProofNet, system: str) -> list[str]:
 
 
 def check_stratification(transitions) -> list[str]:
-    """Signature count preservation along executed transitions (ELL)."""
+    """Signature count preservation along the given transitions (ELL)."""
     out = []
     for c, d in transitions:
         before = sig_count(c.us) + sig_count(c.stack)
@@ -199,9 +199,10 @@ def verify_soundness(net: N.ProofNet, system: str,
     if violations:
         return report
 
-    recorder = Recorder()
-    comp = WeightComputer(net, config, recorder=recorder)
+    comp = WeightComputer(net, config)
     wrep = comp.report()
+    # no MELL check reads transitions
+    transitions = canonical_transitions(comp) if system != "MELL" else []
     report.weight = wrep.weight
     size = net.size()
     depth = net.net_depth()
@@ -226,7 +227,7 @@ def verify_soundness(net: N.ProofNet, system: str,
                 okq = qbound is None or be.cardinalities[u] <= qbound
                 report.add(f"cardinality({e})", okq,
                            f"R={be.cardinalities[u]} <= {_short(qbound)}")
-        strat = check_stratification(recorder.transitions)
+        strat = check_stratification(transitions)
         report.add("stratification", not strat, "; ".join(strat[:3]))
 
     if system == "SLL":
@@ -237,11 +238,11 @@ def verify_soundness(net: N.ProofNet, system: str,
             lb = size ** net.depth(e)
             report.add(f"sequences({e})", len(be.sequences) <= lb,
                        f"|L|={len(be.sequences)} <= {lb}")
-        report.add("stack-prefix", not check_sll_prefix(recorder.transitions), "")
+        report.add("stack-prefix", not check_sll_prefix(transitions), "")
 
     if system == "LLL":
         ok, witness = check_determinacy(
-            net, config, extra_contexts=[c for c, _ in recorder.transitions])
+            net, config, extra_contexts=[c for c, _ in transitions])
         report.add("determinacy", ok, "" if ok else f"branching at {witness}")
         for e, be in wrep.entries.items():
             for u in be.sequences:
@@ -256,9 +257,6 @@ def verify_soundness(net: N.ProofNet, system: str,
                                        f"copies {finals[end]} and {t} share {end}")
                         finals[end] = t
                 report.add(f"injectivity({e})", True, f"{len(finals)} final(s)")
-    truncation = recorder.truncation()
-    if truncation and system != "MELL":  # no MELL check reads transitions
-        report.add("recorder", False, truncation)
     return report
 
 

@@ -38,7 +38,6 @@ from .machine import (
     Context,
     Entry,
     MachineConfig,
-    Recorder,
     explore,
     final_at,
     is_hole,
@@ -451,13 +450,11 @@ class SharedWalk:
 
     found: set[Sig] = field(default_factory=set)  # reached a final context
     cyclic: set[Sig] = field(default_factory=set)  # met a cycle on the way
-    # each signature's transitions, concrete and in walk order, if recorded
-    moves: dict[Sig, list[tuple[Context, Context]]] | None = None
     nodes: int = 0
 
 
 def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
-                members: list[Sig], record: bool = False) -> SharedWalk:
+                members: list[Sig]) -> SharedWalk:
     """One walk from (edge, us, (t,), +) for every t of members.
 
     A node's payload is the members still live there, those whose runs
@@ -471,8 +468,8 @@ def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
     member walks what reach_final walks from it, and what does not depend
     on its signature is walked once for all.
     """
-    out = SharedWalk(moves={t: [] for t in members} if record else None)
-    found, cyclic, moves = out.found, out.cyclic, out.moves
+    out = SharedWalk()
+    found, cyclic = out.found, out.cyclic
     joins: list = []  # (path index, edge, |U|) of each join on the path
 
     def live_at(node) -> tuple:
@@ -486,14 +483,10 @@ def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
         live = live_at(node)
         if not live:
             return []
-        if moves is not None and len(path) > 1:
-            _link_moves(path[-2], node, live, moves)
         if ch.join:
             live = _at_joins(node, path, live, joins, cyclic)
             if not live:
                 return []
-        if moves is not None:
-            _chain_moves(chains, node, live, moves)
         out.nodes += 1
         kind = ch.kind
         if kind == BRANCH:
@@ -534,10 +527,7 @@ def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
             while joins and joins[-1][0] >= x:
                 joins.pop()
         elif event == CYCLE:  # a transition from path[-1]
-            live = live_at(x)
-            cyclic.update(m[0] for m in live)
-            if moves is not None:
-                _link_moves(path[-1], x, live, moves)
+            cyclic.update(m[0] for m in live_at(x))
     return out
 
 
@@ -562,27 +552,6 @@ def _at_joins(node, path, live, joins, cyclic) -> tuple:
         return live
     cyclic.update(again)
     return tuple(m for m in live if m[0] not in again)
-
-
-def _link_moves(prev, node, live, moves):
-    """Append, for each member in live, the concrete transition from the
-    end of prev's chain into node's."""
-    ch = prev[0]
-    for u, _, _ in live:
-        v = tuple(_at(u, p) for p in prev[1])
-        moves[u].append((_map_holes(ch.end, _subst, v), _concrete(node, u)))
-
-
-def _chain_moves(chains: Chains, node, live, moves):
-    """Append, for each member in live, the concrete transitions along
-    node's chain."""
-    net, config = chains.net, chains.config
-    for u, _, _ in live:
-        c = _concrete(node, u)
-        for _ in range(node[0].steps):
-            d = step(net, c, config)[0]
-            moves[u].append((c, d))
-            c = d
 
 
 # --- the weight computer ----------------------------------------------------
@@ -635,11 +604,9 @@ class WeightReport:
 class WeightComputer:
     """Shared memo tables for copies and canonical sequences on one net."""
 
-    def __init__(self, net: N.ProofNet, config: MachineConfig | None = None,
-                 recorder: Recorder | None = None):
+    def __init__(self, net: N.ProofNet, config: MachineConfig | None = None):
         self.net = net
         self.config = config or MachineConfig()
-        self.recorder = recorder
         self._copies: dict[tuple[str, tuple[Sig, ...]], frozenset[Sig]] = {}
         self._canon: dict[str, list[tuple[Sig, ...]]] = {}
         # reach_final's memo, for is_canonical_context's probes
@@ -648,7 +615,6 @@ class WeightComputer:
         self.chains = Chains(net, self.config)
         self._simps: dict[Sig, frozenset[Sig]] = {}  # simplifications' memo
         self.walk_nodes = 0  # the nodes of every verification walk
-        self._recorded: set[tuple[Context, Context]] = set()
 
     # -- copies --
 
@@ -659,7 +625,7 @@ class WeightComputer:
         if edge not in self.net.principal_edges():
             raise WeightError(f"{edge} is not a box-edge")
         candidates = search_copy_candidates(self.net, edge, us, self.config)
-        # sorted, so that the recorded transitions do not depend on hashing
+        # sorted, so that the walk's order does not depend on hashing
         confirmed = self._confirm(edge, us,
                                   sorted(t for t in candidates if standard(t)))
         self._copies[key] = confirmed
@@ -675,22 +641,12 @@ class WeightComputer:
                  candidates: list[Sig]) -> frozenset[Sig]:
         """The candidates each of whose simplifications reaches a final
         context, from one shared walk."""
-        record = self.recorder is not None
         simps = [(t, simplifications(t, self._simps)) for t in candidates]
-        if record:  # the order runs one simplification at a time take
-            simps = [(t, sorted(ss)) for t, ss in simps]
         members = list(dict.fromkeys(u for _, ss in simps for u in ss))
-        walk = shared_walk(self.chains, edge, us, members, record)
+        walk = shared_walk(self.chains, edge, us, members)
         self.walk_nodes += walk.nodes
         confirmed = []
         for t, ss in simps:
-            if walk.moves is not None:
-                # what runs one simplification at a time would take: up to
-                # and including the first that reaches no final context
-                for u in ss:
-                    self._record(walk.moves[u])
-                    if u not in walk.found:
-                        break
             if all(u in walk.found for u in ss):
                 confirmed.append(t)
                 if any(u in walk.cyclic for u in ss):
@@ -699,13 +655,6 @@ class WeightComputer:
                     # is a canonical cycle
                     self.cycle_seen = True
         return frozenset(confirmed)
-
-    def _record(self, moves: list[tuple[Context, Context]]):
-        """Record each transition once."""
-        for move in moves:
-            if move not in self._recorded:
-                self._recorded.add(move)
-                self.recorder.record(*move)
 
     # -- canonical sequences --
 
@@ -758,12 +707,47 @@ class WeightComputer:
                             positive, not self.cycle_seen)
 
 
-def weight(net: N.ProofNet, config: MachineConfig | None = None,
-           recorder: Recorder | None = None) -> WeightReport:
-    return WeightComputer(net, config, recorder).report()
+def weight(net: N.ProofNet, config: MachineConfig | None = None) -> WeightReport:
+    return WeightComputer(net, config).report()
 
 
 # --- canonical contexts -----------------------------------------------------
+
+
+def canonical_transitions(comp: WeightComputer) -> list[tuple[Context, Context]]:
+    """Every transition a token takes from a canonical start, each once.
+
+    A canonical start is (e, u, (s,), +) for a box-edge e, a canonical
+    sequence u of e and a simplification s of a copy of e on u; every
+    context reachable from one is canonical.  The starts are walked in
+    order (box-edges, sequences, sorted copies, sorted simplifications)
+    with one set of contexts seen, so each context is expanded once and the
+    list does not depend on hashing.  The walk shares the step budget:
+    each start gets what the transitions listed before it left.
+    """
+    net, config = comp.net, comp.config
+    out: list[tuple[Context, Context]] = []
+    seen: set[Context] = set()
+
+    def expand(c: Context, path: list) -> list[Context]:
+        succs = step(net, c, config)
+        out.extend((c, d) for d in succs)
+        return [d for d in succs if d not in seen and not seen.add(d)]
+
+    for e in net.box_edges():
+        for u in comp.canonical_sequences(e):
+            for t in sorted(comp.copies(e, u)):
+                for s in sorted(simplifications(t, comp._simps)):
+                    start = Context(e, u, (s,), "+")
+                    if start in seen:
+                        continue
+                    seen.add(start)
+                    for event, c, _ in explore(start, expand,
+                                               config.step_budget - len(out)):
+                        if event == BUDGET:
+                            raise BudgetExhausted(
+                                "machine step budget exhausted", c)
+    return out
 
 
 def is_canonical_context(net: N.ProofNet, c: Context,
@@ -791,9 +775,12 @@ def is_canonical_context(net: N.ProofNet, c: Context,
     return True
 
 
+# the number of transitions a subtree check takes before it gives up
+SUBTREE_BUDGET = 10**5
+
+
 def check_subtree_property(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
-                           t: Sig, computer: WeightComputer | None = None,
-                           limit: int = 10**5) -> bool:
+                           t: Sig, computer: WeightComputer | None = None) -> bool:
     """Every subtree of a copy is carried by some context reachable from a
     simplification of the copy."""
     comp = computer or WeightComputer(net)
@@ -813,7 +800,7 @@ def check_subtree_property(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
         if c in seen:
             continue
         seen.add(c)
-        for event, node, _ in explore(c, expand, limit):
+        for event, node, _ in explore(c, expand, SUBTREE_BUDGET):
             if event == BUDGET:
                 raise BudgetExhausted("subtree search limit", node)
     return all(u in witnessed for u in subtrees(t))

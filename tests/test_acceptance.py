@@ -12,7 +12,7 @@ import pytest
 
 from pnlab import corpus
 from pnlab.families import gen_family
-from pnlab.machine import Context, MachineConfig, Recorder, dual, is_final, run, step
+from pnlab.machine import Context, MachineConfig, dual, is_final, run, step
 from pnlab.net import validate
 from pnlab.rewrite import (
     ARROW,
@@ -36,6 +36,7 @@ from pnlab.systems import (
 )
 from pnlab.weights import (
     WeightComputer,
+    canonical_transitions,
     check_subtree_property,
     is_canonical_context,
     weight,
@@ -238,11 +239,10 @@ def test_criterion_08_bound_lemma(nets):
 def test_criterion_09_machine_properties(nets):
     reversible = canonical_ok = acyclic = no_stuck = True
     for name, net in sorted(nets.items()):
-        rec = Recorder()
-        comp = WeightComputer(net, recorder=rec)
+        comp = WeightComputer(net)
         rep = comp.report()
         acyclic = acyclic and rep.acyclic
-        for c, d in rec.transitions:
+        for c, d in canonical_transitions(comp):
             if dual(c) not in step(net, dual(d)):
                 reversible = False
         for e, be in rep.entries.items():
@@ -302,10 +302,10 @@ def test_criterion_11_cross_validation(nets):
 
 def test_criterion_12_ell():
     net = corpus.ell_fixture()
-    rec = Recorder()
-    comp = WeightComputer(net, recorder=rec)
+    comp = WeightComputer(net)
     rep = comp.report()
-    strat = check_stratification(rec.transitions) == [] and rec.transitions
+    transitions = canonical_transitions(comp)
+    strat = check_stratification(transitions) == [] and transitions
     size = net.size()
     wbound = rep.weight <= bounds("ELL", net.net_depth(), size)
     per_edge = all(
@@ -337,10 +337,10 @@ def test_criterion_14_lll():
     ok = True
     for f in (corpus.lll_fixture, corpus.lll_sec_fixture):
         net = f()
-        rec = Recorder()
-        comp = WeightComputer(net, recorder=rec)
+        comp = WeightComputer(net)
         rep = comp.report()
-        det, _ = check_determinacy(net, extra_contexts=[c for c, _ in rec.transitions])
+        det, _ = check_determinacy(
+            net, extra_contexts=[c for c, _ in canonical_transitions(comp)])
         wbound = rep.weight <= bounds("LLL", net.net_depth(), net.size())
         ok = ok and det and wbound
     line(14, ok, "LLL strong determinacy and W within the light recurrences")

@@ -3,10 +3,10 @@
 Each walk of the transition relation, and the final-context test, was once
 written out by hand.  Those versions are copied below as references, with
 the one intended change: the suite's checks iterate copies in sorted
-order.  Every result is compared: run trees, traces and recorded
-transitions at three budgets; reach_final's answers, memo and cycle flag;
-copy candidates; the no-stuck and subtree checks; and is_final on every
-recorded context.
+order.  Every result is compared: run trees and traces at three budgets;
+reach_final's answers, memo and cycle flag; copy candidates; the no-stuck
+and subtree checks; and is_final on every context of a canonical
+transition.
 """
 
 import itertools
@@ -26,7 +26,6 @@ from pnlab.machine import (
     Context,
     Entry,
     MachineConfig,
-    Recorder,
     RunResult,
     is_final,
     parse_context,
@@ -49,6 +48,7 @@ from pnlab.suite import check_no_stuck
 from pnlab.weights import (
     WeightComputer,
     _complete,
+    canonical_transitions,
     check_subtree_property,
     search_copy_candidates,
 )
@@ -105,7 +105,7 @@ def ref_is_final(net, c):
     return label == N.PREM and ref_neg_final_stack(c.stack)
 
 
-def ref_run(net, start, config=None, recorder=None, trace=None):
+def ref_run(net, start, config=None, trace=None):
     config = config or MachineConfig()
     budget = [config.step_budget]
 
@@ -121,8 +121,6 @@ def ref_run(net, start, config=None, recorder=None, trace=None):
             if len(succs) == 1:
                 d = succs[0]
                 budget[0] -= 1
-                if recorder:
-                    recorder.record(c, d)
                 if trace is not None:
                     trace.append(d)
                 if d in visited:
@@ -133,8 +131,6 @@ def ref_run(net, start, config=None, recorder=None, trace=None):
             branches = []
             for d in succs:
                 budget[0] -= 1
-                if recorder:
-                    recorder.record(c, d)
                 if trace is not None:
                     trace.append(d)
                 if d in visited:
@@ -146,7 +142,7 @@ def ref_run(net, start, config=None, recorder=None, trace=None):
     return explore(start, 0, frozenset([start]))
 
 
-def ref_reach_final(net, start, config, memo, recorder=None):
+def ref_reach_final(net, start, config, memo):
     """reach_final and its watching copy: (reachable, cycle seen)."""
     budget = [config.step_budget]
     seen = [False]
@@ -167,8 +163,6 @@ def ref_reach_final(net, start, config, memo, recorder=None):
         result = False
         for d in step(net, c, config):
             budget[0] -= 1
-            if recorder:
-                recorder.record(c, d)
             r, t = go(d, visiting)
             tainted = tainted or t
             if r:
@@ -389,12 +383,6 @@ STACKS = ((E,), (lsig(E),), (rsig(E),), (nsig(E, E),), (msig(1),),
 BUDGETS = (10**7, 5, 2)
 
 
-def _recorded(net):
-    rec = Recorder()
-    WeightComputer(net, recorder=rec).report()
-    return rec.transitions
-
-
 # --- comparisons --------------------------------------------------------------
 
 
@@ -408,30 +396,26 @@ def test_run_matches_reference(name):
                 start = Context(e, (), stack, pol)
                 for budget in BUDGETS:
                     config = MachineConfig(step_budget=budget)
-                    got, want = Recorder(), Recorder()
                     got_trace, want_trace = [], []
-                    r = run(net, start, config, got, got_trace)
-                    w = ref_run(net, start, config, want, want_trace)
+                    r = run(net, start, config, got_trace)
+                    w = ref_run(net, start, config, want_trace)
                     assert r == w, (e, stack, pol, budget)
                     assert got_trace == want_trace
-                    assert got.transitions == want.transitions
 
 
 @pytest.mark.parametrize("name", sorted(NETS))
 def test_reach_final_and_is_final_match_reference(name):
     net = NETS[name]
     config = MachineConfig()
-    transitions = _recorded(net)
+    transitions = canonical_transitions(WeightComputer(net))
     starts = list(dict.fromkeys(c for pair in transitions for c in pair))
     for c in starts:
         assert is_final(net, c) == ref_is_final(net, c), c
     memo, ref_memo = {}, {}
-    got, want = Recorder(), Recorder()
     for c in starts:
-        assert (reach_final(net, c, config, memo, got)
-                == ref_reach_final(net, c, config, ref_memo, want)), c
+        assert (reach_final(net, c, config, memo)
+                == ref_reach_final(net, c, config, ref_memo)), c
     assert list(memo.items()) == list(ref_memo.items())
-    assert got.transitions == want.transitions
 
 
 @pytest.mark.parametrize("name", sorted(NETS))
@@ -507,19 +491,19 @@ def test_run_and_reach_final_match_reference_on_cyclic_graphs():
         succs, finals = _random_graph(rng)
         net, ctx = _graph_net(succs, finals)
         memo, ref_memo = {}, {}
-        got, want = Recorder(), Recorder()
         for start in map(ctx.get, succs):
             for budget in (10**7, 3, 1):
                 config = MachineConfig(step_budget=budget)
-                r = run(net, start, config, got)
-                assert r == ref_run(net, start, config, want)
+                got_trace, want_trace = [], []
+                r = run(net, start, config, got_trace)
+                assert r == ref_run(net, start, config, want_trace)
+                assert got_trace == want_trace
                 kinds.update(o.kind for o in (r, *r.outcomes()))
             config = MachineConfig()
-            answer = reach_final(net, start, config, memo, got)
-            assert answer == ref_reach_final(net, start, config, ref_memo, want)
+            answer = reach_final(net, start, config, memo)
+            assert answer == ref_reach_final(net, start, config, ref_memo)
             cycles += answer[1]
         assert list(memo.items()) == list(ref_memo.items())
-        assert got.transitions == want.transitions
     assert kinds == {"final", "stuck", "budget", "branch", "cycle"}
     assert cycles
 
@@ -539,14 +523,11 @@ def test_long_paths_need_no_python_frames():
 
 TRANSITIONS_SCRIPT = """
 from pnlab import lam
-from pnlab.machine import Recorder
-from pnlab.weights import WeightComputer
+from pnlab.weights import WeightComputer, canonical_transitions
 sig = {"g": lam.parse_type("t -> t"), "z": lam.parse_type("t")}
 net = lam.from_lambda(lam.parse_lambda(
     "(\\\\f:t -> t. \\\\x:t. f (f (f x))) g z"), sig)
-rec = Recorder()
-WeightComputer(net, recorder=rec).report()
-for c, d in rec.transitions:
+for c, d in canonical_transitions(WeightComputer(net)):
     print(c, d)
 """
 

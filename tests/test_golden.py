@@ -21,12 +21,13 @@ from contextlib import redirect_stdout
 import pytest
 
 from pnlab import cli, corpus, families, lam
-from pnlab.machine import Recorder, parse_context, run
+from pnlab.machine import parse_context, run
 from pnlab.formulas import alpha_canon
 from pnlab.net import parse_net, print_net
 from pnlab.rewrite import STRATEGIES, TRIANGLE, normalize
 from pnlab.suite import check_no_stuck
-from pnlab.weights import WeightComputer, search_copy_candidates
+from pnlab.weights import (WeightComputer, canonical_transitions,
+                           search_copy_candidates)
 
 
 def _church(k: int, ty: str) -> str:
@@ -94,21 +95,19 @@ def _tree(result, depth=0):
 
 
 def run_output(net, start: str) -> str:
-    """run's outcome tree, then its trace, then its recorded transitions."""
-    rec, trace = Recorder(), []
-    result = run(net, parse_context(net, start), recorder=rec, trace=trace)
-    return (_lines(_tree(result)) + "--\n" + _lines((c,) for c in trace)
-            + "--\n" + _lines(rec.transitions))
+    """run's outcome tree, then its trace."""
+    trace = []
+    result = run(net, parse_context(net, start), trace=trace)
+    return _lines(_tree(result)) + "--\n" + _lines((c,) for c in trace)
 
 
 def weight_walks_output() -> tuple[str, str, int]:
-    """The weight report of church 6 g z, the transitions its walks
-    recorded as a sorted set of lines, and the number of nodes of its
-    verification walks."""
-    rec = Recorder()
-    comp = WeightComputer(_applied(_church(6, "t")), recorder=rec)
+    """The weight report of church 6 g z, its canonical transitions as a
+    sorted set of lines, and the number of nodes of its verification
+    walks."""
+    comp = WeightComputer(_applied(_church(6, "t")))
     report = json.dumps(comp.report().to_dict(), indent=2, sort_keys=True)
-    transitions = "".join(sorted({_lines([t]) for t in rec.transitions}))
+    transitions = "".join(sorted({_lines([t]) for t in canonical_transitions(comp)}))
     return report, transitions, comp.walk_nodes
 
 
@@ -200,17 +199,18 @@ MACHINE_SHA = {
     ("lambda-church", "e12 / eps / e / -", ()):
         "f18bb724f4b05dfe625563f6fa1dd034c72b32dc18732627e250a47f3e30d25b",
 }
-# (net, start) -> sha256 of run's outcomes, trace and recorded transitions
+# (net, start) -> sha256 of run's outcomes and trace, computed before the
+# transition recorder was removed
 RUN_SHA = {
     ("dr-ladder-8", "concl / eps / a / -"):
-        "c2b1a6e4ec0eea48399dbeda1e58e108344bb3e268c362d2483ceaa8e6c58b4e",
+        "6edb8b5dfb308fc662f10215d5d0a12a348c508a5e7d276cff39814c0f3e2d1a",
     # a jump to both doors of a box, one branch each
     ("lambda-church", "e12 / eps / e / -"):
-        "5cf7b4f13cb60cfd05c2b8c7b11aae69b3faa15b02f53c566c9aed58e901a7cb",
+        "a73798daf5aec3ceb86051f077b818848e757c4732b1ee9e971e0312197bbae7",
 }
-# church 6 g z: the report; the set of recorded transitions, the same
-# before the copies of a box-edge were verified in one shared walk, when
-# they were recorded run by run; the shared walks' node count
+# church 6 g z: the report; the set of canonical transitions, the same as
+# the transitions recorded run by run before the copies of a box-edge were
+# verified in one shared walk; the shared walks' node count
 WEIGHT_WALKS_REPORT_SHA = \
     "01b08969f2a6245b42909bd0380cc6e33f47e59ba26a9bef11d0729fe556af5c"
 WEIGHT_WALKS_TRANSITIONS_SHA = \

@@ -256,7 +256,8 @@ def test_reduction_metrics_budgets_run_out_where_they_did(monkeypatch):
     log = fire_log(monkeypatch)
     net = church(3)
     for steps, states in ((0, 10), (5, 10), (37, 10**5), (10**5, 1), (10**5, 9)):
-        got = outcome(reduction_metrics, net, TRIANGLE, steps, states)
+        monkeypatch.setattr(rewrite, "STATE_BUDGET", states)
+        got = outcome(reduction_metrics, net, TRIANGLE, steps)
         calls = log[:]
         log.clear()
         want = outcome(ref_reduction_metrics, net, TRIANGLE, steps, states)

@@ -7,7 +7,6 @@ from pnlab.families import gen_family
 from pnlab.machine import (
     Context,
     MachineConfig,
-    Recorder,
     dual,
     is_final,
     parse_context,
@@ -188,22 +187,18 @@ def test_dual_involution():
 
 
 def test_reversibility_on_recorded_transitions(all_nets):
-    from pnlab.weights import WeightComputer
+    from pnlab.weights import WeightComputer, canonical_transitions
 
     for name, net in all_nets.items():
-        rec = Recorder()
-        WeightComputer(net, recorder=rec).report()
-        for c, d in rec.transitions:
+        for c, d in canonical_transitions(WeightComputer(net)):
             assert dual(c) in step(net, dual(d)), (name, c, d)
 
 
 def test_determinism_outside_box_branching(all_nets):
-    from pnlab.weights import WeightComputer
+    from pnlab.weights import WeightComputer, canonical_transitions
 
     for name, net in all_nets.items():
-        rec = Recorder()
-        WeightComputer(net, recorder=rec).report()
-        for c, _ in rec.transitions:
+        for c, _ in canonical_transitions(WeightComputer(net)):
             succs = step(net, c)
             if len(succs) > 1:
                 v = net.edges[c.edge]
@@ -262,15 +257,13 @@ def test_parse_context():
 def test_ell_stratification_and_mell_counterexample(named_nets):
     from pnlab.systems import check_stratification
     from pnlab import corpus
-    from pnlab.weights import WeightComputer
+    from pnlab.weights import WeightComputer, canonical_transitions
 
-    rec = Recorder()
-    WeightComputer(corpus.ell_fixture(), recorder=rec).report()
-    assert rec.transitions and check_stratification(rec.transitions) == []
+    transitions = canonical_transitions(WeightComputer(corpus.ell_fixture()))
+    assert transitions and check_stratification(transitions) == []
 
     # a dereliction pop changes the signature count; box-dig's copy runs
     # traverse two derelictions
-    rec2 = Recorder()
-    WeightComputer(named_nets["box-dig"], recorder=rec2).report()
-    bad = check_stratification(rec2.transitions)
+    bad = check_stratification(
+        canonical_transitions(WeightComputer(named_nets["box-dig"])))
     assert bad, "a D-vertex transition must change the signature count"

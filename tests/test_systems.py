@@ -1,7 +1,7 @@
 import pytest
 
 from pnlab import corpus
-from pnlab.machine import Context, MachineConfig, Recorder, step
+from pnlab.machine import Context, MachineConfig, step
 from pnlab.net import retag
 from pnlab.signatures import E, msig
 from pnlab.systems import (
@@ -13,7 +13,7 @@ from pnlab.systems import (
     check_stratification,
     verify_soundness,
 )
-from pnlab.weights import WeightComputer
+from pnlab.weights import WeightComputer, canonical_transitions
 
 
 def test_profiles():
@@ -45,10 +45,9 @@ def test_membership_examples(named_nets):
 
 def test_stratification_on_ell_runs():
     net = corpus.ell_fixture()
-    rec = Recorder()
-    WeightComputer(net, recorder=rec).report()
-    assert rec.transitions
-    assert check_stratification(rec.transitions) == []
+    transitions = canonical_transitions(WeightComputer(net))
+    assert transitions
+    assert check_stratification(transitions) == []
     assert check_stratification([]) == []
 
 
@@ -88,10 +87,9 @@ def test_mux_dual_pushes_index():
 def test_determinacy():
     for f in (corpus.lll_fixture, corpus.lll_sec_fixture):
         net = f()
-        rec = Recorder()
-        WeightComputer(net, recorder=rec).report()
         ok, witness = check_determinacy(
-            net, extra_contexts=[c for c, _ in rec.transitions])
+            net, extra_contexts=[c for c, _ in canonical_transitions(
+                WeightComputer(net))])
         assert ok, (f.__name__, witness)
 
     # a MELL box with two premises branches
@@ -151,67 +149,65 @@ def test_ell_per_depth_inequalities():
 
 def test_sll_prefix_stability():
     net = corpus.sll_fixture()
-    rec = Recorder()
-    WeightComputer(net, recorder=rec).report()
-    assert check_sll_prefix(rec.transitions) == []
+    transitions = canonical_transitions(WeightComputer(net))
+    assert transitions
+    assert check_sll_prefix(transitions) == []
 
 
-# --- recorder truncation ----------------------------------------------------
+# --- the reversibility check ------------------------------------------------
 
 
-def test_recorder_counts_what_it_drops():
-    rec = Recorder(limit=2)
-    for i in range(5):
-        rec.record(i, i + 1)
-    assert rec.transitions == [(0, 1), (1, 2)] and rec.dropped == 3
-    assert rec.truncation() == ("3 transition(s) past the recorder's limit of "
-                                "2 were not recorded, so they went unchecked")
-    assert Recorder().truncation() is None
-
-
-def _recorded(net) -> int:
-    rec = Recorder()
-    WeightComputer(net, recorder=rec).report()
-    assert rec.dropped == 0
-    return len(rec.transitions)
-
-
-def test_suite_reports_dropped_transitions(monkeypatch):
+def test_suite_reports_a_transition_without_a_dual(monkeypatch):
+    """A compiled entry that no longer steps back from dual(d) to dual(c)
+    makes the taken transition c -> d irreversible."""
     from pnlab import suite
+    from pnlab.machine import dual, table_entry
     from test_golden import _applied, _church
 
     net = _applied(_church(2, "t"))
-    whole = suite.run_suite(nets={"church": net})
-    total = _recorded(net)
-    assert total > 5
-    monkeypatch.setattr(suite, "Recorder", lambda: Recorder(limit=5))
-    cut = suite.run_suite(nets={"church": net})
-    assert cut == whole + [
-        f"church: reversibility: {total - 5} transition(s) past the "
-        "recorder's limit of 5 were not recorded, so they went unchecked"]
+    assert suite.run_suite(nets={"church": net}) == []
+    c, d = canonical_transitions(WeightComputer(net))[0]
+    back = dual(d)
+    entry = table_entry(net, back.edge, back.pol)
+
+    def rule(us, st, config):
+        succs = entry.rule(us, st, config)
+        return [x for x in succs if x != dual(c)] if (us, st) == back[1:3] else succs
+
+    monkeypatch.setitem(net._index.transitions, (back.edge, back.pol),
+                        entry._replace(rule=rule))
+    assert suite.run_suite(nets={"church": net}) == [
+        f"church: reversibility: transition {c} -> {d} is not reversible"]
 
 
-def test_soundness_fails_on_dropped_transitions(monkeypatch):
-    import pnlab.systems as systems
+@pytest.mark.parametrize("system", ["ELL", "SLL", "LLL"])
+def test_soundness_checks_read_the_canonical_transitions(monkeypatch, system):
+    """A compiled entry changed at one canonical transition c -> d fails
+    the check that reads it: d gains a signature (ELL), d's stack bottom
+    changes (SLL), or c gets a second successor (LLL)."""
+    from pnlab.machine import table_entry
 
-    whole = {tag: verify_soundness(f(), tag).to_dict()
-             for tag, f in (("ELL", corpus.ell_fixture),
-                            ("SLL", corpus.sll_fixture),
-                            ("LLL", corpus.lll_fixture))}
-    assert not any(c["name"] == "recorder"
-                   for d in whole.values() for c in d["checks"])
-    monkeypatch.setattr(systems, "Recorder", lambda: Recorder(limit=1))
-    for tag, f in (("ELL", corpus.ell_fixture), ("SLL", corpus.sll_fixture),
-                   ("LLL", corpus.lll_fixture)):
-        total = _recorded(f())
-        cut = verify_soundness(f(), tag).to_dict()
-        assert not cut["ok"]
-        assert cut["checks"][-1] == {
-            "name": "recorder", "ok": False,
-            "detail": f"{total - 1} transition(s) past the recorder's limit "
-                      "of 1 were not recorded, so they went unchecked"}
-        assert cut["checks"][:len(whole[tag]["checks"])] == whole[tag]["checks"]
-    # no MELL check reads the transitions, so MELL loses nothing by the limit
-    copy = corpus.named_fixtures()["copy"]
-    assert _recorded(copy) > 1
-    assert verify_soundness(copy, "MELL").ok
+    net = {"ELL": corpus.ell_fixture, "SLL": corpus.sll_fixture,
+           "LLL": corpus.lll_fixture}[system]()
+    name = {"ELL": "stratification", "SLL": "stack-prefix",
+            "LLL": "determinacy"}[system]
+    checks = verify_soundness(net, system).to_dict()["checks"]
+    assert [k["ok"] for k in checks if k["name"] == name] == [True]
+    c, d = next((c, d) for c, d in canonical_transitions(WeightComputer(net))
+                if system != "SLL" or len(c.stack) >= 2)
+    if system == "ELL":
+        wrong = [d._replace(stack=d.stack + (E,))]
+    elif system == "SLL":
+        bottom = "o" if c.stack[0] == "a" else "a"
+        wrong = [d._replace(stack=(bottom,) + d.stack[1:])]
+    else:
+        wrong = [d, d]
+    entry = table_entry(net, c.edge, c.pol)
+
+    def rule(us, st, config):
+        return wrong if (us, st) == c[1:3] else entry.rule(us, st, config)
+
+    monkeypatch.setitem(net._index.transitions, (c.edge, c.pol),
+                        entry._replace(rule=rule))
+    checks = verify_soundness(net, system).to_dict()["checks"]
+    assert [k["ok"] for k in checks if k["name"] == name] == [False]

@@ -2,12 +2,13 @@ import pytest
 
 from pnlab.families import gen_family
 from pnlab.formulas import Atom
-from pnlab.machine import Context, MachineConfig, Recorder
+from pnlab.machine import BudgetExhausted, Context, MachineConfig
 from pnlab.signatures import E, lsig, msig, nsig, psig, rsig, simplifications
 from pnlab.terms import Ax, Cut, Derelict, Dig, Promote, elaborate
 from pnlab.weights import (
     WeightComputer,
     WeightError,
+    canonical_transitions,
     check_subtree_property,
     is_canonical_context,
     weight,
@@ -193,3 +194,20 @@ def test_sll_copies_over_mux_alphabet():
     assert comp.copies(e, ()) == {msig(1), msig(2), msig(3)}
     assert comp.cardinality(e, ()) == 3
     assert comp.report().weight == 2
+
+
+def test_canonical_transitions_are_listed_once_within_one_budget():
+    """Each transition once, also where a walk reaches a later start (on
+    the jump example), and one step budget for the walks from every start
+    together: half of it runs out on church 3, though no start walks that
+    far."""
+    jump = canonical_transitions(WeightComputer(gen_family("jump-example")))
+    assert len(set(jump)) == len(jump) == 4
+    comp = WeightComputer(gen_family("church", (3,)))
+    transitions = canonical_transitions(comp)
+    assert len(set(transitions)) == len(transitions) > 100
+    comp.config.step_budget = len(transitions)
+    assert canonical_transitions(comp) == transitions
+    comp.config.step_budget = len(transitions) // 2
+    with pytest.raises(BudgetExhausted):
+        canonical_transitions(comp)
