@@ -5,9 +5,9 @@ export-dot.  Exit codes: 0 success, 1 validation or verification failure,
 2 budget exhausted, 3 usage or parse error.
 
 Inputs are serialized nets (pnet files) or proof terms (s-expressions);
-the two are distinguished by their first token.  Budgets come from flags,
-then the environment (PNLAB_STEP_BUDGET, PNLAB_REWRITE_BUDGET), then
-defaults.  Reports are deterministic; timing is emitted only on request and
+the two are distinguished by their first token.  --budget sets a
+command's budget; without it the machine's and the rewriter's defaults
+hold.  Reports are deterministic; timing is emitted only on request and
 lives in its own section.
 """
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -99,16 +98,6 @@ def _report_invalid(net: N.ProofNet) -> bool:
     return bool(diags)
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise CliError(f"bad {name}={raw!r}") from exc
-
-
 def _emit(report: dict, out=None):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     (out or sys.stdout).write(text)
@@ -143,7 +132,7 @@ def cmd_normalize(args) -> int:
     if _report_invalid(net):
         return EXIT_FAIL
     strategy = STRATEGIES[args.strategy]
-    budget = args.budget or _env_int("PNLAB_REWRITE_BUDGET", REWRITE_BUDGET)
+    budget = args.budget or REWRITE_BUDGET
     t0 = time.monotonic()
     nf, trace = normalize(net, strategy, budget)
     kinds = [s.kind for s in trace.steps]
@@ -177,7 +166,7 @@ def cmd_weight(args) -> int:
         return EXIT_FAIL
     config = MachineConfig(
         jumps_enabled=not args.no_jumps,
-        step_budget=args.budget or _env_int("PNLAB_STEP_BUDGET", 10**7))
+        step_budget=args.budget or MachineConfig.step_budget)
     t0 = time.monotonic()
     comp = WeightComputer(net, config)
     rep = comp.report()
@@ -198,8 +187,7 @@ def cmd_machine(args) -> int:
     net = _load_net(text)
     if _report_invalid(net):
         return EXIT_FAIL
-    config = MachineConfig(step_budget=args.budget
-                           or _env_int("PNLAB_STEP_BUDGET", 10**7))
+    config = MachineConfig(step_budget=args.budget or MachineConfig.step_budget)
     start = parse_context(net, args.start)
     steps: list = []
     result = run(net, start, config, trace=steps)
@@ -227,7 +215,7 @@ def cmd_verify(args) -> int:
     system = args.system or net.system
     config = MachineConfig(
         jumps_enabled=not args.no_jumps,
-        step_budget=args.budget or _env_int("PNLAB_STEP_BUDGET", 10**7))
+        step_budget=args.budget or MachineConfig.step_budget)
     rep = verify_soundness(net, system, config)
     report = {
         "report_version": REPORT_VERSION,

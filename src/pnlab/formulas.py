@@ -194,13 +194,6 @@ def substitute(f: Formula, atom: str, b: Formula,
     return memo[id(f)][1]
 
 
-def rename_free_atom(f: Formula, old: str, new: str,
-                     memo: dict | None = None) -> Formula:
-    """Rename free occurrences of an atom; bound occurrences are untouched.
-    memo is substitute's, shared by renamings of the same atom."""
-    return substitute(f, old, Atom(new), memo)
-
-
 def alpha_canon(f: Formula) -> str:
     """Canonical nameless text; equal iff the formulas are alpha-equivalent.
 

@@ -29,19 +29,18 @@ polarity and a single-signature stack, where it jumps to every box premise
 at once.
 
 Every walk of the transition relation (run, reach_final, the copy search
-and verification over weights.Chains, the canonical transitions and the
-suite's checks) is one call of explore: a depth-first walk on an explicit
-stack that keeps the current path as a set for cycle detection and a stack
-entry only for a node with successors left, so the length of a path costs
-no Python frames.  A walk's
-per-node work is its expand hook, and explore yields events only where the
-walk branches, meets a cycle, runs out of budget or backtracks, never once
-per node.  One budget rule holds for all of them: it is checked when a node
-with successors is expanded, and each transition taken costs one unit (a
-chain walk checks it at every node, which costs its chain's transitions
-and one more).  run
-reports an exhausted budget as an outcome; the other walks raise
-BudgetExhausted.
+and verification over weights.Chains, the canonical walk that the suite's
+checks read, and the subtree check) is one call of explore: a depth-first
+walk on an explicit stack that keeps the current path as a set for cycle
+detection and a stack entry only for a node with successors left, so the
+length of a path costs no Python frames.  A walk's per-node work is its
+expand hook, and explore yields events only where the walk branches, meets
+a cycle, runs out of budget or backtracks, never once per node.  One
+budget rule holds for all of them: it is checked when a node with
+successors is expanded, and each transition taken costs one unit (a chain
+walk checks it at every node, which costs its chain's transitions and one
+more).  run reports an exhausted budget as an outcome; the other walks
+raise BudgetExhausted.
 
 A final context is defined once, by final_at on its table entry
 (final_bindings on a context).  The copy search's holes ('h', pos),
@@ -49,7 +48,7 @@ signatures not yet chosen, may stand where a final context needs e;
 final_at then binds them to e.  A final context has no successor: it is
 at a conclusion, weakening or premise, where no rule applies, or at a
 dereliction's bang port on a one-element stack, where the rule needs two.
-So run, reach_final and the suite's checks call step once per node, and
+So run, reach_final and the canonical walk call step once per node, and
 the chains of the copy search read a context's table entry once and call
 its rule; each tests finality only when no successor comes back.
 """

@@ -1,16 +1,19 @@
 """Invariant suite over the built-in corpus, shared by the CLI and tests.
 
 Each check returns a list of failure strings; run_suite aggregates them per
-corpus net and prints one line per (net, check).
+corpus net and prints one line per (net, check).  The machine checks read
+one canonical walk per net (weights.canonical_walk): reversibility its
+transitions, no-stuck its stuck contexts.  The weight checks read weight
+reports, and monotonicity one report per net of the double-strategy walk.
 """
 
 from __future__ import annotations
 
 from . import corpus
-from .machine import BUDGET, BudgetExhausted, Context, dual, explore, is_final, step
+from .machine import dual, step
 from .net import ProofNet, validate
 from .rewrite import DOUBLE, REWRITE_BUDGET, TRIANGLE, WEIGHT_KINDS, Walk, normalize
-from .weights import WeightComputer, canonical_transitions
+from .weights import WeightComputer, canonical_walk
 
 
 def check_reversibility(net: ProofNet, transitions) -> list[str]:
@@ -35,29 +38,10 @@ def check_weight_invariants(net: ProofNet, comp: WeightComputer) -> list[str]:
     return out
 
 
-def check_no_stuck(net: ProofNet, comp: WeightComputer) -> list[str]:
-    """Verification runs of confirmed copies never strand a token."""
-    out = []
-    cfg = comp.config
-    seen: set[Context] = set()
-
-    def expand(c: Context, path: list) -> list[Context]:
-        succs = step(net, c, cfg)
-        if not succs and not is_final(net, c):
-            out.append(f"stuck canonical context {c}")
-        return [d for d in succs if d not in seen and not seen.add(d)]
-
-    for e, be in comp.report().entries.items():
-        for u in be.sequences:
-            for t in sorted(be.copies[u]):
-                start = Context(e, u, (t,), "+")
-                seen.clear()
-                seen.add(start)
-                for event, c, _ in explore(start, expand, cfg.step_budget):
-                    if event == BUDGET:
-                        raise BudgetExhausted(
-                            "machine step budget exhausted", c)
-    return out
+def check_no_stuck(stuck) -> list[str]:
+    """No canonical run strands a token: the canonical walk's stuck
+    contexts, one line each."""
+    return [f"stuck canonical context {c}" for c in stuck]
 
 
 def check_theorem2(net: ProofNet, comp: WeightComputer) -> list[str]:
@@ -76,8 +60,9 @@ def check_theorem2(net: ProofNet, comp: WeightComputer) -> list[str]:
 
 def check_monotonicity(net: ProofNet, comp: WeightComputer) -> list[str]:
     """The per-rule weight identities along the double-strategy walk that
-    normalize takes.  `comp` is the input net's computer; each later net
-    gets its own, with the same machine configuration.
+    normalize takes, read from the weight reports of consecutive nets.
+    `comp` is the input net's computer; each later net gets its own, with
+    the same machine configuration.
 
     For a box merge the displayed identity uses sum(R), but the weight
     definition pins the difference to sum(R - 1): merging removes one
@@ -86,35 +71,34 @@ def check_monotonicity(net: ProofNet, comp: WeightComputer) -> list[str]:
     """
     out = []
     walk = Walk(net, DOUBLE, REWRITE_BUDGET)
-    comp_g, rep_g = comp, None
+    rep_g = None
     for _, cut, nxt, _ in walk:
         if rep_g is None:  # the input's report, read once a cut has fired
-            rep_g = comp_g.report()
-        comp_h = WeightComputer(nxt, comp.config)
-        rep_h = comp_h.report()
+            rep_g = comp.report()
+        rep_h = WeightComputer(nxt, comp.config).report()
         wg, wh = rep_g.weight, rep_h.weight
         if cut.kind in ("-o", "*", "forall", "D", "W"):
             if wg != wh:
                 out.append(f"{cut.kind} step changed W: {wg} -> {wh}")
         elif cut.kind == "!":
-            expect = wh + sum(comp_g.cardinality(cut.edge, u) - 1
-                              for u in comp_g.canonical_sequences(cut.edge))
+            be = rep_g.entries[cut.edge]
+            expect = wh + sum(be.cardinalities[u] - 1 for u in be.sequences)
             if wg != expect:
                 out.append(f"! step: W {wg} != {expect}")
         elif cut.kind == "X":
-            expect = wh + len(comp_g.canonical_sequences(cut.edge))
+            expect = wh + len(rep_g.entries[cut.edge].sequences)
             if wg != expect:
                 out.append(f"X step: W {wg} != {expect}")
         elif cut.kind == "N":
             # the cut edge survives as the inner box-edge of the new box
-            expect = wh + len(comp_h.canonical_sequences(cut.edge))
+            expect = wh + len(rep_h.entries[cut.edge].sequences)
             if wg != expect:
                 out.append(f"N step: W {wg} != {expect}")
         if rep_g.t_value <= rep_h.t_value:
             out.append(
                 f"T did not decrease on a {cut.kind} step: "
                 f"{rep_g.t_value} -> {rep_h.t_value}")
-        comp_g, rep_g = comp_h, rep_h
+        rep_g = rep_h
     if walk.cuts:
         out.append(
             f"the double-strategy walk left cuts after {REWRITE_BUDGET} steps")
@@ -127,13 +111,14 @@ def run_suite(verbose: bool = False, nets: dict[str, ProofNet] | None = None):
     for name in sorted(nets):
         net = nets[name]
         comp = WeightComputer(net)
+        walk = canonical_walk(comp)
         checks = {
             "valid": validate(net),
             "weights": check_weight_invariants(net, comp),
-            "no-stuck": check_no_stuck(net, comp),
+            "no-stuck": check_no_stuck(walk.stuck),
             "theorem2": check_theorem2(net, comp),
             "monotonicity": check_monotonicity(net, comp),
-            "reversibility": check_reversibility(net, canonical_transitions(comp)),
+            "reversibility": check_reversibility(net, walk.transitions),
         }
         for cname, problems in checks.items():
             ok = "pass" if not problems else "FAIL"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import net as N
 from .machine import Context, MachineConfig, run, sig_count, step
 from .signatures import E
-from .weights import WeightComputer, canonical_transitions
+from .weights import WeightComputer, canonical_walk
 
 _BASE = frozenset(N.BASE_LABELS)
 
@@ -202,18 +202,25 @@ def verify_soundness(net: N.ProofNet, system: str,
     comp = WeightComputer(net, config)
     wrep = comp.report()
     # no MELL check reads transitions
-    transitions = canonical_transitions(comp) if system != "MELL" else []
+    transitions = canonical_walk(comp).transitions if system != "MELL" else []
     report.weight = wrep.weight
     size = net.size()
     depth = net.net_depth()
 
-    cap = _capped_bound(system, wrep.weight if system == "MELL" else depth, size)
-    if cap is None:
-        report.add("weight-bound", True,
-                   f"W={wrep.weight}; bound astronomically larger")
+    if system == "MELL" and wrep.weight < 0:
+        # only a box-edge with no copy makes W negative, and then Theorem 1
+        # does not apply
+        report.add("weight-bound", False, f"W={wrep.weight}: some box-edge "
+                   "has no copy on a canonical sequence")
     else:
-        report.add("weight-bound", wrep.weight <= cap,
-                   f"W={wrep.weight} <= {_short(cap)}")
+        cap = _capped_bound(system, wrep.weight if system == "MELL" else depth,
+                            size)
+        if cap is None:
+            report.add("weight-bound", True,
+                       f"W={wrep.weight}; bound astronomically larger")
+        else:
+            report.add("weight-bound", wrep.weight <= cap,
+                       f"W={wrep.weight} <= {_short(cap)}")
 
     if system == "ELL":
         for e, be in wrep.entries.items():

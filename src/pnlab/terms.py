@@ -47,7 +47,6 @@ from .formulas import (
     feq,
     free_atoms,
     parse_formula,
-    rename_free_atom,
     substitute,
 )
 
@@ -520,7 +519,7 @@ def _rforall(b, t, marks, p):
     for k in range(marks[1] + 1, b.en + 1):
         e = b.edges.get(f"e{k}")  # None when a cut merged it away
         if e is not None:
-            e.formula = rename_free_atom(e.formula, t.binder, fresh, memo)
+            e.formula = substitute(e.formula, t.binder, Atom(fresh), memo)
     v = b.vtx(N.RFORALL)
     cf = b.edges[p.concl].formula
     b.edges[p.concl].tgt = (v, "prem")

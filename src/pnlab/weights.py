@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import net as N
 from .machine import (
@@ -40,6 +41,7 @@ from .machine import (
     MachineConfig,
     explore,
     final_at,
+    is_final,
     is_hole,
     reach_final,
     step,
@@ -661,11 +663,10 @@ class WeightComputer:
     def canonical_sequences(self, item: str) -> list[tuple[Sig, ...]]:
         if item in self._canon:
             return self._canon[item]
-        theta = self.net.theta(item)
-        if theta is None:
+        enclosing = self.net.sigma(item)
+        if enclosing is None:
             seqs = [()]
         else:
-            enclosing = self.net.rho(theta)
             seqs = []
             for v in self.canonical_sequences(enclosing):
                 for t in sorted(self.copies(enclosing, v)):
@@ -714,23 +715,33 @@ def weight(net: N.ProofNet, config: MachineConfig | None = None) -> WeightReport
 # --- canonical contexts -----------------------------------------------------
 
 
-def canonical_transitions(comp: WeightComputer) -> list[tuple[Context, Context]]:
-    """Every transition a token takes from a canonical start, each once.
+class CanonicalWalk(NamedTuple):
+    transitions: list[tuple[Context, Context]]
+    stuck: list[Context]  # the non-final contexts without successors
+
+
+def canonical_walk(comp: WeightComputer) -> CanonicalWalk:
+    """Every transition a token takes from a canonical start, each once,
+    and every canonical context where it is stuck, each once.
 
     A canonical start is (e, u, (s,), +) for a box-edge e, a canonical
     sequence u of e and a simplification s of a copy of e on u; every
     context reachable from one is canonical.  The starts are walked in
     order (box-edges, sequences, sorted copies, sorted simplifications)
     with one set of contexts seen, so each context is expanded once and the
-    list does not depend on hashing.  The walk shares the step budget:
-    each start gets what the transitions listed before it left.
+    lists do not depend on hashing.  A context is stuck when it has no
+    successor and is not final.  The walk shares the step budget: each
+    start gets what the transitions listed before it left.
     """
     net, config = comp.net, comp.config
     out: list[tuple[Context, Context]] = []
+    stuck: list[Context] = []
     seen: set[Context] = set()
 
     def expand(c: Context, path: list) -> list[Context]:
         succs = step(net, c, config)
+        if not succs and not is_final(net, c):
+            stuck.append(c)
         out.extend((c, d) for d in succs)
         return [d for d in succs if d not in seen and not seen.add(d)]
 
@@ -747,7 +758,7 @@ def canonical_transitions(comp: WeightComputer) -> list[tuple[Context, Context]]
                         if event == BUDGET:
                             raise BudgetExhausted(
                                 "machine step budget exhausted", c)
-    return out
+    return CanonicalWalk(out, stuck)
 
 
 def is_canonical_context(net: N.ProofNet, c: Context,

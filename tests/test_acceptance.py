@@ -36,7 +36,7 @@ from pnlab.systems import (
 )
 from pnlab.weights import (
     WeightComputer,
-    canonical_transitions,
+    canonical_walk,
     check_subtree_property,
     is_canonical_context,
     weight,
@@ -242,7 +242,7 @@ def test_criterion_09_machine_properties(nets):
         comp = WeightComputer(net)
         rep = comp.report()
         acyclic = acyclic and rep.acyclic
-        for c, d in canonical_transitions(comp):
+        for c, d in canonical_walk(comp).transitions:
             if dual(c) not in step(net, dual(d)):
                 reversible = False
         for e, be in rep.entries.items():
@@ -304,7 +304,7 @@ def test_criterion_12_ell():
     net = corpus.ell_fixture()
     comp = WeightComputer(net)
     rep = comp.report()
-    transitions = canonical_transitions(comp)
+    transitions = canonical_walk(comp).transitions
     strat = check_stratification(transitions) == [] and transitions
     size = net.size()
     wbound = rep.weight <= bounds("ELL", net.net_depth(), size)
@@ -340,7 +340,8 @@ def test_criterion_14_lll():
         comp = WeightComputer(net)
         rep = comp.report()
         det, _ = check_determinacy(
-            net, extra_contexts=[c for c, _ in canonical_transitions(comp)])
+            net,
+            extra_contexts=[c for c, _ in canonical_walk(comp).transitions])
         wbound = rep.weight <= bounds("LLL", net.net_depth(), net.size())
         ok = ok and det and wbound
     line(14, ok, "LLL strong determinacy and W within the light recurrences")

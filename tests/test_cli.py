@@ -199,6 +199,20 @@ def test_verify_subcommand(tmp_path, capsys):
     assert report["soundness"]["ok"] is True
 
 
+def test_verify_fails_the_weight_bound_of_a_negative_weight(tmp_path, capsys):
+    """composed (3,2) has a box-edge with no copy, so W = -1 and no
+    Theorem-1 bound applies: verify reports the weight bound failed."""
+    path = tmp_path / "compose.pnet"
+    run_cli(capsys, "gen", "compose", "3", "2", "--out", str(path))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    report = json.loads(out)["soundness"]
+    assert report["weight"] == -1 and report["ok"] is False
+    assert report["checks"][1] == {
+        "name": "weight-bound", "ok": False,
+        "detail": "W=-1: some box-edge has no copy on a canonical sequence"}
+
+
 def test_lambda_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "lambda", "\\x:t. x")
     assert code == 0

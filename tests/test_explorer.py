@@ -2,8 +2,9 @@
 
 Each walk of the transition relation, and the final-context test, was once
 written out by hand.  Those versions are copied below as references, with
-the one intended change: the suite's checks iterate copies in sorted
-order.  Every result is compared: run trees and traces at three budgets;
+the intended changes: the suite's checks iterate copies in sorted order,
+and the no-stuck reference walks from every canonical start with one set
+of contexts seen, as the canonical walk does.  Every result is compared: run trees and traces at three budgets;
 reach_final's answers, memo and cycle flag; copy candidates; the no-stuck
 and subtree checks; and is_final on every context of a canonical
 transition.
@@ -48,7 +49,7 @@ from pnlab.suite import check_no_stuck
 from pnlab.weights import (
     WeightComputer,
     _complete,
-    canonical_transitions,
+    canonical_walk,
     check_subtree_property,
     search_copy_candidates,
 )
@@ -301,23 +302,28 @@ def ref_search_copy_candidates(net, edge, us, config, budget=10**6):
 
 
 def ref_check_no_stuck(net, comp):
+    """A depth-first walk from every canonical start: each simplification
+    of each copy, in order, with one set of contexts seen."""
     out = []
     cfg = comp.config
+    seen = set()
     for e, be in comp.report().entries.items():
         for u in be.sequences:
             for t in sorted(be.copies[u]):
-                frontier = [Context(e, u, (t,), "+")]
-                seen = set(frontier)
-                while frontier:
-                    c = frontier.pop()
-                    succs = step(net, c, cfg)
-                    if not succs and not ref_is_final(net, c):
-                        out.append(f"stuck canonical context {c}")
+                for s in sorted(simplifications(t)):
+                    start = Context(e, u, (s,), "+")
+                    if start in seen:
                         continue
-                    for d in succs:
-                        if d not in seen:
-                            seen.add(d)
-                            frontier.append(d)
+                    seen.add(start)
+                    frontier = [start]
+                    while frontier:
+                        c = frontier.pop()
+                        succs = step(net, c, cfg)
+                        if not succs and not ref_is_final(net, c):
+                            out.append(f"stuck canonical context {c}")
+                        new = [d for d in dict.fromkeys(succs) if d not in seen]
+                        seen.update(new)
+                        frontier.extend(reversed(new))
     return out
 
 
@@ -407,7 +413,7 @@ def test_run_matches_reference(name):
 def test_reach_final_and_is_final_match_reference(name):
     net = NETS[name]
     config = MachineConfig()
-    transitions = canonical_transitions(WeightComputer(net))
+    transitions = canonical_walk(WeightComputer(net)).transitions
     starts = list(dict.fromkeys(c for pair in transitions for c in pair))
     for c in starts:
         assert is_final(net, c) == ref_is_final(net, c), c
@@ -431,7 +437,8 @@ def test_copy_search_and_checks_match_reference(name):
             for t in sorted(be.copies[u]):
                 assert (check_subtree_property(net, e, u, t, comp)
                         == ref_check_subtree_property(net, e, u, t, comp))
-    assert check_no_stuck(net, comp) == ref_check_no_stuck(net, comp)
+    stuck = canonical_walk(comp).stuck
+    assert check_no_stuck(stuck) == ref_check_no_stuck(net, comp)
 
 
 def test_references_meet_every_outcome_but_cycles():
@@ -523,11 +530,11 @@ def test_long_paths_need_no_python_frames():
 
 TRANSITIONS_SCRIPT = """
 from pnlab import lam
-from pnlab.weights import WeightComputer, canonical_transitions
+from pnlab.weights import WeightComputer, canonical_walk
 sig = {"g": lam.parse_type("t -> t"), "z": lam.parse_type("t")}
 net = lam.from_lambda(lam.parse_lambda(
     "(\\\\f:t -> t. \\\\x:t. f (f (f x))) g z"), sig)
-for c, d in canonical_transitions(WeightComputer(net)):
+for c, d in canonical_walk(WeightComputer(net)).transitions:
     print(c, d)
 """
 

@@ -26,7 +26,7 @@ from pnlab.formulas import alpha_canon
 from pnlab.net import parse_net, print_net
 from pnlab.rewrite import STRATEGIES, TRIANGLE, normalize
 from pnlab.suite import check_no_stuck
-from pnlab.weights import (WeightComputer, canonical_transitions,
+from pnlab.weights import (WeightComputer, canonical_walk,
                            search_copy_candidates)
 
 
@@ -107,19 +107,21 @@ def weight_walks_output() -> tuple[str, str, int]:
     walks."""
     comp = WeightComputer(_applied(_church(6, "t")))
     report = json.dumps(comp.report().to_dict(), indent=2, sort_keys=True)
-    transitions = "".join(sorted({_lines([t]) for t in canonical_transitions(comp)}))
+    transitions = "".join(sorted({_lines([t]) for t in canonical_walk(comp).transitions}))
     return report, transitions, comp.walk_nodes
 
 
 def search_output() -> str:
-    """check_no_stuck on composed (2,2), then the copy candidates from each
-    principal edge on each of its canonical sequences."""
+    """check_no_stuck on the canonical walk of composed (2,2), then the
+    copy candidates from each principal edge on each of its canonical
+    sequences."""
     net = composed(2, 2)
     comp = WeightComputer(net)
     rows = [(e, u, sorted(search_copy_candidates(net, e, u, comp.config)))
             for e in sorted(net.principal_edges())
             for u in comp.canonical_sequences(e)]
-    return _lines((p,) for p in check_no_stuck(net, comp)) + "--\n" + _lines(rows)
+    stuck = check_no_stuck(canonical_walk(comp).stuck)
+    return _lines((p,) for p in stuck) + "--\n" + _lines(rows)
 
 
 def gen_ladder(tmp_path, n: int):

@@ -187,18 +187,18 @@ def test_dual_involution():
 
 
 def test_reversibility_on_recorded_transitions(all_nets):
-    from pnlab.weights import WeightComputer, canonical_transitions
+    from pnlab.weights import WeightComputer, canonical_walk
 
     for name, net in all_nets.items():
-        for c, d in canonical_transitions(WeightComputer(net)):
+        for c, d in canonical_walk(WeightComputer(net)).transitions:
             assert dual(c) in step(net, dual(d)), (name, c, d)
 
 
 def test_determinism_outside_box_branching(all_nets):
-    from pnlab.weights import WeightComputer, canonical_transitions
+    from pnlab.weights import WeightComputer, canonical_walk
 
     for name, net in all_nets.items():
-        for c, _ in canonical_transitions(WeightComputer(net)):
+        for c, _ in canonical_walk(WeightComputer(net)).transitions:
             succs = step(net, c)
             if len(succs) > 1:
                 v = net.edges[c.edge]
@@ -257,13 +257,14 @@ def test_parse_context():
 def test_ell_stratification_and_mell_counterexample(named_nets):
     from pnlab.systems import check_stratification
     from pnlab import corpus
-    from pnlab.weights import WeightComputer, canonical_transitions
+    from pnlab.weights import WeightComputer, canonical_walk
 
-    transitions = canonical_transitions(WeightComputer(corpus.ell_fixture()))
+    comp = WeightComputer(corpus.ell_fixture())
+    transitions = canonical_walk(comp).transitions
     assert transitions and check_stratification(transitions) == []
 
     # a dereliction pop changes the signature count; box-dig's copy runs
     # traverse two derelictions
     bad = check_stratification(
-        canonical_transitions(WeightComputer(named_nets["box-dig"])))
+        canonical_walk(WeightComputer(named_nets["box-dig"])).transitions)
     assert bad, "a D-vertex transition must change the signature count"

@@ -13,7 +13,7 @@ from pnlab.systems import (
     check_stratification,
     verify_soundness,
 )
-from pnlab.weights import WeightComputer, canonical_transitions
+from pnlab.weights import WeightComputer, canonical_walk
 
 
 def test_profiles():
@@ -45,7 +45,7 @@ def test_membership_examples(named_nets):
 
 def test_stratification_on_ell_runs():
     net = corpus.ell_fixture()
-    transitions = canonical_transitions(WeightComputer(net))
+    transitions = canonical_walk(WeightComputer(net)).transitions
     assert transitions
     assert check_stratification(transitions) == []
     assert check_stratification([]) == []
@@ -88,8 +88,8 @@ def test_determinacy():
     for f in (corpus.lll_fixture, corpus.lll_sec_fixture):
         net = f()
         ok, witness = check_determinacy(
-            net, extra_contexts=[c for c, _ in canonical_transitions(
-                WeightComputer(net))])
+            net, extra_contexts=[c for c, _ in canonical_walk(
+                WeightComputer(net)).transitions])
         assert ok, (f.__name__, witness)
 
     # a MELL box with two premises branches
@@ -149,12 +149,12 @@ def test_ell_per_depth_inequalities():
 
 def test_sll_prefix_stability():
     net = corpus.sll_fixture()
-    transitions = canonical_transitions(WeightComputer(net))
+    transitions = canonical_walk(WeightComputer(net)).transitions
     assert transitions
     assert check_sll_prefix(transitions) == []
 
 
-# --- the reversibility check ------------------------------------------------
+# --- the suite's checks of the canonical walk ---------------------------------
 
 
 def test_suite_reports_a_transition_without_a_dual(monkeypatch):
@@ -166,7 +166,7 @@ def test_suite_reports_a_transition_without_a_dual(monkeypatch):
 
     net = _applied(_church(2, "t"))
     assert suite.run_suite(nets={"church": net}) == []
-    c, d = canonical_transitions(WeightComputer(net))[0]
+    c, d = canonical_walk(WeightComputer(net)).transitions[0]
     back = dual(d)
     entry = table_entry(net, back.edge, back.pol)
 
@@ -178,6 +178,35 @@ def test_suite_reports_a_transition_without_a_dual(monkeypatch):
                         entry._replace(rule=rule))
     assert suite.run_suite(nets={"church": net}) == [
         f"church: reversibility: transition {c} -> {d} is not reversible"]
+
+
+def test_suite_lists_a_stuck_context_once(monkeypatch):
+    """On the jump example the copy l(e) of e2 runs through the start of
+    the copy l(e) of e5.  A compiled entry that gives that context no
+    successor makes it stuck, and the suite lists it once, though two
+    copies reach it."""
+    from pnlab import suite
+    from pnlab.families import gen_family
+    from pnlab.machine import run, table_entry
+    from pnlab.signatures import lsig
+
+    net = gen_family("jump-example")
+    assert suite.run_suite(nets={"jump": net}) == []
+    comp = WeightComputer(net)
+    assert lsig(E) in comp.copies("e2", ()) and lsig(E) in comp.copies("e5", ())
+    c = Context("e5", (), (lsig(E),), "+")
+    trace = []
+    run(net, Context("e2", (), (lsig(E),), "+"), trace=trace)
+    assert c in trace
+    entry = table_entry(net, c.edge, c.pol)
+
+    def rule(us, st, config):
+        return [] if (us, st) == c[1:3] else entry.rule(us, st, config)
+
+    monkeypatch.setitem(net._index.transitions, (c.edge, c.pol),
+                        entry._replace(rule=rule))
+    assert suite.run_suite(nets={"jump": net}) == [
+        f"jump: no-stuck: stuck canonical context {c}"]
 
 
 @pytest.mark.parametrize("system", ["ELL", "SLL", "LLL"])
@@ -193,7 +222,8 @@ def test_soundness_checks_read_the_canonical_transitions(monkeypatch, system):
             "LLL": "determinacy"}[system]
     checks = verify_soundness(net, system).to_dict()["checks"]
     assert [k["ok"] for k in checks if k["name"] == name] == [True]
-    c, d = next((c, d) for c, d in canonical_transitions(WeightComputer(net))
+    transitions = canonical_walk(WeightComputer(net)).transitions
+    c, d = next((c, d) for c, d in transitions
                 if system != "SLL" or len(c.stack) >= 2)
     if system == "ELL":
         wrong = [d._replace(stack=d.stack + (E,))]

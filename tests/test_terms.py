@@ -15,7 +15,6 @@ from pnlab.formulas import (
     feq,
     free_atoms,
     parse_formula,
-    rename_free_atom,
     substitute,
 )
 from pnlab.net import CONTR, DER, RLOLLI, WEAK, print_net, validate
@@ -479,8 +478,8 @@ def ref_elab(term, b):
         fresh = b.fresh_atom(term.binder)
         for eid in p.own_edges:
             if eid in b.edges:
-                b.edges[eid].formula = rename_free_atom(
-                    b.edges[eid].formula, term.binder, fresh)
+                b.edges[eid].formula = substitute(
+                    b.edges[eid].formula, term.binder, Atom(fresh))
         v = b.vtx(N.RFORALL)
         cf = b.edges[p.concl].formula
         b.edges[p.concl].tgt = (v, "prem")

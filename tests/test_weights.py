@@ -8,7 +8,7 @@ from pnlab.terms import Ax, Cut, Derelict, Dig, Promote, elaborate
 from pnlab.weights import (
     WeightComputer,
     WeightError,
-    canonical_transitions,
+    canonical_walk,
     check_subtree_property,
     is_canonical_context,
     weight,
@@ -201,13 +201,14 @@ def test_canonical_transitions_are_listed_once_within_one_budget():
     the jump example), and one step budget for the walks from every start
     together: half of it runs out on church 3, though no start walks that
     far."""
-    jump = canonical_transitions(WeightComputer(gen_family("jump-example")))
+    jump = canonical_walk(
+        WeightComputer(gen_family("jump-example"))).transitions
     assert len(set(jump)) == len(jump) == 4
     comp = WeightComputer(gen_family("church", (3,)))
-    transitions = canonical_transitions(comp)
+    transitions = canonical_walk(comp).transitions
     assert len(set(transitions)) == len(transitions) > 100
     comp.config.step_budget = len(transitions)
-    assert canonical_transitions(comp) == transitions
+    assert canonical_walk(comp).transitions == transitions
     comp.config.step_budget = len(transitions) // 2
     with pytest.raises(BudgetExhausted):
-        canonical_transitions(comp)
+        canonical_walk(comp)
