@@ -28,9 +28,9 @@ The machine is deterministic except at a box's principal edge with negative
 polarity and a single-signature stack, where it jumps to every box premise
 at once.
 
-Every walk of the transition relation (run, reach_final, the copy search
-and verification over weights.Chains, the canonical walk that the suite's
-checks read, and the subtree check) is one call of explore: a depth-first
+Every walk of the transition relation (run, reach_final, the narrowing
+walk over weights.Chains, the canonical walk that the suite's checks read,
+and the subtree check) is one call of explore: a depth-first
 walk on an explicit stack that keeps the current path as a set for cycle
 detection and a stack entry only for a node with successors left, so the
 length of a path costs no Python frames.  A walk's per-node work is its
@@ -43,13 +43,13 @@ more).  run reports an exhausted budget as an outcome; the other walks
 raise BudgetExhausted.
 
 A final context is defined once, by final_at on its table entry
-(final_bindings on a context).  The copy search's holes ('h', pos),
+(final_bindings on a context).  The narrowing walk's holes ('h', pos),
 signatures not yet chosen, may stand where a final context needs e;
 final_at then binds them to e.  A final context has no successor: it is
 at a conclusion, weakening or premise, where no rule applies, or at a
 dereliction's bang port on a one-element stack, where the rule needs two.
 So run, reach_final and the canonical walk call step once per node, and
-the chains of the copy search read a context's table entry once and call
+the chains of the narrowing walk read a context's table entry once and call
 its rule; each tests finality only when no successor comes back.
 """
 
@@ -124,7 +124,7 @@ class MachineConfig:
 
 
 def is_hole(x) -> bool:
-    """A copy-search hole ('h', k): a standard signature not yet chosen."""
+    """A hole ('h', pos) of the narrowing walk: a signature not yet read."""
     return isinstance(x, tuple) and x and x[0] == "h"
 
 
@@ -241,7 +241,7 @@ class _Broken:
         raise self.kind(*self.args)
 
 
-def _resolve(fn, *args):
+def _attempt(fn, *args):
     try:
         return fn(*args)
     except (KeyError, ValueError, AssertionError) as exc:  # NetError, MachineError too
@@ -260,7 +260,7 @@ def _leave(net: N.ProofNet, v: N.Vertex, port: str) -> str:
 def _exit(net: N.ProofNet, v: N.Vertex, port: str) -> tuple:
     """Leaving v by port: the edge there, or the error met resolving it,
     and the polarity, '+' from an out-port and '-' from an in-port."""
-    return _resolve(_leave, net, v, port), "-" if N.is_in_port(v, port) else "+"
+    return _attempt(_leave, net, v, port), "-" if N.is_in_port(v, port) else "+"
 
 
 def _never(us, st, config):
@@ -345,7 +345,7 @@ def _rule(net: N.ProofNet, v: N.Vertex, port: str, pol: str) -> Callable:
         if port == "merged":
             return _pop({msig(i): out(f"split{i}") for i in range(1, v.arity + 1)})
         if port.startswith("split"):
-            index = _resolve(int, port[5:])
+            index = _attempt(int, port[5:])
             if index.__class__ is _Broken:
                 return _raising(index)
             return _push(out("merged"), msig(index))
@@ -354,7 +354,7 @@ def _rule(net: N.ProofNet, v: N.Vertex, port: str, pol: str) -> Callable:
             jumps = None
             if label == N.RBANG:
                 doors = net.boxes[v.id].doors
-                jumps = _resolve(lambda: [net.edge_at(d, "outer").id
+                jumps = _attempt(lambda: [net.edge_at(d, "outer").id
                                           for d in doors])
             return _box_enter(out("inner"), jumps)
         if port == "inner":
@@ -363,7 +363,7 @@ def _rule(net: N.ProofNet, v: N.Vertex, port: str, pol: str) -> Callable:
         if port == "outer":
             jumps = None
             if label == N.LBANG:
-                jumps = _resolve(_door_jump, net, v.id)
+                jumps = _attempt(_door_jump, net, v.id)
             return _box_enter(out("inner"), jumps)
         if port == "inner":
             return _box_exit(out("outer"))

@@ -1,32 +1,27 @@
 """Copies, canonical sequences, cardinalities, and the weight aggregates.
 
-Copy discovery is demand-driven: a walk starts from the box-edge with a hole
-in place of the signature and branches over the constructors a rule demands
-when it reads the hole (l/r at contractions, e at derelictions, n at
-diggings, m(i) at multiplexers).  Candidates are standard by construction.
-All candidates of a box-edge on a sequence are verified in one more walk
-from the same start, which carries every simplification of every candidate
-at once: where a rule reads a hole it splits the simplifications still live
-by the head of their subterm there, so a context is walked once for all
-the simplifications that agree up to it (the sharing of paths until they
-read a signature, after Gonthier, Abadi and Levy).  Each simplification
-leaves the walk at its first final context, so what it walks is the
-depth-first walk a run from it alone would take.  A copy is confirmed when
-every one of its simplifications reaches a final context.
-
-Both walks step through chains: the stretches of the symbolic transition
-relation between the contexts where a walk reads a hole, branches, stops
-or joins, kept with the net's index by their start with the holes renamed
-in order.  A stretch is therefore stepped once for every walk that reaches
-it, from any box-edge, sequence or signature.  A generate-and-test oracle
-over all standard signatures up to a size bound cross-validates the search
-on small nets.
+A copy of box-edge e on sequence u is a standard signature each of whose
+simplifications s reaches a final context from (e, u, (s,), +).  The
+copies are computed by narrowing (after Antoy, Echahed and Hanus).  One
+walk from (e, u, (hole,), +) records a tree of reads: where a rule reads a
+hole it offers each signature the rule accepts there, p included, with
+fresh holes as children.  Patterns, standard signatures with unknowns, are
+then refined on that tree, which takes no machine step.  A pattern's
+members are its simplifications, with unknowns as leaves; each runs on the
+tree as reach_final runs on the machine, and shares its path with the
+others until they read a signature (after Gonthier, Abadi and Levy).
+Where a member needs an unknown, the pattern splits over the standard
+heads there, and each member resumes where it stopped.  The walk steps
+through chains, stretches of the symbolic transition relation kept with
+the net's index, so each is stepped once for every walk that reaches it.
+A generate-and-test oracle over all standard signatures up to a size
+bound cross-validates the walk on small nets.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import net as N
@@ -34,7 +29,6 @@ from .machine import (
     _new,
     BUDGET,
     CYCLE,
-    LEAVE,
     BudgetExhausted,
     Context,
     Entry,
@@ -42,7 +36,6 @@ from .machine import (
     explore,
     final_at,
     is_final,
-    is_hole,
     reach_final,
     step,
     sym_count,
@@ -69,35 +62,12 @@ class WeightError(ValueError):
     pass
 
 
-# --- symbolic walks -----------------------------------------------------------
+# --- the narrowing walk -------------------------------------------------------
 
 # holes are pseudo-signatures ('h', pos); a hole stands for the subterm, not
 # yet read, at position pos (a tuple of child indices) of the signature that
 # started the walk, so ROOT is that whole signature
 ROOT = ("h", ())
-
-
-def _resolve(x, binds, default=None):
-    if is_hole(x):
-        if x[1] in binds:
-            return _resolve(binds[x[1]], binds, default)
-        return default if default is not None else x
-    if isinstance(x, tuple) and x and x[0] in ("l", "r", "p"):
-        return (x[0], _resolve(x[1], binds, default))
-    if isinstance(x, tuple) and x and x[0] == "n":
-        return nsig(_resolve(x[1], binds, default), _resolve(x[2], binds, default))
-    return x
-
-
-def _complete(x, binds):
-    return _resolve(x, binds, default=E)
-
-
-def _at(t: Sig, pos) -> Sig:
-    """The subterm of t at pos."""
-    for i in pos:
-        t = t[i]
-    return t
 
 
 def _rooted(x, pos: tuple):
@@ -113,36 +83,34 @@ def _rooted(x, pos: tuple):
     return x
 
 
-def _subst(x, v: tuple):
-    """x with each hole ('h', (j, i, ...)) replaced by v[j][i]..."""
+def _bound(x, binds: dict):
+    """x with each hole bound in binds replaced by its binding, until none
+    is left."""
     head = x[0]
     if head == "h":
-        t = v[x[1][0]]
-        for i in x[1][1:]:
-            t = t[i]
-        return t
+        t = binds.get(x[1])
+        return x if t is None else _bound(t, binds)
     if head in ("l", "r", "p"):
-        return (head, _subst(x[1], v))
+        return (head, _bound(x[1], binds))
     if head == "n":
-        return (head, _subst(x[1], v), _subst(x[2], v))
+        return (head, _bound(x[1], binds), _bound(x[2], binds))
     return x
 
 
-def _map_holes(c: Context, f, arg) -> Context:
-    us = tuple(f(x, arg) for x in c[1])
-    stack = tuple(f(x, arg) if x.__class__ is tuple else x for x in c[2])
-    return Context(c[0], us, stack, c[3])
-
-
-def _has_hole(x: Sig) -> bool:
+def _holes(x: Sig):
+    """The holes in x, from the left."""
     todo = [x]
     while todo:
         x = todo.pop()
         if x[0] == "h":
-            return True
-        if x[0] in ("l", "r", "p", "n"):
-            todo.extend(x[1:])
-    return False
+            yield x
+        elif x[0] in ("l", "r", "p", "n"):
+            todo.extend(x[:0:-1])
+
+
+def _head(t: Sig):
+    """What a rule reads of t: its head, or t itself for m(i)."""
+    return t if t[0] == "m" else t[0]
 
 
 # the (label, port) where a token arriving with '+' has the rule read the
@@ -186,17 +154,20 @@ class _Chain:
     or steps to a join (a box's principal edge with '+' and one
     signature, which runs from several doors reach).  The end's kind is:
 
-    - SPLIT: the rule reads hole `hole` on top of the stack; a walk goes on
-      by the links of the `demanded` signature that binds it;
-    - BRANCH: the links, taken in order;
+    - SPLIT: the rule reads hole `hole` on top of the stack, and accepts
+      each `demanded` signature there;
+    - BRANCH: the end's successors, several, or one after a read;
     - LOOP: the chain met a context already on it;
     - LEAF: no successor; `need` lists the holes that must be e for the end
       to be final, or is None when it cannot be.
 
-    A link is [chain start, positions, slots, chain or None]: the
-    positions of its holes below the end's, (j,) for hole j and (j, i) for
-    child i of the hole a split binds, the start's slots, and its chain,
-    walked on first use.
+    `join` tells whether the start is a join, `steps` counts the
+    transitions to the end, and `links` lists the ways on from it.
+
+    A link is [via, chain start, positions, chain or None]: the head of the
+    demanded signature it follows (None at a BRANCH), the positions of its
+    holes below the end's ((j,) for hole j, (j, i) for child i of the hole
+    read), and its chain, walked on first use.
 
     Whether a context starts a chain depends on the context alone: a
     join, or a successor of a context that reads the top of the stack or
@@ -209,109 +180,100 @@ class _Chain:
     context or at the successor of one that reads the top of the stack.
     """
 
-    __slots__ = ("start", "slots", "join", "end", "steps", "kind", "need",
-                 "hole", "demanded", "links")
+    __slots__ = ("start", "join", "end", "steps", "kind", "need", "hole",
+                 "demanded", "links")
 
-    def __init__(self, start: Context, slots: tuple[list, list]):
+    def __init__(self, start: Context):
         self.start = start
-        self.slots = slots  # the indices of start's U and stack with a hole
-        self.join = False  # whether start is a join
-        self.steps = 0  # transitions from start to end
-        self.links: list | dict = []
+        self.links: list = []
 
-    def concrete(self, v: tuple) -> Context:
-        """The start with each hole j replaced by v[j]."""
-        c, (in_us, in_stack) = self.start, self.slots
-        us, stack = c[1], c[2]
-        if in_us:
-            us = list(us)
-            for i in in_us:
-                us[i] = _subst(us[i], v)
-            us = tuple(us)
-        if in_stack:
-            stack = list(stack)
-            for i in in_stack:
-                stack[i] = _subst(stack[i], v)
-            stack = tuple(stack)
-        return _new(Context, (c[0], us, stack, c[3]))
+
+class _Node:
+    """A node of a narrowing walk's tree: a chain whose holes stand for the
+    subterms at positions pos of the root signature, reached by link index
+    of node up, which follows via.  cut: its context is on the path; open:
+    a run that ends below it goes on by a later link; joins: the nearest
+    join on the path for each edge and |U|; earlier: that for its own."""
+
+    __slots__ = ("chain", "pos", "up", "index", "via", "kids", "cut", "open",
+                 "joins", "earlier")
+
+    def __init__(self, chain: _Chain, pos: tuple, up, index: int, via):
+        self.chain, self.pos, self.up, self.index, self.via = \
+            chain, pos, up, index, via
+        self.kids, self.cut, self.earlier = [], False, None
+        self.open: bool = up is not None and up.open
+        self.joins: dict = {} if up is None else up.joins
 
 
 class Chains:
     """The chains of a net, kept by their start with the net's index (one
     table for each setting of jumps, as the rules read it), so that each
     stretch of the symbolic transition relation is stepped once for every
-    walk that reaches it: the copy search and the verification, from any
-    box-edge, sequence or signature, whatever the names of its holes."""
+    narrowing walk that reaches it, whatever the names of its holes."""
 
     def __init__(self, net: N.ProofNet, config: MachineConfig):
         self.net = net
         self.config = config
         tables = net._index.chains.get(config.jumps_enabled)
         if tables is None:
-            tables = net._index.chains[config.jumps_enabled] = ({}, {}, {}, {})
+            mux = [v.arity for v in net.vertices.values() if v.label == N.MUX]
+            heads = ([E, *map(msig, range(1, max(mux) + 1))] if mux
+                     else [*_HEADS.values()])
+            tables = net._index.chains[config.jumps_enabled] = (
+                {}, {}, {}, {}, heads)
         self._chains: dict[Context, _Chain] = tables[0]
         self._holey: dict[Sig, bool] = tables[1]  # whether a hole is in it
         self._renamed: dict[tuple, tuple] = tables[2]  # U -> _canonical's part
         self._roots: dict[tuple, _Chain] = tables[3]  # (edge, U) -> chain
+        self.heads: list[Sig] = tables[4]  # of the standard signatures
 
-    def walk(self, edge: str, us: tuple[Sig, ...], payload, visit,
-             budget: int, what: str):
-        """explore's events for a depth-first walk over chains from
-        (edge, us, (ROOT,), +).
+    def tree(self, edge: str, us: tuple[Sig, ...]) -> tuple[list, int]:
+        """The nodes of the narrowing walk's tree from (edge, us, (ROOT,),
+        +), root first, and the budget the walk spent.  A node costs its
+        chain's transitions and one more; past config.step_budget, the walk
+        raises BudgetExhausted."""
+        budget, spent, nodes = self.config.step_budget, 0, []
 
-        A node is (chain, positions, payload): the positions in the root of
-        the chain's holes, so that the chain and the positions are the
-        context of its start, which keys it on the path, and a payload.
-        visit(node, path) lists the links to follow, with the payload of
-        each, as (links, payload) pairs.  A node costs its chain's
-        transitions and one more; past budget, the walk raises
-        BudgetExhausted(what).
-        """
-        spent = 0
-
-        def expand(node, path):
+        def expand(node: _Node, path: list) -> list[_Node]:
             nonlocal spent
-            ch, pos = node[0], node[1]
+            ch, pos = node.chain, node.pos
             spent += ch.steps + 1
+            nodes.append(node)
             if spent > budget:
-                raise BudgetExhausted(what, _map_holes(ch.start, _rooted, pos))
-            succs = []
-            for links, p in visit(node, path):
-                for link in links:
-                    if link[3] is None:
-                        link[3] = self._chain(link[0], link[2])
-                    succs.append((link[3],
-                                  tuple(pos[x[0]] + x[1:] for x in link[1]), p))
-            return succs
+                raise BudgetExhausted("machine step budget exhausted",
+                                      _context(node, {}))
+            if ch.join:
+                shape = ch.start[0], len(ch.start[1])
+                node.earlier = node.joins.get(shape)
+                node.joins = {**node.joins, shape: node}
+            for link in ch.links:
+                link[3] = link[3] or self._chain(link[1])
+                at = tuple(pos[x[0]] + x[1:] for x in link[2])
+                node.kids.append(_Node(link[3], at, node, len(node.kids), link[0]))
+            # the links that follow one via are adjacent
+            for kid, after in zip(node.kids, node.kids[1:]):
+                kid.open = kid.open or after.via == kid.via
+            return node.kids
 
         root = self._roots.get((edge, us))
         if root is None:
-            start, _, slots = self._canonical(Context(edge, us, (ROOT,), "+"))
-            root = self._roots[edge, us] = self._chain(start, slots)
-        return explore((root, ((),), payload), expand, budget,
-                       key=operator.itemgetter(0, 1))
+            start = self._canonical(Context(edge, us, (ROOT,), "+"))[0]
+            root = self._roots[edge, us] = self._chain(start)
+        top = _Node(root, ((),), None, 0, None)
+        for event, x, _ in explore(top, expand, budget,
+                                   key=operator.attrgetter("chain", "pos")):
+            if event == CYCLE:
+                x.cut = True
+            elif event == BUDGET:
+                raise BudgetExhausted("machine step budget exhausted")
+        return nodes, spent
 
-    def split_links(self, ch: _Chain, i: int) -> list:
-        """The links out of ch's end with its hole bound to the i-th
-        demanded signature."""
-        links = ch.links.get(i)
-        if links is None:
-            c = ch.end
-            entry = table_entry(self.net, c[0], c[3])
-            # a hole occurs once in a context: signatures are moved, not copied
-            st = c[2][:-1] + (ch.demanded[i],)
-            links = ch.links[i] = [self._link(d) for d in
-                                   entry.rule(c[1], st, self.config)]
-        return links
-
-    def _chain(self, start: Context, slots) -> _Chain:
+    def _chain(self, start: Context) -> _Chain:
         ch = self._chains.get(start)
         if ch is None:
-            ch = self._chains[start] = self._walk_chain(_Chain(start, slots))
+            ch = self._chains[start] = self._walk_chain(_Chain(start))
         return ch
-
-    def _link(self, d: Context) -> list:
-        return [*self._canonical(d), None]
 
     def _walk_chain(self, ch: _Chain) -> _Chain:
         net, config = self.net, self.config
@@ -328,7 +290,12 @@ class Chains:
                 demanded = _demanded(entry, c)
                 if demanded is not None:
                     ch.kind, ch.hole = SPLIT, st[-1][1][0]
-                    ch.demanded, ch.links = demanded, {}
+                    # a hole occurs once in a context: signatures are
+                    # moved, not copied
+                    ch.demanded, ch.links = demanded, [
+                        [_head(t), *self._canonical(d), None]
+                        for t in demanded
+                        for d in entry.rule(c[1], st[:-1] + (t,), config)]
                     break
             succs = step(net, c, config)
             if len(succs) == 1 and not reads:
@@ -347,7 +314,8 @@ class Chains:
                         raise BudgetExhausted("machine step budget exhausted", c)
                     continue
             if succs:
-                ch.kind, ch.links = BRANCH, [self._link(d) for d in succs]
+                ch.kind = BRANCH
+                ch.links = [[None, *self._canonical(d), None] for d in succs]
             else:
                 ch.kind = LEAF
                 need = final_at(entry, st, {})
@@ -356,44 +324,34 @@ class Chains:
         ch.end, ch.steps = c, steps
         return ch
 
-    def _canonical(self, c: Context):
+    def _canonical(self, c: Context) -> tuple[Context, tuple]:
         """c with its holes renamed ('h', (0,)), ('h', (1,)), ... in order
-        of first occurrence, U before the stack, their old names in that
-        order, and the indices of c's U and stack that hold a hole.  Each
-        U is renamed once."""
+        of first occurrence, U before the stack, and their old names in
+        that order.  Each U is renamed once."""
         hit = self._renamed.get(c[1])
         if hit is None:
             names: dict = {}
-            us, in_us = self._rename(c[1], names)
-            hit = self._renamed[c[1]] = us, names, tuple(names), in_us
-        us, names, ordered, in_us = hit
-        for x in c[2]:
-            if x.__class__ is tuple and self._has_hole(x):
-                names = dict(names)
-                stack, in_stack = self._rename(c[2], names)
-                return (_new(Context, (c[0], us, stack, c[3])), tuple(names),
-                        (in_us, in_stack))
-        if us is not c[1]:
-            c = _new(Context, (c[0], us, c[2], c[3]))
-        return c, ordered, (in_us, [])
+            hit = self._renamed[c[1]] = self._rename(c[1], names), names
+        us, names = hit[0], dict(hit[1])
+        stack = self._rename(c[2], names)
+        return _new(Context, (c[0], us, stack, c[3])), tuple(names)
 
     def _has_hole(self, x: Sig) -> bool:
         h = self._holey.get(x)
         if h is None:
-            h = self._holey[x] = _has_hole(x)
+            h = self._holey[x] = next(_holes(x), None) is not None
         return h
 
-    def _rename(self, entries: tuple, names: dict) -> tuple[tuple, list]:
+    def _rename(self, entries: tuple, names: dict) -> tuple:
         """entries with their holes renamed, numbering new names on from
-        those in names, and the indices of the entries with a hole."""
-        slots, out = [], None
+        those in names."""
+        out = None
         for i, x in enumerate(entries):
             if x.__class__ is tuple and self._has_hole(x):
                 if out is None:
                     out = list(entries)
                 out[i] = _renamed(x, names)
-                slots.append(i)
-        return (entries if out is None else tuple(out)), slots
+        return entries if out is None else tuple(out)
 
 
 def _renamed(x, names: dict):
@@ -412,148 +370,197 @@ def _renamed(x, names: dict):
     return x
 
 
-# the number of transitions a copy search takes before it gives up
-SEARCH_BUDGET = 10**6
+# --- pattern refinement -------------------------------------------------------
+
+FOUND, DEAD = "found", "dead"
+# the heads of the standard signatures, with holes (0, 1), (0, 2) as children
+_HEADS = {"e": E, "l": lsig(("h", (0, 1))), "r": rsig(("h", (0, 1))),
+          "n": nsig(("h", (0, 1)), ("h", (0, 2)))}
 
 
-def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
-                           config: MachineConfig) -> set[Sig]:
-    """Standard signatures whose primary run reaches a final context.
+class _Member:
+    """A simplification of a pattern: its bindings by position; its own
+    position of each unread hole, by the hole's position in the pattern;
+    the position of the hole it simplifies down to (tip, None if there is
+    none); and its run: the node it is at, whether it met its path again,
+    and its state (None while it runs on, FOUND, DEAD, or the position of
+    the unread hole it needs)."""
 
-    A node's payload is the bindings of the holes read on its path, by
-    position.  Only standard constructors are offered at a hole; the
-    verification walks p-simplifications.
-    """
-    chains = Chains(net, config)
-    results: set[Sig] = set()
+    __slots__ = ("binds", "holes", "tip", "node", "cyclic", "state")
 
-    def visit(node, path):
-        ch, pos, binds = node
-        if ch.kind == BRANCH:
-            return [(ch.links, binds)]
-        if ch.kind == SPLIT:
-            at = pos[ch.hole]
-            return [(chains.split_links(ch, i), {**binds, at: _rooted(t, pos)})
-                    for i, t in enumerate(ch.demanded) if t[0] != "p"]
-        if ch.kind == LEAF and ch.need is not None:
-            final = {**binds, **{pos[j]: E for j in ch.need}}
-            results.add(_complete(ROOT, final))
-        return []
-
-    for _ in chains.walk(edge, us, {}, visit, SEARCH_BUDGET,
-                         "copy search budget exhausted"):
-        pass
-    return results
+    def __init__(self, binds: dict, holes: dict, tip, node: _Node, cyclic):
+        self.binds, self.holes, self.tip = binds, holes, tip
+        self.node, self.cyclic, self.state = node, cyclic, None
 
 
-@dataclass
-class SharedWalk:
-    """What one verification walk found for each signature it carried."""
-
-    found: set[Sig] = field(default_factory=set)  # reached a final context
-    cyclic: set[Sig] = field(default_factory=set)  # met a cycle on the way
-    nodes: int = 0
-
-
-def shared_walk(chains: Chains, edge: str, us: tuple[Sig, ...],
-                members: list[Sig]) -> SharedWalk:
-    """One walk from (edge, us, (t,), +) for every t of members.
-
-    A node's payload is the members still live there, those whose runs
-    take it and have not reached a final context, each with the position
-    it last read and its subterm there.  Where a chain's end reads a hole,
-    they split by the head of their subterm there.  A member leaves at its
-    first final context, and where its run meets a context already on its
-    path: at a node whose chain start is on the path, for every member, or
-    at a join whose concrete context is, for that member (the machine is
-    reversible, so a run first meets its path again at a join).  So each
-    member walks what reach_final walks from it, and what does not depend
-    on its signature is walked once for all.
-    """
-    out = SharedWalk()
-    found, cyclic = out.found, out.cyclic
-    joins: list = []  # (path index, edge, |U|) of each join on the path
-
-    def live_at(node) -> tuple:
-        live, seen = node[2]  # seen: len(found) when live was filtered
-        if seen == len(found):
-            return live
-        return tuple(m for m in live if m[0] not in found)
-
-    def visit(node, path):
-        ch, pos = node[0], node[1]
-        live = live_at(node)
-        if not live:
-            return []
-        if ch.join:
-            live = _at_joins(node, path, live, joins, cyclic)
-            if not live:
-                return []
-        out.nodes += 1
-        kind = ch.kind
-        if kind == BRANCH:
-            return [(ch.links, (live, len(found)))]
-        if kind == SPLIT:
-            at = pos[ch.hole]
-            groups: dict = {}
-            for u, last, x in live:
-                # mostly a position below the one read last
-                if at[:len(last)] == last:
-                    x = _at(x, at[len(last):])
-                else:
-                    x = _at(u, at)
-                groups.setdefault(x if x[0] == "m" else x[0], []).append(
-                    (u, at, x))
-            succs = []
-            for i, t in enumerate(ch.demanded):
-                sel = groups.get(t if t[0] == "m" else t[0])
-                if sel:
-                    succs.append((chains.split_links(ch, i),
-                                  (tuple(sel), len(found))))
-            return succs
-        if kind == LOOP:
-            cyclic.update(m[0] for m in live)
+def _advance(m: _Member) -> None:
+    """Run m on from its node as reach_final runs from its signature:
+    depth-first, following at each read the link of the head it has there,
+    up to its first final leaf, the end of its run, or an unread hole it
+    needs, and past each node where it meets its path again."""
+    node, binds = m.node, m.binds
+    while True:
+        ch, go = node.chain, None
+        again = node.cut or ch.kind == LOOP or _meets_path(node, binds)
+        if again is True:
+            m.cyclic = True
+        elif again is not False:  # the hole the answer depends on
+            m.node, m.state = node, again
+            return
+        elif ch.kind == BRANCH:
+            go = node.kids[0]
+        elif ch.kind == SPLIT:
+            at = node.pos[ch.hole]
+            if at not in binds:
+                m.node, m.state = node, at
+                return
+            head = _head(binds[at])
+            go = next((k for k in node.kids if k.via == head), None)
         elif ch.need is not None:
-            need = [pos[j] for j in ch.need]
-            found.update(u for u, _, _ in live
-                         if all(_at(u, p) == E for p in need))
-        return []
+            need = [node.pos[j] for j in ch.need]
+            if all(binds.get(q, E) == E for q in need):  # final, or needs one
+                q = next((q for q in need if q not in binds), None)
+                m.node, m.state = node, FOUND if q is None else q
+                return
+        while go is None:  # back to the next link the run takes
+            up = node.up
+            if up is None:
+                m.state = DEAD
+                return
+            i = node.index + 1
+            if i < len(up.kids) and up.kids[i].via == node.via:
+                go = up.kids[i]
+            node = up
+        node = go
 
-    start = tuple((t, (), t) for t in members)
-    for event, x, path in chains.walk(edge, us, (start, 0), visit,
-                                      chains.config.step_budget,
-                                      "machine step budget exhausted"):
-        if event == LEAVE:
-            if len(found) == len(members):
-                break
-            while joins and joins[-1][0] >= x:
-                joins.pop()
-        elif event == CYCLE:  # a transition from path[-1]
-            cyclic.update(m[0] for m in live_at(x))
+
+def _meets_path(node: _Node, binds: dict):
+    """Whether the member with binds has at node, a join, a context it had
+    at a join above: True, False, or the position of an unread hole the
+    answer depends on.  The machine is reversible, so a run first meets
+    its path again at a join."""
+    hole, p = False, node.earlier
+    while p is not None:
+        same = _unify(_context(node, binds)[1:3], _context(p, binds)[1:3])
+        if same is True:
+            return True
+        hole, p = same if hole is False else hole, p.earlier
+    return hole
+
+
+def _context(node: _Node, binds: dict) -> Context:
+    """node's chain start, its holes named by their positions in the root
+    and those bound in binds replaced."""
+    c, f = node.chain.start, lambda x: _bound(_rooted(x, node.pos), binds)
+    return Context(c[0], tuple(map(f, c[1])),
+                   tuple(f(x) if x.__class__ is tuple else x for x in c[2]), c[3])
+
+
+def _unify(x, y):
+    """Whether x and y are equal whatever their holes stand for (True), for
+    nothing they stand for (False), or else the position of a hole the
+    answer depends on."""
+    todo, hole = [(x, y)], False
+    while todo:
+        x, y = todo.pop()
+        if x == y:
+            continue
+        if x.__class__ is tuple and y.__class__ is tuple:
+            if y[:1] == ("h",):
+                x, y = y, x
+            if x[:1] == ("h",):
+                if x in _holes(y):  # a term is no subterm of itself
+                    return False
+                hole = x[1] if hole is False else hole
+                continue
+            if len(x) == len(y):
+                todo.extend(zip(x, y))
+                continue
+        return False
+    return True if hole is False else hole
+
+
+def _refined(m: _Member, at: tuple, t: Sig) -> list[_Member]:
+    """The members that m becomes when the pattern binds its hole at to
+    head t.  At m's tip, n(x, y) simplifies to n(x', y) and p(y'); in the
+    second child of an n, which simplifying leaves alone, there is no p."""
+    q = m.holes[at]
+    holes = {a: p for a, p in m.holes.items() if a != at}
+    arity = {"l": 1, "r": 1, "n": 2}.get(t[0], 0)
+    out = [_Member({**m.binds, q: _rooted(t, (q,))},
+                   {**holes, **{at + (i,): q + (i,) for i in range(1, arity + 1)}},
+                   m.tip if q != m.tip else q + (1,) if arity else None,
+                   m.node, m.cyclic)]
+    if q == m.tip and arity == 2:
+        out.append(_Member({**m.binds, q: psig(("h", q + (1,)))},
+                           {**holes, at + (2,): q + (1,)}, q + (1,), m.node,
+                           m.cyclic))
     return out
 
 
-def _concrete(node, u: Sig) -> Context:
-    """The context of member u at the start of node's chain."""
-    return node[0].concrete(tuple(_at(u, p) for p in node[1]))
+class Copies(frozenset):
+    """The copies of a box-edge on a sequence.  cyclic: whether a run from
+    a simplification of one met its path again before a final context;
+    nodes: the nodes of the narrowing walk's tree."""
 
 
-def _at_joins(node, path, live, joins, cyclic) -> tuple:
-    """The members in live that do not meet their path again at node, a
-    join; the others are added to cyclic.  Only the joins on the path with
-    node's edge and length of U can hold one of their contexts."""
-    start = node[0].start
-    shape = (start[0], len(start[1]))
-    earlier = [path[i] for i, *other in joins if tuple(other) == shape]
-    joins.append((len(path) - 1, *shape))
-    if not earlier:
-        return live
-    again = {u for u, _, _ in live
-             if _concrete(node, u) in {_concrete(p, u) for p in earlier}}
-    if not again:
-        return live
-    cyclic.update(again)
-    return tuple(m for m in live if m[0] not in again)
+def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
+                           config: MachineConfig) -> Copies:
+    """The copies of edge on us, from one narrowing walk and the patterns
+    refined on its tree.
+
+    A pattern is its bindings by position, with its members not yet found;
+    it starts as ROOT.  Where its first member needs an unread hole, it
+    splits over the standard heads that member's node accepts (e at a
+    leaf), or over every standard head where another could let the run go
+    on.  A member the split leaves alone is shared, with its run.  Once all
+    members are found, the pattern is a copy if no hole is left; else each
+    instance is one, and as no budget can list them the walk raises
+    BudgetExhausted.  Each pattern costs one step of the budget.
+    """
+    chains = Chains(net, config)
+    nodes, spent = chains.tree(edge, us)
+    copies, cyclic = set(), False
+    todo = [({}, [_Member({}, {(): ()}, (), nodes[0], False)], False, None, None)]
+    while todo:
+        spent += 1
+        if spent > config.step_budget:
+            raise BudgetExhausted("machine step budget exhausted")
+        pattern, members, met, at, t = todo.pop()
+        if at is not None:  # bind the hole at to t
+            pattern = {**pattern, at: _rooted(t, (at,))}
+            members = (x for m in members for x in (
+                _refined(m, at, t) if at in m.holes else (m,)))
+        live = []
+        for m in members:
+            if m.state is None:  # a settled member changes only by a split
+                _advance(m)
+            if m.state is DEAD:
+                break
+            if m.state is FOUND:  # as is every member a split makes of it
+                met = met or m.cyclic
+            else:
+                live.append(m)
+        else:
+            if not live:
+                t = _bound(ROOT, pattern)
+                if next(_holes(t), None) is not None:  # each instance is one
+                    raise BudgetExhausted(f"{edge} has infinitely many copies")
+                copies.add(t)
+                cyclic = cyclic or met
+                continue
+            need, node = live[0], live[0].node
+            at = next(a for a, q in need.holes.items() if q == need.state)
+            offered = chains.heads
+            if not (node.open or node.earlier):
+                offered = [_HEADS.get(t[0], t) for t in node.chain.demanded
+                           if t[0] != "p"] if node.chain.kind == SPLIT else [E]
+            todo.extend((pattern, live, met, at, t) for t in reversed(offered))
+    for node in nodes:  # no cycle is left, so the tree is freed at once
+        node.kids = node.joins = None
+    out = Copies(copies)
+    out.cyclic, out.nodes = cyclic, len(nodes)
+    return out
 
 
 # --- the weight computer ----------------------------------------------------
@@ -614,9 +621,8 @@ class WeightComputer:
         # reach_final's memo, for is_canonical_context's probes
         self.reach_memo: dict[Context, bool] = {}
         self.cycle_seen = False
-        self.chains = Chains(net, self.config)
         self._simps: dict[Sig, frozenset[Sig]] = {}  # simplifications' memo
-        self.walk_nodes = 0  # the nodes of every verification walk
+        self.walk_nodes = 0  # the nodes of every narrowing walk's tree
 
     # -- copies --
 
@@ -626,37 +632,26 @@ class WeightComputer:
             return self._copies[key]
         if edge not in self.net.principal_edges():
             raise WeightError(f"{edge} is not a box-edge")
-        candidates = search_copy_candidates(self.net, edge, us, self.config)
-        # sorted, so that the walk's order does not depend on hashing
-        confirmed = self._confirm(edge, us,
-                                  sorted(t for t in candidates if standard(t)))
-        self._copies[key] = confirmed
-        return confirmed
+        found = search_copy_candidates(self.net, edge, us, self.config)
+        # contexts reachable from a canonical start are canonical, so a
+        # cycle met on the way to a copy's final context is a canonical cycle
+        self.cycle_seen = self.cycle_seen or found.cyclic
+        self.walk_nodes += found.nodes
+        self._copies[key] = found
+        return found
 
     def copies_bruteforce(self, edge: str, us: tuple[Sig, ...],
                           max_size: int = 4) -> frozenset[Sig]:
+        """The copies up to max_size by generate and test: each standard
+        signature whose simplifications all reach a final context."""
         arities = [v.arity for v in self.net.vertices.values() if v.label == N.MUX]
         mux_idx = tuple(range(1, max(arities) + 1)) if arities else ()
-        return self._confirm(edge, us, all_standard_sigs(max_size, mux_idx))
-
-    def _confirm(self, edge: str, us: tuple[Sig, ...],
-                 candidates: list[Sig]) -> frozenset[Sig]:
-        """The candidates each of whose simplifications reaches a final
-        context, from one shared walk."""
-        simps = [(t, simplifications(t, self._simps)) for t in candidates]
-        members = list(dict.fromkeys(u for _, ss in simps for u in ss))
-        walk = shared_walk(self.chains, edge, us, members)
-        self.walk_nodes += walk.nodes
-        confirmed = []
-        for t, ss in simps:
-            if all(u in walk.found for u in ss):
-                confirmed.append(t)
-                if any(u in walk.cyclic for u in ss):
-                    # contexts reachable from a canonical start are
-                    # canonical, so a cycle met while confirming the copy t
-                    # is a canonical cycle
-                    self.cycle_seen = True
-        return frozenset(confirmed)
+        memo: dict[Context, bool] = {}
+        return frozenset(
+            t for t in all_standard_sigs(max_size, mux_idx)
+            if all(reach_final(self.net, Context(edge, us, (s,), "+"),
+                               self.config, memo)[0]
+                   for s in simplifications(t, self._simps)))
 
     # -- canonical sequences --
 

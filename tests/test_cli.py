@@ -199,11 +199,26 @@ def test_verify_subcommand(tmp_path, capsys):
     assert report["soundness"]["ok"] is True
 
 
-def test_verify_fails_the_weight_bound_of_a_negative_weight(tmp_path, capsys):
-    """composed (3,2) has a box-edge with no copy, so W = -1 and no
-    Theorem-1 bound applies: verify reports the weight bound failed."""
-    path = tmp_path / "compose.pnet"
-    run_cli(capsys, "gen", "compose", "3", "2", "--out", str(path))
+def test_verify_fails_the_weight_bound_of_a_negative_weight(tmp_path, capsys,
+                                                           monkeypatch):
+    """A box-edge with no copy gives W = -1, and no Theorem-1 bound
+    applies: verify reports the weight bound failed.  No front end builds
+    such a net, so the copy example's box-edge e2 loses its copies l(e) and
+    r(e): the compiled entry of (e2, +), the contraction that reads their
+    head, is patched to give no successor."""
+    from pnlab import machine
+
+    path = tmp_path / "copy.pnet"
+    run_cli(capsys, "gen", "copy-example", "--out", str(path))
+    compile_entry = machine._compile
+
+    def compile_stuck(net, edge, pol):
+        entry = compile_entry(net, edge, pol)
+        if (edge, pol) == ("e2", "+"):
+            return entry._replace(rule=lambda us, st, config: [])
+        return entry
+
+    monkeypatch.setattr(machine, "_compile", compile_stuck)
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 1 and err == ""
     report = json.loads(out)["soundness"]
@@ -211,6 +226,16 @@ def test_verify_fails_the_weight_bound_of_a_negative_weight(tmp_path, capsys):
     assert report["checks"][1] == {
         "name": "weight-bound", "ok": False,
         "detail": "W=-1: some box-edge has no copy on a canonical sequence"}
+
+
+def test_weight_out_of_budget_prints_no_copies(tmp_path, capsys):
+    """A narrowing walk that runs out of budget ends with exit code 2, not
+    with a short copy set."""
+    path = tmp_path / "compose.pnet"
+    run_cli(capsys, "gen", "compose", "3", "3", "--out", str(path))
+    code, out, err = run_cli(capsys, "weight", str(path), "--budget", "1000")
+    assert code == 2 and out == ""
+    assert err == "budget exhausted: machine step budget exhausted\n"
 
 
 def test_lambda_subcommand(tmp_path, capsys):

@@ -5,12 +5,11 @@ written out by hand.  Those versions are copied below as references, with
 the intended changes: the suite's checks iterate copies in sorted order,
 and the no-stuck reference walks from every canonical start with one set
 of contexts seen, as the canonical walk does.  Every result is compared: run trees and traces at three budgets;
-reach_final's answers, memo and cycle flag; copy candidates; the no-stuck
-and subtree checks; and is_final on every context of a canonical
-transition.
+reach_final's answers, memo and cycle flag; the copies, against runs of
+reach_final from every standard signature up to size 4; the no-stuck and
+subtree checks; and is_final on every context of a canonical transition.
 """
 
-import itertools
 import random
 import subprocess
 import sys
@@ -33,22 +32,22 @@ from pnlab.machine import (
     reach_final,
     run,
     step,
-    table_entry,
 )
 from pnlab.signatures import (
     E,
+    all_standard_sigs,
     is_sig,
     lsig,
     msig,
     nsig,
     rsig,
+    sig_size,
     simplifications,
     subtrees,
 )
 from pnlab.suite import check_no_stuck
 from pnlab.weights import (
     WeightComputer,
-    _complete,
     canonical_walk,
     check_subtree_property,
     search_copy_candidates,
@@ -178,129 +177,6 @@ def ref_reach_final(net, start, config, memo):
     return ok, seen[0]
 
 
-def _is_hole(x):
-    return isinstance(x, tuple) and x and x[0] == "h"
-
-
-def ref_sym_final(net, c, binds):
-    vid, port = _endpoint(net, c)
-    label = net.vertices[vid].label
-    if c.pol == "+" and label == N.DER and port == "bang":
-        if len(c.stack) == 1:
-            top = c.stack[0]
-            if _is_hole(top):
-                return [{**binds, top[1]: E}]
-            if top == E:
-                return [binds]
-        return []
-    if c.pol == "+" and label in (N.CONCL, N.WEAK):
-        return ref_sym_pos_final(c.stack, binds)
-    if c.pol == "-" and label == N.PREM:
-        return ref_sym_neg_final(c.stack, binds)
-    return []
-
-
-def ref_sym_pos_final(v, binds):
-    if not v:
-        return []
-    top, rest = v[-1], v[:-1]
-    if not rest:
-        if _is_hole(top):
-            return [{**binds, top[1]: E}]
-        if top == E or top in ("a", "o", "f", "x", "s"):
-            return [binds]
-        return []
-    if top == "a":
-        return ref_sym_neg_final(rest, binds)
-    if top in ("o", "f", "x", "s"):
-        return ref_sym_pos_final(rest, binds)
-    if _is_hole(top):
-        return ref_sym_pos_final(rest, {**binds, top[1]: E})
-    if top == E:
-        return ref_sym_pos_final(rest, binds)
-    return []
-
-
-def ref_sym_neg_final(v, binds):
-    if not v:
-        return []
-    top, rest = v[-1], v[:-1]
-    if not rest:
-        return [binds] if top in ("a", "o", "f", "x", "s") else []
-    if top == "a":
-        return ref_sym_pos_final(rest, binds)
-    if top in ("o", "f", "x", "s"):
-        return ref_sym_neg_final(rest, binds)
-    if is_sig(top) or _is_hole(top):
-        return ref_sym_neg_final(rest, binds)
-    return []
-
-
-def _ref_resolve(x, binds):
-    if _is_hole(x):
-        return _ref_resolve(binds[x[1]], binds) if x[1] in binds else x
-    if isinstance(x, tuple) and x and x[0] in ("l", "r", "p"):
-        return (x[0], _ref_resolve(x[1], binds))
-    if isinstance(x, tuple) and x and x[0] == "n":
-        return nsig(_ref_resolve(x[1], binds), _ref_resolve(x[2], binds))
-    return x
-
-
-def _resolve_ctx(c, binds):
-    us = tuple(_ref_resolve(t, binds) for t in c.us)
-    stack = tuple(_ref_resolve(s, binds) if is_sig(s) or _is_hole(s) else s
-                  for s in c.stack)
-    return Context(c.edge, us, stack, c.pol)
-
-
-def _hole_branches(entry, c, fresh):
-    top = c.stack[-1] if c.stack else None
-    if not _is_hole(top):
-        return None
-    label, port = entry.vertex.label, entry.port
-    if label == N.CONTR and port == "merged" and c.pol == "+":
-        out = [lsig(("h", next(fresh))), rsig(("h", next(fresh)))]
-    elif label == N.DER and port == "bang" and c.pol == "+" and len(c.stack) >= 2:
-        out = [E]
-    elif label == N.DIG and port == "bang" and c.pol == "+":
-        out = [nsig(("h", next(fresh)), ("h", next(fresh)))]
-    elif label == N.MUX and port == "merged" and c.pol == "+":
-        out = [msig(i) for i in range(1, entry.vertex.arity + 1)]
-    else:
-        return None
-    return [(top[1], t) for t in out]
-
-
-def ref_search_copy_candidates(net, edge, us, config, budget=10**6):
-    fresh = itertools.count(1)
-    root = ("h", 0)
-    start = Context(edge, us, (root,), "+")
-    results = set()
-    steps = [budget]
-
-    def explore(c, binds, visited):
-        if steps[0] <= 0:
-            raise BudgetExhausted("copy search budget exhausted", c)
-        for b2 in ref_sym_final(net, c, binds):
-            results.add(_complete(root, b2))
-        branches = _hole_branches(table_entry(net, c.edge, c.pol), c, fresh)
-        if branches is not None:
-            for hid, t in branches:
-                b2 = {**binds, hid: t}
-                d = _resolve_ctx(c, b2)
-                if d not in visited:
-                    explore(d, b2, visited | {d})
-            return
-        for d in step(net, c, config):
-            steps[0] -= 1
-            if d in visited:
-                continue
-            explore(d, binds, visited | {d})
-
-    explore(start, {}, frozenset([start]))
-    return results
-
-
 def ref_check_no_stuck(net, comp):
     """A depth-first walk from every canonical start: each simplification
     of each copy, in order, with one set of contexts seen."""
@@ -426,14 +302,24 @@ def test_reach_final_and_is_final_match_reference(name):
 
 @pytest.mark.parametrize("name", sorted(NETS))
 def test_copy_search_and_checks_match_reference(name):
+    """The walk's copies are the standard signatures up to size 4 that the
+    reference confirms, and each copy it returns passes the reference."""
+    from test_shared_verify import ref_confirm
+
     net = NETS[name]
     comp = WeightComputer(net)
     rep = comp.report()
     config = comp.config
+    mux = [v.arity for v in net.vertices.values() if v.label == N.MUX]
+    pool = all_standard_sigs(4, tuple(range(1, max(mux) + 1)) if mux else ())
+    memo = {}
     for e, be in rep.entries.items():
         for u in be.sequences:
-            assert (search_copy_candidates(net, e, u, config)
-                    == ref_search_copy_candidates(net, e, u, config)), (e, u)
+            copies = search_copy_candidates(net, e, u, config)
+            assert copies == be.copies[u], (e, u)
+            assert ref_confirm(comp, e, u, sorted(copies), memo)[0] == copies
+            want = ref_confirm(comp, e, u, pool, memo)[0]
+            assert {t for t in copies if sig_size(t) <= 4} == want, (e, u)
             for t in sorted(be.copies[u]):
                 assert (check_subtree_property(net, e, u, t, comp)
                         == ref_check_subtree_property(net, e, u, t, comp))

@@ -103,8 +103,8 @@ def run_output(net, start: str) -> str:
 
 def weight_walks_output() -> tuple[str, str, int]:
     """The weight report of church 6 g z, its canonical transitions as a
-    sorted set of lines, and the number of nodes of its verification
-    walks."""
+    sorted set of lines, and the number of nodes of its narrowing walks'
+    trees."""
     comp = WeightComputer(_applied(_church(6, "t")))
     report = json.dumps(comp.report().to_dict(), indent=2, sort_keys=True)
     transitions = "".join(sorted({_lines([t]) for t in canonical_walk(comp).transitions}))
@@ -113,8 +113,7 @@ def weight_walks_output() -> tuple[str, str, int]:
 
 def search_output() -> str:
     """check_no_stuck on the canonical walk of composed (2,2), then the
-    copy candidates from each principal edge on each of its canonical
-    sequences."""
+    copies of each principal edge on each of its canonical sequences."""
     net = composed(2, 2)
     comp = WeightComputer(net)
     rows = [(e, u, sorted(search_copy_candidates(net, e, u, comp.config)))
@@ -212,13 +211,13 @@ RUN_SHA = {
 }
 # church 6 g z: the report; the set of canonical transitions, the same as
 # the transitions recorded run by run before the copies of a box-edge were
-# verified in one shared walk; the shared walks' node count
+# verified in one shared walk; the node count of the narrowing walks' trees
 WEIGHT_WALKS_REPORT_SHA = \
     "01b08969f2a6245b42909bd0380cc6e33f47e59ba26a9bef11d0729fe556af5c"
 WEIGHT_WALKS_TRANSITIONS_SHA = \
     "86eee0fcf43d16df947ba3782dd8743fde501334a5c6d4e1be42fc0e204a1b35"
 WEIGHT_WALKS_NODES = 81
-SEARCH_SHA = "8dc153fdc70d1ae7d2bdefea52c49402d00768fa4145086611da075f09e5e3e8"
+SEARCH_SHA = "d77c85c64a78b9f03c642735f473807789517f5f796fc928603299534227be42"
 # dr-ladder types repeat their parenthesized groups: parse_net's output on
 # ladder 11, and the weight and triangle normalize runs of `pnlab` on 8 and 9
 LADDER_PARSE_SHA = \

@@ -212,3 +212,35 @@ def test_canonical_transitions_are_listed_once_within_one_budget():
     comp.config.step_budget = len(transitions) // 2
     with pytest.raises(BudgetExhausted):
         canonical_walk(comp)
+
+
+# W of composed (j, k), church j at type (t -> t) -> t -> t applied to
+# church k, and of the ROADMAP's repro
+COMPOSED_WEIGHTS = {(1, 1): 2, (1, 2): 8, (1, 3): 16,
+                    (2, 1): 7, (2, 2): 39, (2, 3): 109,
+                    (3, 1): 14, (3, 2): 130, (3, 3): 538}
+
+
+def test_composed_numerals_have_every_copy():
+    """The weights of the composed numerals, whose copies the search once
+    missed.  The suite passes on (2,1) and (3,1); on (1,2), (2,2), (2,3)
+    and the repro only Theorem 2 fails, whose check assumes one canonical
+    sequence at every digging (ROADMAP item 2).  (2,3) is the net where a
+    p-simplification of a hole inside the second child of an n breaks the
+    N-step identity along the double strategy."""
+    from test_shared_verify import REPRO
+
+    from pnlab import suite
+
+    nets = {f"compose-{j}-{k}": gen_family("compose", (j, k))
+            for j, k in COMPOSED_WEIGHTS}
+    for (j, k), w in COMPOSED_WEIGHTS.items():
+        assert weight(nets[f"compose-{j}-{k}"]).weight == w, (j, k)
+    assert weight(REPRO).weight == 19
+    for name in ("compose-2-1", "compose-3-1"):
+        assert suite.run_suite(nets={name: nets[name]}) == [], name
+    for name in ("compose-1-2", "compose-2-2", "compose-2-3"):
+        failed = suite.run_suite(nets={name: nets[name]})
+        assert {line.split(": ")[1] for line in failed} == {"theorem2"}, name
+    failed = suite.run_suite(nets={"repro": REPRO})
+    assert {line.split(": ")[1] for line in failed} == {"theorem2"}
