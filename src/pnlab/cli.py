@@ -42,7 +42,7 @@ from .rewrite import (
 )
 from .systems import check_membership, verify_soundness
 from .terms import ElaborationError, ParseError, elaborate, parse_proof_term
-from .weights import WeightComputer
+from .weights import WeightComputer, WeightError
 
 REPORT_VERSION = 1
 
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ParseError, FormulaError, ElaborationError, LambdaError,
             MachineError, N.NetError, FamilyError, RewriteError,
-            CliError) as exc:
+            CliError, WeightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_USAGE)
     except (BudgetExhausted, MetricsBudget) as exc:

@@ -59,7 +59,14 @@ from .signatures import (
 
 
 class WeightError(ValueError):
-    pass
+    code = 1  # the exit code of a command that meets it: the net has no weight
+
+
+def mux_indices(net: N.ProofNet) -> tuple[int, ...]:
+    """The i of the standard signatures m(i) on net, up to its largest
+    multiplexer arity: with any, its standard signatures are e and these."""
+    arities = [v.arity for v in net.vertices.values() if v.label == N.MUX]
+    return tuple(range(1, max(arities) + 1)) if arities else ()
 
 
 # --- the narrowing walk -------------------------------------------------------
@@ -217,9 +224,8 @@ class Chains:
         self.config = config
         tables = net._index.chains.get(config.jumps_enabled)
         if tables is None:
-            mux = [v.arity for v in net.vertices.values() if v.label == N.MUX]
-            heads = ([E, *map(msig, range(1, max(mux) + 1))] if mux
-                     else [*_HEADS.values()])
+            mux = mux_indices(net)
+            heads = all_standard_sigs(1, mux) if mux else [*_HEADS.values()]
             tables = net._index.chains[config.jumps_enabled] = (
                 {}, {}, {}, {}, heads)
         self._chains: dict[Context, _Chain] = tables[0]
@@ -516,7 +522,7 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
     on.  A member the split leaves alone is shared, with its run.  Once all
     members are found, the pattern is a copy if no hole is left; else each
     instance is one, and as no budget can list them the walk raises
-    BudgetExhausted.  Each pattern costs one step of the budget.
+    WeightError.  Each pattern costs one step of the budget.
     """
     chains = Chains(net, config)
     nodes, spent = chains.tree(edge, us)
@@ -545,7 +551,7 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
             if not live:
                 t = _bound(ROOT, pattern)
                 if next(_holes(t), None) is not None:  # each instance is one
-                    raise BudgetExhausted(f"{edge} has infinitely many copies")
+                    raise WeightError(f"{edge} has infinitely many copies")
                 copies.add(t)
                 cyclic = cyclic or met
                 continue
@@ -644,11 +650,9 @@ class WeightComputer:
                           max_size: int = 4) -> frozenset[Sig]:
         """The copies up to max_size by generate and test: each standard
         signature whose simplifications all reach a final context."""
-        arities = [v.arity for v in self.net.vertices.values() if v.label == N.MUX]
-        mux_idx = tuple(range(1, max(arities) + 1)) if arities else ()
         memo: dict[Context, bool] = {}
         return frozenset(
-            t for t in all_standard_sigs(max_size, mux_idx)
+            t for t in all_standard_sigs(max_size, mux_indices(self.net))
             if all(reach_final(self.net, Context(edge, us, (s,), "+"),
                                self.config, memo)[0]
                    for s in simplifications(t, self._simps)))

@@ -228,6 +228,32 @@ def test_verify_fails_the_weight_bound_of_a_negative_weight(tmp_path, capsys,
         "detail": "W=-1: some box-edge has no copy on a canonical sequence"}
 
 
+def test_weight_fails_on_infinitely_many_copies(tmp_path, capsys, monkeypatch):
+    """A box-edge with infinitely many copies has no weight, and no budget
+    can list them: weight fails with the reason, not a budget message.  No
+    front end builds such a net, so the copy example's (e2, +) is patched
+    to drop its signature and step to the conclusion with e, which every
+    signature then reaches."""
+    from pnlab import machine
+    from pnlab.signatures import E
+
+    path = tmp_path / "copy.pnet"
+    run_cli(capsys, "gen", "copy-example", "--out", str(path))
+    compile_entry = machine._compile
+
+    def compile_reset(net, edge, pol):
+        entry = compile_entry(net, edge, pol)
+        if (edge, pol) == ("e2", "+"):
+            return entry._replace(
+                rule=lambda us, st, config: [machine.Context("e10", (), (E,), "+")])
+        return entry
+
+    monkeypatch.setattr(machine, "_compile", compile_reset)
+    code, out, err = run_cli(capsys, "weight", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: e2 has infinitely many copies\n"
+
+
 def test_weight_out_of_budget_prints_no_copies(tmp_path, capsys):
     """A narrowing walk that runs out of budget ends with exit code 2, not
     with a short copy set."""

@@ -50,6 +50,7 @@ from pnlab.weights import (
     WeightComputer,
     canonical_walk,
     check_subtree_property,
+    mux_indices,
     search_copy_candidates,
 )
 
@@ -310,8 +311,7 @@ def test_copy_search_and_checks_match_reference(name):
     comp = WeightComputer(net)
     rep = comp.report()
     config = comp.config
-    mux = [v.arity for v in net.vertices.values() if v.label == N.MUX]
-    pool = all_standard_sigs(4, tuple(range(1, max(mux) + 1)) if mux else ())
+    pool = all_standard_sigs(4, mux_indices(net))
     memo = {}
     for e, be in rep.entries.items():
         for u in be.sequences:

@@ -17,7 +17,12 @@ from pnlab import corpus, lam
 from pnlab.families import gen_family
 from pnlab.machine import Context, reach_final
 from pnlab.signatures import all_standard_sigs, sig_size, simplifications
-from pnlab.weights import WeightComputer, search_copy_candidates
+from pnlab.weights import (
+    WeightComputer,
+    WeightError,
+    mux_indices,
+    search_copy_candidates,
+)
 
 # --- the reference: one reach_final per simplification ------------------------
 
@@ -129,7 +134,6 @@ def test_search_agrees_with_the_oracle_up_to_size_6(name):
             assert got == comp.copies_bruteforce(e, u, size), (name, e, u)
 
 
-SIGS = all_standard_sigs(5)
 BOXED = sorted(name for name, net in CORPUS.items() if net.box_edges())
 
 
@@ -139,8 +143,7 @@ def candidate_sets(draw):
     net = CORPUS[name]
     e = draw(st.sampled_from(net.box_edges()))
     u = draw(st.sampled_from(WeightComputer(net).canonical_sequences(e)))
-    mux = [v.arity for v in net.vertices.values() if v.label == "mux"]
-    pool = all_standard_sigs(1, tuple(range(1, max(mux) + 1))) if mux else SIGS
+    pool = all_standard_sigs(5, mux_indices(net))
     cands = draw(st.lists(st.sampled_from(pool), max_size=12, unique=True))
     return name, e, u, sorted(cands)
 
@@ -149,15 +152,14 @@ def candidate_sets(draw):
 @given(candidate_sets())
 def test_walk_matches_reference_on_drawn_candidates(case):
     """The drawn candidates among the walk's copies are those the
-    reference confirms, and a cycle the reference meets on the way to one
-    of them is flagged by the walk."""
+    reference confirms, and the walk flags a cycle exactly when the
+    reference meets one on the way to its copies."""
     name, e, u, cands = case
     net = CORPUS[name]
     comp = WeightComputer(net)
     copies = comp.copies(e, u)
-    want, cyclic = ref_confirm(comp, e, u, cands, {})
-    assert {t for t in cands if t in copies} == want
-    assert comp.cycle_seen or not cyclic
+    assert {t for t in cands if t in copies} == ref_confirm(comp, e, u, cands, {})[0]
+    assert copies.cyclic == ref_confirm(comp, e, u, sorted(copies), {})[1]
 
 
 # --- cycles: random graphs of contexts with holes ------------------------------
@@ -174,15 +176,30 @@ def _symbolic_graph(rng, joins: bool):
     a join, and a node may also replace t by e: the graph is not
     reversible, so the runs may meet their path again anywhere, and with
     a context that is the same for some signatures only."""
-    from pnlab import net as N
-    from pnlab.machine import Entry
-    from pnlab.signatures import E, lsig, rsig
+    from pnlab.signatures import lsig, rsig
 
     n = rng.randrange(2, 9)
     kinds = ["pass", "pass", "wrap", "read", "read", "final", "stuck"]
     kinds = [rng.choice(kinds + ["reset"] * joins) for _ in range(n)]
+    nodes = []
+    for kind in kinds:
+        ws = [rng.randrange(n) for _ in range(rng.choice((1, 1, 2, 3)))]
+        wrap = rng.choice((lsig, rsig)) if kind == "wrap" else None
+        if kind == "read":
+            ws = [ws[0], rng.randrange(n)]
+        nodes.append((kind, ws, wrap))
+    return _graph_net(nodes, joins)
+
+
+def _graph_net(nodes, joins: bool):
+    """The net of _symbolic_graph whose node v is nodes[v]: its kind, its
+    successors (the l and the r one for a read) and its wrap."""
+    from pnlab import net as N
+    from pnlab.machine import Entry
+    from pnlab.signatures import E
+
     vertices, edges = {}, {}
-    for v, kind in enumerate(kinds):
+    for v, (kind, _, _) in enumerate(nodes):
         label = {"final": N.CONCL, "stuck": N.PREM, "read": N.CONTR}.get(kind, N.DER)
         vertices[f"v{v}"] = N.Vertex(f"v{v}", label)
         port = "merged" if kind == "read" else "edge"
@@ -195,18 +212,15 @@ def _symbolic_graph(rng, joins: bool):
     def at(w, t):
         return Context(f"e{w}", (), (t,), "+")
 
-    for v, kind in enumerate(kinds):
-        ws = [rng.randrange(n) for _ in range(rng.choice((1, 1, 2, 3)))]
+    for v, (kind, ws, wrap) in enumerate(nodes):
         if kind == "pass":
             rule = lambda us, st, config, ws=ws: [at(w, st[-1]) for w in ws]
         elif kind == "wrap":
-            wrap = rng.choice((lsig, rsig))
             rule = lambda us, st, config, w=ws[0], wrap=wrap: [at(w, wrap(st[-1]))]
         elif kind == "reset":
             rule = lambda us, st, config, w=ws[0]: [at(w, E)]
         elif kind == "read":
-            left, right = ws[0], rng.randrange(n)
-            rule = (lambda us, st, config, left=left, right=right:
+            rule = (lambda us, st, config, left=ws[0], right=ws[1]:
                     [at(left if st[-1][0] == "l" else right, st[-1][1])]
                     if st[-1][0] in ("l", "r") else [])
         else:
@@ -217,30 +231,69 @@ def _symbolic_graph(rng, joins: bool):
     return net
 
 
+def _reads_deeper_than(net, depth: int) -> bool:
+    """Whether a run from (e0, [], [t], +) reads t deeper than depth, for
+    some t of depth constructors l and r over a marker: whether some
+    context reached by step from one has the marker on top of the stack
+    at a contraction."""
+    from itertools import product
+
+    from pnlab import net as N
+    from pnlab.machine import MachineConfig, step
+    from pnlab.signatures import lsig, rsig
+
+    mark, config = ("x",), MachineConfig()
+    reads = {e for e in net.edges if net.vertices[f"v{e[1:]}"].label == N.CONTR}
+    for wraps in product((lsig, rsig), repeat=depth):
+        t = mark
+        for wrap in wraps:
+            t = wrap(t)
+        todo, seen = [Context("e0", (), (t,), "+")], set()
+        while todo:
+            c = todo.pop()
+            if c not in seen:
+                if c[2][-1] == mark and c[0] in reads:
+                    return True
+                seen.add(c)
+                todo.extend(step(net, c, config))
+    return False
+
+
 @pytest.mark.parametrize("joins", [False, True])
 def test_walks_match_references_on_cyclic_graphs(joins):
-    """On each graph the walk's copies are those the reference confirms
-    among the standard signatures up to size 4, every copy it returns
-    passes the reference, and the cycle flags agree."""
+    """On each graph the reference finishes in 300 steps, the walk with
+    as many finds the copies the reference confirms among the standard
+    signatures up to size 4, every copy it returns passes the reference,
+    the cycle flags agree, and a walk of 3000 steps finds the same.  Where
+    the walk finds infinitely many copies, the reference confirms some of
+    every size from the smallest up to 4.  Where it runs out of budget,
+    the machine's runs read the signature deeper than 6 constructors, so
+    its tree of reads is deeper than any signature of the pool."""
     from pnlab.machine import BudgetExhausted, MachineConfig
 
     rng = random.Random(5)
-    config = MachineConfig(step_budget=3000)
+    short, config = MachineConfig(step_budget=300), MachineConfig(step_budget=3000)
     pool = all_standard_sigs(4)
-    compared = cyclic = 0
+    compared = cyclic = deep = 0
     for _ in range(300):
         net = _symbolic_graph(rng, joins)
         try:
-            # on a runaway graph a walk of 300 steps already runs out
-            copies = search_copy_candidates(net, "e0", (),
-                                            MachineConfig(step_budget=300))
-            comp = WeightComputer(net, config)
-            memo = {}
-            confirmed, cycle_seen = ref_confirm(comp, "e0", (), sorted(copies),
-                                                memo)
-            want, _ = ref_confirm(comp, "e0", (), pool, memo)
+            want, _ = ref_confirm(WeightComputer(net, short), "e0", (), pool, {})
         except (BudgetExhausted, RecursionError):
-            continue  # a runaway graph: the budgets count different units
+            continue  # a runaway graph, left out by the reference alone
+        try:
+            copies = search_copy_candidates(net, "e0", (), short)
+        except WeightError as exc:
+            assert "infinitely many copies" in str(exc)
+            sizes = {sig_size(t) for t in want}  # a pattern's instances
+            assert sizes == set(range(min(sizes, default=5), 5)) != set()
+            continue
+        except BudgetExhausted:
+            assert _reads_deeper_than(net, 6)
+            deep += 1
+            continue
+        comp = WeightComputer(net, config)
+        confirmed, cycle_seen = ref_confirm(comp, "e0", (), sorted(copies), {})
         assert confirmed == copies
         assert copies.cyclic == cycle_seen
         assert {t for t in copies if sig_size(t) <= 4} == want
@@ -248,4 +301,14 @@ def test_walks_match_references_on_cyclic_graphs(joins):
         compared += 1
         cyclic += any(reach_final(net, Context("e0", (), (u,), "+"), config)[1]
                       for u in pool)
-    assert compared > 150 and cyclic > 30
+    assert compared > 150 and cyclic > 30 and deep > 50
+
+
+def test_a_start_that_drops_its_signature_has_infinitely_many_copies():
+    """e0 replaces its signature by e and passes it to e1, a conclusion:
+    every standard signature is a copy of e0, which the walk cannot list."""
+    net = _graph_net([("reset", [1], None), ("final", [0], None)], joins=True)
+    assert ref_confirm(WeightComputer(net), "e0", (), all_standard_sigs(4),
+                       {})[0] == set(all_standard_sigs(4))
+    with pytest.raises(WeightError, match="e0 has infinitely many copies"):
+        search_copy_candidates(net, "e0", (), WeightComputer(net).config)
