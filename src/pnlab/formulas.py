@@ -354,6 +354,9 @@ def match_instance(pattern: Formula, inst: Formula, atom: str):
 # A match of _TOKENS is one token; a character that starts no token is a
 # match of its own, in group 1, and the reader rejects it.
 _TOKENS = re.compile(r"-o|[*!().]|[A-Za-z_][A-Za-z0-9_]*|(\S)")
+# The same tokens as findall lists them: a token, or '' for a character
+# that starts none.
+_WORDS = re.compile(r"(-o|[*!().]|[A-Za-z_][A-Za-z0-9_]*)|\S")
 _PUNCT = frozenset(("-o", "*", "!", "(", ")", "."))
 # A group whose text has at least _PREFIX characters is looked up by its
 # first _PREFIX, among the last _PER_PREFIX such groups read with the same
@@ -369,40 +372,69 @@ _BANG, _SEC, _FORALL, _PAREN, _TENSOR, _LOLLI = range(6)
 
 
 class _Tokens:
-    """The tokens of a text, read from the left one at a time; `jump`
-    goes on from a later position without reading what lies between.
+    """The tokens of a text, read from the left a stretch at a time: the
+    reader pops them from `buf`, last first, and calls `fill` when it is
+    empty; `jump` goes on from a later position without reading what lies
+    between.
 
-    A text's first bad character is reported before any syntax error, as
-    by a reader that tokenizes the whole text first: `next` raises when it
-    meets one, and `rest` and `fail` look for one after the last token
-    read before they give up.
+    A stretch runs up to and with the next '(', the one place a jump can
+    start, and one findall lists its tokens, so a token costs the reader a
+    list pop.  Of positions the reader needs where a '(' starts, which is
+    `at` - 1 as a '(' ends its stretch, and where a ')' ends, which `close`
+    finds from the ')' before it.  A text's first bad character is
+    reported before any syntax error, as by a reader that tokenizes the
+    whole text first: `fill` raises when a stretch holds one, and `rest`
+    and `fail` look for one after the last token read before they give up.
     """
 
-    __slots__ = ("text", "end", "_it")
+    __slots__ = ("text", "at", "closed", "buf")
 
     def __init__(self, text: str):
         self.text = text
-        self.end = 0  # where the last token read ends
-        self._it = _TOKENS.finditer(text)
+        self.at = 0  # where the next stretch starts
+        self.closed = 0  # where the last ')' passed ends, or the last jump
+        self.buf: list[str] = []
 
-    def next(self) -> str | None:
-        """The next token, or None at the end of the text."""
-        m = next(self._it, None)
-        if m is None:
-            return None
-        if m.lastindex:
-            raise FormulaError(f"bad formula syntax at {self.text[self.end:]!r}")
-        self.end = m.end()
-        return m[0]
+    def fill(self) -> bool:
+        """Put the next stretch's tokens in buf; False at the end."""
+        text, pos = self.text, self.at
+        if text.startswith("(", pos):  # a stretch of one token
+            self.at = pos + 1
+            self.buf.append("(")
+            return True
+        stop = text.find("(", pos) + 1 or len(text)
+        words = _WORDS.findall(text, pos, stop)
+        if "" in words:
+            self._bad(pos, stop)
+        self.at = stop
+        self.buf.extend(reversed(words))
+        return bool(words)
+
+    def _bad(self, pos: int, stop: int) -> NoReturn:
+        """Raise for the first bad character between pos, where a token
+        ended, and stop, with the text after the token before it."""
+        for m in _TOKENS.finditer(self.text, pos, stop):
+            if m.lastindex:
+                raise FormulaError(f"bad formula syntax at {self.text[pos:]!r}")
+            pos = m.end()
+        raise AssertionError("no bad character in the stretch")
+
+    def close(self) -> int:
+        """Pass the ')' just read; where it ends."""
+        self.closed = self.text.index(")", self.closed) + 1
+        return self.closed
 
     def jump(self, pos: int) -> None:
         """Go on from pos, which ends a token."""
-        self.end = pos
-        self._it = _TOKENS.finditer(self.text, pos)
+        self.at = self.closed = pos
+        self.buf.clear()
 
     def rest(self) -> list[str]:
         """The tokens after the last one read."""
-        return list(iter(self.next, None))
+        out = []
+        while self.buf or self.fill():
+            out.append(self.buf.pop())
+        return out
 
     def fail(self, message: str) -> NoReturn:
         """Raise the syntax error message, unless a bad character follows."""
@@ -435,27 +467,31 @@ def parse_formula(text: str, groups: dict | None = None) -> Formula:
     if groups is None:
         groups = {}
     tokens = _Tokens(text)
+    buf = tokens.buf
+    pop, fill = buf.pop, tokens.fill
     frames: list[tuple] = []  # (frame kind, payload)
     key: list = []  # the tokens of the innermost open group, read so far
     while True:
         # read prefixes up to an atom: the start of a unary
-        tok = tokens.next()
+        tok = pop() if buf or fill() else None
         if tok == "!" or tok == "sec":
             key.append(tok)
             frames.append((_BANG if tok == "!" else _SEC, None))
             continue
         if tok == "all":
-            binder = tokens.next()
+            binder = pop() if buf or fill() else None
             if binder is None:
                 tokens.fail("expected token, found None")
-            dot = tokens.next()
+            if binder == ")":  # a binder may be one: pass it
+                tokens.close()
+            dot = pop() if buf or fill() else None
             if dot != ".":
                 tokens.fail(f"expected ., found {dot!r}")
             key += (tok, binder, dot)
             frames.append((_FORALL, binder))
             continue
         if tok == "(":
-            start = tokens.end - 1
+            start = tokens.at - 1
             for seen in groups.get(text[start:start + _PREFIX], ()):
                 g = seen[0]
                 if type(g) is tuple:  # first comparison: cut the text out
@@ -475,7 +511,7 @@ def parse_formula(text: str, groups: dict | None = None) -> Formula:
             key.append(tok)
             f = Atom(tok)
         # f is a whole unary: close what it completes
-        tok = tokens.next()
+        tok = pop() if buf or fill() else None
         while True:
             while frames and frames[-1][0] <= _SEC:
                 f = Bang(f) if frames.pop()[0] == _BANG else Sec(f)
@@ -497,18 +533,21 @@ def parse_formula(text: str, groups: dict | None = None) -> Formula:
                 f = Forall(payload, f)
             elif tok == ")":  # kind is _PAREN: the group is read
                 start, outer = payload
+                end = tokens.close()
                 # the formula of an equal group read before, else this one;
                 # ids of kept formulas stay distinct, as groups holds them
                 f = groups.setdefault(tuple(key), f)
-                if tokens.end - start >= _PREFIX:
+                if end - start >= _PREFIX:
                     # its text is cut out when first compared, so that
                     # nested groups do not each copy what they enclose
-                    seen = [(text, start, tokens.end), f]
-                    groups.setdefault(text[start:start + _PREFIX],
-                                      deque(maxlen=_PER_PREFIX)).append(seen)
+                    prefix = text[start:start + _PREFIX]
+                    last = groups.get(prefix)
+                    if last is None:
+                        last = groups[prefix] = deque(maxlen=_PER_PREFIX)
+                    last.append([(text, start, end), f])
                 key = outer
                 key.append(id(f))
-                tok = tokens.next()
+                tok = pop() if buf or fill() else None
             else:
                 tokens.fail(f"expected ), found {tok!r}")
 

@@ -22,7 +22,9 @@ the stack and U (and whether jumps are enabled, read as it runs).  An exit
 that cannot be taken (no edge at the port, an edge the wrong way round)
 is resolved to one that raises that error when a rule takes it, so a
 malformed net fails in the step that reaches the fault and no earlier.
-A reduct from rewriting starts with an empty table of its own.
+An entry records the vertices it was compiled from, and a reduct from
+rewriting takes its parent's entry for a pair instead of compiling one
+when that entry read none of the vertices its step changed.
 
 The machine is deterministic except at a box's principal edge with negative
 polarity and a single-signature stack, where it jumps to every box premise
@@ -186,28 +188,38 @@ _DER_FINAL = "der"
 
 class Entry(NamedTuple):
     """What a token on an edge with a polarity meets: the endpoint vertex
-    and port, and the rule applied there."""
+    and port, and the rule applied there.  `reads` lists what the entry was
+    compiled from: the endpoint vertex, and for a jump the doors of its box
+    (net.doors_of and each door) or the principal of the door's box."""
 
     vertex: N.Vertex
     port: str
     rule: Callable  # (us, stack, config) -> successors
     final: str | None
+    reads: tuple = ()
 
 
 def table_entry(net: N.ProofNet, edge: str, pol: str) -> Entry:
-    """The entry of (edge, pol), compiled on first use and kept with the
-    net's index."""
-    table = net._index.transitions
+    """The entry of (edge, pol), found on first use and kept with the
+    net's index: the parent's entry for a reduct when it read no vertex
+    the step made stale, else compiled."""
+    index = net._index
+    table = index.transitions
     entry = table.get((edge, pol))
     if entry is None:
-        entry = table[edge, pol] = _compile(net, edge, pol)
+        handed = index.inherited
+        entry = handed and handed[0].get((edge, pol))
+        if entry is None or not handed[2].isdisjoint(entry.reads):
+            entry = _compile(net, edge, pol)
+        table[edge, pol] = entry
     return entry
 
 
 def step(net: N.ProofNet, c: Context,
          config: MachineConfig | None = None) -> list[Context]:
     """All d with c -> d; empty when c is final or stuck."""
-    return table_entry(net, c.edge, c.pol).rule(c.us, c.stack, config)
+    entry = net._index.transitions.get((c[0], c[3])) or table_entry(net, c[0], c[3])
+    return entry.rule(c[1], c[2], config)
 
 
 def _compile(net: N.ProofNet, edge: str, pol: str) -> Entry:
@@ -224,7 +236,16 @@ def _compile(net: N.ProofNet, edge: str, pol: str) -> Entry:
         final = pol
     else:
         final = None
-    return Entry(v, port, _rule(net, v, port, pol), final)
+    # the exits are edges at the endpoint's ports; a jump also reads the
+    # doors of the endpoint's box, or the box of the door it is
+    reads: tuple = (vid,)
+    if label == N.RBANG and port == "principal" and vid in net.boxes:
+        reads += (N.doors_of(vid), *net.boxes[vid].doors)
+    elif label == N.LBANG and port == "outer":
+        pid = net.door_box(vid)
+        if pid is not None:
+            reads += (pid,)
+    return Entry(v, port, _rule(net, v, port, pol), final, reads)
 
 
 class _Broken:

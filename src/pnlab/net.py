@@ -16,11 +16,12 @@ largest numbered ids.  A reduct built by `rewrite.fire` receives its port
 index, box tables and box ranks from the rewriter instead, which shares
 every list it did not change with the source net; lists in the tables are
 therefore never changed in place.  The index also keeps the token
-machine's compiled transitions (`machine.table_entry`); those hold resolved
-edges and vertices, so a reduct always starts with an empty table.  Once a
-net is keyed it also keeps `rewrite.canonical_key`'s row of each vertex
-(`_Index.key_row`); a reduct inherits the rows of the vertices its step
-left alone.
+machine's compiled transitions (`machine.table_entry`) and the chains of
+`weights.Chains`; each entry and chain records the vertices it read, and a
+reduct of a net that built them inherits those that read no vertex its step
+changed.  Once a net is keyed it also keeps `rewrite.canonical_key`'s row
+of each vertex (`_Index.key_row`); a reduct inherits the rows of the
+vertices its step left alone.
 `retag` (`dataclasses.replace`) shares the index with its source net; that
 is safe because no index depends on the system tag.
 """
@@ -299,6 +300,15 @@ class _Index:
     It holds the net's dicts, never the net itself, so the two form no
     reference cycle.  Box lists are box keys in the order of `boxes`, and
     box ranks increase in that order.
+
+    A reduct from `rewrite.fire` is handed what its parent had built of
+    the machine's tables: `inherited` holds the parent's entries, its
+    chain tables and the vertices the step made stale.  The reduct takes
+    a parent's entry when it first queries its key (`machine.table_entry`)
+    and the parent's chains when it first walks with that setting of
+    jumps (`weights.Chains`), each only if it read no stale vertex, so a
+    reduct that is never run costs nothing for them; `docs/DECISIONS.md`
+    ("What a reduct inherits") says why that is sound.
     """
 
     def __init__(self, vertices, edges, boxes):
@@ -309,7 +319,10 @@ class _Index:
         # (edge, polarity) -> machine.Entry, filled per queried pair
         self.transitions: dict[tuple[str, str], object] = {}
         # whether jumps are enabled -> the tables of weights.Chains
-        self.chains: dict[bool, tuple] = {}
+        self.chains: dict[bool, object] = {}
+        # for a reduct: (the parent's entries, its chain tables, the stale
+        # vertices), when the parent had built either
+        self.inherited: tuple | None = None
         # for a reduct: the edges the step put, re-ended or deleted
         self.touched: set[str] | None = None
         # vertex -> its key row (see key_row), filled per keyed vertex; None
@@ -443,6 +456,12 @@ class _Index:
                          key=self.box_rank.__getitem__)
             self.edge_boxes[eid] = out
         return out
+
+
+def doors_of(pid: str) -> tuple[str, str]:
+    """What a compiled entry or chain reads of a box's list of doors, as
+    against its principal vertex: stale when a step changes that list."""
+    return ("doors", pid)
 
 
 def _max_numbered(ids, prefix: str) -> int:

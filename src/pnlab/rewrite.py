@@ -19,11 +19,15 @@ boxes around it, principal or door -> its box, box ranks), edits only the
 entries the redex and any box it copies, opens or moves touch, and hands
 them to the reduct, with the set of edges it put, re-ended or deleted.  A
 box it edits gets a new record whose contents are an `EditedSet` over the
-old ones, so the boxes around a redex are not copied.  A net that has been
-keyed also hands on its key rows (vertex -> what `canonical_key` writes for
-it), less those of the vertices the step added, dropped or relabelled and
-of every end of the edges it touched, so a reduct is keyed from the rows
-its step changed; a net never keyed hands on none.  `Walk`, which
+old ones, so the boxes around a redex are not copied.  A step makes one set
+of stale vertices: those it added, dropped or relabelled or gave a port,
+and the ends of the edges it touched, as they were before it.  A net that
+has been keyed hands on its key rows (vertex -> what `canonical_key` writes
+for it) less those of the stale vertices, so a reduct is keyed from the
+rows its step changed.  A net that has run the token machine hands on its
+compiled entries and chains, which the reduct takes on first use unless
+they read a stale vertex where a label or a port's edge changed.  A net
+with none of these hands on nothing.  `Walk`, which
 `normalize` and the suite's monotonicity check step through, and
 `reduction_metrics` run `find_cuts` once, on their input; after each step
 `update_cuts` reclassifies the touched edges and re-reads the level of the
@@ -145,12 +149,13 @@ class _Surgeon:
     It keeps the port index, the box tables (`enclosing`, `inner_boxes`)
     and the box ranks in step with its edges and boxes, and hands them to
     the reduct, together with the largest ids when they are still exact and
-    the set of edges it put, re-ended or deleted, and the source net's key
-    rows less the stale ones when it has any.  Every dict is a shallow copy
-    of the source net's; a table entry is replaced, never changed in place,
-    and a box record is copied only when the step edits it.  Every write to
-    the vertices goes through `add_vertex`, `drop_vertex` or `relabel`,
-    which note the vertex as changed.
+    the set of edges it put, re-ended or deleted, and what the source net
+    built of its key rows and machine tables (see `freeze`).  Every dict is
+    a shallow copy of the source net's; a table entry is replaced, never
+    changed in place, and a box record is copied only when the step edits
+    it.  Every write to the vertices goes through `add_vertex`,
+    `drop_vertex` or `relabel`, which note the vertex as changed, and every
+    edge that comes to a port goes through `put_edge`.
     """
 
     def __init__(self, net: ProofNet):
@@ -166,8 +171,10 @@ class _Surgeon:
         self.rank = index.box_rank.copy()
         self.edited: dict[str, tuple[list[str], set[str], set[str]]] = {}
         self.touched: set[str] = set()
-        self.source = net  # for the key rows the reduct inherits
+        self.source = net  # for the key rows and tables the reduct inherits
         self.changed: set[str] = set()  # vertices added, dropped or relabelled
+        # vertices given an edge at a port, kept for the key rows only
+        self.ported: set[str] | None = None if index.key_rows is None else set()
         self.vn = index.max_vertex_id
         self.en = index.max_edge_id
         self.provenance: dict[str, tuple[str, str]] = {}
@@ -187,13 +194,22 @@ class _Surgeon:
         return e
 
     def put_edge(self, e: Edge):
-        """Insert an edge, or replace the one with its id in place."""
+        """Insert an edge, or replace the one with its id in place; a
+        vertex where it takes a port that no edge holds is noted as ported
+        (where one does, that edge must leave it, so the vertex is among
+        its ends before the step)."""
+        ports, ported = self.ports, self.ported
+        if ported is not None:
+            if e.src not in ports:
+                ported.add(e.src[0])
+            if e.tgt not in ports:
+                ported.add(e.tgt[0])
         old = self.edges.get(e.id)
         if old is not None:
             self._unport(old)
         self.edges[e.id] = e
-        self.ports[e.src] = e
-        self.ports[e.tgt] = e
+        ports[e.src] = e
+        ports[e.tgt] = e
         self.touched.add(e.id)
 
     def del_edge(self, eid: str):
@@ -364,11 +380,20 @@ class _Surgeon:
             raise RewriteError(f"splice produced a closed loop through {sorted(leftovers)}")
 
     def freeze(self) -> ProofNet:
+        source = self.source._index
+        rows = source.key_rows
+        entries, chains = source.transitions, source.chains
+        jumps = set() if entries or chains else None
         for pid, (doors, added, removed) in self.edited.items():
-            contents = self.boxes[pid].contents
+            box, doors = self.boxes[pid], tuple(doors)
+            contents = box.contents
             if added or removed:
                 contents = N.EditedSet(contents, added, removed)
-            self.boxes[pid] = Box(pid, tuple(doors), contents)
+            if jumps is not None and doors != box.doors:
+                # the doors lists that changed, and the doors moved
+                jumps.add(N.doors_of(pid))
+                jumps.update(set(doors).symmetric_difference(box.doors))
+            self.boxes[pid] = Box(pid, doors, contents)
         net = ProofNet(self.vertices, self.edges, self.boxes, self.system)
         index = net._index
         index.ports = self.ports
@@ -382,19 +407,39 @@ class _Surgeon:
             index.max_vertex_id = self.vn
         if f"e{self.en}" in self.edges:
             index.max_edge_id = self.en
-        rows = self.source._index.key_rows
+        before, after = self.source.edges, self.edges
         if rows is not None:
-            # a vertex's key row reads its label and the edges at its ports,
-            # so a row is stale at each end of an edge, before and after
-            rows = index.key_rows = rows.copy()
-            for vid in self.changed:
-                rows.pop(vid, None)
-            before, after = self.source.edges, self.edges
+            # A row reads its vertex's label and, at each port, the edge's
+            # direction, formula and other end.  An edge that changes any
+            # of these is touched, and the vertex is one of its ends before
+            # the step, or else is changed or ported (put_edge).  These are
+            # the stale vertices; every other row is handed on.
+            stale = self.changed | self.ported
             for eid in self.touched:
-                for e in (before.get(eid), after.get(eid)):
-                    if e is not None:
-                        rows.pop(e.src[0], None)
-                        rows.pop(e.tgt[0], None)
+                e = before.get(eid)
+                if e is not None:
+                    stale.add(e.src[0])
+                    stale.add(e.tgt[0])
+            rows = index.key_rows = rows.copy()
+            for vid in stale:
+                rows.pop(vid, None)
+        if jumps is not None:
+            # An entry reads a label and which edge is at each port, and a
+            # jump the doors of a box (machine.Entry.reads), not the other
+            # ends or formulas of those edges.  So of the stale vertices it
+            # can read anew only the changed ones and those where an edge
+            # left or came to a port, besides the doors lists that changed.
+            moved = self.changed | jumps
+            for eid in self.touched:
+                e, f = before.get(eid), after.get(eid)
+                for end, now in ((e and e.src, f and f.src),
+                                 (e and e.tgt, f and f.tgt)):
+                    if end != now:
+                        if end:
+                            moved.add(end[0])
+                        if now:
+                            moved.add(now[0])
+            index.inherited = (entries, chains, moved)
         return net
 
 
@@ -687,9 +732,11 @@ def canonical_key(net: ProofNet) -> str:
     neighbour's number and port, and the edge formula's `alpha_canon` text,
     which the formula object computes once and keeps.  All of that but the
     neighbours' numbers is the vertex's key row (`net._Index.key_row`),
-    kept in the net's index once built; a reduct of a keyed net inherits
-    the rows of the vertices its step left alone (`_Surgeon.freeze`), so
-    keying it builds only the rows the step changed.
+    kept in the net's index once built.  A reduct of a keyed net inherits
+    every row but those of the step's stale vertices: the ones it added,
+    dropped, relabelled or gave a port, and the ends of the edges it
+    touched as they were before it (`_Surgeon.freeze`).  So keying a
+    reduct builds only the rows the step changed.
     """
     index = net._index
     rows = index.key_rows

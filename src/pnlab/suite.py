@@ -45,6 +45,10 @@ def check_no_stuck(stuck) -> list[str]:
 
 
 def check_theorem2(net: ProofNet, comp: WeightComputer) -> list[str]:
+    """The triangle strategy takes W steps of kinds X and N.  When the
+    count differs, each N-step whose cut edge has several canonical
+    sequences in the reduct is named as a witness: the derivation of the
+    count assumes one at every such step."""
     rep = comp.report()
     _, trace = normalize(net, TRIANGLE)
     if trace.status != "normal":
@@ -53,8 +57,24 @@ def check_theorem2(net: ProofNet, comp: WeightComputer) -> list[str]:
     out = []
     if exp != rep.weight:
         out.append(f"exponential step count {exp} differs from W = {rep.weight}")
+        out.extend(_digging_witnesses(net, comp))
     if len(trace.steps) < rep.weight:
         out.append("total step count fell below the weight")
+    return out
+
+
+def _digging_witnesses(net: ProofNet, comp: WeightComputer) -> list[str]:
+    """One line per N-step of the triangle walk whose cut edge e, the
+    inner box-edge of the box the step makes, has |L_H(e)| > 1 in the
+    reduct H, with the step's index in the trace."""
+    out = []
+    walk = Walk(net, TRIANGLE, REWRITE_BUDGET)
+    for i, (_, cut, reduct, _) in enumerate(walk):
+        if cut.kind == "N":
+            n = len(WeightComputer(reduct, comp.config)
+                    .canonical_sequences(cut.edge))
+            if n > 1:
+                out.append(f"N step {i} at {cut.edge}: |L_H({cut.edge})| = {n}")
     return out
 
 

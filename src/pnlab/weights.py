@@ -169,12 +169,17 @@ class _Chain:
       to be final, or is None when it cannot be.
 
     `join` tells whether the start is a join, `steps` counts the
-    transitions to the end, and `links` lists the ways on from it.
+    transitions to the end, `links` lists the ways on from it, and `reads`
+    holds the vertices its transitions read (those of their table entries,
+    and the source of the start edge where that decides `join`).
 
     A link is [via, chain start, positions, chain or None]: the head of the
     demanded signature it follows (None at a BRANCH), the positions of its
     holes below the end's ((j,) for hole j, (j, i) for child i of the hole
-    read), and its chain, walked on first use.
+    read), and the chain last found for it.  Chains are shared by a net
+    and the reducts that inherit them, so that last slot is only a hint:
+    a table follows it while the chain is alive there and else looks the
+    start up.
 
     Whether a context starts a chain depends on the context alone: a
     join, or a successor of a context that reads the top of the stack or
@@ -188,7 +193,7 @@ class _Chain:
     """
 
     __slots__ = ("start", "join", "end", "steps", "kind", "need", "hole",
-                 "demanded", "links")
+                 "demanded", "links", "reads")
 
     def __init__(self, start: Context):
         self.start = start
@@ -213,26 +218,60 @@ class _Node:
         self.joins: dict = {} if up is None else up.joins
 
 
+class _Tables:
+    """The chain tables of one net for one setting of jumps: its chains by
+    start and as a set, its root chains by (edge, U), the memos of
+    _canonical, which depend on signatures alone, the standard heads, and
+    how many chains it inherited; the others it walked.
+
+    A reduct's tables start from its parent's (net._Index.inherited): the
+    chains whose reads miss the step's stale vertices, and the roots among
+    them; the memos are shared.
+    """
+
+    __slots__ = ("chains", "alive", "roots", "holey", "renamed", "heads",
+                 "inherited")
+
+    def __init__(self, net: N.ProofNet, jumps: bool):
+        mux = mux_indices(net)
+        self.heads = all_standard_sigs(1, mux) if mux else [*_HEADS.values()]
+        handed = net._index.inherited
+        parent = handed[1].get(jumps) if handed is not None else None
+        if parent is None:
+            self.chains, self.roots, self.holey, self.renamed = {}, {}, {}, {}
+            self.alive = set()
+        else:
+            stale = handed[2]
+            self.chains = {start: ch for start, ch in parent.chains.items()
+                           if stale.isdisjoint(ch.reads)}
+            alive = self.alive = set(self.chains.values())
+            self.roots = {k: ch for k, ch in parent.roots.items() if ch in alive}
+            self.holey, self.renamed = parent.holey, parent.renamed
+        self.inherited = len(self.chains)
+
+
 class Chains:
     """The chains of a net, kept by their start with the net's index (one
     table for each setting of jumps, as the rules read it), so that each
     stretch of the symbolic transition relation is stepped once for every
-    narrowing walk that reaches it, whatever the names of its holes."""
+    narrowing walk that reaches it, whatever the names of its holes.  A
+    reduct inherits its parent's chains less those that read a vertex its
+    step changed (_Tables)."""
 
     def __init__(self, net: N.ProofNet, config: MachineConfig):
         self.net = net
         self.config = config
         tables = net._index.chains.get(config.jumps_enabled)
         if tables is None:
-            mux = mux_indices(net)
-            heads = all_standard_sigs(1, mux) if mux else [*_HEADS.values()]
-            tables = net._index.chains[config.jumps_enabled] = (
-                {}, {}, {}, {}, heads)
-        self._chains: dict[Context, _Chain] = tables[0]
-        self._holey: dict[Sig, bool] = tables[1]  # whether a hole is in it
-        self._renamed: dict[tuple, tuple] = tables[2]  # U -> _canonical's part
-        self._roots: dict[tuple, _Chain] = tables[3]  # (edge, U) -> chain
-        self.heads: list[Sig] = tables[4]  # of the standard signatures
+            tables = net._index.chains[config.jumps_enabled] = _Tables(
+                net, config.jumps_enabled)
+        self.tables = tables
+        self._chains: dict[Context, _Chain] = tables.chains
+        self._alive: set[_Chain] = tables.alive
+        self._holey: dict[Sig, bool] = tables.holey  # whether a hole is in it
+        self._renamed: dict[tuple, tuple] = tables.renamed  # U -> _canonical's part
+        self._roots: dict[tuple, _Chain] = tables.roots  # (edge, U) -> chain
+        self.heads: list[Sig] = tables.heads  # of the standard signatures
 
     def tree(self, edge: str, us: tuple[Sig, ...]) -> tuple[list, int]:
         """The nodes of the narrowing walk's tree from (edge, us, (ROOT,),
@@ -240,6 +279,7 @@ class Chains:
         chain's transitions and one more; past config.step_budget, the walk
         raises BudgetExhausted."""
         budget, spent, nodes = self.config.step_budget, 0, []
+        alive = self._alive
 
         def expand(node: _Node, path: list) -> list[_Node]:
             nonlocal spent
@@ -254,9 +294,11 @@ class Chains:
                 node.earlier = node.joins.get(shape)
                 node.joins = {**node.joins, shape: node}
             for link in ch.links:
-                link[3] = link[3] or self._chain(link[1])
+                nxt = link[3]
+                if nxt is None or nxt not in alive:
+                    nxt = link[3] = self._chain(link[1])
                 at = tuple(pos[x[0]] + x[1:] for x in link[2])
-                node.kids.append(_Node(link[3], at, node, len(node.kids), link[0]))
+                node.kids.append(_Node(nxt, at, node, len(node.kids), link[0]))
             # the links that follow one via are adjacent
             for kid, after in zip(node.kids, node.kids[1:]):
                 kid.open = kid.open or after.via == kid.via
@@ -279,6 +321,7 @@ class Chains:
         ch = self._chains.get(start)
         if ch is None:
             ch = self._chains[start] = self._walk_chain(_Chain(start))
+            self._alive.add(ch)
         return ch
 
     def _walk_chain(self, ch: _Chain) -> _Chain:
@@ -286,9 +329,17 @@ class Chains:
         table, principals = net._index.transitions, net.principal_edges()
         budget = config.step_budget
         c, on_chain, steps = ch.start, None, 0
-        ch.join = c[3] == "+" and len(c[2]) == 1 and c[0] in principals
+        vertices = ch.reads = set()
+        ch.join = False
+        if c[3] == "+" and len(c[2]) == 1:  # a join, if its edge is principal
+            e = net.edges.get(c[0])
+            if e is not None:
+                vertices.add(e.src[0])
+            ch.join = c[0] in principals
+        read = vertices.update
         while True:
             entry = table.get((c[0], c[3])) or table_entry(net, c[0], c[3])
+            read(entry.reads)
             st = c[2]
             reads = (c[3] == "+" and entry.port in _READ_PORTS and st
                      and (entry.vertex.label, entry.port) in _INSPECTING)
@@ -629,6 +680,18 @@ class WeightComputer:
         self.cycle_seen = False
         self._simps: dict[Sig, frozenset[Sig]] = {}  # simplifications' memo
         self.walk_nodes = 0  # the nodes of every narrowing walk's tree
+
+    @property
+    def chains_walked(self) -> int:
+        """The chains this net's tables walked with the machine."""
+        t = self.net._index.chains.get(self.config.jumps_enabled)
+        return 0 if t is None else len(t.chains) - t.inherited
+
+    @property
+    def chains_inherited(self) -> int:
+        """The chains this net's tables started with, from its parent's."""
+        t = self.net._index.chains.get(self.config.jumps_enabled)
+        return 0 if t is None else t.inherited
 
     # -- copies --
 

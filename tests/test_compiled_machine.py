@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnlab import corpus, families, formulas, rewrite, suite, weights
+from pnlab import corpus, families, formulas, machine, rewrite, suite, weights
 from pnlab import net as N
 from pnlab.formulas import (
     Atom,
@@ -358,18 +358,89 @@ def test_a_final_context_has_no_successor():
     assert kinds == {(f, hole) for f in ("+", "-", "der") for hole in (False, True)}
 
 
-def test_reducts_get_a_table_of_their_own():
-    """The table of a net is never handed to a reduct; retag shares it."""
+def kept_entries(reduct, table):
+    """The entries of table, the parent's, that the reduct takes as its
+    own when it first queries their keys."""
+    return {key: entry for key, entry in table.items()
+            if outcome(table_entry, reduct, *key)[1] is entry}
+
+
+def test_reducts_inherit_the_entries_their_step_left_alone():
+    """A reduct takes its parent's entry for a pair when that entry read no
+    vertex the step moved: every entry the reduct finds, the parent's or
+    its own, equals one compiled on the reduct, and the reduct steps as
+    the reference does.  A net that built no table hands on none; retag
+    shares the table."""
     stacks = ((E,), (E, "a"), (E, E), (lsig(E),), ("o",))
+    kept = dropped = 0
     for name, net in machine_nets().items():
+        for cut in find_cuts(net):
+            assert fire(net, cut)[0]._index.inherited is None, (name, cut)
         for c in contexts(net, stacks):
             step(net, c)
-        assert len(net._index.transitions) == 2 * len(net.edges)
-        assert N.retag(net, "ELL")._index.transitions is net._index.transitions
+        table = net._index.transitions
+        assert len(table) == 2 * len(net.edges)
+        assert N.retag(net, "ELL")._index.transitions is table
         for cut in find_cuts(net):
             reduct, _ = fire(net, cut)
-            assert reduct._index.transitions == {}, (name, cut)
+            taken = kept_entries(reduct, table)
+            for eid in reduct.edges:
+                for pol in ("+", "-"):
+                    entry = table_entry(reduct, eid, pol)
+                    again = machine._compile(reduct, eid, pol)
+                    assert (entry.vertex, entry.port, entry.final, entry.reads) == \
+                        (again.vertex, again.port, again.final, again.reads)
+            kept += len(taken)
+            dropped += len(table) - len(taken)
             assert_steps_agree(reduct, (name, cut), stacks)
+    assert kept > dropped > 0
+
+
+def test_each_edit_of_a_step_drops_the_entries_it_changes():
+    """One surgeon edit at a time on a net whose table is full: each entry
+    the reduct takes from it compiles again on the reduct to the same
+    endpoint, finality and reads, and its rule gives the same successors;
+    the edit that gives a box a door drops the entry that jumps to its
+    doors."""
+    net = _applied(_church(2, "t"))
+    for eid in net.edges:
+        for pol in ("+", "-"):
+            table_entry(net, eid, pol)
+    table = net._index.transitions
+    doors = {pid: b.doors for pid, b in net.boxes.items()}
+    host, guest = [pid for pid in doors if len(doors[pid]) == 1][:2]
+    door = next(v.id for v in net.vertices.values() if v.label == N.LBANG)
+    edge = net.edges[next(iter(net.edges))]
+    other = next(vid for vid in net.vertices if vid not in (*edge.src, *edge.tgt))
+    edits = {
+        "relabel": lambda s: s.relabel(door, N.DER),
+        "drop": lambda s: s.drop_vertex(other),
+        "delete": lambda s: s.del_edge(edge.id),
+        "reend": lambda s: s.reend(edge.id, tgt=(other, "x")),
+        "put": lambda s: s.put_edge(N.Edge("e999", (other, "x"), ("v999", "edge"),
+                                           edge.formula)),
+        "give-a-door": lambda s: s.extend_box(host, 0, doors[guest], ()),
+    }
+    stacks = ((E,), (E, "a"), (E, E), (lsig(E),), (rsig(E), "o"))
+    for name, edit in edits.items():
+        s = rewrite._Surgeon(net)
+        edit(s)
+        reduct = s.freeze()
+        kept = kept_entries(reduct, table)
+        assert 0 < len(kept) < len(table), name
+        for (eid, pol), entry in kept.items():
+            again = machine._compile(reduct, eid, pol)
+            assert (entry.vertex, entry.port, entry.final, entry.reads) == \
+                (again.vertex, again.port, again.final, again.reads), (name, eid)
+            for us in ((), (E,)):
+                for st in stacks:
+                    for config in CONFIGS:
+                        assert outcome(entry.rule, us, st, config) == \
+                            outcome(again.rule, us, st, config), (name, eid, st)
+    jump = net.rho(host), "-"
+    s = rewrite._Surgeon(net)
+    edits["give-a-door"](s)
+    assert jump in table and jump not in kept_entries(s.freeze(), table)
 
 
 def test_every_transition_on_a_nonempty_stack_has_its_dual():
@@ -618,15 +689,15 @@ def test_a_group_read_past_its_matching_parenthesis_is_kept():
 
 
 def test_a_repeated_group_is_skipped_by_its_text(monkeypatch):
-    read_tokens = []
-    next_token = formulas._Tokens.next
+    read_tokens = []  # as the reader's stretches hand them out, None at the end
+    fill = formulas._Tokens.fill
 
     def counting(self):
-        tok = next_token(self)
-        read_tokens.append(tok)
-        return tok
+        more = fill(self)
+        read_tokens.extend(reversed(self.buf) if more else [None])
+        return more
 
-    monkeypatch.setattr(formulas._Tokens, "next", counting)
+    monkeypatch.setattr(formulas._Tokens, "fill", counting)
     group = "((a -o b1) * !(all x. x -o a))"
     f = parse_formula(f"{group} -o {group}")
     # the copy costs its '(' token, then one comparison of text
