@@ -5,10 +5,10 @@ export-dot.  Exit codes: 0 success, 1 validation or verification failure,
 2 budget exhausted, 3 usage or parse error.
 
 Inputs are serialized nets (pnet files) or proof terms (s-expressions);
-the two are distinguished by their first token.  --budget sets a
-command's budget; without it the machine's and the rewriter's defaults
-hold.  Reports are deterministic; timing is emitted only on request and
-lives in its own section.
+the two are distinguished by their first token.  --budget, a positive
+integer, sets a command's budget; without it the machine's and the
+rewriter's defaults hold.  Reports are deterministic; timing is emitted
+only on request and lives in its own section.
 """
 
 from __future__ import annotations
@@ -257,11 +257,25 @@ def cmd_lambda(args) -> int:
 def cmd_export_dot(args) -> int:
     text = _read_input(args.input)
     net = _load_net(text)
+    if _report_invalid(net):
+        return EXIT_FAIL
     _write_out(export_dot(net), args.out)
     return EXIT_OK
 
 
 # --- argument parsing -------------------------------------------------------
+
+
+def _budget(text: str) -> int:
+    """A --budget value, which must be a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,14 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("input")
     c.add_argument("--strategy", choices=sorted(STRATEGIES), default="arrow")
     c.add_argument("--trace", action="store_true")
-    c.add_argument("--budget", type=int)
+    c.add_argument("--budget", type=_budget)
     c.add_argument("--timing", action="store_true")
     c.add_argument("--out", help="write the normal form here")
     c.set_defaults(fn=cmd_normalize)
 
     c = sub.add_parser("weight", help="compute the weight report")
     c.add_argument("input")
-    c.add_argument("--budget", type=int)
+    c.add_argument("--budget", type=_budget)
     c.add_argument("--no-jumps", action="store_true",
                    help="debug: disable the box-premise jump transitions")
     c.add_argument("--timing", action="store_true")
@@ -296,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("input")
     c.add_argument("--start", required=True,
                    help="context literal: edge / U / V / polarity (edge may be 'concl')")
-    c.add_argument("--budget", type=int)
+    c.add_argument("--budget", type=_budget)
     c.set_defaults(fn=cmd_machine)
 
     c = sub.add_parser("verify", help="check invariants and soundness bounds")
@@ -304,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--system", choices=list(N.SYSTEMS))
     c.add_argument("--suite", action="store_true",
                    help="run the invariant suite over the built-in corpus")
-    c.add_argument("--budget", type=int)
+    c.add_argument("--budget", type=_budget)
     c.add_argument("--no-jumps", action="store_true")
     c.set_defaults(fn=cmd_verify)
 

@@ -18,11 +18,8 @@ def export_dot(net: N.ProofNet) -> str:
     lines = ["digraph proofnet {", "  rankdir=BT;", "  node [shape=circle];"]
 
     children: dict[str | None, list[str]] = {}
-    parent_of_box: dict[str, str | None] = {}
     for pid in net.boxes:
-        parent = net.theta(pid)
-        parent_of_box[pid] = parent
-        children.setdefault(parent, []).append(pid)
+        children.setdefault(net.theta(pid), []).append(pid)
 
     placed: set[str] = set()
 
@@ -33,7 +30,18 @@ def export_dot(net: N.ProofNet) -> str:
             label = f"M{v.arity}"
         return f'{indent}{vid} [label="{label}"];'
 
-    def emit_box(pid: str, indent: str):
+    def kids(pid):
+        """The boxes right inside pid, or the outermost ones for None, in
+        the reverse of their id order, as the stack below pops them."""
+        return sorted(children.get(pid, []), key=N._numkey)[::-1]
+
+    # boxes to open, as (pid, indent), and (None, indent) to close one
+    todo = [(pid, "  ") for pid in kids(None)]
+    while todo:
+        pid, indent = todo.pop()
+        if pid is None:
+            lines.append(f"{indent}}}")
+            continue
         b = net.boxes[pid]
         lines.append(f"{indent}subgraph cluster_{pid} {{")
         lines.append(f'{indent}  label="box {pid}"; style=rounded;')
@@ -47,12 +55,8 @@ def export_dot(net: N.ProofNet) -> str:
         for vid in sorted(direct, key=N._numkey):
             lines.append(vertex_line(vid, indent + "  "))
             placed.add(vid)
-        for q in sorted(children.get(pid, []), key=N._numkey):
-            emit_box(q, indent + "  ")
-        lines.append(f"{indent}}}")
-
-    for pid in sorted(children.get(None, []), key=N._numkey):
-        emit_box(pid, "  ")
+        todo.append((None, indent))
+        todo.extend((q, indent + "  ") for q in kids(pid))
     for v in net.vertices_sorted():
         if v.id not in placed:
             lines.append(vertex_line(v.id, "  "))

@@ -30,15 +30,26 @@ class FormulaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula:
+    """A formula compares by `same_formula` and hashes by its canonical
+    text, so neither costs a Python frame per level."""
+
     @cached_property
     def canon(self) -> str:
         """The canonical text of the formula; see alpha_canon."""
         return _canon_text(self)
 
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return same_formula(self, other)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(self.canon)
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
@@ -46,7 +57,7 @@ class Atom(Formula):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lolli(Formula):
     left: Formula
     right: Formula
@@ -55,7 +66,7 @@ class Lolli(Formula):
         return f"({self.left} -o {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor(Formula):
     left: Formula
     right: Formula
@@ -64,7 +75,7 @@ class Tensor(Formula):
         return f"({self.left} * {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bang(Formula):
     body: Formula
 
@@ -72,7 +83,7 @@ class Bang(Formula):
         return f"!{self.body}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forall(Formula):
     binder: str
     body: Formula
@@ -81,7 +92,7 @@ class Forall(Formula):
         return f"(all {self.binder}. {self.body})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sec(Formula):
     """The LLL paragraph modality."""
 
@@ -263,9 +274,9 @@ def feq(f: Formula, g: Formula) -> bool:
 
 
 def same_formula(f: Formula, g: Formula) -> bool:
-    """Structural equality, as `==` of the dataclasses gives it (binder
-    names count), compared pair by pair on an explicit stack; a pair of
-    one object is equal at once, and each pair of objects is compared once."""
+    """Structural equality, the `==` of formulas (binder names count),
+    compared pair by pair on an explicit stack; a pair of one object is
+    equal at once, and each pair of objects is compared once."""
     if f is g:
         return True
     todo = [(f, g)]

@@ -41,12 +41,21 @@ class LambdaError(ValueError):
 # --- simple types -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SType:
-    pass
+    """A type compares by `same_type` and hashes by its text, so neither
+    costs a Python frame per arrow."""
+
+    def __eq__(self, other):
+        if not isinstance(other, SType):
+            return NotImplemented
+        return same_type(self, other)
+
+    def __hash__(self):
+        return hash(str(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TAtom(SType):
     name: str
 
@@ -54,7 +63,7 @@ class TAtom(SType):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TArrow(SType):
     left: SType
     right: SType
@@ -78,16 +87,18 @@ class TArrow(SType):
 
 
 def same_type(a: SType, b: SType) -> bool:
-    """a == b, pair by pair on an explicit stack rather than by the
-    generated, recursive __eq__."""
+    """Structural equality, the `==` of types, pair by pair on an explicit
+    stack."""
     todo = [(a, b)]
     while todo:
         a, b = todo.pop()
         if a is b:
             continue
-        if isinstance(a, TArrow) and isinstance(b, TArrow):
+        if type(a) is not type(b):
+            return False
+        if type(a) is TArrow:
             todo += ((a.right, b.right), (a.left, b.left))
-        elif isinstance(a, TArrow) or isinstance(b, TArrow) or a != b:
+        elif a.name != b.name:
             return False
     return True
 

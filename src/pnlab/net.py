@@ -15,7 +15,8 @@ vertex -> its box; the principal edges; the conclusion vertices; and the
 largest numbered ids.  A reduct built by `rewrite.fire` receives its port
 index, box tables and box ranks from the rewriter instead, which shares
 every list it did not change with the source net; lists in the tables are
-therefore never changed in place.  The index also keeps the token
+therefore never changed in place, and a box record it edits computes
+its contents on first read (`Box.edited`).  The index also keeps the token
 machine's compiled transitions (`machine.table_entry`) and the chains of
 `weights.Chains`; each entry and chain records the vertices it read, and a
 reduct of a net that built them inherits those that read no vertex its step
@@ -28,7 +29,6 @@ is safe because no index depends on the system tag.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -152,119 +152,74 @@ class Edge:
     formula: Formula
 
 
-class EditedSet(AbstractSet):
-    """A frozen set given as a base set with some members removed and then
-    some added; its value is computed on first use.
+class Box:
+    """A box record: its principal vertex, its doors in order, and the
+    vertex ids strictly inside it; it compares, hashes and prints by these.
 
-    `rewrite.fire` stores the contents of a box it edits this way, so that
-    a step inside deep boxes does not copy the contents of every box
-    around it.  The base may itself be an edited set; the value is computed
-    without recursion, and eagerly once the pending edits outnumber the
-    members of the last computed value.  It compares, hashes and prints as
-    the frozenset of its value.
+    `rewrite.fire` gives a box it edits a new record from `edited`, which
+    keeps the record it replaces and the step's edit, so that a step inside
+    deep boxes does not copy the contents of every box around it.
+    `contents`, always a frozenset, is computed on first read, without
+    recursion, and eagerly once the pending edits outnumber the members
+    last computed.
     """
 
-    __slots__ = ("_base", "_added", "_removed", "_pending", "_anchor", "_value")
+    __slots__ = ("principal", "doors", "_contents", "_edit")
 
-    def __init__(self, base, added, removed):
-        self._added = frozenset(added)
-        self._removed = frozenset(removed)
-        pending = len(self._added) + len(self._removed)
-        if type(base) is EditedSet and base._value is None:
-            self._pending = base._pending + pending
-            self._anchor = base._anchor
+    def __init__(self, principal: str, doors: tuple[str, ...], contents):
+        self.principal = principal  # R! / Rsec vertex id
+        self.doors = doors  # L! / Lsec vertex ids, ordered
+        self._contents: frozenset[str] | None = contents
+        # while _contents is None: (the record replaced, the members added,
+        # those removed, the edits pending since the last computed
+        # contents, the size of those)
+        self._edit: tuple | None = None
+
+    def edited(self, doors: tuple[str, ...], added, removed) -> Box:
+        """The record with these doors, and with `removed` taken out of
+        its contents and then `added` put in."""
+        box = Box(self.principal, doors, None)
+        pending = len(added) + len(removed)
+        if self._edit is None:
+            anchor = len(self._contents)
         else:
-            self._pending = pending
-            self._anchor = len(base)
-        self._base = base
-        self._value = None
-        if self._pending > self._anchor:
-            self.value()
+            pending += self._edit[3]
+            anchor = self._edit[4]
+        box._edit = (self, frozenset(added), frozenset(removed), pending, anchor)
+        if pending > anchor:
+            box.contents  # computed now
+        return box
 
-    def value(self) -> frozenset:
-        if self._value is None:
-            chain = []
-            node = self
-            while type(node) is EditedSet and node._value is None:
-                chain.append(node)
-                node = node._base
-            base = node._value if type(node) is EditedSet else node
-            # value = (base - removed) | added, with each edit's removals
-            # applied before its additions, oldest edit first
-            added: set = set()
-            removed: set = set()
-            for n in reversed(chain):
-                added -= n._removed
-                added |= n._added
-                removed |= n._removed
-            self._value = frozenset((base - removed) | added)
-            self._base = self._added = self._removed = None
-        return self._value
-
-    def __contains__(self, item):
-        return item in self.value()
-
-    def __iter__(self):
-        return iter(self.value())
-
-    def __len__(self):
-        return len(self.value())
-
-    def __hash__(self):
-        return hash(self.value())
-
-    def __repr__(self):
-        return repr(self.value())
+    @property
+    def contents(self) -> frozenset[str]:
+        if self._contents is None:
+            chain, box = [], self
+            while box._contents is None:
+                chain.append(box._edit)
+                box = box._edit[0]
+            # each edit's removals are applied before its additions, oldest
+            # edit first
+            added, removed = set(), set()
+            for _, a, r, _, _ in reversed(chain):
+                added -= r
+                added |= a
+                removed |= r
+            self._contents = (box._contents - removed) | added
+            self._edit = None
+        return self._contents
 
     def __eq__(self, other):
-        return self.value() == _plain(other)
+        if type(other) is not Box:
+            return NotImplemented
+        return (self.principal == other.principal and self.doors == other.doors
+                and self.contents == other.contents)
 
-    def __le__(self, other):
-        return self.value() <= _plain(other)
+    def __hash__(self):
+        return hash((self.principal, self.doors, self.contents))
 
-    def __lt__(self, other):
-        return self.value() < _plain(other)
-
-    def __ge__(self, other):
-        return self.value() >= _plain(other)
-
-    def __gt__(self, other):
-        return self.value() > _plain(other)
-
-    def __and__(self, other):
-        return self.value() & _plain(other)
-
-    def __or__(self, other):
-        return self.value() | _plain(other)
-
-    def __sub__(self, other):
-        return self.value() - _plain(other)
-
-    def __xor__(self, other):
-        return self.value() ^ _plain(other)
-
-    def __rand__(self, other):
-        return other & self.value()
-
-    def __ror__(self, other):
-        return other | self.value()
-
-    def __rsub__(self, other):
-        return other - self.value()
-
-    def __rxor__(self, other):
-        return other ^ self.value()
-
-
-def _plain(x):
-    return x.value() if type(x) is EditedSet else x
-
-
-@dataclass(frozen=True)
-class Box:
-    principal: str  # R! / Rsec vertex id
-    doors: tuple[str, ...]  # L! / Lsec vertex ids, ordered
-    contents: frozenset[str]  # vertex ids strictly inside (or an EditedSet)
+    def __repr__(self):
+        return (f"Box(principal={self.principal!r}, doors={self.doors!r}, "
+                f"contents={self.contents!r})")
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,13 @@ copies of the net's dicts and of its index tables (port -> edge, vertex ->
 boxes around it, principal or door -> its box, box ranks), edits only the
 entries the redex and any box it copies, opens or moves touch, and hands
 them to the reduct, with the set of edges it put, re-ended or deleted.  A
-box it edits gets a new record whose contents are an `EditedSet` over the
-old ones, so the boxes around a redex are not copied.  A step makes one set
-of stale vertices: those it added, dropped or relabelled or gave a port,
-and the ends of the edges it touched, as they were before it.  A net that
-has been keyed hands on its key rows (vertex -> what `canonical_key` writes
-for it) less those of the stale vertices, so a reduct is keyed from the
-rows its step changed.  A net that has run the token machine hands on its
+box it edits gets a new record from `Box.edited`, which keeps the old
+record and the step's edit until its contents are read, so the boxes
+around a redex are not copied.  A step makes one set of stale vertices:
+those it added, dropped or relabelled, and the ends of the edges it
+touched, before and after it.  A net that has been keyed hands on its key
+rows (vertex -> what `canonical_key` writes for it) less those of the
+stale vertices, so a reduct is keyed from the rows its step changed.  A net that has run the token machine hands on its
 compiled entries and chains, which the reduct takes on first use unless
 they read a stale vertex where a label or a port's edge changed.  A net
 with none of these hands on nothing.  `Walk`, which
@@ -173,8 +173,6 @@ class _Surgeon:
         self.touched: set[str] = set()
         self.source = net  # for the key rows and tables the reduct inherits
         self.changed: set[str] = set()  # vertices added, dropped or relabelled
-        # vertices given an edge at a port, kept for the key rows only
-        self.ported: set[str] | None = None if index.key_rows is None else set()
         self.vn = index.max_vertex_id
         self.en = index.max_edge_id
         self.provenance: dict[str, tuple[str, str]] = {}
@@ -194,22 +192,13 @@ class _Surgeon:
         return e
 
     def put_edge(self, e: Edge):
-        """Insert an edge, or replace the one with its id in place; a
-        vertex where it takes a port that no edge holds is noted as ported
-        (where one does, that edge must leave it, so the vertex is among
-        its ends before the step)."""
-        ports, ported = self.ports, self.ported
-        if ported is not None:
-            if e.src not in ports:
-                ported.add(e.src[0])
-            if e.tgt not in ports:
-                ported.add(e.tgt[0])
+        """Insert an edge, or replace the one with its id in place."""
         old = self.edges.get(e.id)
         if old is not None:
             self._unport(old)
         self.edges[e.id] = e
-        ports[e.src] = e
-        ports[e.tgt] = e
+        self.ports[e.src] = e
+        self.ports[e.tgt] = e
         self.touched.add(e.id)
 
     def del_edge(self, eid: str):
@@ -386,14 +375,11 @@ class _Surgeon:
         jumps = set() if entries or chains else None
         for pid, (doors, added, removed) in self.edited.items():
             box, doors = self.boxes[pid], tuple(doors)
-            contents = box.contents
-            if added or removed:
-                contents = N.EditedSet(contents, added, removed)
             if jumps is not None and doors != box.doors:
                 # the doors lists that changed, and the doors moved
                 jumps.add(N.doors_of(pid))
                 jumps.update(set(doors).symmetric_difference(box.doors))
-            self.boxes[pid] = Box(pid, doors, contents)
+            self.boxes[pid] = box.edited(doors, added, removed)
         net = ProofNet(self.vertices, self.edges, self.boxes, self.system)
         index = net._index
         index.ports = self.ports
@@ -412,14 +398,14 @@ class _Surgeon:
             # A row reads its vertex's label and, at each port, the edge's
             # direction, formula and other end.  An edge that changes any
             # of these is touched, and the vertex is one of its ends before
-            # the step, or else is changed or ported (put_edge).  These are
-            # the stale vertices; every other row is handed on.
-            stale = self.changed | self.ported
+            # or after the step, or else is changed.  These are the stale
+            # vertices; every other row is handed on.
+            stale = set(self.changed)
             for eid in self.touched:
-                e = before.get(eid)
-                if e is not None:
-                    stale.add(e.src[0])
-                    stale.add(e.tgt[0])
+                for e in (before.get(eid), after.get(eid)):
+                    if e is not None:
+                        stale.add(e.src[0])
+                        stale.add(e.tgt[0])
             rows = index.key_rows = rows.copy()
             for vid in stale:
                 rows.pop(vid, None)
@@ -734,9 +720,9 @@ def canonical_key(net: ProofNet) -> str:
     neighbours' numbers is the vertex's key row (`net._Index.key_row`),
     kept in the net's index once built.  A reduct of a keyed net inherits
     every row but those of the step's stale vertices: the ones it added,
-    dropped, relabelled or gave a port, and the ends of the edges it
-    touched as they were before it (`_Surgeon.freeze`).  So keying a
-    reduct builds only the rows the step changed.
+    dropped or relabelled, and the ends of the edges it touched, before
+    and after it (`_Surgeon.freeze`).  So keying a reduct builds only the
+    rows the step changed.
     """
     index = net._index
     rows = index.key_rows

@@ -723,18 +723,26 @@ class WeightComputer:
     # -- canonical sequences --
 
     def canonical_sequences(self, item: str) -> list[tuple[Sig, ...]]:
-        if item in self._canon:
-            return self._canon[item]
-        enclosing = self.net.sigma(item)
-        if enclosing is None:
-            seqs = [()]
-        else:
+        """The items from this one outwards along sigma, until one is
+        known, get their sequences from the outermost inwards, so the
+        depth of a box nest costs no Python frames."""
+        canon = self._canon
+        todo = []  # (item, its sigma), innermost first
+        cur = item
+        while cur not in canon:
+            enclosing = self.net.sigma(cur)
+            if enclosing is None:
+                canon[cur] = [()]
+                break
+            todo.append((cur, enclosing))
+            cur = enclosing
+        for cur, enclosing in reversed(todo):
             seqs = []
-            for v in self.canonical_sequences(enclosing):
+            for v in canon[enclosing]:
                 for t in sorted(self.copies(enclosing, v)):
                     seqs.append(v + (t,))
-        self._canon[item] = seqs
-        return seqs
+            canon[cur] = seqs
+        return canon[item]
 
     def cardinality(self, edge: str, us: tuple[Sig, ...]) -> int:
         simps: set[Sig] = set()

@@ -307,6 +307,56 @@ def test_export_dot_axiom(tmp_path, capsys):
     assert out.count('[label="P"]') == 1 and out.count('[label="C"]') == 1
 
 
+def test_export_dot_validates_its_input(tmp_path, capsys):
+    path = tmp_path / "box.pnet"
+    path.write_text("pnet 1\nbox v1 v2 v3\nend\n")
+    code, out, err = run_cli(capsys, "export-dot", str(path))
+    assert code == 1 and not out
+    assert "box v1: principal vertex missing or mislabelled" in err
+
+
+NEST_DOT_SCRIPT = """
+import sys
+from pnlab.dot import export_dot
+from pnlab.formulas import Atom
+from pnlab.terms import Ax, Promote, elaborate
+term = Ax(Atom("a"))
+for _ in range(100):
+    term = Promote(term)
+net = elaborate(term)
+depth, frame = 0, sys._getframe()
+while frame is not None:
+    depth, frame = depth + 1, frame.f_back
+sys.setrecursionlimit(depth + 60)
+print(export_dot(net).count("subgraph cluster_"))
+"""
+
+
+def test_export_dot_needs_no_frame_per_box():
+    """A promote nest 100 deep, exported under a recursion limit 60 frames
+    above the caller's depth."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", NEST_DOT_SCRIPT],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "100"
+
+
+def test_budget_must_be_positive(tmp_path, capsys):
+    path = tmp_path / "c3.pnet"
+    run_cli(capsys, "gen", "church", "3", "--out", str(path))
+    for command in (["normalize"], ["weight"], ["verify"],
+                    ["machine", "--start", "concl / eps / a / -"]):
+        for budget in ("0", "-1", "x"):
+            code, out, err = run_cli(capsys, *command, str(path),
+                                     "--budget", budget)
+            assert code == 3 and not out, (command, budget)
+            assert "--budget: expected a positive integer" in err
+        code, _, _ = run_cli(capsys, *command, str(path), "--budget", "1")
+        assert code == 2, command
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.pnet"
     path.write_text("(rlolli\n")

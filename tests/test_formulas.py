@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from pnlab.formulas import (
     Atom,
     Bang,
     Forall,
+    Formula,
     Lolli,
     Sec,
     Tensor,
@@ -20,6 +23,7 @@ from pnlab.formulas import (
     same_formula,
     substitute,
 )
+from pnlab.net import parse_net
 
 A = Atom("a")
 B = Atom("b")
@@ -267,9 +271,20 @@ def ref_match_instance(pattern, inst, atom):
     return (True, first)
 
 
+def ref_same_formula(f, g):
+    """The equality the generated dataclass `==` gave: the class and each
+    field, recursively."""
+    if type(f) is not type(g):
+        return False
+    return all(ref_same_formula(x, y) if isinstance(x, Formula) else x == y
+               for x, y in ((getattr(f, fd.name), getattr(g, fd.name))
+                            for fd in fields(f)))
+
+
 @given(_binder_formulas(), _binder_formulas())
 def test_same_formula_is_the_dataclass_equality(f, g):
-    assert same_formula(f, g) == (f == g)
+    assert same_formula(f, g) == (f == g) == ref_same_formula(f, g)
+    assert f != g or hash(f) == hash(g)
     assert same_formula(f, f)
     copy = parse_formula(format_formula(f))  # equal, and no object shared
     assert same_formula(f, copy) and same_formula(copy, f)
@@ -285,6 +300,18 @@ def test_match_instance_matches_the_recursive_reference(pattern, atom, repl, oth
         assert match_instance(pattern, q, atom) == got
         if got is not None and got[1] is not None:
             assert match_instance(pattern, q, atom)[1] is got[1]
+
+
+def test_deep_formulas_compare_and_hash_without_a_frame_per_level():
+    text = ("pnet 1\nvertex v1 prem\nvertex v2 concl\nedge e1 v1 edge v2 edge "
+            + "!" * 3000 + "a\nend\n")
+    net, twin = parse_net(text), parse_net(text)
+    assert net == twin
+    f, g = net.edges["e1"].formula, twin.edges["e1"].formula
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert f != Bang(f) and {f: 1}[g] == 1
+    assert Forall("a", A) != Forall("b", B)
+    assert hash(Forall("a", A)) == hash(Forall("b", B))  # alpha-equivalent
 
 
 def test_deep_equality_and_instances_cost_no_python_frames():

@@ -15,6 +15,7 @@ from pnlab.lam import (
     from_lambda,
     parse_lambda,
     parse_type,
+    same_type,
     type_formula,
     typecheck,
 )
@@ -431,3 +432,14 @@ def test_argument_types_compare_without_a_frame_per_arrow():
         from_lambda(parse_lambda("f z"), {**sig, "z": other})
     assert str(arrows) == "t -> " * 1500 + "t"
     assert str(TArrow(arrows, arrows)).startswith("(t -> t")
+
+
+def test_types_compare_and_hash_without_a_frame_per_arrow():
+    arrows, twin = parse_type("t -> " * 2000 + "t"), parse_type("t -> " * 2000 + "t")
+    assert arrows is not twin and arrows == twin and hash(arrows) == hash(twin)
+    assert arrows != parse_type("t -> " * 1999 + "u")
+    assert arrows != parse_type("(t -> t) -> " * 1000 + "t")
+    assert {arrows: 1}[twin] == 1
+    assert TAtom("t") == TAtom("t") and TAtom("t") != TAtom("u")
+    assert TAtom("t") != TArrow(TAtom("t"), TAtom("t")) and TAtom("t") != "t"
+    assert same_type(TArrow(TAtom("t"), TAtom("u")), TArrow(TAtom("t"), TAtom("u")))

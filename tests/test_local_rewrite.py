@@ -9,8 +9,9 @@ every state, and `canonical_key` as a queue walk through `edge_at` that
 prints the recursive `alpha_canon` tuple of each edge's formula.  A
 reduct of a keyed net keys from the rows its parent hands on, less those
 its step made stale; its key must equal the reference and the key of the
-same net read afresh.  Box contents a step edits are kept as `EditedSet`s,
-which must act as the frozensets they stand for.
+same net read afresh.  A box record a step edits keeps the record it
+replaces and the step's edit until its contents are read, and must act as
+the plain record it stands for.
 """
 
 import random
@@ -26,7 +27,7 @@ from pnlab import net as N
 from pnlab import rewrite
 from pnlab.families import gen_family
 from pnlab.formulas import Atom
-from pnlab.net import EditedSet
+from pnlab.net import Box
 from pnlab.net import Cut as CutRecord
 from pnlab.rewrite import (
     CUT_KINDS,
@@ -201,6 +202,7 @@ def test_live_cuts_equal_find_cuts_along_normalize(all_nets, monkeypatch, strate
         kinds.add(cut.kind)
         live = sorted(cuts.values(), key=lambda c: N._numkey(c.edge))
         assert live == find_cuts(reduct), (cut, reduct.size())
+        assert all(type(b.contents) is frozenset for b in reduct.boxes.values())
 
     monkeypatch.setattr(rewrite, "update_cuts", checked)
     for name, net in rewrite_nets(all_nets).items():
@@ -308,6 +310,7 @@ def test_canonical_key_matches_the_reference(all_nets, monkeypatch):
     def checked(net):
         key = canonical_key(net)
         assert key == ref_canonical_key(net, texts)
+        assert all(type(b.contents) is frozenset for b in net.boxes.values())
         seen.append(key)
         return key
 
@@ -374,6 +377,8 @@ def test_reducts_key_from_the_rows_they_inherit(all_nets):
                     assert key == ref_canonical_key(reduct, texts), (name, cut)
                     assert key == canonical_key(N.parse_net(N.print_net(reduct)))
                     assert set(rows) == set(reduct.vertices)
+                    assert all(type(b.contents) is frozenset
+                               for b in reduct.boxes.values())
                     children.append(reduct)
             generation = children
     assert kinds == set(CUT_KINDS)
@@ -480,47 +485,69 @@ def test_canonical_key_of_a_deep_formula():
                                   f"1(prem/0;edge:>0.edge:{text})|")
 
 
-# --- edited sets --------------------------------------------------------------------
+# --- edited box records ----------------------------------------------------------
 
 
-def test_edited_sets_act_as_their_frozensets():
+def test_edited_box_records_act_as_plain_ones():
     rng = random.Random(3)
     universe = [f"v{i}" for i in range(30)]
     for _ in range(300):
-        plain = frozenset(rng.sample(universe, rng.randrange(12)))
-        cur = plain
+        contents = frozenset(rng.sample(universe, rng.randrange(12)))
+        cur = Box("v99", (), contents)
         chain = []
         for _ in range(rng.randrange(1, 8)):
             added = set(rng.sample(universe, rng.randrange(4)))
             removed = set(rng.sample(universe, rng.randrange(4))) - added
-            plain = (plain - removed) | added
-            cur = EditedSet(cur, added, removed)
-            chain.append((cur, plain))
-        other = frozenset(rng.sample(universe, rng.randrange(12)))
-        for edited, want in reversed(chain):  # newest first: bases stay lazy
-            assert edited == want and want == edited and not edited != want
-            assert hash(edited) == hash(want) and eval(repr(edited)) == want
-            assert len(edited) == len(want) and set(edited) == set(want)
-            assert all(x in edited for x in want) and "nosuch" not in edited
-            for a, b in ((edited, other), (edited, set(other)),
-                         (set(other), edited), (other, edited)):
-                ea = set(a) if type(a) is EditedSet else a
-                eb = set(b) if type(b) is EditedSet else b
-                assert a & b == ea & eb and a | b == ea | eb
-                assert a - b == ea - eb and a ^ b == ea ^ eb
-                assert (a <= b, a < b, a >= b, a > b) == \
-                    (ea <= eb, ea < eb, ea >= eb, ea > eb)
-            grown = set(other)
-            grown |= edited
-            assert type(grown) is set and grown == other | want
+            doors = tuple(rng.sample(universe, rng.randrange(3)))
+            contents = (contents - removed) | added
+            cur = cur.edited(doors, added, removed)
+            chain.append((cur, Box("v99", doors, contents)))
+        for edited, plain in reversed(chain):  # newest first: bases stay lazy
+            assert edited == plain and plain == edited and not edited != plain
+            assert hash(edited) == hash(plain) and eval(repr(edited)) == plain
+            assert type(edited.contents) is frozenset
+            assert edited.contents == plain.contents
+            assert edited != Box("v98", plain.doors, plain.contents)
+            assert edited != Box("v99", plain.doors + ("v0",), plain.contents)
+            assert edited != Box("v99", plain.doors, plain.contents | {"v30"})
+            assert edited != (edited.principal, edited.doors, edited.contents)
+    assert repr(Box("v1", ("v2",), frozenset({"v3"}))) == \
+        "Box(principal='v1', doors=('v2',), contents=frozenset({'v3'}))"
+    assert repr(Box("v1", (), frozenset())) == \
+        "Box(principal='v1', doors=(), contents=frozenset())"
 
 
-def test_edited_sets_compute_their_value_once_edits_pile_up():
-    base = frozenset({"v1", "v2", "v3"})
-    first = EditedSet(base, {"v4"}, set())
-    second = EditedSet(first, set(), {"v1"})
-    assert first._value is None and second._value is None  # 2 edits, 3 members
-    third = EditedSet(second, {"v5", "v6"}, set())  # 4 edits: computed now
-    assert third._value == {"v2", "v3", "v4", "v5", "v6"}
-    assert third._base is None  # the chain below it can be freed
-    assert second == {"v2", "v3", "v4"} and first == {"v1", "v2", "v3", "v4"}
+def test_edited_box_records_compute_their_contents_once_edits_pile_up():
+    base = Box("v9", (), frozenset({"v1", "v2", "v3"}))
+    first = base.edited(("v8",), {"v4"}, set())
+    second = first.edited(("v8",), set(), {"v1"})
+    assert first._contents is None and second._contents is None  # 2 edits, 3 members
+    third = second.edited(("v8",), {"v5", "v6"}, set())  # 4 edits: computed now
+    assert third._contents == {"v2", "v3", "v4", "v5", "v6"}
+    assert third._edit is None  # the chain below it can be freed
+    assert second.contents == {"v2", "v3", "v4"}
+    assert first.contents == {"v1", "v2", "v3", "v4"}
+
+
+def test_few_edited_box_records_of_a_walk_compute_their_contents(monkeypatch):
+    """A triangle walk of church 20 edits the boxes around each redex;
+    only the records a step reads, or whose edits pile up, compute their
+    contents."""
+    made, computed = [], []
+    edited, contents = Box.edited, Box.contents.fget
+
+    def counted_edited(self, doors, added, removed):
+        made.append(edited(self, doors, added, removed))
+        return made[-1]
+
+    def counted_contents(self):
+        if self._contents is None:  # only an edited record waits
+            computed.append(self)
+        return contents(self)
+
+    monkeypatch.setattr(Box, "edited", counted_edited)
+    monkeypatch.setattr(Box, "contents", property(counted_contents))
+    _, trace = normalize(church(20), TRIANGLE)
+    assert trace.status == "normal"
+    assert len(made) > 3000
+    assert len(computed) <= 0.02 * len(made), (len(computed), len(made))

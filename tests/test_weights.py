@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pnlab.families import gen_family
@@ -244,3 +248,31 @@ def test_composed_numerals_have_every_copy():
         assert {line.split(": ")[1] for line in failed} == {"theorem2"}, name
     failed = suite.run_suite(nets={"repro": REPRO})
     assert {line.split(": ")[1] for line in failed} == {"theorem2"}
+
+
+NEST_SCRIPT = """
+import sys
+from pnlab.formulas import Atom
+from pnlab.terms import Ax, Promote, elaborate
+from pnlab.weights import weight
+term = Ax(Atom("a"))
+for _ in range(100):
+    term = Promote(term)
+net = elaborate(term)
+depth, frame = 0, sys._getframe()
+while frame is not None:
+    depth, frame = depth + 1, frame.f_back
+sys.setrecursionlimit(depth + 60)
+print(weight(net).weight)
+"""
+
+
+def test_canonical_sequences_need_no_frame_per_box():
+    """A promote nest 100 deep, weighed under a recursion limit 60 frames
+    above the caller's depth."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", NEST_SCRIPT],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "0"
