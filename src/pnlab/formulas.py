@@ -48,13 +48,34 @@ class Formula:
     def __hash__(self):
         return hash(self.canon)
 
+    def __str__(self):
+        """The fully bracketed text, written on an explicit stack."""
+        out: list[str] = []
+        todo: list = [self]  # formulas and text to write
+        while todo:
+            f = todo.pop()
+            cls = type(f)
+            if cls is str:
+                out.append(f)
+            elif cls is Atom:
+                out.append(f.name)
+            elif cls is Lolli or cls is Tensor:
+                out.append("(")
+                todo += (")", f.right, " -o " if cls is Lolli else " * ", f.left)
+            elif cls is Bang or cls is Sec:
+                out.append("!" if cls is Bang else "sec ")
+                todo.append(f.body)
+            elif cls is Forall:
+                out.append(f"(all {f.binder}. ")
+                todo += (")", f.body)
+            else:
+                raise FormulaError(f"unknown formula {f!r}")
+        return "".join(out)
+
 
 @dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,25 +83,16 @@ class Lolli(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"({self.left} -o {self.right})"
-
 
 @dataclass(frozen=True, eq=False)
 class Tensor(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return f"({self.left} * {self.right})"
-
 
 @dataclass(frozen=True, eq=False)
 class Bang(Formula):
     body: Formula
-
-    def __str__(self):
-        return f"!{self.body}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,18 +100,12 @@ class Forall(Formula):
     binder: str
     body: Formula
 
-    def __str__(self):
-        return f"(all {self.binder}. {self.body})"
-
 
 @dataclass(frozen=True, eq=False)
 class Sec(Formula):
     """The LLL paragraph modality."""
 
     body: Formula
-
-    def __str__(self):
-        return f"sec {self.body}"
 
 
 def free_atoms(f: Formula) -> frozenset[str]:

@@ -28,14 +28,17 @@ when that entry read none of the vertices its step changed.
 
 The machine is deterministic except at a box's principal edge with negative
 polarity and a single-signature stack, where it jumps to every box premise
-at once.
+at once.  A context has two predecessors only where a jump lands: on a
+box's principal edge with '+' or a door's outer edge with '-', with a
+one-element stack (may_merge).
 
 Every walk of the transition relation (run, reach_final, the narrowing
 walk over weights.Chains, the canonical walk that the suite's checks read,
 and the subtree check) is one call of explore: a depth-first
-walk on an explicit stack that keeps the current path as a set for cycle
-detection and a stack entry only for a node with successors left, so the
-length of a path costs no Python frames.  A walk's per-node work is its
+walk on an explicit stack that keeps the nodes of the current path where
+it can meet itself again in a set, for cycle detection, and a stack entry
+only for a node with successors left, so the length of a path costs no
+Python frames.  A walk's per-node work is its
 expand hook, and explore yields events only where the walk branches, meets
 a cycle, runs out of budget or backtracks, never once per node.  One
 budget rule holds for all of them: it is checked when a node with
@@ -57,6 +60,7 @@ its rule; each tests finality only when no successor comes back.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -542,17 +546,25 @@ class RunResult:
 CYCLE, BRANCH, BUDGET, LEAVE = "cycle", "branch", "budget", "leave"
 
 
-def explore(start, expand, budget: int, key=None):
+def explore(start, expand, budget: int, key=None, merges=None):
     """Depth-first walk from start; yields (event, x, path) where the walk
     meets a cycle, branches, spends its budget or backtracks, never once
     per node.
 
     path is the live list of nodes from start to the current one.  Each
-    node not already on the path is appended to it and then expanded:
-    expand(node, path) lists its successors, and an empty list makes it a
-    leaf.  expand is therefore the per-node hook, and path[-2] is the node
-    it was reached from.  key(node) identifies nodes for cycle detection;
-    with key None a node is its own key.  The events:
+    node is appended to it and then expanded, unless it is on the path
+    already: expand(node, path) lists its successors, and an empty list
+    makes it a leaf.  expand is therefore the per-node hook, and path[-2]
+    is the node it was reached from.  key(node) identifies nodes for cycle
+    detection; with key None a node is its own key.
+
+    merges(node) tells whether node may have two predecessors; with merges
+    None every node may.  Only the start, a node with the start's key, and
+    the nodes that may merge are looked up in, and kept in, the set of
+    keys on the path.  That finds every cycle when a node that does not
+    merge has at most one predecessor: the first node met again on a path
+    is then the start or a merge, for any other node's one predecessor
+    would have been met again before it.  The events:
 
     - CYCLE: x, a successor of path[-1], is on the path; it is skipped.
     - BRANCH: x, path[-1], has more than one successor.
@@ -565,20 +577,33 @@ def explore(start, expand, budget: int, key=None):
     """
     path: list = []
     on_path: set = set()
+    # the path index and key of each node kept in on_path, in path order
+    marks: list[int] = []
+    keys: list = []
     pending: list = []  # [path length at the node, its successors, next index]
     d = start
+    first = start if key is None else key(start)
     while True:
-        k = d if key is None else key(d)
-        if k in on_path:
-            yield CYCLE, d, path
-            succs = None
+        if merges is not None and not merges(d) \
+                and (d if key is None else key(d)) != first:
+            fresh = True
         else:
+            k = d if key is None else key(d)
+            fresh = k not in on_path
+            if fresh:
+                on_path.add(k)
+                marks.append(len(path))
+                keys.append(k)
+            else:
+                yield CYCLE, d, path
+        if fresh:
             path.append(d)
-            on_path.add(k)
             succs = expand(d, path)
             if succs and budget <= 0:
                 yield BUDGET, d, path
                 succs = None
+        else:
+            succs = None
         if succs:
             if len(succs) > 1:
                 yield BRANCH, d, path
@@ -591,9 +616,11 @@ def explore(start, expand, budget: int, key=None):
             depth = pending[-1][0]
             if len(path) > depth:
                 yield LEAVE, depth, path
-                done = path[depth:]
                 del path[depth:]
-                on_path.difference_update(done if key is None else map(key, done))
+                cut = bisect_left(marks, depth)
+                if cut < len(marks):
+                    on_path.difference_update(keys[cut:])
+                    del marks[cut:], keys[cut:]
             entry = pending[-1]
             _, rest, i = entry
             d = rest[i]
@@ -603,13 +630,24 @@ def explore(start, expand, budget: int, key=None):
         budget -= 1
 
 
+def may_merge(c: Context) -> bool:
+    """Whether c may have two predecessors.  Only a context whose stack
+    holds at most one element may: a box's principal edge with '+' or a
+    door's outer edge with '-', where a jump lands (docs/DECISIONS.md,
+    "Where token paths merge").  Every other context has at most one."""
+    return len(c[2]) <= 1
+
+
 def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
         trace: list | None = None) -> RunResult:
     """Depth-first exploration of the transition relation from start.
 
-    Cycle detection uses the set of contexts on the current branch.  The
-    outcome of a path that branches collects its branches' outcomes in
-    successor order.
+    Cycle detection looks up and keeps in the set of contexts on the
+    current branch only the start and the contexts that may_merge, so a
+    context with two or more stack elements is stepped without being
+    hashed; the cycles found are those of a set of every context on the
+    branch.  The outcome of a path that branches collects its branches'
+    outcomes in successor order.
     """
     config = config or MachineConfig()
     append = trace.append if trace is not None else None
@@ -626,7 +664,8 @@ def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
             outs[-1].append(RunResult(kind, c, len(path) - 1))
         return succs
 
-    for event, x, path in explore(start, expand, config.step_budget):
+    for event, x, path in explore(start, expand, config.step_budget,
+                                  merges=may_merge):
         if event == LEAVE:
             while branch_depths and branch_depths[-1] > x:
                 branch_depths.pop()
@@ -649,7 +688,8 @@ def reach_final(net: N.ProofNet, start: Context,
                 config: MachineConfig | None = None,
                 memo: dict | None = None) -> tuple[bool, bool]:
     """(reachable, cycle): whether some final context is reachable from
-    start, and whether the walk met a context already on its path.
+    start, and whether the walk met a context already on its path, which
+    it checks as run does, at the start and where may_merge.
 
     Memoizes each context whose answer does not depend on an in-progress
     ancestor: every context on a path to a final one, and every context
@@ -670,7 +710,8 @@ def reach_final(net: N.ProofNet, start: Context,
             memo[c] = found = True
         return succs
 
-    for event, x, path in explore(start, expand, config.step_budget):
+    for event, x, path in explore(start, expand, config.step_budget,
+                                  merges=may_merge):
         if event == LEAVE:
             if found:
                 for p in reversed(path[:-1]):

@@ -183,13 +183,18 @@ class _Chain:
 
     Whether a context starts a chain depends on the context alone: a
     join, or a successor of a context that reads the top of the stack or
-    has several successors.  Any other context has one predecessor (the
-    machine is reversible, and only a join has several), and a context
-    that reads a hole cannot come back on a walk's path, as the read binds
-    the hole.  So the first context where a walk meets its path again is a
-    chain start, or a context of its current chain: keying a walk by chain
-    start finds the cycles that keying it by context does, at the same
-    context or at the successor of one that reads the top of the stack.
+    has several successors.  A context that reads a hole cannot come back
+    on a walk's path, as the read binds the hole.  Only a context with one
+    stack element may have several predecessors (machine.may_merge): a
+    join, or its mirror, a door's outer edge with '-', reached by the box
+    exit from the door's inner edge and by the jump from the principal (on
+    corpus net copy, (e1, [e], eps, -) and (e2, [], e, -) both step to
+    (e3, [], e, -)).  A mirror need not start a chain.  So a walk first
+    meets its path again at a chain start, at a context of its current
+    chain, or at a mirror inside a chain.  From a mirror it takes the
+    transitions it took before, so keying a walk by chain start still
+    meets that cycle, a round or more later, where a chain and its hole
+    positions repeat (docs/DECISIONS.md, "Where token paths merge").
     """
 
     __slots__ = ("start", "join", "end", "steps", "kind", "need", "hole",
@@ -494,8 +499,9 @@ def _advance(m: _Member) -> None:
 def _meets_path(node: _Node, binds: dict):
     """Whether the member with binds has at node, a join, a context it had
     at a join above: True, False, or the position of an unread hole the
-    answer depends on.  The machine is reversible, so a run first meets
-    its path again at a join."""
+    answer depends on.  A run first meets its path again at its start, a
+    join, or a join's mirror; the tree cuts a mirror's cycle later, where
+    a chain and its hole positions repeat."""
     hole, p = False, node.earlier
     while p is not None:
         same = _unify(_context(node, binds)[1:3], _context(p, binds)[1:3])
@@ -785,6 +791,13 @@ def weight(net: N.ProofNet, config: MachineConfig | None = None) -> WeightReport
 # --- canonical contexts -----------------------------------------------------
 
 
+def _only_the_start(c: Context) -> bool:
+    """explore's merges for a walk whose expand drops the successors it has
+    seen, the start among them: none is on the path, so only the start is
+    looked up there."""
+    return False
+
+
 class CanonicalWalk(NamedTuple):
     transitions: list[tuple[Context, Context]]
     stuck: list[Context]  # the non-final contexts without successors
@@ -824,7 +837,8 @@ def canonical_walk(comp: WeightComputer) -> CanonicalWalk:
                         continue
                     seen.add(start)
                     for event, c, _ in explore(start, expand,
-                                               config.step_budget - len(out)):
+                                               config.step_budget - len(out),
+                                               merges=_only_the_start):
                         if event == BUDGET:
                             raise BudgetExhausted(
                                 "machine step budget exhausted", c)
@@ -881,7 +895,8 @@ def check_subtree_property(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
         if c in seen:
             continue
         seen.add(c)
-        for event, node, _ in explore(c, expand, SUBTREE_BUDGET):
+        for event, node, _ in explore(c, expand, SUBTREE_BUDGET,
+                                      merges=_only_the_start):
             if event == BUDGET:
                 raise BudgetExhausted("subtree search limit", node)
     return all(u in witnessed for u in subtrees(t))

@@ -343,6 +343,34 @@ def test_export_dot_needs_no_frame_per_box():
     assert out.stdout.strip() == "100"
 
 
+LFORALL_CHECK_SCRIPT = """
+import sys
+from pnlab.cli import main
+depth, frame = 0, sys._getframe()
+while frame is not None:
+    depth, frame = depth + 1, frame.f_back
+sys.setrecursionlimit(depth + 60)
+sys.exit(main(["check", sys.argv[1]]))
+"""
+
+
+def test_a_deep_lforall_mismatch_is_reported_without_a_frame_per_level(tmp_path):
+    """An instance 3,000 derelictions deep that does not match the
+    quantified body: its message is written under a recursion limit 60
+    frames above the caller's depth, as it is for 3 derelictions."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for depth in (3, 3000):
+        path = tmp_path / f"lforall{depth}.txt"
+        path.write_text("(lforall " + "(derelict " * depth + "(ax a)"
+                        + " 1)" * depth + " 1 (all b. b) c)\n")
+        out = subprocess.run([sys.executable, "-c", LFORALL_CHECK_SCRIPT, str(path)],
+                             env={"PYTHONPATH": str(src)}, capture_output=True,
+                             text=True, timeout=120)
+        assert (out.returncode, out.stdout) == (3, ""), out.stderr[-2000:]
+        assert out.stderr == ("error: lforall: premise 1 is " + "!" * depth
+                              + "a, expected c\n")
+
+
 def test_budget_must_be_positive(tmp_path, capsys):
     path = tmp_path / "c3.pnet"
     run_cli(capsys, "gen", "church", "3", "--out", str(path))

@@ -40,6 +40,7 @@ from pnlab.signatures import (
     lsig,
     msig,
     nsig,
+    psig,
     rsig,
     sig_size,
     simplifications,
@@ -352,15 +353,17 @@ def _random_graph(rng):
     return succs, {v for v in range(n) if rng.random() < 0.2}
 
 
-def _graph_net(succs, finals):
+def _graph_net(succs, finals, stacks=None):
     """A net whose transition table holds one entry per graph node.
 
-    Node v is the context (ev, [], e, +).  Its edge ends at a conclusion
-    when v is final and at a premise otherwise, so that the reference's
-    is_final reads the net; its entry's rule gives the contexts of v's
-    successors, or none when v is final, as a final context has none.
+    Node v is the context (ev, [], stacks[v], +), with stack e when stacks
+    is None.  Its edge ends at a conclusion when v is final and at a
+    premise otherwise, so that the reference's is_final reads the net; its
+    entry's rule gives the contexts of v's successors, or none when v is
+    final, as a final context has none.
     """
-    ctx = {v: Context(f"e{v}", (), (E,), "+") for v in succs}
+    ctx = {v: Context(f"e{v}", (), (E,) if stacks is None else stacks[v], "+")
+           for v in succs}
     vertices, edges = {}, {}
     for v in succs:
         vertices[f"v{v}"] = N.Vertex(f"v{v}", N.CONCL if v in finals else N.PREM)
@@ -399,6 +402,136 @@ def test_run_and_reach_final_match_reference_on_cyclic_graphs():
         assert list(memo.items()) == list(ref_memo.items())
     assert kinds == {"final", "stuck", "budget", "branch", "cycle"}
     assert cycles
+
+
+# --- where paths merge ----------------------------------------------------------
+
+MERGE_SIGS = (E, lsig(E), rsig(E), nsig(E, E), msig(1), psig(E))
+MERGE_STACKS = ((), *((x,) for x in MERGE_SIGS + SYMBOLS),
+                *((x, y) for x in MERGE_SIGS + SYMBOLS for y in MERGE_SIGS + SYMBOLS))
+
+
+def test_only_contexts_with_one_stack_element_have_two_predecessors():
+    """Every transition from the contexts with U one of (), [e], [l(e)] and
+    a stack of at most two elements over six signatures and the symbols,
+    on every corpus net and the families' small members, with jumps on
+    and off.  A context with two predecessors has one stack element, and
+    is one of two shapes, each met: a join, a box's principal edge with
+    '+', reached by the box exit from its inner edge and by the jump from
+    a door; and its mirror, a door's outer edge with '-', reached by the
+    box exit from the door's inner edge and by the jump from the principal
+    (on corpus net copy, (e1, [e], eps, -) and (e2, [], e, -) both step to
+    (e3, [], e, -)).  Without jumps no context has two."""
+    nets = {**corpus.full_corpus(), **{k: NETS[k] for k in (
+        "dr-ladder-3", "copy-example", "jump-example", "church-2")}}
+    shapes = {}
+    for name, net in sorted(nets.items()):
+        outer = {net.edge_at(d, "outer").id
+                 for b in net.boxes.values() for d in b.doors}
+        for jumps in (True, False):
+            config = MachineConfig(jumps_enabled=jumps)
+            preds = {}
+            for e in net.edges:
+                for pol in "+-":
+                    for us in ((), (E,), (lsig(E),)):
+                        for stack in MERGE_STACKS:
+                            c = Context(e, us, stack, pol)
+                            for d in step(net, c, config):
+                                preds.setdefault(d, set()).add(c)
+            for d, ps in preds.items():
+                if len(ps) > 1:
+                    assert jumps and len(d.stack) == 1, (name, d, ps)
+                    if d.pol == "+" and d.edge in net.principal_edges():
+                        shape = "join"
+                    else:
+                        assert d.pol == "-" and d.edge in outer, (name, d, ps)
+                        shape = "mirror"
+                    shapes.setdefault(shape, (name, d, ps))
+    assert sorted(shapes) == ["join", "mirror"]
+    net = corpus.full_corpus()["copy"]
+    assert (step(net, Context("e1", (E,), (), "-"))
+            == step(net, Context("e2", (), (E,), "-"))
+            == [Context("e3", (), (E,), "-")])
+
+
+def _stacked(rng, succs, finals):
+    """A stack for each node: one element for a node with two or more
+    predecessors, two or three for the others, all e on a final node, so
+    that a merge has one stack element as on a net."""
+    preds = {v: set() for v in succs}
+    for v, ws in succs.items():
+        if v not in finals:
+            for w in ws:
+                preds[w].add(v)
+    picks = (E, lsig(E), nsig(E, E), "a", "o")
+    return {v: (E,) if len(preds[v]) > 1 else
+            (E,) * rng.choice((2, 3)) if v in finals else
+            tuple(rng.choice(picks) for _ in range(rng.choice((2, 3))))
+            for v in succs}
+
+
+def test_walks_match_reference_on_cyclic_graphs_with_longer_stacks():
+    """The cyclic graphs again, with stacks of two or three elements
+    wherever a node has at most one predecessor: run and reach_final check
+    those nodes against the path only when they start the walk."""
+    rng = random.Random(11)
+    kinds = set()
+    cycles = untracked = 0
+    for _ in range(400):
+        succs, finals = _random_graph(rng)
+        stacks = _stacked(rng, succs, finals)
+        net, ctx = _graph_net(succs, finals, stacks)
+        untracked += sum(len(st) > 1 for st in stacks.values())
+        memo, ref_memo = {}, {}
+        for start in map(ctx.get, succs):
+            for budget in (1000, 3, 1):
+                config = MachineConfig(step_budget=budget)
+                got_trace, want_trace = [], []
+                r = run(net, start, config, got_trace)
+                assert r == ref_run(net, start, config, want_trace)
+                assert got_trace == want_trace
+                kinds.update(o.kind for o in (r, *r.outcomes()))
+            config = MachineConfig(step_budget=1000)
+            answer = reach_final(net, start, config, memo)
+            assert answer == ref_reach_final(net, start, config, ref_memo)
+            cycles += answer[1]
+        assert list(memo.items()) == list(ref_memo.items())
+    assert kinds == {"final", "stuck", "budget", "branch", "cycle"}
+    assert cycles and untracked > 1000
+
+
+def test_a_run_looks_up_only_its_start_and_possible_merges(monkeypatch):
+    """On dr-ladder 11 a run of 8186 transitions looks up 7 contexts in
+    the set of those on its path: the start and six with at most one
+    stack element.  The canonical walk, which filters successors through
+    a seen set of its own, looks up its starts alone."""
+    from pnlab import machine
+
+    looked_up = []
+
+    class RecordingSet(set):
+        def __contains__(self, x):
+            looked_up.append(x)
+            return super().__contains__(x)
+
+    monkeypatch.setattr(machine, "set", RecordingSet, raising=False)
+    net = gen_family("dr-ladder", 11)
+    start = parse_context(net, "concl / eps / a / -")
+    assert run(net, start).steps == 8186
+    assert looked_up[0] == start and len(looked_up) == 7
+    assert all(len(c.stack) <= 1 for c in looked_up)
+    looked_up.clear()
+    assert reach_final(net, start) == (True, False)
+    assert looked_up[0] == start and len(looked_up) == 7
+
+    comp = WeightComputer(NETS["church-3"])
+    comp.report()
+    looked_up.clear()
+    walk = canonical_walk(comp)
+    assert len(walk.transitions) > 100
+    starts = [c for c in looked_up if len(c.stack) == 1 and c.pol == "+"
+              and c.edge in comp.net.box_edges()]
+    assert looked_up == starts and len(set(starts)) == len(starts)
 
 
 # --- path length and hash order -----------------------------------------------
