@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NoReturn
 
@@ -72,36 +72,59 @@ class Formula:
                 raise FormulaError(f"unknown formula {f!r}")
         return "".join(out)
 
+    def __repr__(self):
+        return tree_repr(self, Formula)
 
-@dataclass(frozen=True, eq=False)
+
+def tree_repr(x, node: type) -> str:
+    """The text of the generated dataclass repr of x, written on an
+    explicit stack: each field that is a node, an instance of the class
+    node, is written in place, so the depth of x costs no Python frames."""
+    out: list[str] = []
+    todo: list = [x]  # nodes, and text to write
+    while todo:
+        x = todo.pop()
+        if isinstance(x, node):
+            todo.append(")")
+            for i, f in reversed([*enumerate(fields(x))]):
+                v = getattr(x, f.name)
+                todo += (v if isinstance(v, node) else repr(v),
+                         f"{', ' if i else ''}{f.name}=")
+            todo.append(f"{type(x).__qualname__}(")
+        else:
+            out.append(x)
+    return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lolli(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Tensor(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bang(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Forall(Formula):
     binder: str
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sec(Formula):
     """The LLL paragraph modality."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .formulas import Atom, Bang, Formula, Lolli
+from .formulas import Atom, Bang, Formula, Lolli, tree_repr
 from .net import ProofNet
 from .terms import (
     Ax,
@@ -54,8 +54,11 @@ class SType:
     def __hash__(self):
         return hash(str(self))
 
+    def __repr__(self):
+        return tree_repr(self, SType)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class TAtom(SType):
     name: str
 
@@ -63,7 +66,7 @@ class TAtom(SType):
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TArrow(SType):
     left: SType
     right: SType

@@ -33,18 +33,17 @@ box's principal edge with '+' or a door's outer edge with '-', with a
 one-element stack (may_merge).
 
 Every walk of the transition relation (run, reach_final, the narrowing
-walk over weights.Chains, the canonical walk that the suite's checks read,
-and the subtree check) is one call of explore: a depth-first
-walk on an explicit stack that keeps the nodes of the current path where
-it can meet itself again in a set, for cycle detection, and a stack entry
-only for a node with successors left, so the length of a path costs no
-Python frames.  A walk's per-node work is its
-expand hook, and explore yields events only where the walk branches, meets
-a cycle, runs out of budget or backtracks, never once per node.  One
-budget rule holds for all of them: it is checked when a node with
-successors is expanded, and each transition taken costs one unit (a chain
-walk checks it at every node, which costs its chain's transitions and one
-more).  run reports an exhausted budget as an outcome; the other walks
+walk over weights.Chains, and the canonical walk that the suite's and the
+soundness checks read) is one call of explore: a depth-first walk on an
+explicit stack that keeps the nodes of the current path where it can
+meet itself again in a set, for cycle detection, and a stack entry only
+for a node with successors left, so the length of a path costs no Python
+frames.  A walk's per-node work is its expand hook, and explore yields
+events only where the walk branches, meets a cycle, runs out of budget
+or backtracks, never once per node.  One budget rule holds for all of
+them: it is checked when a node with successors is expanded, and each
+transition taken costs one unit (a chain walk checks it at every node,
+which costs its chain's transitions and one more).  run reports an exhausted budget as an outcome; the other walks
 raise BudgetExhausted.
 
 A final context is defined once, by final_at on its table entry

@@ -4,6 +4,9 @@ Signatures are nested tuples so they hash and compare structurally:
     E = ('e',)            l(t) = ('l', t)      r(t) = ('r', t)
     p(t) = ('p', t)       n(t, u) = ('n', t, u)
     m(i) = ('m', i)       (SLL mode)
+
+Every function here reads a signature without recursion, so the depth
+of a signature costs no Python frames.
 """
 
 from __future__ import annotations
@@ -41,42 +44,47 @@ def is_sig(x) -> bool:
     return isinstance(x, tuple) and len(x) >= 1 and x[0] in ("e", "l", "r", "p", "n", "m", "h")
 
 
+def _nodes(t: Sig):
+    """t and each signature in it, once per occurrence, left child first."""
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        yield x
+        if x[0] in ("l", "r", "p"):
+            todo.append(x[1])
+        elif x[0] == "n":
+            todo += (x[2], x[1])
+
+
 def standard(t: Sig) -> bool:
     """No occurrence of the p constructor."""
-    head = t[0]
-    if head == "p":
-        return False
-    if head in ("l", "r"):
-        return standard(t[1])
-    if head == "n":
-        return standard(t[1]) and standard(t[2])
-    return True  # e, m
+    return all(x[0] != "p" for x in _nodes(t))
 
 
 def quasi_standard(t: Sig) -> bool:
     """Every n(u, v) subtree has a standard v."""
-    head = t[0]
-    if head in ("l", "r", "p"):
-        return quasi_standard(t[1])
-    if head == "n":
-        return quasi_standard(t[1]) and standard(t[2])
-    return True
+    seconds = []  # the v of each n(u, v) down the first children
+    while t[0] in ("l", "r", "p", "n"):
+        if t[0] == "n":
+            seconds.append(t[2])
+        t = t[1]
+    return all(standard(v) for v in reversed(seconds))
 
 
 def leq(u: Sig, t: Sig) -> bool:
     """The simplification order: u is a simplification of t."""
-    hu, ht = u[0], t[0]
-    if hu == "e" and ht == "e":
-        return True
-    if hu == ht and hu in ("r", "l", "p"):
-        return leq(u[1], t[1])
-    if hu == "p" and ht == "n":
-        return leq(u[1], t[2])
-    if hu == "n" and ht == "n":
-        return leq(u[1], t[1]) and u[2] == t[2]
-    if hu == "m" and ht == "m":
-        return u == t
-    return False
+    same = []  # the second children of n(u', v) <= n(t', v), to compare
+    while True:
+        hu, ht = u[0], t[0]
+        if hu == ht and hu in ("l", "r", "p", "n"):
+            if hu == "n":
+                same.append((u[2], t[2]))
+            u, t = u[1], t[1]
+        elif hu == "p" and ht == "n":
+            u, t = u[1], t[2]
+        else:
+            return (hu == ht == "e" or hu == ht == "m" and u == t) \
+                and all(a == b for a, b in reversed(same))
 
 
 def simplifications(t: Sig, memo: dict | None = None) -> frozenset[Sig]:
@@ -115,21 +123,13 @@ def simplifications(t: Sig, memo: dict | None = None) -> frozenset[Sig]:
 
 
 def sig_size(t: Sig) -> int:
-    head = t[0]
-    if head in ("e", "m"):
-        return 1
-    if head in ("l", "r", "p"):
-        return 1 + sig_size(t[1])
-    return 1 + sig_size(t[1]) + sig_size(t[2])
+    """The number of constructors in t."""
+    return sum(1 for _ in _nodes(t))
 
 
 def subtrees(t: Sig) -> frozenset[Sig]:
-    head = t[0]
-    if head in ("e", "m"):
-        return frozenset([t])
-    if head in ("l", "r", "p"):
-        return frozenset([t]) | subtrees(t[1])
-    return frozenset([t]) | subtrees(t[1]) | subtrees(t[2])
+    """t and every signature in it."""
+    return frozenset(_nodes(t))
 
 
 def all_standard_sigs(max_size: int, mux_indices: tuple[int, ...] = ()) -> list[Sig]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import corpus
 from .machine import dual, step
 from .net import ProofNet, validate
-from .rewrite import DOUBLE, REWRITE_BUDGET, TRIANGLE, WEIGHT_KINDS, Walk, normalize
+from .rewrite import DOUBLE, REWRITE_BUDGET, TRIANGLE, WEIGHT_KINDS, Walk
 from .weights import WeightComputer, canonical_walk
 
 
@@ -46,35 +46,30 @@ def check_no_stuck(stuck) -> list[str]:
 
 def check_theorem2(net: ProofNet, comp: WeightComputer) -> list[str]:
     """The triangle strategy takes W steps of kinds X and N.  When the
-    count differs, each N-step whose cut edge has several canonical
-    sequences in the reduct is named as a witness: the derivation of the
-    count assumes one at every such step."""
+    count differs, each N-step whose cut edge e, the inner box-edge of the
+    box the step makes, has |L_H(e)| > 1 in the reduct H is named as a
+    witness, with its index in the walk: the derivation of the count
+    assumes one at every such step."""
     rep = comp.report()
-    _, trace = normalize(net, TRIANGLE)
-    if trace.status != "normal":
+    walk = Walk(net, TRIANGLE, REWRITE_BUDGET)
+    steps = exp = 0
+    digs = []  # (index, cut, reduct) of each N-step
+    for steps, (_, cut, reduct, _) in enumerate(walk, 1):
+        exp += cut.kind in WEIGHT_KINDS
+        if cut.kind == "N":
+            digs.append((steps - 1, cut, reduct))
+    if walk.cuts:
         return ["triangle normalization exhausted its budget"]
-    exp = sum(1 for s in trace.steps if s.kind in WEIGHT_KINDS)
     out = []
     if exp != rep.weight:
         out.append(f"exponential step count {exp} differs from W = {rep.weight}")
-        out.extend(_digging_witnesses(net, comp))
-    if len(trace.steps) < rep.weight:
-        out.append("total step count fell below the weight")
-    return out
-
-
-def _digging_witnesses(net: ProofNet, comp: WeightComputer) -> list[str]:
-    """One line per N-step of the triangle walk whose cut edge e, the
-    inner box-edge of the box the step makes, has |L_H(e)| > 1 in the
-    reduct H, with the step's index in the trace."""
-    out = []
-    walk = Walk(net, TRIANGLE, REWRITE_BUDGET)
-    for i, (_, cut, reduct, _) in enumerate(walk):
-        if cut.kind == "N":
+        for i, cut, reduct in digs:
             n = len(WeightComputer(reduct, comp.config)
                     .canonical_sequences(cut.edge))
             if n > 1:
                 out.append(f"N step {i} at {cut.edge}: |L_H({cut.edge})| = {n}")
+    if steps < rep.weight:
+        out.append("total step count fell below the weight")
     return out
 
 

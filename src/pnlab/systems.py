@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import net as N
-from .machine import Context, MachineConfig, run, sig_count, step
+from .machine import Context, MachineConfig, sig_count, step
 from .signatures import E
 from .weights import WeightComputer, canonical_walk
 
@@ -255,10 +255,8 @@ def verify_soundness(net: N.ProofNet, system: str,
             for u in be.sequences:
                 finals = {}
                 for t in sorted(be.copies[u]):
-                    r = run(net, Context(e, u, (t,), "+"),
-                            config or MachineConfig())
-                    ends = [o.context for o in r.outcomes() if o.kind == "final"]
-                    for end in ends:
+                    start = Context(e, u, (t,), "+")
+                    for end in canonical_walk(comp, [start]).finals:
                         if end in finals and finals[end] != t:
                             report.add(f"injectivity({e})", False,
                                        f"copies {finals[end]} and {t} share {end}")

@@ -223,13 +223,17 @@ class _Node:
         self.joins: dict = {} if up is None else up.joins
 
 
-class _Tables:
-    """The chain tables of one net for one setting of jumps: its chains by
-    start and as a set, its root chains by (edge, U), the memos of
-    _canonical, which depend on signatures alone, the standard heads, and
-    how many chains it inherited; the others it walked.
+class Chains:
+    """The chains of one net for one setting of jumps, kept with the net's
+    index (Chains.of), so that each stretch of the symbolic transition
+    relation is stepped once for every narrowing walk that reaches it,
+    whatever the names of its holes: the chains by start and as a set, the
+    root chains by (edge, U), the memos of _canonical (holey, renamed),
+    which depend on signatures alone, the standard heads, and how many
+    chains it inherited.  The index holds no net, so the methods that step
+    take the net and its machine configuration.
 
-    A reduct's tables start from its parent's (net._Index.inherited): the
+    A reduct's chains start from its parent's (net._Index.inherited): the
     chains whose reads miss the step's stale vertices, and the roots among
     them; the memos are shared.
     """
@@ -254,37 +258,20 @@ class _Tables:
             self.holey, self.renamed = parent.holey, parent.renamed
         self.inherited = len(self.chains)
 
+    @staticmethod
+    def of(net: N.ProofNet, config: MachineConfig) -> "Chains":
+        """The chains kept with net's index for config's setting of jumps."""
+        kept, jumps = net._index.chains, config.jumps_enabled
+        return kept.get(jumps) or kept.setdefault(jumps, Chains(net, jumps))
 
-class Chains:
-    """The chains of a net, kept by their start with the net's index (one
-    table for each setting of jumps, as the rules read it), so that each
-    stretch of the symbolic transition relation is stepped once for every
-    narrowing walk that reaches it, whatever the names of its holes.  A
-    reduct inherits its parent's chains less those that read a vertex its
-    step changed (_Tables)."""
-
-    def __init__(self, net: N.ProofNet, config: MachineConfig):
-        self.net = net
-        self.config = config
-        tables = net._index.chains.get(config.jumps_enabled)
-        if tables is None:
-            tables = net._index.chains[config.jumps_enabled] = _Tables(
-                net, config.jumps_enabled)
-        self.tables = tables
-        self._chains: dict[Context, _Chain] = tables.chains
-        self._alive: set[_Chain] = tables.alive
-        self._holey: dict[Sig, bool] = tables.holey  # whether a hole is in it
-        self._renamed: dict[tuple, tuple] = tables.renamed  # U -> _canonical's part
-        self._roots: dict[tuple, _Chain] = tables.roots  # (edge, U) -> chain
-        self.heads: list[Sig] = tables.heads  # of the standard signatures
-
-    def tree(self, edge: str, us: tuple[Sig, ...]) -> tuple[list, int]:
+    def tree(self, net: N.ProofNet, config: MachineConfig, edge: str,
+             us: tuple[Sig, ...]) -> tuple[list, int]:
         """The nodes of the narrowing walk's tree from (edge, us, (ROOT,),
         +), root first, and the budget the walk spent.  A node costs its
         chain's transitions and one more; past config.step_budget, the walk
         raises BudgetExhausted."""
-        budget, spent, nodes = self.config.step_budget, 0, []
-        alive = self._alive
+        budget, spent, nodes = config.step_budget, 0, []
+        alive = self.alive
 
         def expand(node: _Node, path: list) -> list[_Node]:
             nonlocal spent
@@ -301,7 +288,7 @@ class Chains:
             for link in ch.links:
                 nxt = link[3]
                 if nxt is None or nxt not in alive:
-                    nxt = link[3] = self._chain(link[1])
+                    nxt = link[3] = self._chain(net, config, link[1])
                 at = tuple(pos[x[0]] + x[1:] for x in link[2])
                 node.kids.append(_Node(nxt, at, node, len(node.kids), link[0]))
             # the links that follow one via are adjacent
@@ -309,10 +296,10 @@ class Chains:
                 kid.open = kid.open or after.via == kid.via
             return node.kids
 
-        root = self._roots.get((edge, us))
+        root = self.roots.get((edge, us))
         if root is None:
             start = self._canonical(Context(edge, us, (ROOT,), "+"))[0]
-            root = self._roots[edge, us] = self._chain(start)
+            root = self.roots[edge, us] = self._chain(net, config, start)
         top = _Node(root, ((),), None, 0, None)
         for event, x, _ in explore(top, expand, budget,
                                    key=operator.attrgetter("chain", "pos")):
@@ -322,15 +309,17 @@ class Chains:
                 raise BudgetExhausted("machine step budget exhausted")
         return nodes, spent
 
-    def _chain(self, start: Context) -> _Chain:
-        ch = self._chains.get(start)
+    def _chain(self, net: N.ProofNet, config: MachineConfig,
+               start: Context) -> _Chain:
+        ch = self.chains.get(start)
         if ch is None:
-            ch = self._chains[start] = self._walk_chain(_Chain(start))
-            self._alive.add(ch)
+            ch = self.chains[start] = self._walk_chain(net, config,
+                                                       _Chain(start))
+            self.alive.add(ch)
         return ch
 
-    def _walk_chain(self, ch: _Chain) -> _Chain:
-        net, config = self.net, self.config
+    def _walk_chain(self, net: N.ProofNet, config: MachineConfig,
+                    ch: _Chain) -> _Chain:
         table, principals = net._index.transitions, net.principal_edges()
         budget = config.step_budget
         c, on_chain, steps = ch.start, None, 0
@@ -390,18 +379,18 @@ class Chains:
         """c with its holes renamed ('h', (0,)), ('h', (1,)), ... in order
         of first occurrence, U before the stack, and their old names in
         that order.  Each U is renamed once."""
-        hit = self._renamed.get(c[1])
+        hit = self.renamed.get(c[1])
         if hit is None:
             names: dict = {}
-            hit = self._renamed[c[1]] = self._rename(c[1], names), names
+            hit = self.renamed[c[1]] = self._rename(c[1], names), names
         us, names = hit[0], dict(hit[1])
         stack = self._rename(c[2], names)
         return _new(Context, (c[0], us, stack, c[3])), tuple(names)
 
     def _has_hole(self, x: Sig) -> bool:
-        h = self._holey.get(x)
+        h = self.holey.get(x)
         if h is None:
-            h = self._holey[x] = next(_holes(x), None) is not None
+            h = self.holey[x] = next(_holes(x), None) is not None
         return h
 
     def _rename(self, entries: tuple, names: dict) -> tuple:
@@ -581,8 +570,8 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
     instance is one, and as no budget can list them the walk raises
     WeightError.  Each pattern costs one step of the budget.
     """
-    chains = Chains(net, config)
-    nodes, spent = chains.tree(edge, us)
+    chains = Chains.of(net, config)
+    nodes, spent = chains.tree(net, config, edge, us)
     copies, cyclic = set(), False
     todo = [({}, [_Member({}, {(): ()}, (), nodes[0], False)], False, None, None)]
     while todo:
@@ -801,48 +790,54 @@ def _only_the_start(c: Context) -> bool:
 class CanonicalWalk(NamedTuple):
     transitions: list[tuple[Context, Context]]
     stuck: list[Context]  # the non-final contexts without successors
+    finals: list[Context]  # the final contexts expanded, in walk order
 
 
-def canonical_walk(comp: WeightComputer) -> CanonicalWalk:
-    """Every transition a token takes from a canonical start, each once,
-    and every canonical context where it is stuck, each once.
+def canonical_starts(comp: WeightComputer):
+    """The canonical starts (e, u, (s,), +), for a box-edge e, a canonical
+    sequence u of e and a simplification s of a copy of e on u, in order:
+    box-edges, sequences, sorted copies, sorted simplifications."""
+    for e in comp.net.box_edges():
+        for u in comp.canonical_sequences(e):
+            for t in sorted(comp.copies(e, u)):
+                for s in sorted(simplifications(t, comp._simps)):
+                    yield Context(e, u, (s,), "+")
 
-    A canonical start is (e, u, (s,), +) for a box-edge e, a canonical
-    sequence u of e and a simplification s of a copy of e on u; every
+
+def canonical_walk(comp: WeightComputer, starts=None) -> CanonicalWalk:
+    """Every transition a token takes from starts, each once, and every
+    context without successors that it reaches, each once: stuck, or final.
+
+    starts defaults to every canonical start (canonical_starts); every
     context reachable from one is canonical.  The starts are walked in
-    order (box-edges, sequences, sorted copies, sorted simplifications)
-    with one set of contexts seen, so each context is expanded once and the
-    lists do not depend on hashing.  A context is stuck when it has no
-    successor and is not final.  The walk shares the step budget: each
-    start gets what the transitions listed before it left.
+    order with one set of contexts seen, so each context is expanded once
+    and the lists do not depend on hashing.  A context is stuck when it
+    has no successor and is not final.  The walk shares the step budget:
+    each start gets what the transitions listed before it left.
     """
     net, config = comp.net, comp.config
     out: list[tuple[Context, Context]] = []
     stuck: list[Context] = []
+    finals: list[Context] = []
     seen: set[Context] = set()
 
     def expand(c: Context, path: list) -> list[Context]:
         succs = step(net, c, config)
-        if not succs and not is_final(net, c):
-            stuck.append(c)
+        if not succs:
+            (finals if is_final(net, c) else stuck).append(c)
         out.extend((c, d) for d in succs)
         return [d for d in succs if d not in seen and not seen.add(d)]
 
-    for e in net.box_edges():
-        for u in comp.canonical_sequences(e):
-            for t in sorted(comp.copies(e, u)):
-                for s in sorted(simplifications(t, comp._simps)):
-                    start = Context(e, u, (s,), "+")
-                    if start in seen:
-                        continue
-                    seen.add(start)
-                    for event, c, _ in explore(start, expand,
-                                               config.step_budget - len(out),
-                                               merges=_only_the_start):
-                        if event == BUDGET:
-                            raise BudgetExhausted(
-                                "machine step budget exhausted", c)
-    return CanonicalWalk(out, stuck)
+    for start in canonical_starts(comp) if starts is None else starts:
+        if start in seen:
+            continue
+        seen.add(start)
+        for event, c, _ in explore(start, expand,
+                                   config.step_budget - len(out),
+                                   merges=_only_the_start):
+            if event == BUDGET:
+                raise BudgetExhausted("machine step budget exhausted", c)
+    return CanonicalWalk(out, stuck, finals)
 
 
 def is_canonical_context(net: N.ProofNet, c: Context,
@@ -870,33 +865,18 @@ def is_canonical_context(net: N.ProofNet, c: Context,
     return True
 
 
-# the number of transitions a subtree check takes before it gives up
-SUBTREE_BUDGET = 10**5
-
-
 def check_subtree_property(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
                            t: Sig, computer: WeightComputer | None = None) -> bool:
     """Every subtree of a copy is carried by some context reachable from a
-    simplification of the copy."""
+    simplification of the copy: the canonical walk from those
+    simplifications reaches a context with '+' and stack (s,) for each
+    subtree s."""
     comp = computer or WeightComputer(net)
     if t not in comp.copies(edge, us):
         raise WeightError(f"{t} is not a copy of {edge}")
-    witnessed: set[Sig] = set()
-    seen: set[Context] = set()
-
-    def expand(c: Context, path: list) -> list[Context]:
-        if c.pol == "+" and len(c.stack) == 1 and is_sig(c.stack[0]):
-            witnessed.add(c.stack[0])
-        return [d for d in step(net, c, comp.config)
-                if d not in seen and not seen.add(d)]
-
-    for v in sorted(simplifications(t)):
-        c = Context(edge, us, (v,), "+")
-        if c in seen:
-            continue
-        seen.add(c)
-        for event, node, _ in explore(c, expand, SUBTREE_BUDGET,
-                                      merges=_only_the_start):
-            if event == BUDGET:
-                raise BudgetExhausted("subtree search limit", node)
-    return all(u in witnessed for u in subtrees(t))
+    starts = [Context(edge, us, (v,), "+")
+              for v in sorted(simplifications(t, comp._simps))]
+    walk = canonical_walk(comp, starts)
+    witnessed = {c[2][0] for c in (*starts, *(d for _, d in walk.transitions))
+                 if c[3] == "+" and len(c[2]) == 1 and is_sig(c[2][0])}
+    return subtrees(t) <= witnessed

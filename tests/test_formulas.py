@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -335,3 +338,58 @@ def test_deep_equality_and_instances_cost_no_python_frames():
     assert match_instance(Forall("b", pattern), Forall("b", copy), "b") is None
     assert match_instance(Lolli(B, B), Lolli(bangs, copy), "b") == (True, bangs)
     assert match_instance(Lolli(B, B), Lolli(bangs, Bang(copy)), "b") is None
+
+
+# --- repr without recursion -------------------------------------------------
+
+
+def ref_repr(f):
+    """The generated dataclass repr: the class and each field, recursively."""
+    if not isinstance(f, Formula):
+        return repr(f)
+    return (f"{type(f).__qualname__}("
+            + ", ".join(f"{fd.name}={ref_repr(getattr(f, fd.name))}"
+                        for fd in fields(f)) + ")")
+
+
+@given(_binder_formulas())
+def test_repr_is_the_generated_text(f):
+    assert repr(f) == ref_repr(f)
+
+
+def test_repr_of_small_formulas():
+    """The text the generated repr gave."""
+    assert repr(parse_formula("!a -o b")) == \
+        "Lolli(left=Bang(body=Atom(name='a')), right=Atom(name='b'))"
+    assert repr(parse_formula("all b. sec (b * !c)")) == (
+        "Forall(binder='b', body=Sec(body=Tensor(left=Atom(name='b'), "
+        "right=Bang(body=Atom(name='c')))))")
+    assert repr(A) == "Atom(name='a')"
+
+
+DEEP_REPR_SCRIPT = """
+import sys
+from pnlab.formulas import parse_formula
+from pnlab.lam import parse_type
+f = parse_formula("!" * 3000 + "a")
+t = parse_type("t -> " * 3000 + "t")
+depth, frame = 0, sys._getframe()
+while frame is not None:
+    depth, frame = depth + 1, frame.f_back
+sys.setrecursionlimit(depth + 60)
+print(repr(f) == "Bang(body=" * 3000 + "Atom(name='a')" + ")" * 3000)
+print(repr(t) == "TArrow(left=TAtom(name='t'), right=" * 3000
+      + "TAtom(name='t')" + ")" * 3000)
+"""
+
+
+def test_deep_formulas_and_types_repr_without_a_frame_per_level():
+    """The repr of a formula 3,000 bangs deep and of a type of 3,000
+    arrows, written under a recursion limit 60 frames above the caller's
+    depth."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", DEEP_REPR_SCRIPT],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["True", "True"]

@@ -100,10 +100,10 @@ def test_each_edit_of_a_step_drops_the_chains_it_changes():
         s = rewrite._Surgeon(net)
         edit(s)
         reduct = s.freeze()
-        chains = Chains(reduct, config)
-        kept = chains.tables.chains
+        chains = Chains.of(reduct, config)
+        kept = chains.chains
         assert 0 < len(kept) < len(parent.chains), name
         for start, ch in kept.items():
-            again = chains._walk_chain(_Chain(start))
+            again = chains._walk_chain(reduct, config, _Chain(start))
             assert chain_fields(ch) == chain_fields(again), (name, start)
-        assert set(chains.tables.roots.values()) <= set(kept.values())
+        assert set(chains.roots.values()) <= set(kept.values())

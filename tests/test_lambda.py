@@ -443,3 +443,25 @@ def test_types_compare_and_hash_without_a_frame_per_arrow():
     assert TAtom("t") == TAtom("t") and TAtom("t") != TAtom("u")
     assert TAtom("t") != TArrow(TAtom("t"), TAtom("t")) and TAtom("t") != "t"
     assert same_type(TArrow(TAtom("t"), TAtom("u")), TArrow(TAtom("t"), TAtom("u")))
+
+
+def ref_type_repr(t):
+    """The generated dataclass repr of a type, recursively."""
+    if isinstance(t, TAtom):
+        return f"TAtom(name={t.name!r})"
+    return f"TArrow(left={ref_type_repr(t.left)}, right={ref_type_repr(t.right)})"
+
+
+@given(st.recursive(st.sampled_from(["t", "u1"]).map(TAtom),
+                    lambda sub: st.tuples(sub, sub).map(lambda p: TArrow(*p)),
+                    max_leaves=12))
+def test_type_repr_is_the_generated_text(t):
+    assert repr(t) == ref_type_repr(t)
+
+
+def test_repr_of_small_types():
+    """The text the generated repr gave."""
+    assert repr(parse_type("(t -> t) -> t -> t")) == (
+        "TArrow(left=TArrow(left=TAtom(name='t'), right=TAtom(name='t')), "
+        "right=TArrow(left=TAtom(name='t'), right=TAtom(name='t')))")
+    assert repr(TAtom("t")) == "TAtom(name='t')"

@@ -241,3 +241,36 @@ def test_soundness_checks_read_the_canonical_transitions(monkeypatch, system):
                         entry._replace(rule=rule))
     checks = verify_soundness(net, system).to_dict()["checks"]
     assert [k["ok"] for k in checks if k["name"] == name] == [False]
+
+
+def test_injectivity_fails_where_two_copies_share_a_final(monkeypatch):
+    """The injectivity case of the soundness checks: on the LLL fixture
+    e2 and e5 each have the copies l(e) and r(e), which reach two final
+    contexts.  A compiled entry changed to send r(e)'s start on e2 to the
+    final context of l(e) fails injectivity(e2), and only it."""
+    from pnlab.machine import table_entry
+    from pnlab.signatures import lsig, rsig
+
+    net = corpus.lll_fixture()
+    checks = verify_soundness(net, "LLL").to_dict()["checks"]
+    assert [(k["name"], k["ok"], k["detail"]) for k in checks
+            if k["name"].startswith("injectivity")] == [
+        ("injectivity(e2)", True, "2 final(s)"),
+        ("injectivity(e5)", True, "2 final(s)")]
+    comp = WeightComputer(net)
+    assert comp.copies("e2", ()) == {lsig(E), rsig(E)}
+    walk = canonical_walk(comp, [Context("e2", (), (lsig(E),), "+")])
+    shared = walk.finals[0]
+    c = Context("e2", (), (rsig(E),), "+")
+    entry = table_entry(net, c.edge, c.pol)
+
+    def rule(us, st, config):
+        return [shared] if (us, st) == c[1:3] else entry.rule(us, st, config)
+
+    monkeypatch.setitem(net._index.transitions, (c.edge, c.pol),
+                        entry._replace(rule=rule))
+    report = verify_soundness(net, "LLL")
+    failed = [(name, detail) for name, ok, detail in report.checks if not ok]
+    assert failed == [("injectivity(e2)",
+                       f"copies {lsig(E)} and {rsig(E)} share {shared}")]
+    assert not report.ok

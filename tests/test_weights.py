@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -246,8 +247,32 @@ def test_composed_numerals_have_every_copy():
     for name in ("compose-1-2", "compose-2-2", "compose-2-3"):
         failed = suite.run_suite(nets={name: nets[name]})
         assert {line.split(": ")[1] for line in failed} == {"theorem2"}, name
+        assert witnessed_gap(failed) == THEOREM2_GAPS[name], name
+        if name == "compose-1-2":
+            assert failed == [
+                "compose-1-2: theorem2: exponential step count 7 differs from W = 8",
+                "compose-1-2: theorem2: N step 5 at e7: |L_H(e7)| = 2"]
     failed = suite.run_suite(nets={"repro": REPRO})
     assert {line.split(": ")[1] for line in failed} == {"theorem2"}
+    assert witnessed_gap(failed) == THEOREM2_GAPS["repro"]
+
+
+# W - (#X + #N) along the triangle strategy, where Theorem 2's count fails
+THEOREM2_GAPS = {"compose-1-2": 1, "compose-2-2": 4, "compose-2-3": 10,
+                 "repro": 1}
+
+
+def witnessed_gap(failed):
+    """W - (#X + #N), read from the theorem2 line that states the count,
+    after checking that the N-step witness lines (`N step i at e:
+    |L_H(e)| = n`) account for all of it: n - 1 steps each."""
+    count = re.fullmatch(r".*: exponential step count (\d+) differs from W = (\d+)",
+                         failed[0])
+    gap = int(count[2]) - int(count[1])
+    witnesses = [int(re.fullmatch(r".*: N step \d+ at (e\d+): \|L_H\(\1\)\| = (\d+)",
+                                  line)[2]) for line in failed[1:]]
+    assert sum(n - 1 for n in witnesses) == gap, failed
+    return gap
 
 
 NEST_SCRIPT = """
