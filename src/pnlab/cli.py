@@ -58,6 +58,10 @@ class CliError(Exception):
         self.code = code
 
 
+class InvalidNet(Exception):
+    """An input net failed validation; its diagnostics are printed."""
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -77,30 +81,44 @@ def _load_net(text: str) -> N.ProofNet:
     raise CliError("input is neither a pnet file nor a proof term")
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _stats(net: N.ProofNet) -> dict:
-    return {
-        "size": net.size(),
-        "depth": net.net_depth(),
-        "box_edges": len(net.box_edges()),
-        "system": net.system,
-    }
-
-
-def _report_invalid(net: N.ProofNet) -> bool:
-    """Print the net's validation diagnostics; True when there are any."""
+def _read_valid_net(path: str) -> tuple[str, N.ProofNet]:
+    """The text at path and the net it gives.  When the net is invalid, its
+    validation diagnostics are printed and InvalidNet is raised."""
+    text = _read_input(path)
+    net = _load_net(text)
     diags = N.validate(net)
     for d in diags:
         print(d, file=sys.stderr)
-    return bool(diags)
+    if diags:
+        raise InvalidNet
+    return text, net
 
 
-def _emit(report: dict, out=None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    (out or sys.stdout).write(text)
+def _report(text: str, net: N.ProofNet, **sections) -> dict:
+    """A report on the net read from text: the header, then the sections."""
+    return {
+        "report_version": REPORT_VERSION,
+        "input_digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "stats": {
+            "size": net.size(),
+            "depth": net.net_depth(),
+            "box_edges": len(net.box_edges()),
+            "system": net.system,
+        },
+        **sections,
+    }
+
+
+def _machine_config(args) -> MachineConfig:
+    """The machine settings of --budget and, where a command has it,
+    --no-jumps."""
+    return MachineConfig(
+        jumps_enabled=not getattr(args, "no_jumps", False),
+        step_budget=args.budget or MachineConfig.step_budget)
+
+
+def _emit(report: dict):
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _write_out(text: str, path: str | None):
@@ -127,28 +145,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    text = _read_input(args.input)
-    net = _load_net(text)
-    if _report_invalid(net):
-        return EXIT_FAIL
+    text, net = _read_valid_net(args.input)
     strategy = STRATEGIES[args.strategy]
     budget = args.budget or REWRITE_BUDGET
     t0 = time.monotonic()
     nf, trace = normalize(net, strategy, budget)
     kinds = [s.kind for s in trace.steps]
-    report = {
-        "report_version": REPORT_VERSION,
-        "input_digest": _digest(text),
-        "stats": _stats(net),
-        "normalize": {
-            "strategy": args.strategy,
-            "steps": len(trace.steps),
-            "exponential_steps": sum(1 for k in kinds if k in WEIGHT_KINDS),
-            "exponential_rule_steps": sum(1 for k in kinds if k in EXPONENTIAL_KINDS),
-            "final_size": nf.size(),
-            "status": trace.status,
-        },
-    }
+    report = _report(text, net, normalize={
+        "strategy": args.strategy,
+        "steps": len(trace.steps),
+        "exponential_steps": sum(1 for k in kinds if k in WEIGHT_KINDS),
+        "exponential_rule_steps": sum(1 for k in kinds if k in EXPONENTIAL_KINDS),
+        "final_size": nf.size(),
+        "status": trace.status,
+    })
     if args.timing:
         report["timing"] = {"seconds": time.monotonic() - t0}
     _emit(report)
@@ -160,22 +170,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    text = _read_input(args.input)
-    net = _load_net(text)
-    if _report_invalid(net):
-        return EXIT_FAIL
-    config = MachineConfig(
-        jumps_enabled=not args.no_jumps,
-        step_budget=args.budget or MachineConfig.step_budget)
+    text, net = _read_valid_net(args.input)
     t0 = time.monotonic()
-    comp = WeightComputer(net, config)
-    rep = comp.report()
-    report = {
-        "report_version": REPORT_VERSION,
-        "input_digest": _digest(text),
-        "stats": _stats(net),
-        "weight": rep.to_dict(),
-    }
+    rep = WeightComputer(net, _machine_config(args)).report()
+    report = _report(text, net, weight=rep.to_dict())
     if args.timing:
         report["timing"] = {"seconds": time.monotonic() - t0}
     _emit(report)
@@ -183,14 +181,10 @@ def cmd_weight(args) -> int:
 
 
 def cmd_machine(args) -> int:
-    text = _read_input(args.input)
-    net = _load_net(text)
-    if _report_invalid(net):
-        return EXIT_FAIL
-    config = MachineConfig(step_budget=args.budget or MachineConfig.step_budget)
+    _, net = _read_valid_net(args.input)
     start = parse_context(net, args.start)
     steps: list = []
-    result = run(net, start, config, trace=steps)
+    result = run(net, start, _machine_config(args), trace=steps)
     for i, c in enumerate(steps, start=1):
         print(f"{i} {c}")
     outcomes = list(result.outcomes())
@@ -208,22 +202,9 @@ def cmd_verify(args) -> int:
         return _verify_suite(args)
     if not args.input:
         raise CliError("verify needs an input net or --suite")
-    text = _read_input(args.input)
-    net = _load_net(text)
-    if _report_invalid(net):
-        return EXIT_FAIL
-    system = args.system or net.system
-    config = MachineConfig(
-        jumps_enabled=not args.no_jumps,
-        step_budget=args.budget or MachineConfig.step_budget)
-    rep = verify_soundness(net, system, config)
-    report = {
-        "report_version": REPORT_VERSION,
-        "input_digest": _digest(text),
-        "stats": _stats(net),
-        "soundness": rep.to_dict(),
-    }
-    _emit(report)
+    text, net = _read_valid_net(args.input)
+    rep = verify_soundness(net, args.system or net.system, _machine_config(args))
+    _emit(_report(text, net, soundness=rep.to_dict()))
     return EXIT_OK if rep.ok else EXIT_FAIL
 
 
@@ -255,10 +236,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    text = _read_input(args.input)
-    net = _load_net(text)
-    if _report_invalid(net):
-        return EXIT_FAIL
+    _, net = _read_valid_net(args.input)
     _write_out(export_dot(net), args.out)
     return EXIT_OK
 
@@ -358,6 +336,8 @@ def main(argv=None) -> int:
             CliError, WeightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_USAGE)
+    except InvalidNet:
+        return EXIT_FAIL
     except (BudgetExhausted, MetricsBudget) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -49,28 +49,7 @@ class Formula:
         return hash(self.canon)
 
     def __str__(self):
-        """The fully bracketed text, written on an explicit stack."""
-        out: list[str] = []
-        todo: list = [self]  # formulas and text to write
-        while todo:
-            f = todo.pop()
-            cls = type(f)
-            if cls is str:
-                out.append(f)
-            elif cls is Atom:
-                out.append(f.name)
-            elif cls is Lolli or cls is Tensor:
-                out.append("(")
-                todo += (")", f.right, " -o " if cls is Lolli else " * ", f.left)
-            elif cls is Bang or cls is Sec:
-                out.append("!" if cls is Bang else "sec ")
-                todo.append(f.body)
-            elif cls is Forall:
-                out.append(f"(all {f.binder}. ")
-                todo += (")", f.body)
-            else:
-                raise FormulaError(f"unknown formula {f!r}")
-        return "".join(out)
+        return format_formula(self)
 
     def __repr__(self):
         return tree_repr(self, Formula)

@@ -122,7 +122,8 @@ IN_PORTS = {
 # stack symbol -> auxiliary port).  A cut joins the two principal ports and
 # its step splices the auxiliary ports that share a symbol; the token pushes
 # a port's symbol when it leaves that port for the principal one, and pops
-# it to leave the principal port for that port.
+# it to leave the principal port for that port.  `validate` types -o and *
+# from it as well: the auxiliary ports are listed left part first.
 CONNECTIVES = {
     "-o": ((RLOLLI, "concl", {"a": "bound", "o": "body"}),
            (LLOLLI, "fun", {"a": "arg", "o": "res"})),
@@ -767,24 +768,33 @@ def validate(net: ProofNet) -> list[str]:
     return diags
 
 
-def _check_typing(net: ProofNet, v: Vertex, fml, say):
-    def same_at(port, want):
-        """Whether the formula at a port of v is want, as a structure."""
-        return same_formula(fml(v.id, port), want)
+# label -> (principal port, constructor, ports of its formula's parts, the
+# name in its mismatch message): the formula at the principal port must be
+# the constructor applied to the parts' formulas.  The multiplicatives are
+# read from CONNECTIVES.
+_BUILT_FORMULAS = {
+    DER: ("bang", Bang, ("plain",), "dereliction"),
+    DIG: ("dbang", Bang, ("bang",), "digging"),
+    RBANG: ("principal", Bang, ("inner",), "box principal"),
+    LBANG: ("outer", Bang, ("inner",), "box door"),
+    RSEC: ("principal", Sec, ("inner",), "sec-box principal"),
+    **{label: (principal, make, tuple(aux.values()),
+               label + (" conclusion" if principal == "concl" else ""))
+       for kind, make in (("-o", Lolli), ("*", Tensor))
+       for label, principal, aux in CONNECTIVES[kind]},
+}
 
+
+def _check_typing(net: ProofNet, v: Vertex, fml, say):
     l = v.label
-    if l == RLOLLI:
-        if not same_at("concl", Lolli(fml(v.id, "bound"), fml(v.id, "body"))):
-            say(f"vertex {v.id}: rlolli conclusion formula mismatch")
-    elif l == LLOLLI:
-        if not same_at("fun", Lolli(fml(v.id, "arg"), fml(v.id, "res"))):
-            say(f"vertex {v.id}: llolli formula mismatch")
-    elif l == RTENSOR:
-        if not same_at("concl", Tensor(fml(v.id, "left"), fml(v.id, "right"))):
-            say(f"vertex {v.id}: rtensor conclusion formula mismatch")
-    elif l == LTENSOR:
-        if not same_at("pair", Tensor(fml(v.id, "left"), fml(v.id, "right"))):
-            say(f"vertex {v.id}: ltensor formula mismatch")
+    built = _BUILT_FORMULAS.get(l)
+    if built is not None:
+        principal, make, parts, name = built
+        want = make(*[fml(v.id, p) for p in parts])
+        if not same_formula(fml(v.id, principal), want):
+            say(f"vertex {v.id}: {name} formula mismatch")
+        elif l == DIG and not isinstance(fml(v.id, "bang"), Bang):
+            say(f"vertex {v.id}: digging premise must be banged")
     elif l == RFORALL:
         c = fml(v.id, "concl")
         if not isinstance(c, Forall) or not same_formula(c.body, fml(v.id, "prem")):
@@ -795,32 +805,16 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
             say(f"vertex {v.id}: lforall expects a quantified formula")
         elif match_instance(fa.body, fml(v.id, "inst"), fa.binder) is None:
             say(f"vertex {v.id}: lforall instance does not match the quantified body")
-    elif l == DER:
-        if not same_at("bang", Bang(fml(v.id, "plain"))):
-            say(f"vertex {v.id}: dereliction formula mismatch")
-    elif l == DIG:
-        if not same_at("dbang", Bang(fml(v.id, "bang"))):
-            say(f"vertex {v.id}: digging formula mismatch")
-        elif not isinstance(fml(v.id, "bang"), Bang):
-            say(f"vertex {v.id}: digging premise must be banged")
     elif l == CONTR:
         m = fml(v.id, "merged")
         if not isinstance(m, Bang):
             say(f"vertex {v.id}: contraction formula must be banged")
-        if not same_at("left", m) or not same_at("right", m):
+        if not (same_formula(fml(v.id, "left"), m)
+                and same_formula(fml(v.id, "right"), m)):
             say(f"vertex {v.id}: contraction branch formulas mismatch")
     elif l == WEAK:
         if not isinstance(fml(v.id, "edge"), Bang):
             say(f"vertex {v.id}: weakening formula must be banged")
-    elif l == RBANG:
-        if not same_at("principal", Bang(fml(v.id, "inner"))):
-            say(f"vertex {v.id}: box principal formula mismatch")
-    elif l == LBANG:
-        if not same_at("outer", Bang(fml(v.id, "inner"))):
-            say(f"vertex {v.id}: box door formula mismatch")
-    elif l == RSEC:
-        if not same_at("principal", Sec(fml(v.id, "inner"))):
-            say(f"vertex {v.id}: sec-box principal formula mismatch")
     elif l == LSEC:
         outer = fml(v.id, "outer")
         inner = fml(v.id, "inner")
@@ -832,7 +826,7 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
             say(f"vertex {v.id}: mux formula must be banged")
         else:
             for i in range(1, v.arity + 1):
-                if not same_at(f"split{i}", m.body):
+                if not same_formula(fml(v.id, f"split{i}"), m.body):
                     say(f"vertex {v.id}: mux split {i} formula mismatch")
 
 

@@ -2,9 +2,10 @@
 
 ELL, SLL and LLL are rule restrictions of the same engine, captured here as
 profiles over allowed vertex labels, signature constructors and the jump
-transitions.  The bound families implement the soundness recurrences; the
-elementary ones explode quickly, so comparisons fall back to reporting the
-bound as astronomically larger once it stops being worth materializing.
+transitions.  `bounds` evaluates the soundness recurrences and checks each
+against a cap of _CAP_BITS bits as it grows: the elementary ones explode
+quickly, so a bound past the cap is not built, and reports print it as
+astronomically larger.
 """
 
 from __future__ import annotations
@@ -108,39 +109,48 @@ def check_determinacy(net: N.ProofNet, config: MachineConfig | None = None,
 _CAP_BITS = 10**6
 
 
-def bounds(system: str, n: int, x: int) -> int:
-    """Closed-form / recurrence bound values, exact big integers.
+def bounds(system: str, n: int, x: int) -> int | None:
+    """The bound as an exact int, or None once it passes _CAP_BITS bits.
 
     For MELL the first argument is the weight and the Theorem-1 polynomial
-    (2x^2+x)(n+1) is returned; for the subsystems it is the box-depth.
+    (2x^2+x)(n+1) is returned; for the subsystems it is the box-depth.  A
+    recurrence is checked against the cap as it grows: for x >= 1 its values
+    only grow, so a value past the cap means the bound is past it too.
     """
     if n < 0 or x < 0:
         raise ValueError("bounds arguments must be naturals")
     if system == "MELL":
-        return (2 * x * x + x) * (n + 1)
-    if system == "SLL":
-        return x ** (n + 2)
-    if system == "ELL":
-        return x * _ell_r(n + 1, x, None)
-    if system == "LLL":
+        value = (2 * x * x + x) * (n + 1)
+    elif system == "SLL":
+        value = x ** (n + 2)
+    elif system == "ELL":
+        r = _ell_r(n + 1, x)
+        if r is None:
+            return None
+        value = x * r
+    elif system == "LLL":
         r = 1
         for _ in range(n):
             r = r * (x * r)
-        return x * r * (x * r)
-    raise ValueError(f"unknown system {system!r}")
+            if r.bit_length() > _CAP_BITS:
+                return None
+        value = x * r * (x * r)
+    else:
+        raise ValueError(f"unknown system {system!r}")
+    return value if value.bit_length() <= _CAP_BITS else None
 
 
-def _ell_r(n: int, x: int, cap: int | None = _CAP_BITS):
+def _ell_r(n: int, x: int):
     """r_n of the ELL recurrence r_0 = 1, r_(k+1) = r_k * 2^(x r_k + 1), or
-    None once a value passes `cap` bits (no cap when cap is None).  The
-    ELL bound at depth n is x * r_(n+1)."""
+    None once a value passes _CAP_BITS bits.  The ELL bound at depth n is
+    x * r_(n+1)."""
     r = 1
     for _ in range(n):
         exp = x * r + 1
-        if cap is not None and exp > cap:
+        if exp > _CAP_BITS:
             return None
         r = r * (1 << exp)
-        if cap is not None and r.bit_length() > cap:
+        if r.bit_length() > _CAP_BITS:
             return None
     return r
 
@@ -154,18 +164,6 @@ def _ell_q(n: int, x: int):
     if exp > _CAP_BITS:
         return None
     return 1 << exp
-
-
-def _capped_bound(system: str, n: int, x: int):
-    """The bound as an int, or None when it is astronomically large."""
-    if system == "ELL":
-        r = _ell_r(n + 1, x)
-        if r is None:
-            return None
-        value = x * r
-    else:
-        value = bounds(system, n, x)
-    return value if value.bit_length() <= _CAP_BITS else None
 
 
 @dataclass
@@ -213,14 +211,14 @@ def verify_soundness(net: N.ProofNet, system: str,
         report.add("weight-bound", False, f"W={wrep.weight}: some box-edge "
                    "has no copy on a canonical sequence")
     else:
-        cap = _capped_bound(system, wrep.weight if system == "MELL" else depth,
-                            size)
-        if cap is None:
+        bound = bounds(system, wrep.weight if system == "MELL" else depth,
+                       size)
+        if bound is None:
             report.add("weight-bound", True,
                        f"W={wrep.weight}; bound astronomically larger")
         else:
-            report.add("weight-bound", wrep.weight <= cap,
-                       f"W={wrep.weight} <= {_short(cap)}")
+            report.add("weight-bound", wrep.weight <= bound,
+                       f"W={wrep.weight} <= {_short(bound)}")
 
     if system == "ELL":
         for e, be in wrep.entries.items():

@@ -392,6 +392,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 3 and "error" in err
 
 
+def test_a_cut_mismatch_prints_formulas_as_they_are_read(tmp_path, capsys):
+    path = tmp_path / "cut.txt"
+    path.write_text("(cut (ax (a -o b)) (ax (c * d)) 1)\n")
+    assert run_cli(capsys, "check", str(path)) == (
+        3, "", "error: cut: conclusion a -o b does not match premise 1 (c * d)\n")
+
+
 def test_bad_multiplexer_arity_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "mux.pnet"
     path.write_text("pnet 1\nvertex v1 mux x\nend\n")

@@ -51,6 +51,44 @@ def test_axiom_with_type_mismatch_gets_typing_diagnostic():
     assert len([d for d in diags if "mismatch" in d]) == 1
 
 
+# label, a net with one vertex of that label, its principal port, and the
+# diagnostic that a wrong formula there gives
+BUILT_FORMULAS = [
+    ("rlolli", "(rlolli (llolli (ax a) (ax b) 1) 1)", "concl",
+     "rlolli conclusion formula mismatch"),
+    ("llolli", "(llolli (ax a) (ax b) 1)", "fun", "llolli formula mismatch"),
+    ("rtensor", "(rtensor (ax a) (ax b))", "concl",
+     "rtensor conclusion formula mismatch"),
+    ("ltensor", "(ltensor (rtensor (ax a) (ax b)) 1 2)", "pair",
+     "ltensor formula mismatch"),
+    ("der", "(derelict (ax a) 1)", "bang", "dereliction formula mismatch"),
+    ("dig", "(dig (ax !!a) 1)", "dbang", "digging formula mismatch"),
+    ("rbang", "(promote (ax a))", "principal", "box principal formula mismatch"),
+    ("lbang", "(promote (derelict (ax a) 1))", "outer",
+     "box door formula mismatch"),
+    ("rsec", "(spromote (ax a))", "principal",
+     "sec-box principal formula mismatch"),
+]
+
+
+@pytest.mark.parametrize("label,term,port,message", BUILT_FORMULAS,
+                         ids=[row[0] for row in BUILT_FORMULAS])
+def test_a_wrong_principal_formula_gets_its_diagnostic(label, term, port,
+                                                       message):
+    """The formula at the principal port is replaced by an atom that no
+    other vertex checks, so exactly one diagnostic names the vertex."""
+    net = elaborate(parse_proof_term(term),
+                    system="LLL" if label == "rsec" else "MELL")
+    assert validate(net) == []
+    [vid] = [v.id for v in net.vertices.values() if v.label == label]
+    e = net.edge_at(vid, port)
+    line = f"edge {e.id} {' '.join(e.src)} {' '.join(e.tgt)} "
+    text = print_net(net)
+    [old] = [ln for ln in text.splitlines() if ln.startswith(line)]
+    wrong = parse_net(text.replace(old + "\n", line + "q\n"))
+    assert validate(wrong) == [f"vertex {vid}: {message}"]
+
+
 def test_overlapping_boxes_get_nesting_diagnostic():
     diags = validate(overlapping_boxes_net())
     assert any("overlap" in d for d in diags), diags

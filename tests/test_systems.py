@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pnlab import corpus
@@ -112,6 +116,28 @@ def test_bounds_values():
     assert bounds("LLL", 1, 3) == 3 * 3 * 9
     with pytest.raises(ValueError):
         bounds("MELL", -1, 3)
+
+
+NEST_VERIFY_SCRIPT = """
+from pnlab.systems import verify_soundness
+from pnlab.terms import elaborate, parse_proof_term
+nest = parse_proof_term("(promote " * 24 + "(ax a)" + ")" * 24)
+checks = verify_soundness(elaborate(nest), "LLL").to_dict()["checks"]
+print([c["detail"] for c in checks if c["name"] == "weight-bound"])
+"""
+
+
+def test_bounds_past_the_cap_are_not_built():
+    """The LLL bound of a 24-deep promote nest, about size^(2^25), is
+    reported as past the cap rather than built."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", NEST_VERIFY_SCRIPT],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=20)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout == "['W=0; bound astronomically larger']\n"
+    assert bounds("LLL", 40, 20) is None
+    assert bounds("ELL", 2, 30) is None
 
 
 def test_soundness_reports():
