@@ -534,11 +534,15 @@ class RunResult:
     branches: list["RunResult"] | None = None
 
     def outcomes(self):
-        if self.kind != "branch":
-            yield self
-        else:
-            for b in self.branches:
-                yield from b.outcomes()
+        """The results below the branches, in successor order, on an
+        explicit stack, so that nested branches cost no Python frames."""
+        todo = [self]
+        while todo:
+            r = todo.pop()
+            if r.kind != "branch":
+                yield r
+            else:
+                todo += reversed(r.branches)
 
 
 # explore's events; see its docstring

@@ -44,7 +44,7 @@ def is_sig(x) -> bool:
     return isinstance(x, tuple) and len(x) >= 1 and x[0] in ("e", "l", "r", "p", "n", "m", "h")
 
 
-def _nodes(t: Sig):
+def nodes(t: Sig):
     """t and each signature in it, once per occurrence, left child first."""
     todo = [t]
     while todo:
@@ -58,7 +58,7 @@ def _nodes(t: Sig):
 
 def standard(t: Sig) -> bool:
     """No occurrence of the p constructor."""
-    return all(x[0] != "p" for x in _nodes(t))
+    return all(x[0] != "p" for x in nodes(t))
 
 
 def quasi_standard(t: Sig) -> bool:
@@ -124,12 +124,12 @@ def simplifications(t: Sig, memo: dict | None = None) -> frozenset[Sig]:
 
 def sig_size(t: Sig) -> int:
     """The number of constructors in t."""
-    return sum(1 for _ in _nodes(t))
+    return sum(1 for _ in nodes(t))
 
 
 def subtrees(t: Sig) -> frozenset[Sig]:
     """t and every signature in it."""
-    return frozenset(_nodes(t))
+    return frozenset(nodes(t))
 
 
 def all_standard_sigs(max_size: int, mux_indices: tuple[int, ...] = ()) -> list[Sig]:

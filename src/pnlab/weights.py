@@ -6,16 +6,18 @@ copies are computed by narrowing (after Antoy, Echahed and Hanus).  One
 walk from (e, u, (hole,), +) records a tree of reads: where a rule reads a
 hole it offers each signature the rule accepts there, p included, with
 fresh holes as children.  Patterns, standard signatures with unknowns, are
-then refined on that tree, which takes no machine step.  A pattern's
-members are its simplifications, with unknowns as leaves; each runs on the
-tree as reach_final runs on the machine, and shares its path with the
-others until they read a signature (after Gonthier, Abadi and Levy).
-Where a member needs an unknown, the pattern splits over the standard
-heads there, and each member resumes where it stopped.  The walk steps
-through chains, stretches of the symbolic transition relation kept with
-the net's index, so each is stepped once for every walk that reaches it.
-A generate-and-test oracle over all standard signatures up to a size
-bound cross-validates the walk on small nets.
+then refined on that tree, which takes no machine step.  A pattern binds
+each position it has read to a head, whose children are the positions
+below it.  Its members are its simplifications, with unknowns as leaves;
+each runs on the tree as reach_final runs on the machine, and shares its
+path with the others until they read a signature (after Gonthier, Abadi
+and Levy).  Where a member needs an unknown, the pattern splits over the
+standard heads there, binding its position to each, and each member
+resumes where it stopped.  The walk steps through chains, stretches of
+the symbolic transition relation kept with the net's index, so each is
+stepped once for every walk that reaches it.  A generate-and-test oracle
+over all standard signatures up to a size bound cross-validates the walk
+on small nets.
 """
 
 from __future__ import annotations
@@ -45,9 +47,11 @@ from .signatures import (
     E,
     Sig,
     all_standard_sigs,
+    format_sig,
     is_sig,
     lsig,
     msig,
+    nodes,
     nsig,
     psig,
     quasi_standard,
@@ -73,51 +77,57 @@ def mux_indices(net: N.ProofNet) -> tuple[int, ...]:
 
 # holes are pseudo-signatures ('h', pos); a hole stands for the subterm, not
 # yet read, at position pos (a tuple of child indices) of the signature that
-# started the walk, so ROOT is that whole signature
+# started the walk, so ROOT is that whole signature.  A pattern binds a
+# position pos to a head: e or m(i), with no children; l, r or p, with one
+# at pos + (1,); or n, with two at pos + (1,) and pos + (2,)
 ROOT = ("h", ())
+_ARITY = {"l": 1, "r": 1, "p": 1, "n": 2}
 
 
-def _rooted(x, pos: tuple):
-    """x with each hole ('h', (j, i, ...)) of a chain renamed by its
-    position in the root, pos[j] + (i, ...)."""
-    head = x[0]
-    if head == "h":
-        return ("h", pos[x[1][0]] + x[1][1:])
-    if head in ("l", "r", "p"):
-        return (head, _rooted(x[1], pos))
-    if head == "n":
-        return (head, _rooted(x[1], pos), _rooted(x[2], pos))
-    return x
-
-
-def _bound(x, binds: dict):
-    """x with each hole bound in binds replaced by its binding, until none
-    is left."""
-    head = x[0]
-    if head == "h":
-        t = binds.get(x[1])
-        return x if t is None else _bound(t, binds)
-    if head in ("l", "r", "p"):
-        return (head, _bound(x[1], binds))
-    if head == "n":
-        return (head, _bound(x[1], binds), _bound(x[2], binds))
-    return x
-
-
-def _holes(x: Sig):
-    """The holes in x, from the left."""
-    todo = [x]
-    while todo:
-        x = todo.pop()
+def _rebuilt(x, hole):
+    """x with each hole h, from the left, replaced by hole(h), on an
+    explicit stack, so that the depth of x costs no Python frames.  A
+    replacement that is not a hole is rebuilt in turn."""
+    if x[0] == "h":  # a bare hole, as are most entries that contexts rename
+        x = hole(x)
         if x[0] == "h":
-            yield x
-        elif x[0] in ("l", "r", "p", "n"):
-            todo.extend(x[:0:-1])
+            return x
+    done, todo = [], [x]
+    while todo:
+        y = todo.pop()
+        if y.__class__ is str:  # a head over the one or two subterms done last
+            k = -2 if y == "n" else -1
+            done[k:] = [(y, *done[k:])]
+            continue
+        head = y[0]
+        if head in ("l", "r", "p"):
+            todo += (head, y[1])
+        elif head == "n":
+            todo += ("n", y[2], y[1])
+        elif head != "h":
+            done.append(y)
+        else:
+            y = hole(y)
+            (done if y[0] == "h" else todo).append(y)
+    return done[0]
+
+
+def _bound(binds: dict):
+    """The hole function that replaces each hole bound in binds by its head
+    over the holes of its children."""
+    def hole(h):
+        t = binds.get(h[1], h)
+        if t.__class__ is not str:  # no children, or h unbound
+            return t
+        return (t, *[("h", h[1] + (i,)) for i in range(1, _ARITY[t] + 1)])
+
+    return hole
 
 
 def _head(t: Sig):
-    """What a rule reads of t: its head, or t itself for m(i)."""
-    return t if t[0] == "m" else t[0]
+    """What a rule reads of t, and what a pattern binds: its head, or t
+    itself for e and m(i), which have no children."""
+    return t if t[0] in ("e", "m") else t[0]
 
 
 # the (label, port) where a token arriving with '+' has the rule read the
@@ -162,7 +172,7 @@ class _Chain:
     signature, which runs from several doors reach).  The end's kind is:
 
     - SPLIT: the rule reads hole `hole` on top of the stack, and accepts
-      each `demanded` signature there;
+      there a signature of each `demanded` head;
     - BRANCH: the end's successors, several, or one after a read;
     - LOOP: the chain met a context already on it;
     - LEAF: no successor; `need` lists the holes that must be e for the end
@@ -243,7 +253,7 @@ class Chains:
 
     def __init__(self, net: N.ProofNet, jumps: bool):
         mux = mux_indices(net)
-        self.heads = all_standard_sigs(1, mux) if mux else [*_HEADS.values()]
+        self.heads = all_standard_sigs(1, mux) if mux else _HEADS
         handed = net._index.inherited
         parent = handed[1].get(jumps) if handed is not None else None
         if parent is None:
@@ -341,9 +351,10 @@ class Chains:
                 demanded = _demanded(entry, c)
                 if demanded is not None:
                     ch.kind, ch.hole = SPLIT, st[-1][1][0]
+                    ch.demanded = [_head(t) for t in demanded]
                     # a hole occurs once in a context: signatures are
                     # moved, not copied
-                    ch.demanded, ch.links = demanded, [
+                    ch.links = [
                         [_head(t), *self._canonical(d), None]
                         for t in demanded
                         for d in entry.rule(c[1], st[:-1] + (t,), config)]
@@ -390,47 +401,29 @@ class Chains:
     def _has_hole(self, x: Sig) -> bool:
         h = self.holey.get(x)
         if h is None:
-            h = self.holey[x] = next(_holes(x), None) is not None
+            h = self.holey[x] = any(y[0] == "h" for y in nodes(x))
         return h
 
     def _rename(self, entries: tuple, names: dict) -> tuple:
-        """entries with their holes renamed, numbering new names on from
-        those in names."""
-        out = None
+        """entries with each hole renamed ('h', (i,)), i its old name's
+        number in names, new names numbered on."""
+        out, renamed = None, lambda h: ("h", (names.setdefault(h[1], len(names)),))
         for i, x in enumerate(entries):
             if x.__class__ is tuple and self._has_hole(x):
                 if out is None:
                     out = list(entries)
-                out[i] = _renamed(x, names)
+                out[i] = _rebuilt(x, renamed)
         return entries if out is None else tuple(out)
-
-
-def _renamed(x, names: dict):
-    """x with each hole renamed ('h', (i,)), i its old name's number in
-    names, new names numbered on."""
-    head = x[0]
-    if head == "h":
-        i = names.get(x[1])
-        if i is None:
-            i = names[x[1]] = len(names)
-        return ("h", (i,))
-    if head in ("l", "r", "p"):
-        return (head, _renamed(x[1], names))
-    if head == "n":
-        return (head, _renamed(x[1], names), _renamed(x[2], names))
-    return x
 
 
 # --- pattern refinement -------------------------------------------------------
 
 FOUND, DEAD = "found", "dead"
-# the heads of the standard signatures, with holes (0, 1), (0, 2) as children
-_HEADS = {"e": E, "l": lsig(("h", (0, 1))), "r": rsig(("h", (0, 1))),
-          "n": nsig(("h", (0, 1)), ("h", (0, 2)))}
+_HEADS = [E, "l", "r", "n"]  # the heads of the standard signatures
 
 
 class _Member:
-    """A simplification of a pattern: its bindings by position; its own
+    """A simplification of a pattern: its heads by position; its own
     position of each unread hole, by the hole's position in the pattern;
     the position of the hole it simplifies down to (tip, None if there is
     none); and its run: the node it is at, whether it met its path again,
@@ -465,8 +458,7 @@ def _advance(m: _Member) -> None:
             if at not in binds:
                 m.node, m.state = node, at
                 return
-            head = _head(binds[at])
-            go = next((k for k in node.kids if k.via == head), None)
+            go = next((k for k in node.kids if k.via == binds[at]), None)
         elif ch.need is not None:
             need = [node.pos[j] for j in ch.need]
             if all(binds.get(q, E) == E for q in need):  # final, or needs one
@@ -503,7 +495,12 @@ def _meets_path(node: _Node, binds: dict):
 def _context(node: _Node, binds: dict) -> Context:
     """node's chain start, its holes named by their positions in the root
     and those bound in binds replaced."""
-    c, f = node.chain.start, lambda x: _bound(_rooted(x, node.pos), binds)
+    pos, bound = node.pos, _bound(binds)
+    c, rooted = node.chain.start, lambda h: ("h", pos[h[1][0]] + h[1][1:])
+
+    def f(x):
+        return _rebuilt(_rebuilt(x, rooted), bound)
+
     return Context(c[0], tuple(map(f, c[1])),
                    tuple(f(x) if x.__class__ is tuple else x for x in c[2]), c[3])
 
@@ -521,7 +518,7 @@ def _unify(x, y):
             if y[:1] == ("h",):
                 x, y = y, x
             if x[:1] == ("h",):
-                if x in _holes(y):  # a term is no subterm of itself
+                if x in nodes(y):  # a term is no subterm of itself
                     return False
                 hole = x[1] if hole is False else hole
                 continue
@@ -538,13 +535,13 @@ def _refined(m: _Member, at: tuple, t: Sig) -> list[_Member]:
     second child of an n, which simplifying leaves alone, there is no p."""
     q = m.holes[at]
     holes = {a: p for a, p in m.holes.items() if a != at}
-    arity = {"l": 1, "r": 1, "n": 2}.get(t[0], 0)
-    out = [_Member({**m.binds, q: _rooted(t, (q,))},
+    arity = _ARITY.get(t, 0)
+    out = [_Member({**m.binds, q: t},
                    {**holes, **{at + (i,): q + (i,) for i in range(1, arity + 1)}},
                    m.tip if q != m.tip else q + (1,) if arity else None,
                    m.node, m.cyclic)]
     if q == m.tip and arity == 2:
-        out.append(_Member({**m.binds, q: psig(("h", q + (1,)))},
+        out.append(_Member({**m.binds, q: "p"},
                            {**holes, at + (2,): q + (1,)}, q + (1,), m.node,
                            m.cyclic))
     return out
@@ -561,7 +558,7 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
     """The copies of edge on us, from one narrowing walk and the patterns
     refined on its tree.
 
-    A pattern is its bindings by position, with its members not yet found;
+    A pattern is its heads by position, with its members not yet found;
     it starts as ROOT.  Where its first member needs an unread hole, it
     splits over the standard heads that member's node accepts (e at a
     leaf), or over every standard head where another could let the run go
@@ -571,16 +568,16 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
     WeightError.  Each pattern costs one step of the budget.
     """
     chains = Chains.of(net, config)
-    nodes, spent = chains.tree(net, config, edge, us)
+    tree, spent = chains.tree(net, config, edge, us)
     copies, cyclic = set(), False
-    todo = [({}, [_Member({}, {(): ()}, (), nodes[0], False)], False, None, None)]
+    todo = [({}, [_Member({}, {(): ()}, (), tree[0], False)], False, None, None)]
     while todo:
         spent += 1
         if spent > config.step_budget:
             raise BudgetExhausted("machine step budget exhausted")
         pattern, members, met, at, t = todo.pop()
         if at is not None:  # bind the hole at to t
-            pattern = {**pattern, at: _rooted(t, (at,))}
+            pattern = {**pattern, at: t}
             members = (x for m in members for x in (
                 _refined(m, at, t) if at in m.holes else (m,)))
         live = []
@@ -595,8 +592,8 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
                 live.append(m)
         else:
             if not live:
-                t = _bound(ROOT, pattern)
-                if next(_holes(t), None) is not None:  # each instance is one
+                t = _rebuilt(ROOT, _bound(pattern))
+                if any(x[0] == "h" for x in nodes(t)):  # each instance is one
                     raise WeightError(f"{edge} has infinitely many copies")
                 copies.add(t)
                 cyclic = cyclic or met
@@ -605,13 +602,13 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
             at = next(a for a, q in need.holes.items() if q == need.state)
             offered = chains.heads
             if not (node.open or node.earlier):
-                offered = [_HEADS.get(t[0], t) for t in node.chain.demanded
-                           if t[0] != "p"] if node.chain.kind == SPLIT else [E]
+                offered = [t for t in node.chain.demanded
+                           if t != "p"] if node.chain.kind == SPLIT else [E]
             todo.extend((pattern, live, met, at, t) for t in reversed(offered))
-    for node in nodes:  # no cycle is left, so the tree is freed at once
+    for node in tree:  # no cycle is left, so the tree is freed at once
         node.kids = node.joins = None
     out = Copies(copies)
-    out.cyclic, out.nodes = cyclic, len(nodes)
+    out.cyclic, out.nodes = cyclic, len(tree)
     return out
 
 
@@ -636,8 +633,6 @@ class WeightReport:
     acyclic: bool
 
     def to_dict(self):
-        from .signatures import format_sig
-
         def seq(u):
             return " ".join(format_sig(t) for t in u) or "eps"
 

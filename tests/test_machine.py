@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -244,6 +247,35 @@ def test_budget_exhaustion_reported():
     r = run(g, Context(g.conclusion_edge(), (), ("a",), "-"),
             MachineConfig(step_budget=10))
     assert r.kind == "budget"
+
+
+CHAIN_SCRIPT = """
+import sys
+from pnlab.machine import parse_context, run
+from pnlab.terms import elaborate, parse_proof_term
+t, f = "(promote (rtensor (ax a) (ax a)))", "(a * a)"
+for _ in range(99):
+    t, f = f"(cut {t} (promote (rtensor (ax {f}) (ax a))) 1)", f"({f} * a)"
+net = elaborate(parse_proof_term(t))
+depth, frame = 0, sys._getframe()
+while frame is not None:
+    depth, frame = depth + 1, frame.f_back
+sys.setrecursionlimit(depth + 60)
+kinds = [o.kind for o in run(net, parse_context(net, "concl / eps / e / -")).outcomes()]
+print(len(kinds), *sorted(set(kinds)))
+"""
+
+
+def test_nested_branches_need_no_frame_per_branch():
+    """A chain of 100 two-door boxes, whose run from the conclusion
+    branches once per box, listed under a recursion limit 60 frames above
+    the caller's depth."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", CHAIN_SCRIPT],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["101", "stuck"]
 
 
 def test_parse_context():

@@ -301,3 +301,30 @@ def test_canonical_sequences_need_no_frame_per_box():
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.strip() == "0"
+
+
+USES_SCRIPT = r"""
+import sys
+from pnlab.lam import from_lambda, parse_lambda, parse_type
+from pnlab.weights import weight
+uses = 30
+net = from_lambda(parse_lambda("(\\x:t. h" + " x" * uses + ") z"),
+                  {"h": parse_type("t -> " * uses + "t"), "z": parse_type("t")})
+depth, frame = 0, sys._getframe()
+while frame is not None:
+    depth, frame = depth + 1, frame.f_back
+sys.setrecursionlimit(depth + 60)
+print(weight(net).weight)
+"""
+
+
+def test_deep_copies_need_no_frame_per_level():
+    """(\\x:t. h x ... x) z with 30 uses of x, whose copies are signatures
+    30 deep, weighed under a recursion limit 60 frames above the caller's
+    depth: W = 2 * 30 - 1."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", USES_SCRIPT],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "59"
