@@ -164,8 +164,28 @@ def substitute(f: Formula, atom: str, b: Formula,
     Bottom-up on an explicit stack; a subformula with no free occurrence
     is kept as it is.  memo (id of a subformula -> the subformula and its
     result, for this atom and b) lets calls share their common subformulas.
+    A binder that would capture b is renamed by two more substitutions,
+    which run on a stack of suspended ones, so nested captures cost no
+    Python frames.
     """
-    memo = {} if memo is None else memo
+    jobs = [_substituting(f, atom, b, {} if memo is None else memo)]
+    result = None
+    while jobs:
+        try:
+            asked = jobs[-1].send(result)
+        except StopIteration as done:
+            jobs.pop()
+            result = done.value
+        else:
+            jobs.append(_substituting(*asked))
+            result = None
+    return result
+
+
+def _substituting(f: Formula, atom: str, b: Formula, memo: dict):
+    """substitute's work for one formula: it yields (formula, atom, b,
+    memo) for each substitution it needs done first and is sent back its
+    result."""
     b_atoms = None
     todo = [f]
     while todo:
@@ -185,10 +205,14 @@ def substitute(f: Formula, atom: str, b: Formula,
                 continue
             if b_atoms is None:
                 b_atoms = free_atoms(b)
-            if x.binder in b_atoms and atom in free_atoms(x.body):
-                fresh = _fresh(x.binder, b_atoms | free_atoms(x.body) | {atom})
-                renamed = substitute(x.body, x.binder, Atom(fresh))
-                memo[id(x)] = (x, Forall(fresh, substitute(renamed, atom, b)))
+            body_atoms = free_atoms(x.body) if x.binder in b_atoms else ()
+            if atom in body_atoms:
+                fresh = _fresh(x.binder, b_atoms | body_atoms | {atom})
+                renamed = yield x.body, x.binder, Atom(fresh), {}
+                # the renamed body shares this memo: results depend on the
+                # subformula, atom and b alone
+                body = yield renamed, atom, b, memo
+                memo[id(x)] = (x, Forall(fresh, body))
                 todo.pop()
                 continue
             parts = (x.body,)

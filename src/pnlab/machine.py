@@ -218,10 +218,13 @@ def table_entry(net: N.ProofNet, edge: str, pol: str) -> Entry:
     return entry
 
 
-def step(net: N.ProofNet, c: Context,
-         config: MachineConfig | None = None) -> list[Context]:
-    """All d with c -> d; empty when c is final or stuck."""
-    entry = net._index.transitions.get((c[0], c[3])) or table_entry(net, c[0], c[3])
+def step(net: N.ProofNet, c: Context, config: MachineConfig | None = None,
+         entry: Entry | None = None) -> list[Context]:
+    """All d with c -> d; empty when c is final or stuck.  entry, when the
+    caller holds it, is c's table entry, which is then not looked up."""
+    if entry is None:
+        entry = net._index.transitions.get((c[0], c[3])) \
+            or table_entry(net, c[0], c[3])
     return entry.rule(c[1], c[2], config)
 
 

@@ -181,7 +181,9 @@ class _Chain:
     `join` tells whether the start is a join, `steps` counts the
     transitions to the end, `links` lists the ways on from it, and `reads`
     holds the vertices its transitions read (those of their table entries,
-    and the source of the start edge where that decides `join`).
+    and the source of the start edge where that decides `join`).  The walk
+    keeps the entries' reads tuples; their union is built the first time a
+    reduct asks for it, so a net weighed once never builds it.
 
     A link is [via, chain start, positions, chain or None]: the head of the
     demanded signature it follows (None at a BRANCH), the positions of its
@@ -208,11 +210,18 @@ class _Chain:
     """
 
     __slots__ = ("start", "join", "end", "steps", "kind", "need", "hole",
-                 "demanded", "links", "reads")
+                 "demanded", "links", "_reads")
 
     def __init__(self, start: Context):
         self.start = start
         self.links: list = []
+
+    @property
+    def reads(self) -> set:
+        r = self._reads
+        if r.__class__ is list:  # the reads tuples, as the walk kept them
+            r = self._reads = set().union(*r)
+        return r
 
 
 class _Node:
@@ -243,30 +252,41 @@ class Chains:
     chains it inherited.  The index holds no net, so the methods that step
     take the net and its machine configuration.
 
+    `searched` keeps each finished search_copy_candidates result by (edge,
+    U, step budget), with the frozenset of the chains its tree holds.
+
     A reduct's chains start from its parent's (net._Index.inherited): the
     chains whose reads miss the step's stale vertices, and the roots among
-    them; the memos are shared.
+    them; the memos are shared.  When its standard heads are the parent's,
+    it also takes over each search result whose chains it all kept
+    (`handed`): the copies are a function of the tree, the heads a split
+    offers and the budget, and the tree of the chains it reaches.
     """
 
     __slots__ = ("chains", "alive", "roots", "holey", "renamed", "heads",
-                 "inherited")
+                 "inherited", "searched", "handed")
 
     def __init__(self, net: N.ProofNet, jumps: bool):
         mux = mux_indices(net)
         self.heads = all_standard_sigs(1, mux) if mux else _HEADS
-        handed = net._index.inherited
-        parent = handed[1].get(jumps) if handed is not None else None
+        given = net._index.inherited
+        parent = given[1].get(jumps) if given is not None else None
         if parent is None:
             self.chains, self.roots, self.holey, self.renamed = {}, {}, {}, {}
-            self.alive = set()
+            self.alive, self.handed = set(), {}
         else:
-            stale = handed[2]
+            stale = given[2]
             self.chains = {start: ch for start, ch in parent.chains.items()
                            if stale.isdisjoint(ch.reads)}
             alive = self.alive = set(self.chains.values())
             self.roots = {k: ch for k, ch in parent.roots.items() if ch in alive}
             self.holey, self.renamed = parent.holey, parent.renamed
+            self.handed = {}
+            if self.heads == parent.heads:
+                self.handed = {k: hit for k, hit in parent.searched.items()
+                               if hit[1] <= alive}
         self.inherited = len(self.chains)
+        self.searched = dict(self.handed)
 
     @staticmethod
     def of(net: N.ProofNet, config: MachineConfig) -> "Chains":
@@ -333,14 +353,14 @@ class Chains:
         table, principals = net._index.transitions, net.principal_edges()
         budget = config.step_budget
         c, on_chain, steps = ch.start, None, 0
-        vertices = ch.reads = set()
+        ch._reads = vertices = []
         ch.join = False
         if c[3] == "+" and len(c[2]) == 1:  # a join, if its edge is principal
             e = net.edges.get(c[0])
             if e is not None:
-                vertices.add(e.src[0])
+                vertices.append((e.src[0],))
             ch.join = c[0] in principals
-        read = vertices.update
+        read = vertices.append
         while True:
             entry = table.get((c[0], c[3])) or table_entry(net, c[0], c[3])
             read(entry.reads)
@@ -359,7 +379,7 @@ class Chains:
                         for t in demanded
                         for d in entry.rule(c[1], st[:-1] + (t,), config)]
                     break
-            succs = step(net, c, config)
+            succs = step(net, c, config, entry)
             if len(succs) == 1 and not reads:
                 d = succs[0]
                 if on_chain is None:
@@ -568,6 +588,10 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
     WeightError.  Each pattern costs one step of the budget.
     """
     chains = Chains.of(net, config)
+    key = (edge, us, config.step_budget)
+    kept = chains.searched.get(key)
+    if kept is not None:
+        return kept[0]
     tree, spent = chains.tree(net, config, edge, us)
     copies, cyclic = set(), False
     todo = [({}, [_Member({}, {(): ()}, (), tree[0], False)], False, None, None)]
@@ -605,10 +629,14 @@ def search_copy_candidates(net: N.ProofNet, edge: str, us: tuple[Sig, ...],
                 offered = [t for t in node.chain.demanded
                            if t != "p"] if node.chain.kind == SPLIT else [E]
             todo.extend((pattern, live, met, at, t) for t in reversed(offered))
+    # a node the walk cut has the chain of one on its path, so these are
+    # all the chains the tree holds
+    used = frozenset([node.chain for node in tree])
     for node in tree:  # no cycle is left, so the tree is freed at once
         node.kids = node.joins = None
     out = Copies(copies)
     out.cyclic, out.nodes = cyclic, len(tree)
+    chains.searched[key] = out, used
     return out
 
 
@@ -682,6 +710,17 @@ class WeightComputer:
         """The chains this net's tables started with, from its parent's."""
         t = self.net._index.chains.get(self.config.jumps_enabled)
         return 0 if t is None else t.inherited
+
+    @property
+    def copies_inherited(self) -> int:
+        """The copy searches of this computer that its net's tables took
+        over from the parent's, with no walk."""
+        t = self.net._index.chains.get(self.config.jumps_enabled)
+        if t is None:
+            return 0
+        budget, handed = self.config.step_budget, t.handed
+        return sum(1 for (e, us), found in self._copies.items()
+                   if (hit := handed.get((e, us, budget))) and hit[0] is found)
 
     # -- copies --
 

@@ -237,6 +237,23 @@ def test_deep_formulas_cost_no_python_frames():
     assert format_formula(bangs) == "!" * 3000 + "a"
 
 
+def test_nested_captures_cost_no_python_frames():
+    """b = x for a under 300 binders x, each of which would capture it and
+    is renamed x1, substituted under a recursion limit 60 frames above the
+    caller's depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    f = parse_formula("all x. " * 300 + "a")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        got = substitute(f, "a", Atom("x"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert format_formula(got) == "all x1. " * 300 + "x"
+
+
 # --- structural equality and instance matching without recursion ----------
 
 

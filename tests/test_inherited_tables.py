@@ -2,7 +2,8 @@
 
 `rewrite.fire` hands a reduct the compiled machine entries and the chains
 of `weights.Chains` that its parent built, less those that read a vertex
-the step changed (`docs/DECISIONS.md`, "What a reduct inherits").  Along
+the step changed, and the copy searches whose trees hold only chains it
+kept (`docs/DECISIONS.md`, "What a reduct inherits").  Along
 the double and triangle walks of the corpus, the Church numerals, the
 composed numerals, the repro and the light-system fixtures, each reduct's
 weight report, cycle flag and narrowing-walk nodes must equal those of the
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import pytest
 
-from pnlab import corpus
+from pnlab import corpus, net as N, rewrite
 from pnlab.families import gen_family
-from pnlab.machine import BudgetExhausted
+from pnlab.machine import BudgetExhausted, MachineConfig
 from pnlab.net import parse_net, print_net
 from pnlab.rewrite import DOUBLE, TRIANGLE, Walk
-from pnlab.weights import WeightComputer, WeightError
+from pnlab.weights import Chains, WeightComputer, WeightError, _Chain
 
 from test_shared_verify import REPRO
 
@@ -36,10 +37,10 @@ def walked_nets():
     return nets
 
 
-def weighed(net):
+def weighed(net, config=None):
     """The net's weight report, or the error that ends it, with the cycle
     flag, the narrowing walks' nodes and the computer."""
-    comp = WeightComputer(net)
+    comp = WeightComputer(net, config)
     try:
         report = comp.report().to_dict()
     except (WeightError, BudgetExhausted) as exc:
@@ -49,7 +50,7 @@ def weighed(net):
 
 @pytest.mark.parametrize("strategy", [DOUBLE, TRIANGLE], ids=lambda s: s.kind)
 def test_a_reduct_weighs_from_its_inheritance_as_afresh(strategy):
-    steps = walked = inherited = 0
+    steps = walked = inherited = searched = taken = 0
     for name, net in walked_nets().items():
         weighed(net)  # the tables the first reduct inherits
         for i, (_, cut, reduct, _) in enumerate(Walk(net, strategy)):
@@ -60,8 +61,66 @@ def test_a_reduct_weighs_from_its_inheritance_as_afresh(strategy):
             steps += 1
             walked += comp.chains_walked
             inherited += comp.chains_inherited
-    # the reducts start with far more chains than they walk
+            searched += len(comp._copies)
+            taken += comp.copies_inherited
+    # the reducts start with far more chains than they walk, and take over
+    # a good share of their copy searches
     assert steps > 350 and inherited > 5 * walked > 0
+    assert 3 * taken > searched > taken > 0
+
+
+def test_church_4_double_walk_inherits_its_pinned_searches():
+    net = gen_family("church", 4)
+    weighed(net)
+    searched = taken = 0
+    for _, _, reduct, _ in Walk(net, DOUBLE):
+        comp = weighed(reduct)[1]
+        searched += len(comp._copies)
+        taken += comp.copies_inherited
+    assert (taken, searched) == (110, 206)
+
+
+def sll_with_a_mux(arity):
+    """The reduct of the weighed SLL fixture by an edit that adds a
+    multiplexer of the arity on no edge, which no chain reads."""
+    net = corpus.sll_fixture()
+    weighed(net)
+    s = rewrite._Surgeon(net)
+    s.add_vertex(N.Vertex(s.fresh_v(), N.MUX, arity), ())
+    return s.freeze()
+
+
+def test_a_step_that_changes_the_standard_heads_inherits_no_search():
+    """The fixture's widest multiplexer has arity 3, so a split where any
+    head may come offers m(1) to m(3); with one of arity 4 it also offers
+    m(4), and a search the parent made may not stand."""
+    kept = sll_with_a_mux(3)
+    comp = weighed(kept)[1]
+    assert comp.chains_walked == 0 and comp.copies_inherited == 1
+    reduct = sll_with_a_mux(4)
+    got, comp = weighed(reduct)
+    assert comp.chains_walked == 0 and comp.chains_inherited > 0
+    assert comp.copies_inherited == 0
+    assert got == weighed(parse_net(print_net(reduct)))[0]
+
+
+def test_a_smaller_budget_does_not_reuse_a_search_found_under_a_larger():
+    """The third reduct of church 2's double walk, an N step, takes over
+    three of its five searches under its parent's budget.  Under 20 steps
+    a fresh copy of it runs out of budget, and so must the reduct, although
+    its parent found those copies; under 21 it searches them again."""
+    walk = iter(Walk(gen_family("church", 2), DOUBLE))
+    for _ in range(2):  # the tables the third reduct inherits
+        weighed(next(walk)[2])
+    reduct = next(walk)[2]
+    small = MachineConfig(step_budget=20)
+    fresh = weighed(parse_net(print_net(reduct)), small)[0]
+    assert fresh[0][0] == "BudgetExhausted"
+    got, comp = weighed(reduct, small)
+    assert got == fresh and comp.copies_inherited == 0
+    got, comp = weighed(reduct, MachineConfig(step_budget=21))
+    assert got[0] == weighed(reduct)[0][0] and comp.copies_inherited == 0
+    assert weighed(reduct)[1].copies_inherited == 3
 
 
 def chain_fields(ch):
@@ -75,10 +134,6 @@ def test_each_edit_of_a_step_drops_the_chains_it_changes():
     keeps walks again on the reduct to the same chain, and so does each
     root.  Relabelling a box's principal turns its principal edge from a
     join into none, which only the chains starting there read."""
-    from pnlab import net as N, rewrite
-    from pnlab.machine import MachineConfig
-    from pnlab.weights import Chains, _Chain
-
     net = gen_family("church", 2)
     weighed(net)
     config = MachineConfig()
