@@ -110,10 +110,13 @@ class Sec(Formula):
     body: Formula
 
 
-def free_atoms(f: Formula) -> frozenset[str]:
+def free_atoms(f: Formula, memo: dict | None = None) -> frozenset[str]:
     """The atoms of f not bound by a quantifier of f: bottom-up on an
-    explicit stack, each shared subformula once."""
-    memo: dict[int, frozenset[str]] = {}  # id of a subformula -> its atoms
+    explicit stack, each shared subformula once.  memo (id of a subformula
+    -> the subformula and its atoms) lets calls share their common
+    subformulas; it holds each subformula, so no id is reused."""
+    if memo is None:
+        memo = {}
     todo = [f]
     while todo:
         x = todo[-1]
@@ -121,7 +124,7 @@ def free_atoms(f: Formula) -> frozenset[str]:
             todo.pop()
             continue
         if isinstance(x, Atom):
-            memo[id(x)] = frozenset([x.name])
+            memo[id(x)] = (x, frozenset([x.name]))
             todo.pop()
             continue
         if isinstance(x, (Lolli, Tensor)):
@@ -135,13 +138,13 @@ def free_atoms(f: Formula) -> frozenset[str]:
             todo += missing
             continue
         todo.pop()
-        atoms = memo[id(parts[0])]
+        atoms = memo[id(parts[0])][1]
         if len(parts) == 2:
-            atoms = atoms | memo[id(parts[1])]
+            atoms = atoms | memo[id(parts[1])][1]
         if isinstance(x, Forall):
             atoms = atoms - {x.binder}
-        memo[id(x)] = atoms
-    return memo[id(f)]
+        memo[id(x)] = (x, atoms)
+    return memo[id(f)][1]
 
 
 _FRESH = re.compile(r"^(.*?)(\d*)$")
@@ -166,9 +169,12 @@ def substitute(f: Formula, atom: str, b: Formula,
     result, for this atom and b) lets calls share their common subformulas.
     A binder that would capture b is renamed by two more substitutions,
     which run on a stack of suspended ones, so nested captures cost no
-    Python frames.
+    Python frames.  The substitutions share one `free_atoms` memo, so the
+    free atoms of each subformula are found once, however deep the nested
+    captures above it.
     """
-    jobs = [_substituting(f, atom, b, {} if memo is None else memo)]
+    atoms: dict = {}  # free_atoms' memo, for every job
+    jobs = [_substituting(f, atom, b, {} if memo is None else memo, atoms)]
     result = None
     while jobs:
         try:
@@ -177,15 +183,15 @@ def substitute(f: Formula, atom: str, b: Formula,
             jobs.pop()
             result = done.value
         else:
-            jobs.append(_substituting(*asked))
+            jobs.append(_substituting(*asked, atoms))
             result = None
     return result
 
 
-def _substituting(f: Formula, atom: str, b: Formula, memo: dict):
+def _substituting(f: Formula, atom: str, b: Formula, memo: dict, atoms: dict):
     """substitute's work for one formula: it yields (formula, atom, b,
     memo) for each substitution it needs done first and is sent back its
-    result."""
+    result.  atoms is the free_atoms memo of the whole substitution."""
     b_atoms = None
     todo = [f]
     while todo:
@@ -204,8 +210,8 @@ def _substituting(f: Formula, atom: str, b: Formula, memo: dict):
                 todo.pop()
                 continue
             if b_atoms is None:
-                b_atoms = free_atoms(b)
-            body_atoms = free_atoms(x.body) if x.binder in b_atoms else ()
+                b_atoms = free_atoms(b, atoms)
+            body_atoms = free_atoms(x.body, atoms) if x.binder in b_atoms else ()
             if atom in body_atoms:
                 fresh = _fresh(x.binder, b_atoms | body_atoms | {atom})
                 renamed = yield x.body, x.binder, Atom(fresh), {}

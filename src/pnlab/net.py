@@ -6,8 +6,11 @@ C, a box's principal edge leaves its R! vertex.  Port order is explicit and
 fixed per vertex label, since the token machine distinguishes left and right
 premises.
 
-Nets are immutable values: rewriting always builds a new net, and a net's
-vertex, edge and box dicts must never change after construction.  Every
+Nets are immutable values: a net's vertex, edge and box dicts never change,
+and rewriting builds a new net, with one exception.  `rewrite.Walk` does
+not branch, so from its second step on it fires in place: the reduct it
+made hands its own dicts and tables to the next reduct and is spent.  A
+reduct a walk yields lives until the walk's next step.  Every
 structural lookup goes through one set of indexes per net, each built once,
 on its first query, in O(|G| + sum of box contents): port -> edge; vertex ->
 the boxes around it, which gives depth and the box tree; principal or door
@@ -279,8 +282,9 @@ class _Index:
         # for a reduct: (the parent's entries, its chain tables, the stale
         # vertices), when the parent had built either
         self.inherited: tuple | None = None
-        # for a reduct: the edges the step put, re-ended or deleted
-        self.touched: set[str] | None = None
+        # for a reduct: the edges the step put, re-ended or deleted, each
+        # with its edge before the step (None for a fresh one)
+        self.touched: dict[str, Edge | None] | None = None
         # vertex -> its key row (see key_row), filled per keyed vertex; None
         # until the net is first keyed
         self.key_rows: dict[str, tuple] | None = None
@@ -545,6 +549,13 @@ class ProofNet:
 
     def conclusion_edge(self) -> str:
         return self.edge_at(self.conclusion_vertex(), "edge").id
+
+    def copy(self) -> ProofNet:
+        """The same net on dicts of its own, with its indexes to build: a
+        reduct kept past the next step of a `rewrite.Walk`, which edits
+        it in place."""
+        return ProofNet(self.vertices.copy(), self.edges.copy(),
+                        self.boxes.copy(), self.system)
 
 
 def _numkey(ident: str):

@@ -8,27 +8,33 @@ Rule kinds use the names -o, *, forall, !, X, D, N, W.  Strategies:
     all cuts at smaller levels are W-cuts, and a !-cut at level n only when
     every level-n cut is a W-cut or a !-cut
 
-Firing is pure: net in, net out.  Deterministic tie-break picks the lowest
-level, then the lowest edge id.  The cuts of -o, * and forall, and the ports
-their steps splice, are read from the one declared table `net.CONNECTIVES`,
-which the token machine reads too.
+`fire` is pure, net in, net out, unless it is asked to fire in place.
+Deterministic tie-break picks the lowest level, then the lowest edge id.
+The cuts of -o, * and forall, and the ports their steps splice, are read
+from the one declared table `net.CONNECTIVES`, which the token machine
+reads too.
 
-Rewriting is local (Lafont's interaction nets).  `fire` works on shallow
-copies of the net's dicts and of its index tables (port -> edge, vertex ->
-boxes around it, principal or door -> its box, box ranks), edits only the
-entries the redex and any box it copies, opens or moves touch, and hands
-them to the reduct, with the set of edges it put, re-ended or deleted.  A
-box it edits gets a new record from `Box.edited`, which keeps the old
-record and the step's edit until its contents are read, so the boxes
-around a redex are not copied.  A step makes one set of stale vertices:
-those it added, dropped or relabelled, and the ends of the edges it
-touched, before and after it.  A net that has been keyed hands on its key
-rows (vertex -> what `canonical_key` writes for it) less those of the
-stale vertices, so a reduct is keyed from the rows its step changed.  A net that has run the token machine hands on its
-compiled entries and chains, which the reduct takes on first use unless
-they read a stale vertex where a label or a port's edge changed.  A net
-with none of these hands on nothing.  `Walk`, which
-`normalize` and the suite's monotonicity check step through, and
+Rewriting is local (Lafont's interaction nets).  A step edits only the
+entries of the net's dicts and index tables (port -> edge, vertex -> boxes
+around it, principal or door -> its box, box ranks) that the redex and any
+box it copies, opens or moves touch, and hands the tables to the reduct,
+with the edges it put, re-ended or deleted.  A pure step first makes
+shallow copies of the seven tables, O(|G|) in C; a step in place edits the
+net's own and spends the net.  `reduction_metrics` branches, so it fires
+pure steps.  `Walk`, which `normalize` and the suite's Theorem 2 and
+monotonicity checks step through, does not: its first step is pure, so
+its input is never edited, and every later one fires in place on the
+reduct the walk made.  A box a step edits gets a new record from
+`Box.edited`, which keeps the old record and the step's edit until its
+contents are read, so the boxes around a redex are not copied.  A step
+makes one set of stale vertices: those it added, dropped or relabelled,
+and the ends of the edges it touched, before and after it.  A net that
+has been keyed hands on its key rows (vertex -> what `canonical_key`
+writes for it) less those of the stale vertices, so a reduct is keyed
+from the rows its step changed.  A net that has run the token machine
+hands on its compiled entries and chains, which the reduct takes on first
+use unless they read a stale vertex where a label or a port's edge
+changed.  A net with none of these hands on nothing.  `Walk` and
 `reduction_metrics` run `find_cuts` once, on their input; after each step
 `update_cuts` reclassifies the touched edges and re-reads the level of the
 cuts inside a box that a D- or N-step moved.
@@ -144,34 +150,39 @@ class ReductionTrace:
 
 
 class _Surgeon:
-    """Mutable copy of a net under one rewrite step.
+    """One rewrite step on a net's dicts and index tables.
 
     It keeps the port index, the box tables (`enclosing`, `inner_boxes`)
     and the box ranks in step with its edges and boxes, and hands them to
     the reduct, together with the largest ids when they are still exact and
-    the set of edges it put, re-ended or deleted, and what the source net
-    built of its key rows and machine tables (see `freeze`).  Every dict is
-    a shallow copy of the source net's; a table entry is replaced, never
-    changed in place, and a box record is copied only when the step edits
-    it.  Every write to the vertices goes through `add_vertex`,
-    `drop_vertex` or `relabel`, which note the vertex as changed, and every
-    edge that comes to a port goes through `put_edge`.
+    the edges it put, re-ended or deleted, and what the source net built of
+    its key rows and machine tables (see `freeze`).  A pure step works on
+    shallow copies of the seven tables (vertices, edges, boxes, ports,
+    enclosing, inner_boxes, box ranks); a step in place edits the net's
+    own, so the net must not be read once its reduct is made.  Either way a
+    table list is replaced, never changed in place, since the lists are
+    shared, and a box record is replaced only when the step edits it.
+    Every write to the vertices goes through `add_vertex`, `drop_vertex` or
+    `relabel`, which note the vertex as changed, and every edge that comes
+    to a port goes through `put_edge`.  `touched` maps each edge id that
+    `put_edge` or `del_edge` wrote to its edge before the step (None for a
+    fresh one), logged at its first write, before the change.
     """
 
-    def __init__(self, net: ProofNet):
+    def __init__(self, net: ProofNet, in_place: bool = False):
         index = net._index
+        tables = (net.vertices, net.edges, index.ports, net.boxes,
+                  index.enclosing, index.inner_boxes, index.box_rank)
+        if not in_place:
+            # dict.copy clones the hash table where dict() re-inserts each key
+            tables = [t.copy() for t in tables]
+        (self.vertices, self.edges, self.ports, self.boxes, self.enclosing,
+         self.inner_boxes, self.rank) = tables
+        self.in_place = in_place
         self.system = net.system
-        # dict.copy clones the hash table where dict() re-inserts each key
-        self.vertices = net.vertices.copy()
-        self.edges = net.edges.copy()
-        self.ports = index.ports.copy()
-        self.boxes = net.boxes.copy()
-        self.enclosing = index.enclosing.copy()
-        self.inner_boxes = index.inner_boxes.copy()
-        self.rank = index.box_rank.copy()
         self.edited: dict[str, tuple[list[str], set[str], set[str]]] = {}
-        self.touched: set[str] = set()
-        self.source = net  # for the key rows and tables the reduct inherits
+        self.touched: dict[str, Edge | None] = {}
+        self.source = index  # for the key rows and tables the reduct inherits
         self.changed: set[str] = set()  # vertices added, dropped or relabelled
         self.vn = index.max_vertex_id
         self.en = index.max_edge_id
@@ -196,14 +207,15 @@ class _Surgeon:
         old = self.edges.get(e.id)
         if old is not None:
             self._unport(old)
+        self.touched.setdefault(e.id, old)
         self.edges[e.id] = e
         self.ports[e.src] = e
         self.ports[e.tgt] = e
-        self.touched.add(e.id)
 
     def del_edge(self, eid: str):
-        self._unport(self.edges.pop(eid))
-        self.touched.add(eid)
+        old = self.edges.pop(eid)
+        self._unport(old)
+        self.touched.setdefault(eid, old)
 
     def _unport(self, e: Edge):
         for end in (e.src, e.tgt):
@@ -369,7 +381,7 @@ class _Surgeon:
             raise RewriteError(f"splice produced a closed loop through {sorted(leftovers)}")
 
     def freeze(self) -> ProofNet:
-        source = self.source._index
+        source = self.source
         rows = source.key_rows
         entries, chains = source.transitions, source.chains
         jumps = set() if entries or chains else None
@@ -393,7 +405,7 @@ class _Surgeon:
             index.max_vertex_id = self.vn
         if f"e{self.en}" in self.edges:
             index.max_edge_id = self.en
-        before, after = self.source.edges, self.edges
+        before, after = self.touched, self.edges
         if rows is not None:
             # A row reads its vertex's label and, at each port, the edge's
             # direction, formula and other end.  An edge that changes any
@@ -401,12 +413,14 @@ class _Surgeon:
             # or after the step, or else is changed.  These are the stale
             # vertices; every other row is handed on.
             stale = set(self.changed)
-            for eid in self.touched:
-                for e in (before.get(eid), after.get(eid)):
+            for eid, old in before.items():
+                for e in (old, after.get(eid)):
                     if e is not None:
                         stale.add(e.src[0])
                         stale.add(e.tgt[0])
-            rows = index.key_rows = rows.copy()
+            if not self.in_place:
+                rows = rows.copy()
+            index.key_rows = rows
             for vid in stale:
                 rows.pop(vid, None)
         if jumps is not None:
@@ -416,8 +430,8 @@ class _Surgeon:
             # can read anew only the changed ones and those where an edge
             # left or came to a port, besides the doors lists that changed.
             moved = self.changed | jumps
-            for eid in self.touched:
-                e, f = before.get(eid), after.get(eid)
+            for eid, e in before.items():
+                f = after.get(eid)
                 for end, now in ((e and e.src, f and f.src),
                                  (e and e.tgt, f and f.tgt)):
                     if end != now:
@@ -432,13 +446,19 @@ class _Surgeon:
 # --- the eight rules ------------------------------------------------------
 
 
-def fire(net: ProofNet, cut: Cut) -> tuple[ProofNet, dict[str, tuple[str, str]]]:
+def fire(net: ProofNet, cut: Cut, in_place: bool = False
+         ) -> tuple[ProofNet, dict[str, tuple[str, str]]]:
     """Apply one cut-elimination step; returns the reduct and, for X-steps,
-    the provenance map from fresh identifiers to (original, side)."""
+    the provenance map from fresh identifiers to (original, side).
+
+    The step is pure unless `in_place`: then it edits the net's own dicts
+    and tables and hands them to the reduct, so the net must not be read
+    again.  `Walk` fires so every step after its first, on the reduct it
+    made the step before."""
     e = net.edges.get(cut.edge)
     if e is None or classify_edge(net, cut.edge) != cut.kind:
         raise RewriteError(f"cut {cut} is not present in the net")
-    s = _Surgeon(net)
+    s = _Surgeon(net, in_place)
     v, w = e.src[0], e.tgt[0]
     kind = cut.kind
 
@@ -459,9 +479,16 @@ def fire(net: ProofNet, cut: Cut) -> tuple[ProofNet, dict[str, tuple[str, str]]]
         s.drop_vertex(w)
         s.splice([((v, p), (w, q)) for p, q in pairs])
         if witness is not None:
-            for ed in list(s.edges.values()):
-                s.put_edge(Edge(ed.id, ed.src, ed.tgt,
-                                substitute(ed.formula, fa.binder, witness)))
+            # substitute keeps a formula with no free binder as it is; the
+            # calls share one memo, so each subformula is read once
+            memo: dict = {}
+            substituted = []
+            for ed in s.edges.values():
+                f = substitute(ed.formula, fa.binder, witness, memo)
+                if f is not ed.formula:
+                    substituted.append(Edge(ed.id, ed.src, ed.tgt, f))
+            for ed in substituted:
+                s.put_edge(ed)
     elif kind == "!":
         _fire_bang(s, net, v, w, e)
     elif kind == "D":
@@ -631,19 +658,28 @@ def pick_cut(cuts: list[Cut]) -> Cut:
 RELEVEL_KINDS = ("D", "N")
 
 
-def update_cuts(cuts: dict[str, Cut], net: ProofNet, cut: Cut, reduct: ProofNet):
-    """Turn the live-cut map of a net into that of its reduct by `cut`:
-    reclassify only the edges the step put, re-ended or deleted.
+def relevelled(net: ProofNet, cut: Cut) -> frozenset[str]:
+    """The vertices the step of `cut` moves one level: the contents of the
+    cut's box for a D- or N-step, and none for the others.  They are read
+    from the net before the cut fires."""
+    if cut.kind in RELEVEL_KINDS:
+        return net.boxes[net.edges[cut.edge].src[0]].contents
+    return frozenset()
+
+
+def update_cuts(cuts: dict[str, Cut], reduct: ProofNet, moved: frozenset[str]):
+    """Turn the live-cut map of a net into that of its reduct: reclassify
+    only the edges the step put, re-ended or deleted.
 
     An edge the step did not touch changes level only when the step moves
     the box of the cut one level and the edge lies in that box, which for a
-    cut means that its source vertex does; only those levels are read again.
+    cut means that its source vertex is among the `moved` vertices
+    (`relevelled`); only those levels are read again.
     """
     touched = reduct._index.touched
     for eid in touched:
         cuts.pop(eid, None)
-    if cut.kind in RELEVEL_KINDS and cuts:
-        moved = net.boxes[net.edges[cut.edge].src[0]].contents
+    if moved and cuts:
         for eid, c in cuts.items():
             if reduct.edges[eid].src[0] in moved:
                 level = reduct.depth(eid)
@@ -663,8 +699,13 @@ REWRITE_BUDGET = 10**5
 class Walk:
     """The steps a strategy takes from a net.  Iterating fires the cut the
     strategy picks until none is left or `budget` steps are taken, and
-    yields (net, cut, reduct, provenance) per step; `cuts` then holds the
-    cuts left in the last reduct."""
+    yields (cut, reduct, provenance) per step; `cuts` then holds the cuts
+    left in the last reduct.
+
+    The walk never branches, so only its first step is pure: every later
+    one fires in place on the reduct the walk made the step before.  The
+    input net is never edited, but a yielded reduct lives only until the
+    next step; a caller that keeps one copies it (`ProofNet.copy`)."""
 
     def __init__(self, net: ProofNet, strategy: Strategy,
                  budget: int = REWRITE_BUDGET):
@@ -681,10 +722,10 @@ class Walk:
             if not permitted:
                 raise RewriteError("strategy permits no cut but cuts remain")
             cut = pick_cut(permitted)
-            nxt, prov = fire(cur, cut)
-            update_cuts(cuts, cur, cut, nxt)
-            yield cur, cut, nxt, prov
-            cur = nxt
+            moved = relevelled(cur, cut)
+            cur, prov = fire(cur, cut, in_place=cur is not self.net)
+            update_cuts(cuts, cur, moved)
+            yield cut, cur, prov
 
 
 def normalize(net: ProofNet, strategy: Strategy = ARROW,
@@ -694,7 +735,7 @@ def normalize(net: ProofNet, strategy: Strategy = ARROW,
     trace = ReductionTrace()
     cur = net
     walk = Walk(net, strategy, budget)
-    for i, (_, cut, cur, prov) in enumerate(walk):
+    for i, (cut, cur, prov) in enumerate(walk):
         trace.steps.append(TraceStep(i, cut.kind, cut.edge, cut.level,
                                      cur.size(), prov or None))
     if walk.cuts:
@@ -818,7 +859,7 @@ def reduction_metrics(net: ProofNet, strategy: Strategy = ARROW,
             cuts = {c.edge: c for c in find_cuts(cur)}
         else:
             cuts = dict(parent.cuts)
-            update_cuts(cuts, parent.net, cut, cur)
+            update_cuts(cuts, cur, relevelled(parent.net, cut))
         permitted = sorted(strategy.permitted(list(cuts.values())),
                            key=lambda c: N._numkey(c.edge))
         stack.append(_State(key, cur, cuts, permitted, largest=cur.size()))

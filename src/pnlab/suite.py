@@ -54,10 +54,10 @@ def check_theorem2(net: ProofNet, comp: WeightComputer) -> list[str]:
     walk = Walk(net, TRIANGLE, REWRITE_BUDGET)
     steps = exp = 0
     digs = []  # (index, cut, reduct) of each N-step
-    for steps, (_, cut, reduct, _) in enumerate(walk, 1):
+    for steps, (cut, reduct, _) in enumerate(walk, 1):
         exp += cut.kind in WEIGHT_KINDS
-        if cut.kind == "N":
-            digs.append((steps - 1, cut, reduct))
+        if cut.kind == "N":  # kept past the next step, which edits it
+            digs.append((steps - 1, cut, reduct.copy()))
     if walk.cuts:
         return ["triangle normalization exhausted its budget"]
     out = []
@@ -87,7 +87,7 @@ def check_monotonicity(net: ProofNet, comp: WeightComputer) -> list[str]:
     out = []
     walk = Walk(net, DOUBLE, REWRITE_BUDGET)
     rep_g = None
-    for _, cut, nxt, _ in walk:
+    for cut, nxt, _ in walk:
         if rep_g is None:  # the input's report, read once a cut has fired
             rep_g = comp.report()
         rep_h = WeightComputer(nxt, comp.config).report()

@@ -822,9 +822,9 @@ def test_monotonicity_walk_is_normalize_double_trace(monkeypatch):
                 for name, net in nets.items()}
     fired = []
 
-    def recording_fire(net, cut):
+    def recording_fire(net, cut, **kwargs):
         fired.append((cut.kind, cut.edge))
-        return fire(net, cut)
+        return fire(net, cut, **kwargs)
 
     monkeypatch.setattr(rewrite, "fire", recording_fire)
     for name, net in nets.items():

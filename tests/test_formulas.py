@@ -254,6 +254,31 @@ def test_nested_captures_cost_no_python_frames():
     assert format_formula(got) == "all x1. " * 300 + "x"
 
 
+@pytest.mark.parametrize("n", [250, 500, 1000])
+def test_nested_captures_read_each_body_once(monkeypatch, n):
+    """b = x for a under n binders x: each binder asks for the free atoms
+    of its body, and the substitution's jobs share one memo, so the
+    subformulas free_atoms reads, counted as the entries it adds to the
+    memo, are the n bodies and b, not a sum over the binders of their
+    bodies' sizes."""
+    import pnlab.formulas as formulas
+
+    free, visits = formulas.free_atoms, []
+
+    def counted(f, memo=None):
+        memo = {} if memo is None else memo
+        before = len(memo)
+        atoms = free(f, memo)
+        visits.append(len(memo) - before)
+        return atoms
+
+    monkeypatch.setattr(formulas, "free_atoms", counted)
+    got = substitute(parse_formula("all x. " * n + "a"), "a", Atom("x"))
+    assert format_formula(got) == "all x1. " * n + "x"
+    assert len(visits) == 2 * n  # b and the body, at each binder
+    assert sum(visits) == n + 1
+
+
 # --- structural equality and instance matching without recursion ----------
 
 

@@ -53,7 +53,7 @@ def test_a_reduct_weighs_from_its_inheritance_as_afresh(strategy):
     steps = walked = inherited = searched = taken = 0
     for name, net in walked_nets().items():
         weighed(net)  # the tables the first reduct inherits
-        for i, (_, cut, reduct, _) in enumerate(Walk(net, strategy)):
+        for i, (cut, reduct, _) in enumerate(Walk(net, strategy)):
             got, comp = weighed(reduct)
             fresh = parse_net(print_net(reduct))
             assert fresh._index.inherited is None
@@ -73,7 +73,7 @@ def test_church_4_double_walk_inherits_its_pinned_searches():
     net = gen_family("church", 4)
     weighed(net)
     searched = taken = 0
-    for _, _, reduct, _ in Walk(net, DOUBLE):
+    for _, reduct, _ in Walk(net, DOUBLE):
         comp = weighed(reduct)[1]
         searched += len(comp._copies)
         taken += comp.copies_inherited
@@ -111,8 +111,8 @@ def test_a_smaller_budget_does_not_reuse_a_search_found_under_a_larger():
     its parent found those copies; under 21 it searches them again."""
     walk = iter(Walk(gen_family("church", 2), DOUBLE))
     for _ in range(2):  # the tables the third reduct inherits
-        weighed(next(walk)[2])
-    reduct = next(walk)[2]
+        weighed(next(walk)[1])
+    reduct = next(walk)[1]
     small = MachineConfig(step_budget=20)
     fresh = weighed(parse_net(print_net(reduct)), small)[0]
     assert fresh[0][0] == "BudgetExhausted"

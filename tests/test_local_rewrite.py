@@ -11,7 +11,9 @@ reduct of a keyed net keys from the rows its parent hands on, less those
 its step made stale; its key must equal the reference and the key of the
 same net read afresh.  A box record a step edits keeps the record it
 replaces and the step's edit until its contents are read, and must act as
-the plain record it stands for.
+the plain record it stands for.  A `Walk` fires every step after its first
+in place, on the reduct it made; each reduct must be the one a pure `fire`
+makes, and the walk's input must come out as it went in.
 """
 
 import random
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from pnlab import corpus
+from pnlab import corpus, machine
 from pnlab import net as N
 from pnlab import rewrite
 from pnlab.families import gen_family
@@ -38,14 +40,17 @@ from pnlab.rewrite import (
     find_cuts,
     fire,
     normalize,
+    pick_cut,
     reduction_metrics,
+    relevelled,
+    update_cuts,
 )
 
 from pnlab.terms import Ax, Cut, Derelict, Promote, elaborate
 
 from test_formulas import ref_alpha_canon
 from test_golden import _applied, _church, composed
-from test_net_index import family_nets
+from test_net_index import family_nets, table_snapshot
 
 A = Atom("a")
 
@@ -195,19 +200,19 @@ def outcome(fn, *args, **kwargs):
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_live_cuts_equal_find_cuts_along_normalize(all_nets, monkeypatch, strategy):
     update = rewrite.update_cuts
-    kinds = set()
 
-    def checked(cuts, net, cut, reduct):
-        update(cuts, net, cut, reduct)
-        kinds.add(cut.kind)
+    def checked(cuts, reduct, moved):
+        update(cuts, reduct, moved)
         live = sorted(cuts.values(), key=lambda c: N._numkey(c.edge))
-        assert live == find_cuts(reduct), (cut, reduct.size())
+        assert live == find_cuts(reduct), reduct.size()
         assert all(type(b.contents) is frozenset for b in reduct.boxes.values())
 
     monkeypatch.setattr(rewrite, "update_cuts", checked)
+    kinds = set()
     for name, net in rewrite_nets(all_nets).items():
         _, trace = normalize(net, STRATEGIES[strategy])
         assert trace.status == "normal", name
+        kinds.update(s.kind for s in trace.steps)
     assert kinds == set(CUT_KINDS)
 
 
@@ -472,7 +477,7 @@ def test_reducts_of_an_unkeyed_net_inherit_no_rows(all_nets):
         for cut in find_cuts(fresh):
             assert fire(fresh, cut)[0]._index.key_rows is None
     net = church(3)
-    for _, _, reduct, _ in rewrite.Walk(net, TRIANGLE):
+    for _, reduct, _ in rewrite.Walk(net, TRIANGLE):
         assert reduct._index.key_rows is None
 
 
@@ -551,3 +556,77 @@ def test_few_edited_box_records_of_a_walk_compute_their_contents(monkeypatch):
     assert trace.status == "normal"
     assert len(made) > 3000
     assert len(computed) <= 0.02 * len(made), (len(computed), len(made))
+
+
+# --- walks that fire in place ------------------------------------------------------
+
+
+def keyed_and_run(net):
+    """Key the net and compile one machine entry, so that its reduct is
+    handed key rows and a machine-stale set."""
+    canonical_key(net)
+    machine.table_entry(net, next(iter(net.edges)), "+")
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_a_walk_leaves_its_input_unchanged(all_nets, strategy):
+    for name, net in rewrite_nets(all_nets).items():
+        keyed_and_run(net)
+        before = table_snapshot(net)
+        rows = dict(net._index.key_rows)
+        _, trace = normalize(net, STRATEGIES[strategy])
+        assert trace.status == "normal", name
+        assert table_snapshot(net) == before, name
+        assert net._index.key_rows == rows, name
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_a_walk_in_place_makes_the_reducts_of_pure_steps(all_nets, strategy):
+    """Before each step the walk takes, the same cut fires pure on the
+    same reduct; the reduct the walk makes in place, on the previous
+    reduct's own dicts, must have the same touched edges with their edges
+    before the step, live cuts, handed key rows, machine-stale set and
+    canonical key."""
+    steps = 0
+    for name, net in rewrite_nets(all_nets).items():
+        walk = rewrite.Walk(net, STRATEGIES[strategy])
+        want = prev = None
+        for i, (cut, reduct, _) in enumerate(walk):
+            if want is None:
+                assert reduct.vertices is not net.vertices, name
+            else:
+                want_cut, pure, cuts, rows = want
+                where = (name, i, cut)
+                assert cut == want_cut, where
+                assert reduct.vertices is prev.vertices, where
+                assert reduct.edges is prev.edges, where
+                assert reduct._index.touched == pure._index.touched, where
+                assert walk.cuts == cuts, where
+                assert reduct._index.key_rows == rows, where
+                assert reduct._index.inherited[2] == pure._index.inherited[2], where
+                assert canonical_key(reduct) == canonical_key(pure), where
+                steps += 1
+            want = None
+            if walk.cuts:
+                keyed_and_run(reduct)
+                nxt = pick_cut(STRATEGIES[strategy].permitted(list(walk.cuts.values())))
+                pure, _ = fire(reduct, nxt)
+                cuts = dict(walk.cuts)
+                update_cuts(cuts, pure, relevelled(reduct, nxt))
+                want = (nxt, pure, cuts, dict(pure._index.key_rows))
+            prev = reduct
+        assert want is None and not walk.cuts, name
+    assert steps > 700
+
+
+def test_a_forall_step_touches_the_edges_whose_formulas_change(named_nets):
+    """The forall fixture's step deletes its cut e3 and splices e2 with e6
+    into e2; the witness changes the formulas of e1 and e2 alone, so e4
+    and e5 are not touched and their ends keep their key rows."""
+    net = named_nets["forall"]
+    canonical_key(net)
+    cut, = [c for c in find_cuts(net) if c.kind == "forall"]
+    reduct, _ = fire(net, cut)
+    assert set(reduct._index.touched) == {"e1", "e2", "e3", "e6"}
+    assert set(reduct._index.key_rows) == {"v5", "v6"}
+    assert canonical_key(reduct) == ref_canonical_key(reduct)
