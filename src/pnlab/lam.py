@@ -175,27 +175,73 @@ def type_formula(t: SType) -> Formula:
 # --- lambda terms -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LTerm:
-    pass
+    """A term compares by `same_term`, hashes its pre-order tokens and
+    writes the generated repr text with `tree_repr`, so none of them costs
+    a Python frame per node."""
+
+    def __eq__(self, other):
+        if not isinstance(other, LTerm):
+            return NotImplemented
+        return same_term(self, other)
+
+    def __hash__(self):
+        tokens: list = []
+        todo: list[LTerm] = [self]
+        while todo:
+            t = todo.pop()
+            if type(t) is App:
+                tokens.append(App)
+                todo += (t.arg, t.fun)
+            elif type(t) is Lam:
+                tokens += (Lam, t.var, t.ty)
+                todo.append(t.body)
+            else:
+                tokens += (Var, t.name)
+        return hash(tuple(tokens))
+
+    def __repr__(self):
+        return tree_repr(self, LTerm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(LTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lam(LTerm):
     var: str
     ty: SType
     body: LTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class App(LTerm):
     fun: LTerm
     arg: LTerm
+
+
+def same_term(a: LTerm, b: LTerm) -> bool:
+    """Structural equality, the `==` of terms, pair by pair on an explicit
+    stack."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if type(a) is App:
+            todo += ((a.arg, b.arg), (a.fun, b.fun))
+        elif type(a) is Lam:
+            if a.var != b.var or a.ty != b.ty:
+                return False
+            todo.append((a.body, b.body))
+        elif a.name != b.name:
+            return False
+    return True
 
 
 _LAM_TOKEN = re.compile(r"\s*(\\|λ|\.|:|\(|\)|->|[A-Za-z_][A-Za-z0-9_]*)")

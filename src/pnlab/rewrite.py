@@ -38,6 +38,16 @@ changed.  A net with none of these hands on nothing.  `Walk` and
 `reduction_metrics` run `find_cuts` once, on their input; after each step
 `update_cuts` reclassifies the touched edges and re-reads the level of the
 cuts inside a box that a D- or N-step moved.
+
+`reduction_metrics` searches the whole reduction graph, keying each
+reduct, but fires only one order of two permitted cuts that commute: two
+cuts whose steps touch disjoint parts of the net, one edge apart at
+least (`footprint`, `halo`), reach one reduct in either order, and each
+stays permitted after the other.  It skips a cut asleep at a reduct
+(sleep sets), and a cut already fired from a reduct with the same key,
+unless the reduct it made then slept a cut that it would not sleep now.
+`docs/DECISIONS.md` ("Independent cuts" and "Sleep sets and the memo")
+derives both rules.
 """
 
 from __future__ import annotations
@@ -750,9 +760,13 @@ class MetricsBudget(RuntimeError):
     pass
 
 
-def canonical_key(net: ProofNet) -> str:
+def canonical_key(net: ProofNet, numbering: dict[str, str] | None = None) -> str:
     """Isomorphism-invariant key: breadth-first relabelling from the
     conclusion, then remaining components from their least roots.
+
+    An empty dict passed as `numbering` is filled with the number, as
+    text, that each vertex has in the key.  Two nets with one key are
+    isomorphic through the vertices that have the same number.
 
     Each vertex is written as its label and arity, then each of its ports
     as '-' when no edge ends there, or as the edge's direction, the
@@ -770,7 +784,8 @@ def canonical_key(net: ProofNet) -> str:
     if rows is None:
         rows = index.key_rows = {}
     vertices = net.vertices
-    order: dict[str, str] = {}  # vertex -> its number, as text
+    # vertex -> its number, as text
+    order: dict[str, str] = {} if numbering is None else numbering
     out: list[str] = []  # the text of the vertices, each led by ';'
 
     def bfs(root: str) -> list[str]:
@@ -817,17 +832,59 @@ def canonical_key(net: ProofNet) -> str:
     return f"{net.system}|{''.join(out)[1:]}|{''.join(sorted(boxparts))}"
 
 
+def footprint(net: ProofNet, cut: Cut) -> set[str]:
+    """The vertices a cut's step reads or rewrites: its two ends; for an
+    exponential cut also the principal, doors and contents of the box
+    whose principal is its source; and for a !-cut also the principal and
+    doors of the box its target is a door of."""
+    e = net.edges[cut.edge]
+    v, w = e.src[0], e.tgt[0]
+    out = {v, w}
+    if cut.kind in EXPONENTIAL_KINDS:
+        box = net.boxes[v]
+        out.update(box.doors)
+        out.update(box.contents)
+        if cut.kind == "!":
+            host = net.door_box(w)
+            out.add(host)
+            out.update(net.boxes[host].doors)
+    return out
+
+
+def halo(net: ProofNet, vids: set[str]) -> set[str]:
+    """The vertices, and every vertex one edge away from one of them."""
+    ports, vertices = net._index.ports, net.vertices
+    out = set(vids)
+    for vid in vids:
+        for port in N.vertex_ports(vertices[vid]):
+            e = ports.get((vid, port))
+            if e is not None:
+                out.add(e.src[0])
+                out.add(e.tgt[0])
+    return out
+
+
+@dataclass
+class _Entry:
+    """What the metrics search knows of one canonical key."""
+
+    longest: int
+    largest: int
+    # the name of each cut fired from the key -> the names of the cuts its
+    # reduct slept, when it last fired
+    fired: dict[tuple[str, str], frozenset] = field(default_factory=dict)
+
+
 @dataclass
 class _State:
-    """A reduct on the metrics stack, with its permitted cuts still to fire."""
+    """A visit of a reduct on the metrics stack, with its cuts to fire,
+    each with the edge ids of the cuts its reduct sleeps."""
 
-    key: str
+    entry: _Entry
     net: ProofNet
     cuts: dict[str, Cut]  # every live cut, by edge
-    permitted: list[Cut]  # in edge order
+    todo: list[tuple[Cut, set[str]]]
     fired: int = 0
-    longest: int = 0
-    largest: int = 0
 
 
 # the number of distinct states reduction_metrics enters before it gives up
@@ -835,26 +892,51 @@ STATE_BUDGET = 10**5
 
 
 def reduction_metrics(net: ProofNet, strategy: Strategy = ARROW,
-                      step_budget: int = 10**5) -> tuple[int, int]:
+                      step_budget: int = 10**5,
+                      stats: dict[str, int] | None = None) -> tuple[int, int]:
     """Exact maxima over all permitted reduction sequences:
     (longest step count, largest reachable reduct size).
 
-    A depth-first walk on an explicit stack.  Each state is entered once
-    per canonical key; its memo entry is provisional until every permitted
-    cut of it has been fired and its successors' maxima are known.
-    """
-    memo: dict[str, tuple[int, int]] = {}
-    steps_used = 0
-    stack: list[_State] = []
+    A depth-first walk on an explicit stack that fires one order of each
+    pair of commuting cuts (sleep sets; `docs/DECISIONS.md`, "Sleep sets
+    and the memo").  Two permitted cuts are independent when neither's
+    footprint meets the other's halo; then either order reaches one
+    reduct, and each cut is still permitted after the other.  A visit
+    does not fire the cuts asleep at it: a reduct sleeps the cuts asleep
+    at its parent, or ahead of its cut in the parent's order, that are
+    independent of its cut.  Sleep sets are held by edge id.
 
-    def enter(cur: ProofNet, parent: _State | None, cut: Cut | None):
-        """The maxima of a known state, or None after pushing a new one."""
-        key = canonical_key(cur)
-        if key in memo:
-            return memo[key]
-        if len(memo) >= STATE_BUDGET:
-            raise MetricsBudget("state budget exhausted")
-        memo[key] = (0, cur.size())  # provisional; nets are strongly normalizing
+    The memo maps each canonical key to its maxima so far and, for each
+    cut fired from it, named by its source vertex's number in the key and
+    its port, the names of the cuts that reduct slept.  A visit of a known
+    key fires only its awake cuts that were never fired from the key, or
+    whose reduct slept a cut that this visit would not make it sleep; so
+    every reachable state is entered, and for every sequence a reordering
+    of it by swaps of independent steps is counted.  `step_budget`
+    bounds the fires and `STATE_BUDGET` the distinct keys.  `stats`, when
+    given, is filled with the counts `states` (distinct keys), `fired`,
+    `slept` (the permitted cuts left unfired, asleep, summed over visits),
+    `revisited` (fires whose reduct's key was known) and `refired` (fires
+    of a cut fired from its key before, whose reduct now sleeps less).
+    """
+    memo: dict[str, _Entry] = {}
+    stack: list[_State] = []
+    count = {"fired": 0, "slept": 0, "revisited": 0, "refired": 0}
+
+    def enter(cur: ProofNet, parent: _State | None, cut: Cut | None,
+              sleep: set[str]):
+        """The maxima of a visit with nothing to fire, or None after
+        pushing the visit."""
+        numbering: dict[str, str] = {}
+        key = canonical_key(cur, numbering)
+        entry = memo.get(key)
+        if entry is None:
+            if len(memo) >= STATE_BUDGET:
+                raise MetricsBudget("state budget exhausted")
+            # provisional until its state pops; nets are strongly normalizing
+            entry = memo[key] = _Entry(0, cur.size())
+        else:
+            count["revisited"] += 1
         if parent is None:
             cuts = {c.edge: c for c in find_cuts(cur)}
         else:
@@ -862,28 +944,64 @@ def reduction_metrics(net: ProofNet, strategy: Strategy = ARROW,
             update_cuts(cuts, cur, relevelled(parent.net, cut))
         permitted = sorted(strategy.permitted(list(cuts.values())),
                            key=lambda c: N._numkey(c.edge))
-        stack.append(_State(key, cur, cuts, permitted, largest=cur.size()))
+        edges = cur.edges
+        name = {c.edge: (numbering[edges[c.edge].src[0]], edges[c.edge].src[1])
+                for c in permitted}
+        asleep = [c for c in permitted if c.edge in sleep]
+        count["slept"] += len(asleep)
+        fired = entry.fired
+        # the awake cuts never fired from the key first, then the others
+        order = sorted((c for c in permitted if c.edge not in sleep),
+                       key=lambda c: name[c.edge] in fired)
+        # footprints are read only where two cuts are compared
+        fps = ({c.edge: footprint(cur, c) for c in permitted}
+               if len(permitted) > 1 else {})
+        todo = []
+        for i, c in enumerate(order):
+            before = fired.get(name[c.edge])
+            if before is not None and not before:
+                continue  # its reduct slept nothing, so it missed nothing
+            ahead = [*asleep, *order[:i]]
+            near = halo(cur, fps[c.edge]) if ahead else set()
+            child = {b.edge for b in ahead if fps[b.edge].isdisjoint(near)}
+            names = frozenset(name[b] for b in child)
+            if before is None:
+                fired[name[c.edge]] = names
+            elif before <= names:
+                continue  # its reduct was entered sleeping no more than now
+            else:
+                fired[name[c.edge]] = names = before & names
+                child = {b for b in child if name[b] in names}
+                count["refired"] += 1
+            todo.append((c, child))
+        if not todo:
+            return entry.longest, entry.largest
+        stack.append(_State(entry, cur, cuts, todo))
         return None
 
-    result = enter(net, None, None)
-    while stack:
-        top = stack[-1]
-        if top.fired < len(top.permitted):
-            cut = top.permitted[top.fired]
-            top.fired += 1
-            steps_used += 1
-            if steps_used > step_budget:
-                raise MetricsBudget("step budget exhausted")
-            nxt, _ = fire(top.net, cut)
-            result = enter(nxt, top, cut)
-            if result is None:
-                continue
-        else:
-            stack.pop()
-            result = memo[top.key] = (top.longest, top.largest)
-            if not stack:
-                break
-        parent = stack[-1]
-        parent.longest = max(parent.longest, 1 + result[0])
-        parent.largest = max(parent.largest, result[1])
-    return result
+    try:
+        result = enter(net, None, None, set())
+        while stack:
+            top = stack[-1]
+            if top.fired < len(top.todo):
+                cut, sleep = top.todo[top.fired]
+                top.fired += 1
+                if count["fired"] == step_budget:
+                    raise MetricsBudget("step budget exhausted")
+                count["fired"] += 1
+                nxt, _ = fire(top.net, cut)
+                result = enter(nxt, top, cut, sleep)
+                if result is None:
+                    continue
+            else:
+                stack.pop()
+                result = top.entry.longest, top.entry.largest
+                if not stack:
+                    break
+            entry = stack[-1].entry
+            entry.longest = max(entry.longest, 1 + result[0])
+            entry.largest = max(entry.largest, result[1])
+        return result
+    finally:
+        if stats is not None:
+            stats.update(states=len(memo), **count)

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -443,6 +444,34 @@ def test_types_compare_and_hash_without_a_frame_per_arrow():
     assert TAtom("t") == TAtom("t") and TAtom("t") != TAtom("u")
     assert TAtom("t") != TArrow(TAtom("t"), TAtom("t")) and TAtom("t") != "t"
     assert same_type(TArrow(TAtom("t"), TAtom("u")), TArrow(TAtom("t"), TAtom("u")))
+
+
+def test_terms_compare_and_hash_without_a_frame_per_node():
+    """Two terms read apart from one text of 3,000 nested binders, and of
+    3,000 nested applications, compared, hashed and written under a
+    recursion limit 60 frames above the caller's depth."""
+    binders = "".join(f"\\x{i}:t. " for i in range(3000)) + "x0"
+    apps = "f (" * 3000 + "z" + ")" * 3000
+    pairs = [(parse_lambda(text), parse_lambda(text)) for text in (binders, apps)]
+    other = parse_lambda("f (" * 2999 + "y" + ")" * 2999)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        for term, twin in pairs:
+            assert term is not twin and term == twin and not term != twin
+            assert hash(term) == hash(twin) and {term: 1}[twin] == 1
+            assert repr(term) == repr(twin)
+        assert pairs[1][0] != other and pairs[0][0] != pairs[1][0]
+    finally:
+        sys.setrecursionlimit(limit)
+    lam = Lam("x", parse_type("t"), Var("x"))
+    assert lam == Lam("x", parse_type("t"), Var("x"))
+    assert lam != Lam("x", parse_type("u"), Var("x")) and lam != Lam("y", lam.ty, Var("x"))
+    assert App(Var("f"), Var("x")) != App(Var("x"), Var("f")) and Var("x") != "x"
+    assert repr(lam) == "Lam(var='x', ty=TAtom(name='t'), body=Var(name='x'))"
 
 
 def ref_type_repr(t):

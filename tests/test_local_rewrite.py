@@ -5,8 +5,11 @@
 step that map must equal `find_cuts` of the reduct.  The references below
 are the functions as they were before: `Strategy.permitted` with its
 pairwise scan, the recursive `reduction_metrics` that ran `find_cuts` on
-every state, and `canonical_key` as a queue walk through `edge_at` that
-prints the recursive `alpha_canon` tuple of each edge's formula.  A
+every state and fired every permitted cut of it, and `canonical_key` as a
+queue walk through `edge_at` that prints the recursive `alpha_canon` tuple
+of each edge's formula.  `reduction_metrics` fires one order of two
+independent cuts; two such cuts must commute, and the recursive search
+is the oracle for its maxima and for the cuts it may fire.  A
 reduct of a keyed net keys from the rows its parent hands on, less those
 its step made stale; its key must equal the reference and the key of the
 same net read afresh.  A box record a step edits keeps the record it
@@ -28,7 +31,7 @@ from pnlab import corpus, machine
 from pnlab import net as N
 from pnlab import rewrite
 from pnlab.families import gen_family
-from pnlab.formulas import Atom
+from pnlab.formulas import Atom, Lolli, Tensor
 from pnlab.net import Box
 from pnlab.net import Cut as CutRecord
 from pnlab.rewrite import (
@@ -46,13 +49,13 @@ from pnlab.rewrite import (
     update_cuts,
 )
 
-from pnlab.terms import Ax, Cut, Derelict, Promote, elaborate
+from pnlab.terms import Ax, Contr, Cut, Derelict, Promote, RLolli, RTensor, elaborate
 
 from test_formulas import ref_alpha_canon
 from test_golden import _applied, _church, composed
 from test_net_index import family_nets, table_snapshot
 
-A = Atom("a")
+A, B = Atom("a"), Atom("b")
 
 
 def church(k):
@@ -230,12 +233,45 @@ def test_permitted_matches_the_pairwise_reference(all_nets):
 # --- reduction metrics --------------------------------------------------------------
 
 
+def box_around_cut():
+    """An X-cut on a box whose contents hold a D-cut two edges inside it,
+    out of reach of a halo that left the box's contents out."""
+    closed = Cut(Promote(RLolli(Ax(A), 1)), Derelict(Ax(Lolli(A, A)), 1), 1)
+    inside = RTensor(closed, Derelict(Ax(B), 1))
+    pair = Tensor(Lolli(A, A), B)
+    twice = Contr(RTensor(Derelict(Ax(pair), 1), Derelict(Ax(pair), 1)), 1, 2)
+    return elaborate(Cut(Promote(inside), twice, 1))
+
+
+def oracle_nets(all_nets, strategy):
+    """The corpus, church 0-6 and composed (j,k) up to (1,3) and (2,2) under
+    triangle; the corpus, church 0-3 and composed (1,1) and (1,2) under
+    double and arrow, where the oracle's search grows fastest; and under
+    each, two nets with a cut inside a box that another cut copies or
+    merges."""
+    nets = dict(all_nets)
+    nets["copy-around-cut"] = box_around_cut()
+    der = Cut(Promote(Ax(A)), Derelict(Ax(A), 1), 1)
+    nets["merge-around-cut"] = elaborate(Cut(Promote(der), Promote(Ax(A)), 1))
+    if strategy == "triangle":
+        churches, pairs = range(7), ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2))
+    else:
+        churches, pairs = range(4), ((1, 1), (1, 2))
+    nets.update((f"church{k}", church(k)) for k in churches)
+    nets.update((f"composed{j},{k}", composed(j, k)) for j, k in pairs)
+    return nets
+
+
 def fire_log(monkeypatch):
-    """Record each `rewrite.fire` call as (net size, cut)."""
+    """Record each `rewrite.fire` call as (the source's key, the cut's name:
+    its source vertex's number in that key, and its port)."""
     log = []
 
     def logged(net, cut):
-        log.append((net.size(), cut))
+        numbering = {}
+        key = canonical_key(net, numbering)
+        vid, port = net.edges[cut.edge].src
+        log.append((key, (numbering[vid], port)))
         return fire(net, cut)
 
     monkeypatch.setattr(rewrite, "fire", logged)
@@ -245,32 +281,109 @@ def fire_log(monkeypatch):
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_reduction_metrics_match_the_recursive_reference(all_nets, monkeypatch,
                                                          strategy):
+    """The maxima of the search that fires every permitted cut of every
+    state; each cut the search fires, the oracle fires from the same key,
+    and a cut fires twice from one key only as a counted refire."""
     log = fire_log(monkeypatch)
-    nets = dict(all_nets)
-    nets.update((f"church{k}", church(k)) for k in (2, 3, 4))
-    for name, net in nets.items():
-        if strategy != "triangle" and name == "church4":
-            continue  # about 20 s under each; church 3 covers their branching
-        got = outcome(reduction_metrics, net, STRATEGIES[strategy])
-        calls = log[:]
+    refired = 0
+    for name, net in oracle_nets(all_nets, strategy).items():
+        stats = {}
+        got = outcome(reduction_metrics, net, STRATEGIES[strategy], stats=stats)
+        fired = log[:]
         log.clear()
         assert got == outcome(ref_reduction_metrics, net, STRATEGIES[strategy]), name
-        assert calls == log, name  # the same fires in the same order
+        assert set(fired) <= set(log), name
+        assert stats["fired"] == len(fired), name
+        assert len(fired) - len(set(fired)) == stats["refired"], name
+        refired += stats["refired"]
         log.clear()
+    assert refired > 0
 
 
-def test_reduction_metrics_budgets_run_out_where_they_did(monkeypatch):
-    log = fire_log(monkeypatch)
+def test_reduction_metrics_budgets_run_out_at_their_counts(monkeypatch):
+    """A step budget one below the fires of a search, or a state budget one
+    below its distinct keys, runs out; budgets equal to them do not."""
     net = church(3)
-    for steps, states in ((0, 10), (5, 10), (37, 10**5), (10**5, 1), (10**5, 9)):
-        monkeypatch.setattr(rewrite, "STATE_BUDGET", states)
-        got = outcome(reduction_metrics, net, TRIANGLE, steps)
-        calls = log[:]
-        log.clear()
-        want = outcome(ref_reduction_metrics, net, TRIANGLE, steps, states)
-        assert got == want and calls == log, (steps, states)
-        assert got[0] == "budget"
-        log.clear()
+    stats = {}
+    want = reduction_metrics(net, TRIANGLE, stats=stats)
+    fires, states = stats["fired"], stats["states"]
+    assert reduction_metrics(net, TRIANGLE, fires) == want
+    for steps in (0, 5, fires - 1):
+        partial = {}
+        with pytest.raises(MetricsBudget, match="step budget exhausted"):
+            reduction_metrics(net, TRIANGLE, steps, stats=partial)
+        assert partial["fired"] == steps
+    monkeypatch.setattr(rewrite, "STATE_BUDGET", states)
+    assert reduction_metrics(net, TRIANGLE) == want
+    for budget in (1, 9, states - 1):
+        monkeypatch.setattr(rewrite, "STATE_BUDGET", budget)
+        with pytest.raises(MetricsBudget, match="state budget exhausted"):
+            reduction_metrics(net, TRIANGLE)
+
+
+def test_sleep_sets_fire_fewer_cuts():
+    """The maxima stay, with fewer fires than the 36, 105, 277 and 14,462 of
+    the search that fired every permitted cut of every state, and the
+    counts repeat exactly."""
+    for net, want, most in ((church(2), (12, 32), 35), (church(3), (20, 47), 104),
+                            (church(4), (30, 64), 150),
+                            (composed(2, 2), (90, 109), 14462 // 2)):
+        stats = {}
+        assert reduction_metrics(net, TRIANGLE, stats=stats) == want
+        assert stats["fired"] <= most, stats
+    first, again = {}, {}
+    reduction_metrics(church(4), TRIANGLE, stats=first)
+    reduction_metrics(church(4), TRIANGLE, stats=again)
+    assert first == again
+
+
+def search_states(net, strategy, monkeypatch, stride=1):
+    """Every `stride`-th distinct state `reduction_metrics` enters from net."""
+    keys = set()
+    kept = []
+
+    def kept_key(cur, numbering=None):
+        key = canonical_key(cur, numbering)
+        if key not in keys:
+            keys.add(key)
+            if len(keys) % stride == 0:
+                kept.append(cur)
+        return key
+
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "canonical_key", kept_key)
+        reduction_metrics(net, strategy)
+    return kept
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_independent_cuts_commute(all_nets, monkeypatch, strategy):
+    """On the states the search enters (every tenth on composed (2,2)):
+    two permitted cuts, neither of whose footprint meets the other's halo,
+    fire in either order to one key, and each is still a permitted cut of
+    the same kind and level once the other has fired."""
+    perm = STRATEGIES[strategy].permitted
+    pairs = 0
+    for name, net in oracle_nets(all_nets, strategy).items():
+        stride = 10 if name == "composed2,2" else 1
+        for cur in search_states(net, STRATEGIES[strategy], monkeypatch, stride):
+            permitted = perm(find_cuts(cur))
+            fps = [rewrite.footprint(cur, c) for c in permitted]
+            halos = [rewrite.halo(cur, fp) for fp in fps]
+            for i, a in enumerate(permitted):
+                for j in range(i + 1, len(permitted)):
+                    independent = fps[j].isdisjoint(halos[i])
+                    assert independent == fps[i].isdisjoint(halos[j]), name
+                    if not independent:
+                        continue
+                    b = permitted[j]
+                    ra, rb = fire(cur, a)[0], fire(cur, b)[0]
+                    assert b in perm(find_cuts(ra)) and a in perm(find_cuts(rb)), \
+                        (name, a, b)
+                    assert canonical_key(fire(ra, b)[0]) == \
+                        canonical_key(fire(rb, a)[0]), (name, a, b)
+                    pairs += 1
+    assert pairs > 1000, pairs
 
 
 RECURSION_SCRIPT = """
@@ -312,9 +425,10 @@ def test_canonical_key_matches_the_reference(all_nets, monkeypatch):
     seen = []
     texts = {}
 
-    def checked(net):
-        key = canonical_key(net)
-        assert key == ref_canonical_key(net, texts)
+    def checked(net, numbering=None):
+        key = canonical_key(net, numbering)
+        assert key == ref_canonical_key(net, texts) == canonical_key(net)
+        assert numbering is None or set(numbering) == set(net.vertices)
         assert all(type(b.contents) is frozenset for b in net.boxes.values())
         seen.append(key)
         return key
@@ -325,7 +439,7 @@ def test_canonical_key_matches_the_reference(all_nets, monkeypatch):
     assert len(set(seen)) > 200
     seen.clear()
     assert reduction_metrics(composed(2, 2), TRIANGLE) == (90, 109)
-    assert len(seen) > 14000 and len(set(seen)) > 3800
+    assert len(set(seen)) > 3800
 
 
 # a box whose content has an edge to the conclusion, past its doors: its
