@@ -4,7 +4,10 @@ Formulas are immutable; substitution is capture-avoiding with respect to
 forall binders.  A formula's canonical text, `alpha_canon`, is computed on
 an explicit stack the first time it is asked for and kept on the formula
 object, so formulas shared between nets share it too; `feq` compares these
-texts.  The reader, `parse_formula`, and the printer, `format_formula`, also
+texts.  Formulas are `Tree`s, as are the package's other syntax trees:
+their `==` (`same_tree`) and repr (`tree_repr`) walk a tree's dataclass
+fields on one explicit stack, and a formula hashes by its canonical
+text.  The reader, `parse_formula`, and the printer, `format_formula`, also
 run on explicit stacks, so the nesting depth of a formula costs no Python
 frames in them.  The reader hash-conses parenthesized groups (Filliâtre and
 Conchon, *Type-safe modular hash-consing*, 2006).  It tokenizes a text as
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NoReturn
 
@@ -30,49 +33,121 @@ class FormulaError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Formula:
-    """A formula compares by `same_formula` and hashes by its canonical
-    text, so neither costs a Python frame per level."""
+class Tree:
+    """A tree of dataclass nodes.  `==` is `same_tree`, the hash hashes the
+    tree's tokens (each node's class and its other fields' values) and the
+    repr is `tree_repr`, each on one explicit stack, so the depth of a
+    tree costs no Python frames.  A node's fields are read by the names in
+    its `__match_args__`, and a field that is a list or tuple is walked
+    element by element."""
+
+    def __eq__(self, other):
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return same_tree(self, other)
+
+    def __hash__(self):
+        tokens: list = []
+        todo: list = [self]
+        while todo:
+            x = todo.pop()
+            cls = type(x)
+            if isinstance(x, Tree):
+                tokens.append(cls)
+                todo += [getattr(x, name) for name in cls.__match_args__]
+            elif cls in (list, tuple):
+                tokens.append(cls)
+                todo += x
+            else:
+                tokens.append(x)
+        return hash(tuple(tokens))
+
+    def __repr__(self):
+        return tree_repr(self)
+
+
+def same_tree(a: Tree, b: Tree) -> bool:
+    """Structural equality, the `==` of trees: the class and each field,
+    as the generated dataclass `==` compares them, pair by pair on an
+    explicit stack.  A pair of one object is equal at once, and each pair
+    of objects is compared once, so trees that share subtrees, such as
+    the dr-ladder formulas, cost their size as graphs."""
+    if a is b:
+        return True
+    todo = [(a, b)]
+    seen = set()  # ids of the pairs of fields already pushed
+    while todo:
+        a, b = todo.pop()
+        cls = type(a)
+        if cls in (list, tuple):
+            if cls is not type(b) or len(a) != len(b):
+                return False
+            todo += zip(a, b)
+            continue
+        if not isinstance(a, Tree):  # an element of a list or tuple
+            if a != b:
+                return False
+            continue
+        if cls is not type(b):
+            return False
+        for name in cls.__match_args__:
+            x, y = getattr(a, name), getattr(b, name)
+            if x is y:
+                continue
+            if isinstance(x, Tree) or type(x) in (list, tuple):
+                ids = (id(x), id(y))
+                if ids not in seen:
+                    seen.add(ids)
+                    todo.append((x, y))
+            elif x != y:
+                return False
+    return True
+
+
+def tree_repr(x: Tree) -> str:
+    """The text of the generated dataclass repr of x, written on an
+    explicit stack: a field that is a tree, a list or a tuple is written
+    in place, so the depth of x costs no Python frames."""
+    out: list[str] = []
+    todo: list = [x]  # trees, lists and tuples to write, and text
+    while todo:
+        x = todo.pop()
+        cls = type(x)
+        if cls is str:
+            out.append(x)
+            continue
+        if isinstance(x, Tree):
+            names = cls.__match_args__
+            items = [getattr(x, name) for name in names]
+            labels = [f"{name}=" for name in names]
+            opening, closing = f"{cls.__qualname__}(", ")"
+        else:  # a list or a tuple
+            items, labels = x, [""] * len(x)
+            opening = "[" if cls is list else "("
+            closing = "]" if cls is list else ",)" if len(x) == 1 else ")"
+        todo.append(closing)
+        for i in reversed(range(len(items))):
+            v = items[i]
+            if not (isinstance(v, Tree) or type(v) in (list, tuple)):
+                v = repr(v)
+            todo += (v, f"{', ' if i else ''}{labels[i]}")
+        out.append(opening)
+    return "".join(out)
+
+
+class Formula(Tree):
+    """A formula hashes by its canonical text."""
 
     @cached_property
     def canon(self) -> str:
         """The canonical text of the formula; see alpha_canon."""
         return _canon_text(self)
 
-    def __eq__(self, other):
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return same_formula(self, other)
-
     def __hash__(self):
         return hash(self.canon)
 
     def __str__(self):
         return format_formula(self)
-
-    def __repr__(self):
-        return tree_repr(self, Formula)
-
-
-def tree_repr(x, node: type) -> str:
-    """The text of the generated dataclass repr of x, written on an
-    explicit stack: each field that is a node, an instance of the class
-    node, is written in place, so the depth of x costs no Python frames."""
-    out: list[str] = []
-    todo: list = [x]  # nodes, and text to write
-    while todo:
-        x = todo.pop()
-        if isinstance(x, node):
-            todo.append(")")
-            for i, f in reversed([*enumerate(fields(x))]):
-                v = getattr(x, f.name)
-                todo += (v if isinstance(v, node) else repr(v),
-                         f"{', ' if i else ''}{f.name}=")
-            todo.append(f"{type(x).__qualname__}(")
-        else:
-            out.append(x)
-    return "".join(out)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -311,42 +386,6 @@ def feq(f: Formula, g: Formula) -> bool:
     return f is g or f.canon == g.canon
 
 
-def same_formula(f: Formula, g: Formula) -> bool:
-    """Structural equality, the `==` of formulas (binder names count),
-    compared pair by pair on an explicit stack; a pair of one object is
-    equal at once, and each pair of objects is compared once."""
-    if f is g:
-        return True
-    todo = [(f, g)]
-    seen = set()  # ids of the pairs already pushed
-    while todo:
-        f, g = todo.pop()
-        cls = type(f)
-        if cls is not type(g):
-            return False
-        if cls is Atom:
-            if f.name != g.name:
-                return False
-            continue
-        if cls is Lolli or cls is Tensor:
-            pairs = ((f.right, g.right), (f.left, g.left))
-        elif cls is Bang or cls is Sec:
-            pairs = ((f.body, g.body),)
-        elif cls is Forall:
-            if f.binder != g.binder:
-                return False
-            pairs = ((f.body, g.body),)
-        else:
-            raise FormulaError(f"unknown formula {f!r}")
-        for x, y in pairs:
-            if x is not y:
-                ids = (id(x), id(y))
-                if ids not in seen:
-                    seen.add(ids)
-                    todo.append((x, y))
-    return True
-
-
 def match_instance(pattern: Formula, inst: Formula, atom: str):
     """Find B with pattern{B/atom} == inst, or None.
 
@@ -376,7 +415,7 @@ def match_instance(pattern: Formula, inst: Formula, atom: str):
             todo.append((p.body, q.body))
         elif cls is Forall:
             if p.binder == atom:
-                if not same_formula(p, q):
+                if p != q:
                     return None
             elif p.binder != q.binder:
                 return None
@@ -387,7 +426,7 @@ def match_instance(pattern: Formula, inst: Formula, atom: str):
     if not found:
         return (True, None)
     first = found[0]
-    if any(not same_formula(x, first) for x in found[1:]):
+    if any(x != first for x in found[1:]):
         return None
     return (True, first)
 

@@ -7,8 +7,9 @@ of a variable are contracted into one premise at its binder, unused binders
 weaken.  Binders carry type annotations; free variables take their types
 from an explicit signature, since type inference is out of scope.
 
-The readers, `type_formula` and the translation run on explicit stacks, so
-the depth of a term or type costs no Python frames.  Typing and translation
+The readers, `type_formula` and the translation run on explicit stacks, and
+types and terms are `formulas.Tree`s, which compare, hash and print on one,
+so the depth of a term or type costs no Python frames.  Typing and translation
 are one post-order walk, `_translate`; `typecheck` returns its type.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .formulas import Atom, Bang, Formula, Lolli, tree_repr
+from .formulas import Atom, Bang, Formula, Lolli, Tree
 from .net import ProofNet
 from .terms import (
     Ax,
@@ -41,21 +42,8 @@ class LambdaError(ValueError):
 # --- simple types -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SType:
-    """A type compares by `same_type` and hashes by its text, so neither
-    costs a Python frame per arrow."""
-
-    def __eq__(self, other):
-        if not isinstance(other, SType):
-            return NotImplemented
-        return same_type(self, other)
-
-    def __hash__(self):
-        return hash(str(self))
-
-    def __repr__(self):
-        return tree_repr(self, SType)
+class SType(Tree):
+    """A simple type."""
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -87,23 +75,6 @@ class TArrow(SType):
             else:
                 out.append(str(t))
         return "".join(out)
-
-
-def same_type(a: SType, b: SType) -> bool:
-    """Structural equality, the `==` of types, pair by pair on an explicit
-    stack."""
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        if type(a) is TArrow:
-            todo += ((a.right, b.right), (a.left, b.left))
-        elif a.name != b.name:
-            return False
-    return True
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -175,34 +146,8 @@ def type_formula(t: SType) -> Formula:
 # --- lambda terms -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LTerm:
-    """A term compares by `same_term`, hashes its pre-order tokens and
-    writes the generated repr text with `tree_repr`, so none of them costs
-    a Python frame per node."""
-
-    def __eq__(self, other):
-        if not isinstance(other, LTerm):
-            return NotImplemented
-        return same_term(self, other)
-
-    def __hash__(self):
-        tokens: list = []
-        todo: list[LTerm] = [self]
-        while todo:
-            t = todo.pop()
-            if type(t) is App:
-                tokens.append(App)
-                todo += (t.arg, t.fun)
-            elif type(t) is Lam:
-                tokens += (Lam, t.var, t.ty)
-                todo.append(t.body)
-            else:
-                tokens += (Var, t.name)
-        return hash(tuple(tokens))
-
-    def __repr__(self):
-        return tree_repr(self, LTerm)
+class LTerm(Tree):
+    """A simply typed λ-term."""
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -221,27 +166,6 @@ class Lam(LTerm):
 class App(LTerm):
     fun: LTerm
     arg: LTerm
-
-
-def same_term(a: LTerm, b: LTerm) -> bool:
-    """Structural equality, the `==` of terms, pair by pair on an explicit
-    stack."""
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        if type(a) is App:
-            todo += ((a.arg, b.arg), (a.fun, b.fun))
-        elif type(a) is Lam:
-            if a.var != b.var or a.ty != b.ty:
-                return False
-            todo.append((a.body, b.body))
-        elif a.name != b.name:
-            return False
-    return True
 
 
 _LAM_TOKEN = re.compile(r"\s*(\\|λ|\.|:|\(|\)|->|[A-Za-z_][A-Za-z0-9_]*)")
@@ -376,7 +300,7 @@ def _translate(term: LTerm, sig: dict[str, SType]):
             ft, fowners, fty = done.pop()
             if not isinstance(fty, TArrow):
                 raise LambdaError(f"applying a non-function of type {fty}")
-            if not same_type(fty.left, aty):
+            if fty.left != aty:
                 raise LambdaError(f"argument type {aty} does not match {fty.left}")
             boxed = Promote(ut)
             for i in range(1, len(uowners) + 1):

@@ -64,6 +64,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import net as N
+from .formulas import Tree
 from .signatures import E, Sig, is_sig, lsig, msig, nsig, psig, rsig
 
 SYMBOLS = ("a", "o", "s", "f", "x")
@@ -529,12 +530,18 @@ def _box_exit(out) -> Callable:
 # --- runs -----------------------------------------------------------------
 
 
-@dataclass
-class RunResult:
+@dataclass(eq=False, repr=False)
+class RunResult(Tree):
+    """A run's outcome: a `formulas.Tree` through its branches, so nested
+    branches compare and print without a Python frame each; mutable, so
+    unhashable."""
+
     kind: str  # 'final' | 'stuck' | 'cycle' | 'budget' | 'branch'
     context: Context
     steps: int
     branches: list["RunResult"] | None = None
+
+    __hash__ = None
 
     def outcomes(self):
         """The results below the branches, in successor order, on an

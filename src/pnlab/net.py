@@ -46,7 +46,6 @@ from .formulas import (
     format_formula,
     match_instance,
     parse_formula,
-    same_formula,
 )
 
 # vertex labels
@@ -802,13 +801,13 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
     if built is not None:
         principal, make, parts, name = built
         want = make(*[fml(v.id, p) for p in parts])
-        if not same_formula(fml(v.id, principal), want):
+        if fml(v.id, principal) != want:
             say(f"vertex {v.id}: {name} formula mismatch")
         elif l == DIG and not isinstance(fml(v.id, "bang"), Bang):
             say(f"vertex {v.id}: digging premise must be banged")
     elif l == RFORALL:
         c = fml(v.id, "concl")
-        if not isinstance(c, Forall) or not same_formula(c.body, fml(v.id, "prem")):
+        if not isinstance(c, Forall) or c.body != fml(v.id, "prem"):
             say(f"vertex {v.id}: rforall conclusion formula mismatch")
     elif l == LFORALL:
         fa = fml(v.id, "fa")
@@ -820,8 +819,7 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
         m = fml(v.id, "merged")
         if not isinstance(m, Bang):
             say(f"vertex {v.id}: contraction formula must be banged")
-        if not (same_formula(fml(v.id, "left"), m)
-                and same_formula(fml(v.id, "right"), m)):
+        if fml(v.id, "left") != m or fml(v.id, "right") != m:
             say(f"vertex {v.id}: contraction branch formulas mismatch")
     elif l == WEAK:
         if not isinstance(fml(v.id, "edge"), Bang):
@@ -829,7 +827,7 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
     elif l == LSEC:
         outer = fml(v.id, "outer")
         inner = fml(v.id, "inner")
-        if not same_formula(outer, Bang(inner)) and not same_formula(outer, Sec(inner)):
+        if outer != Bang(inner) and outer != Sec(inner):
             say(f"vertex {v.id}: sec-box door formula mismatch")
     elif l == MUX:
         m = fml(v.id, "merged")
@@ -837,7 +835,7 @@ def _check_typing(net: ProofNet, v: Vertex, fml, say):
             say(f"vertex {v.id}: mux formula must be banged")
         else:
             for i in range(1, v.arity + 1):
-                if not same_formula(fml(v.id, f"split{i}"), m.body):
+                if fml(v.id, f"split{i}") != m.body:
                     say(f"vertex {v.id}: mux split {i} formula mismatch")
 
 

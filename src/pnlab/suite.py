@@ -121,7 +121,8 @@ def check_monotonicity(net: ProofNet, comp: WeightComputer) -> list[str]:
 
 
 def run_suite(verbose: bool = False, nets: dict[str, ProofNet] | None = None):
-    nets = nets or corpus.full_corpus()
+    if nets is None:
+        nets = corpus.full_corpus()
     failures = []
     for name in sorted(nets):
         net = nets[name]

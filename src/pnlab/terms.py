@@ -22,6 +22,7 @@ Binders introduced by rforall are renamed to globally fresh atoms so the
 forall rewrite step can substitute globally.
 
 Reading and elaboration are each one post-order pass on an explicit stack,
+and proof terms are `formulas.Tree`s, which compare, hash and print on one,
 so the depth of a term costs no Python frames.  The reader is driven by
 `_RULES` (rule name -> constructor and argument kinds), the elaborator by
 `_JOINS` (term class -> subterm fields and the rule that joins their
@@ -44,6 +45,7 @@ from .formulas import (
     Lolli,
     Sec,
     Tensor,
+    Tree,
     feq,
     free_atoms,
     parse_formula,
@@ -64,86 +66,85 @@ class ElaborationError(ValueError):
 # --- proof term AST -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofTerm:
-    pass
+class ProofTerm(Tree):
+    """A sequent proof term."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Ax(ProofTerm):
     formula: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cut(ProofTerm):
     left: ProofTerm
     right: ProofTerm
     premise: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Weak(ProofTerm):
     sub: ProofTerm
     formula: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Contr(ProofTerm):
     sub: ProofTerm
     i: int
     j: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RLolli(ProofTerm):
     sub: ProofTerm
     i: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LLolli(ProofTerm):
     left: ProofTerm
     right: ProofTerm
     hook: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RTensor(ProofTerm):
     left: ProofTerm
     right: ProofTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LTensor(ProofTerm):
     sub: ProofTerm
     i: int
     j: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Promote(ProofTerm):
     sub: ProofTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Derelict(ProofTerm):
     sub: ProofTerm
     i: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Dig(ProofTerm):
     sub: ProofTerm
     i: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RForall(ProofTerm):
     sub: ProofTerm
     binder: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LForall(ProofTerm):
     sub: ProofTerm
     i: int
@@ -151,14 +152,14 @@ class LForall(ProofTerm):
     witness: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mux(ProofTerm):
     sub: ProofTerm
     indices: tuple[int, ...]
     formula: Formula | None = None  # arity-0 case
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SPromote(ProofTerm):
     sub: ProofTerm
     bang_indices: tuple[int, ...]

@@ -23,7 +23,7 @@ from pnlab.formulas import (
     free_atoms,
     match_instance,
     parse_formula,
-    same_formula,
+    same_tree,
     substitute,
 )
 from pnlab.net import parse_net
@@ -328,13 +328,13 @@ def ref_same_formula(f, g):
 
 @given(_binder_formulas(), _binder_formulas())
 def test_same_formula_is_the_dataclass_equality(f, g):
-    assert same_formula(f, g) == (f == g) == ref_same_formula(f, g)
+    assert same_tree(f, g) == (f == g) == ref_same_formula(f, g)
     assert f != g or hash(f) == hash(g)
-    assert same_formula(f, f)
+    assert same_tree(f, f)
     copy = parse_formula(format_formula(f))  # equal, and no object shared
-    assert same_formula(f, copy) and same_formula(copy, f)
+    assert same_tree(f, copy) and same_tree(copy, f)
     # binder names count, unlike feq
-    assert not same_formula(Forall("a", A), Forall("b", B))
+    assert not same_tree(Forall("a", A), Forall("b", B))
 
 
 @given(_binder_formulas(), _binders, _binder_formulas(), _binder_formulas())
@@ -363,13 +363,13 @@ def test_deep_equality_and_instances_cost_no_python_frames():
     bangs, copy = A, A
     for _ in range(3000):
         bangs, copy = Bang(bangs), Bang(copy)
-    assert bangs is not copy and same_formula(bangs, copy)
-    assert not same_formula(bangs, Bang(bangs))
+    assert bangs is not copy and same_tree(bangs, copy)
+    assert not same_tree(bangs, Bang(bangs))
     arrows, twin = A, A
     for _ in range(3000):  # DAGs, 2^3000 nodes as trees: each pair once
         arrows, twin = Lolli(arrows, Bang(arrows)), Lolli(twin, Bang(twin))
-    assert same_formula(arrows, twin)
-    assert not same_formula(arrows, Lolli(twin, Bang(twin)))
+    assert same_tree(arrows, twin)
+    assert not same_tree(arrows, Lolli(twin, Bang(twin)))
     pattern = B
     for _ in range(3000):
         pattern = Bang(pattern)

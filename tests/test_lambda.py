@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnlab.formulas import Atom, Bang, Lolli, feq, parse_formula
+from pnlab.formulas import Atom, Bang, Lolli, feq, parse_formula, same_tree
 from pnlab.lam import (
     _LAM_TOKEN,
     App,
@@ -16,7 +16,6 @@ from pnlab.lam import (
     from_lambda,
     parse_lambda,
     parse_type,
-    same_type,
     type_formula,
     typecheck,
 )
@@ -443,7 +442,7 @@ def test_types_compare_and_hash_without_a_frame_per_arrow():
     assert {arrows: 1}[twin] == 1
     assert TAtom("t") == TAtom("t") and TAtom("t") != TAtom("u")
     assert TAtom("t") != TArrow(TAtom("t"), TAtom("t")) and TAtom("t") != "t"
-    assert same_type(TArrow(TAtom("t"), TAtom("u")), TArrow(TAtom("t"), TAtom("u")))
+    assert same_tree(TArrow(TAtom("t"), TAtom("u")), TArrow(TAtom("t"), TAtom("u")))
 
 
 def test_terms_compare_and_hash_without_a_frame_per_node():

@@ -261,15 +261,23 @@ depth, frame = 0, sys._getframe()
 while frame is not None:
     depth, frame = depth + 1, frame.f_back
 sys.setrecursionlimit(depth + 60)
-kinds = [o.kind for o in run(net, parse_context(net, "concl / eps / e / -")).outcomes()]
+start = parse_context(net, "concl / eps / e / -")
+result, twin = run(net, start), run(net, start)
+kinds = [o.kind for o in result.outcomes()]
 print(len(kinds), *sorted(set(kinds)))
+# two runs compare and are written without a frame per branch
+assert result is not twin and result == twin and not result != twin
+assert repr(result) == repr(twin) and repr(result).count("kind='branch'") == 100
+list(twin.outcomes())[-1].steps += 1
+assert result != twin
 """
 
 
 def test_nested_branches_need_no_frame_per_branch():
     """A chain of 100 two-door boxes, whose run from the conclusion
-    branches once per box, listed under a recursion limit 60 frames above
-    the caller's depth."""
+    branches once per box, listed, and compared with and written as a
+    second run, under a recursion limit 60 frames above the caller's
+    depth."""
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", CHAIN_SCRIPT],
                          env={"PYTHONPATH": str(src)}, capture_output=True,

@@ -206,6 +206,19 @@ def test_suite_reports_a_transition_without_a_dual(monkeypatch):
         f"church: reversibility: transition {c} -> {d} is not reversible"]
 
 
+def test_suite_of_no_nets_checks_none(monkeypatch):
+    """An empty dict of nets is no net to check, not the default corpus."""
+    from pnlab import corpus, suite
+
+    def full_corpus():
+        raise AssertionError("the corpus was built")
+
+    monkeypatch.setattr(corpus, "full_corpus", full_corpus)
+    assert suite.run_suite(nets={}) == []
+    with pytest.raises(AssertionError, match="the corpus was built"):
+        suite.run_suite()
+
+
 def test_suite_lists_a_stuck_context_once(monkeypatch):
     """On the jump example the copy l(e) of e2 runs through the start of
     the copy l(e) of e5.  A compiled entry that gives that context no
