@@ -180,13 +180,22 @@ def cmd_weight(args) -> int:
     return EXIT_OK
 
 
+# lines of a machine trace per write
+TRACE_BLOCK = 1 << 14
+
+
 def cmd_machine(args) -> int:
+    """Run the machine from --start; write its trace, one numbered line per
+    transition, then one line per outcome.  The trace is written a block
+    of TRACE_BLOCK lines per write: a block's text is built whole, so its
+    size bounds the memory that writing adds to the trace's own."""
     _, net = _read_valid_net(args.input)
     start = parse_context(net, args.start)
     steps: list = []
     result = run(net, start, _machine_config(args), trace=steps)
-    for i, c in enumerate(steps, start=1):
-        print(f"{i} {c}")
+    for k in range(0, len(steps), TRACE_BLOCK):
+        block = enumerate(steps[k:k + TRACE_BLOCK], k + 1)
+        sys.stdout.write("".join([f"{i} {c}\n" for i, c in block]))
     outcomes = list(result.outcomes())
     for o in outcomes:
         print(f"outcome {o.kind} after {o.steps} step(s) at {o.context}")

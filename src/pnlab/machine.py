@@ -45,6 +45,9 @@ them: it is checked when a node with successors is expanded, and each
 transition taken costs one unit (a chain walk checks it at every node,
 which costs its chain's transitions and one more).  run reports an exhausted budget as an outcome; the other walks
 raise BudgetExhausted.
+run copies its trace from explore's path, which lists the contexts in the
+order the transitions reach them, at each backtrack and cycle, not once
+per node (docs/DECISIONS.md, "A run's trace is its path").
 
 A final context is defined once, by final_at on its table entry
 (final_bindings on a context).  The narrowing walk's holes ('h', pos),
@@ -65,7 +68,7 @@ from typing import Callable, NamedTuple
 
 from . import net as N
 from .formulas import Tree
-from .signatures import E, Sig, is_sig, lsig, msig, nsig, psig, rsig
+from .signatures import E, Sig, format_sig, is_sig, lsig, msig, nsig, psig, rsig
 
 SYMBOLS = ("a", "o", "s", "f", "x")
 
@@ -101,11 +104,15 @@ class Context(_ContextFields):
         return tuple.__new__(cls, (edge, us, stack, pol))
 
     def __str__(self):
-        from .signatures import format_sig
-
-        us = "[" + " ".join(format_sig(t) for t in self.us) + "]"
-        stack = " ".join(format_sig(s) if is_sig(s) else s for s in self.stack)
-        return f"({self.edge}, {us}, {stack or 'eps'}, {self.pol})"
+        """(edge, [U], V, polarity), V 'eps' when empty.  A symbol is
+        written as it is, and only an element that is not a str is tested
+        with is_sig; one that is neither is handed to join, which rejects
+        it with its TypeError."""
+        us = " ".join([format_sig(t) for t in self.us])
+        stack = " ".join([s if s.__class__ is str
+                          else format_sig(s) if is_sig(s) else s
+                          for s in self.stack])
+        return f"({self.edge}, [{us}], {stack or 'eps'}, {self.pol})"
 
 
 def dual(c: Context) -> Context:
@@ -661,39 +668,58 @@ def run(net: N.ProofNet, start: Context, config: MachineConfig | None = None,
     hashed; the cycles found are those of a set of every context on the
     branch.  The outcome of a path that branches collects its branches'
     outcomes in successor order.
+
+    trace, when given, gets the context each transition reaches, in the
+    order taken.  expand only steps and records leaves: the contexts are
+    copied from explore's path, which they join in that order, at each
+    LEAVE event before the path is cut and at each CYCLE event, before
+    the context met again.  When a step raises, what joined the path since
+    the last copy is copied before the exception leaves run, so trace then
+    ends with the context whose step raised, unless that is the start.
     """
     config = config or MachineConfig()
-    append = trace.append if trace is not None else None
     top: list[RunResult] = []
     outs = [top]  # the outcome list of each open branch, innermost last
     branch_depths: list[int] = []  # path length at each open branch
+    walked: list = []  # explore's path, kept for a run that raises
+    flushed = 1  # path[:flushed] is in trace; the start never is
 
     def expand(c: Context, path: list) -> list[Context]:
-        if append and len(path) > 1:  # a transition from path[-2]
-            append(c)
+        nonlocal walked
+        walked = path
         succs = step(net, c, config)
         if not succs:
             kind = "final" if is_final(net, c) else "stuck"
             outs[-1].append(RunResult(kind, c, len(path) - 1))
         return succs
 
-    for event, x, path in explore(start, expand, config.step_budget,
-                                  merges=may_merge):
-        if event == LEAVE:
-            while branch_depths and branch_depths[-1] > x:
-                branch_depths.pop()
-                outs.pop()
-        elif event == CYCLE:  # a transition from path[-1]
-            if append:
-                append(x)
-            outs[-1].append(RunResult("cycle", x, len(path)))
-        elif event == BRANCH:
-            b = RunResult("branch", x, len(path) - 1, [])
-            outs[-1].append(b)
-            outs.append(b.branches)
-            branch_depths.append(len(path))
-        else:  # BUDGET
-            outs[-1].append(RunResult("budget", x, len(path) - 1))
+    try:
+        for event, x, path in explore(start, expand, config.step_budget,
+                                      merges=may_merge):
+            if event == LEAVE:
+                if trace is not None:
+                    trace.extend(path[flushed:])
+                    flushed = x  # the path is cut to x
+                while branch_depths and branch_depths[-1] > x:
+                    branch_depths.pop()
+                    outs.pop()
+            elif event == CYCLE:  # a transition from path[-1]
+                if trace is not None:
+                    trace.extend(path[flushed:])
+                    trace.append(x)
+                    flushed = len(path)
+                outs[-1].append(RunResult("cycle", x, len(path)))
+            elif event == BRANCH:
+                b = RunResult("branch", x, len(path) - 1, [])
+                outs[-1].append(b)
+                outs.append(b.branches)
+                branch_depths.append(len(path))
+            else:  # BUDGET
+                outs[-1].append(RunResult("budget", x, len(path) - 1))
+    except BaseException:
+        if trace is not None:
+            trace.extend(walked[flushed:])
+        raise
     return top[0]
 
 

@@ -168,6 +168,29 @@ def test_machine_trace_golden(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("block", [1, 3, 121, 122, 123, 1 << 14])
+def test_machine_trace_is_written_in_blocks(tmp_path, capsys, monkeypatch,
+                                            block):
+    """dr-ladder 5's trace, 122 lines, is the same text whatever the
+    number of lines per write, and lists each context of the run's trace
+    under its number, from 1."""
+    from pnlab import cli
+    from pnlab.machine import parse_context, run
+
+    path = tmp_path / "ladder5.pnet"
+    run_cli(capsys, "gen", "dr-ladder", "5", "--out", str(path))
+    net = parse_net(path.read_text())
+    trace = []
+    result = run(net, parse_context(net, "concl / eps / a / -"), trace=trace)
+    assert len(trace) == result.steps == 122
+    monkeypatch.setattr(cli, "TRACE_BLOCK", block)
+    code, out, err = run_cli(capsys, "machine", str(path),
+                             "--start", "concl / eps / a / -")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{i} {c}\n" for i, c in enumerate(trace, 1)) \
+        + f"outcome final after 122 step(s) at {result.context}\n"
+
+
 def test_machine_determinism(tmp_path, capsys):
     path = tmp_path / "copy.pnet"
     run_cli(capsys, "gen", "copy-example", "--out", str(path))

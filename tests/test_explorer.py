@@ -534,6 +534,54 @@ def test_a_run_looks_up_only_its_start_and_possible_merges(monkeypatch):
     assert looked_up == starts and len(set(starts)) == len(starts)
 
 
+def test_a_run_steps_each_context_it_expands_once(monkeypatch):
+    """On dr-ladder 11 a run calls machine.step once per context on its
+    path: 8186 transitions and the start.  Its trace holds the 8186
+    contexts the transitions reach, as the reference run's does."""
+    from pnlab import machine
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(machine, "step", counted)
+    net = gen_family("dr-ladder", 11)
+    start = parse_context(net, "concl / eps / a / -")
+    trace = []
+    assert run(net, start, trace=trace).steps == 8186
+    assert len(calls) == 8187 and calls == [start, *trace]
+    monkeypatch.undo()
+    want = []
+    ref_run(net, start, trace=want)
+    assert trace == want
+
+
+def test_a_run_that_raises_keeps_its_trace():
+    """dr-ladder 3 without its edge e7 raises NetError at the twelfth
+    transition's context, as the reference run does; the trace still lists
+    the twelve contexts reached, the last the one whose step raised."""
+    text = N.print_net(gen_family("dr-ladder", 3))
+    lines = text.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith("edge e7 ")]
+    assert len(kept) == len(lines) - 1
+    net = N.parse_net("".join(kept))
+    start = parse_context(net, "concl / eps / a / -")
+    got, want = [], []
+    with pytest.raises(N.NetError, match=r"^no edge at v4\.bound$"):
+        run(net, start, trace=got)
+    with pytest.raises(N.NetError, match=r"^no edge at v4\.bound$"):
+        ref_run(net, start, trace=want)
+    assert len(got) == 12 and got == want
+    assert str(got[-1]) == "(e8, [], a, -)"
+    # a run that raises at its start lists nothing
+    got = []
+    with pytest.raises(N.NetError):
+        run(net, Context("e8", (), ("a",), "-"), trace=got)
+    assert got == []
+
+
 # --- path length and hash order -----------------------------------------------
 
 

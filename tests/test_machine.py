@@ -20,8 +20,11 @@ from pnlab.net import CONCL, CONTR, DER, PREM, RLOLLI
 from pnlab.signatures import (
     E,
     all_standard_sigs,
+    format_sig,
+    is_sig,
     leq,
     lsig,
+    msig,
     nsig,
     parse_sig,
     psig,
@@ -292,6 +295,87 @@ def test_parse_context():
     assert c.edge == g.conclusion_edge() and c.stack == ("a",)
     c2 = parse_context(g, f"{g.conclusion_edge()} / e l(e) / n(e,e) o / +")
     assert c2.us == (E, lsig(E)) and c2.stack == (nsig(E, E), "o")
+
+
+def ref_context_str(c):
+    """Context.__str__ as it was: is_sig asked of every stack element."""
+    us = "[" + " ".join(format_sig(t) for t in c.us) + "]"
+    stack = " ".join(format_sig(s) if is_sig(s) else s for s in c.stack)
+    return f"({c.edge}, {us}, {stack or 'eps'}, {c.pol})"
+
+
+def _same_text(c):
+    """str(c) is ref_context_str(c), or raises the same error."""
+    try:
+        want = ref_context_str(c)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            str(c)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc)), c
+        return False
+    assert str(c) == want, c
+    return True
+
+
+def test_context_text_is_the_reference_text(all_nets):
+    """Every context of the canonical walk of each corpus net and light
+    fixture, and of the traced runs from each conclusion; contexts with
+    every kind of signature in U and on the stack, and elements the
+    reference rejects, which raise the same error; and a signature 3,000
+    deep in U and on the stack, written under a recursion limit 60 frames
+    above the caller's depth."""
+    from pnlab import corpus
+    from pnlab.weights import WeightComputer, canonical_walk
+
+    nets = {**all_nets, "ell": corpus.ell_fixture(),
+            "sll": corpus.sll_fixture(), "lll": corpus.lll_fixture()}
+    contexts = []
+    for net in nets.values():
+        walk = canonical_walk(WeightComputer(net))
+        contexts += [c for pair in walk.transitions for c in pair]
+        contexts += walk.stuck + walk.finals
+        for stack in (("a",), ("o",), (E,), (msig(1),)):
+            start = Context(net.conclusion_edge(), (), stack, "-")
+            contexts.append(start)
+            run(net, start, trace=contexts)
+    assert len(contexts) > 1000
+    assert all(_same_text(c) for c in contexts)
+    heads = {x[0] for c in contexts for part in (c.us, c.stack)
+             for x in part if is_sig(x)}
+    assert heads == {"e", "l", "r", "n", "p", "m"}
+
+    sigs = (E, msig(2), lsig(E), rsig(msig(1)), psig(lsig(E)),
+            nsig(rsig(E), psig(E)), nsig(nsig(E, E), msig(12)))
+    for u, x in itertools.product(((), *((t,) for t in sigs), sigs), sigs):
+        for stack in ((), (x,), ("a", x), (x, "o", x, "s", "f", "x")):
+            for pol in "+-":
+                assert _same_text(Context("e1", u, stack, pol))
+
+    class Sym(str):
+        pass
+
+    # an element that is neither a symbol nor a signature; in U, where
+    # neither text asks is_sig, some are written and some are not
+    for bad in (3, None, (), ("z",), ("z", "a", "b"), ["a"], b"a", ("h", 1)):
+        assert not _same_text(Context("e1", (), ("a", bad), "+"))
+        _same_text(Context("e1", (bad,), ("a",), "+"))
+    assert _same_text(Context("e1", ("a",), (Sym("o"), "a"), "+"))
+
+    deep = E
+    for _ in range(3000):
+        deep = lsig(deep)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        texts = [str(Context("e1", (deep, E), ("a", deep), "-")),
+                 str(Context("e1", (), (deep,), "+"))]
+    finally:
+        sys.setrecursionlimit(limit)
+    text = "l(" * 3000 + "e" + ")" * 3000
+    assert texts == [f"(e1, [{text} e], a {text}, -)", f"(e1, [], {text}, +)"]
 
 
 def test_ell_stratification_and_mell_counterexample(named_nets):
